@@ -39,6 +39,7 @@ from .radial_solutions import (
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
+from .special_functions import multiplicity
 from .sphere_geometry import (
     PerturbationField,
     boundary_mean,
@@ -147,8 +148,11 @@ def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
         s, i, c = row
         if not isinstance(s, int) or s < 0:
             raise ConfigError(f"perturbation.modes: bad degree {s!r}")
-        if not isinstance(i, int) or not 0 <= i <= max(2 * s - 1, 0):
-            raise ConfigError(f"perturbation.modes: bad index {i!r} for degree {s}")
+        if not isinstance(i, int) or not 0 <= i < multiplicity(s, n):
+            raise ConfigError(
+                f"perturbation.modes: bad index {i!r} for degree {s} "
+                f"(n={n} admits 0..{multiplicity(s, n) - 1})"
+            )
         N[(s, i)] = N.get((s, i), 0.0) + float(c)
     p = PerturbationField(n, R, N, {})
     explicit = block.get("volume_correction")

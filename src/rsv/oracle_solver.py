@@ -8,6 +8,13 @@ V(t) are differentiated by Richardson-extrapolated central differences.
 
 The basis evaluations use scipy.special on purpose, keeping the oracle
 independent of the in-repo special-function stack it is meant to check.
+The domain itself (r and dr/dtheta on the boundary) comes from
+`StarDomain.radius`, which defines the perturbed domain and is not shape
+calculus.  The oracle uses neither `steklov` nor `variations`, and its
+basis functions never touch the in-repo Bessel code (the ball eigenvalue
+from `radial_solutions` only centres the lam search window).  Keeping the
+oracle apart from the formulas it checks is the one duplication kept on
+purpose.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
 """
@@ -31,8 +38,6 @@ from .radial_solutions import (
 from .sphere_geometry import (
     PerturbationField,
     StarDomain,
-    eval_boundary,
-    eval_boundary_dtheta,
     exact_surface_area,
     exact_volume,
     perturbed_domain,
@@ -80,11 +85,10 @@ class _Boundary:
 def _boundary(d: StarDomain, count: int) -> _Boundary:
     theta, w = _theta_grid(d.n, count)
     dirs = _directions_from_theta(d.n, theta)
-    r = d.radius_at(dirs)
+    r = d.radius(dirs)
     if np.any(r <= 0.0):
         raise ValueError("domain is not star-shaped: r <= 0 at some angle")
-    rp = d.t * eval_boundary_dtheta(d.n, d.N, dirs)
-    rp = rp + 0.5 * d.t**2 * eval_boundary_dtheta(d.n, d.W, dirs)
+    rp = d.radius(dirs, "theta")
     g = np.sqrt(r * r + rp * rp)
     dS = w * g if d.n == 2 else w * r * g
     return _Boundary(theta, r, rp, r / g, -rp / g, dS)
@@ -93,8 +97,7 @@ def _boundary(d: StarDomain, count: int) -> _Boundary:
 def _interior(d: StarDomain, n_theta: int, n_rho: int):
     """Tensor quadrature for volume integrals: rho, theta, weights (L, G)."""
     theta, w = _theta_grid(d.n, n_theta)
-    dirs = _directions_from_theta(d.n, theta)
-    r = d.radius_at(dirs)
+    r = d.radius(_directions_from_theta(d.n, theta))
     xg, wg = np.polynomial.legendre.leggauss(n_rho)
     rho = 0.5 * r[:, None] * (xg[None, :] + 1.0)
     weight = 0.5 * r[:, None] * wg[None, :] * rho ** (d.n - 1) * w[:, None]

@@ -314,6 +314,29 @@ def spherical_harmonic_dphi(n: int, s: int, i: int, direction) -> np.ndarray:
     return am * math.sqrt(2.0) * k * p * np.cos(am * phi)
 
 
+def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.ndarray:
+    """Harmonic sum of c * Y_{s,i} at unit directions of shape (..., n).
+
+    `derivative` is None for the values, "theta" or "phi" for the angular
+    derivatives.  A coefficient may be a scalar or an array that broadcasts
+    against the points; zero terms are skipped and the others are added one
+    at a time, in mapping order, so equal inputs give equal bits.
+    """
+    harmonic = {
+        None: spherical_harmonic,
+        "theta": spherical_harmonic_dtheta,
+        "phi": spherical_harmonic_dphi,
+    }.get(derivative)
+    if harmonic is None:
+        raise ValueError(f"derivative must be None, 'theta' or 'phi'; got {derivative!r}")
+    d = np.asarray(directions, dtype=float)
+    out = np.zeros(d.shape[:-1])
+    for (s, i), c in coeffs.items():
+        if np.any(c != 0.0):
+            out = out + c * np.asarray(harmonic(n, s, i, d))
+    return out
+
+
 def tangential_gradient(n: int, s: int, i: int, direction) -> np.ndarray:
     """Tangential (surface) gradient of Y_{s,i} on the unit sphere.
 
@@ -403,11 +426,3 @@ class HarmonicBasis:
         """Coefficients of a node-sampled function w.r.t. the orthonormal basis."""
         coeffs = (self.table * self.quad.weights) @ np.asarray(values, dtype=float)
         return {si: float(c) for si, c in zip(self.indices, coeffs)}
-
-    def synthesize(self, coeffs: dict[tuple[int, int], float]) -> np.ndarray:
-        vals = np.zeros(self.quad.weights.shape[0])
-        for (s, i), c in coeffs.items():
-            if c == 0.0:
-                continue
-            vals += c * self.table[self.indices.index((s, i))]
-        return vals

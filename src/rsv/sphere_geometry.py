@@ -25,8 +25,7 @@ from .special_functions import (
     harmonic_indices,
     lb_eigen,
     spherical_harmonic,
-    spherical_harmonic_dphi,
-    spherical_harmonic_dtheta,
+    synthesize,
     tangential_gradient,
 )
 
@@ -47,33 +46,6 @@ def sphere_measure(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def eval_boundary(n: int, coeffs: BoundaryFunction, directions) -> np.ndarray:
-    d = np.asarray(directions, dtype=float)
-    out = np.zeros(d.shape[:-1])
-    for (s, i), c in coeffs.items():
-        if c != 0.0:
-            out = out + c * np.asarray(spherical_harmonic(n, s, i, d))
-    return out
-
-
-def eval_boundary_dtheta(n: int, coeffs: BoundaryFunction, directions) -> np.ndarray:
-    d = np.asarray(directions, dtype=float)
-    out = np.zeros(d.shape[:-1])
-    for (s, i), c in coeffs.items():
-        if c != 0.0:
-            out = out + c * np.asarray(spherical_harmonic_dtheta(n, s, i, d))
-    return out
-
-
-def eval_boundary_dphi(n: int, coeffs: BoundaryFunction, directions) -> np.ndarray:
-    d = np.asarray(directions, dtype=float)
-    out = np.zeros(d.shape[:-1])
-    for (s, i), c in coeffs.items():
-        if c != 0.0:
-            out = out + c * np.asarray(spherical_harmonic_dphi(n, s, i, d))
-    return out
-
-
 def coeff_norm_sq(coeffs: BoundaryFunction) -> float:
     """Integral of the function squared over the *unit* sphere."""
     return sum(c * c for c in coeffs.values())
@@ -89,10 +61,6 @@ def constant_coeffs(n: int, value: float) -> BoundaryFunction:
     if value == 0.0:
         return {}
     return {(0, 0): value * math.sqrt(sphere_measure(n))}
-
-
-def max_degree_of(coeffs: BoundaryFunction) -> int:
-    return max((s for (s, _i) in coeffs), default=0)
 
 
 def project_zero_mean(N: BoundaryFunction) -> BoundaryFunction:
@@ -171,29 +139,16 @@ class StarDomain:
     W: BoundaryFunction
     t: float
 
-    def radius_values(self, quad: SphereQuadrature) -> np.ndarray:
-        r = np.full(quad.weights.shape[0], self.R)
-        if self.t != 0.0:
-            r = r + self.t * eval_boundary(self.n, self.N, quad.directions)
-            r = r + 0.5 * self.t**2 * eval_boundary(self.n, self.W, quad.directions)
-        return r
-
-    def radius_at(self, directions) -> np.ndarray:
+    def radius(self, directions, derivative: str | None = None) -> np.ndarray:
+        """r at unit directions, or its "theta" / "phi" derivative
+        (see `synthesize`); at t = 0 exactly R, or zeros."""
         d = np.asarray(directions, dtype=float)
-        r = self.R + self.t * eval_boundary(self.n, self.N, d)
-        return r + 0.5 * self.t**2 * eval_boundary(self.n, self.W, d)
-
-    def radius_dtheta(self, quad: SphereQuadrature) -> np.ndarray:
-        out = self.t * eval_boundary_dtheta(self.n, self.N, quad.directions)
-        return out + 0.5 * self.t**2 * eval_boundary_dtheta(
-            self.n, self.W, quad.directions
-        )
-
-    def radius_dphi(self, quad: SphereQuadrature) -> np.ndarray:
-        out = self.t * eval_boundary_dphi(self.n, self.N, quad.directions)
-        return out + 0.5 * self.t**2 * eval_boundary_dphi(
-            self.n, self.W, quad.directions
-        )
+        if self.t == 0.0:
+            return np.full(d.shape[:-1], 0.0 if derivative else self.R)
+        r = self.t * synthesize(self.n, self.N, d, derivative)
+        if derivative is None:
+            r = self.R + r
+        return r + 0.5 * self.t**2 * synthesize(self.n, self.W, d, derivative)
 
 
 def perturbed_domain(p: PerturbationField, t: float) -> StarDomain:
@@ -203,7 +158,7 @@ def perturbed_domain(p: PerturbationField, t: float) -> StarDomain:
 def exact_volume(d: StarDomain, order: int | None = None) -> float:
     """V(t) = (1/n) * integral of r^n over the unit sphere."""
     quad = SphereQuadrature(d.n, order or default_quad_order())
-    r = d.radius_values(quad)
+    r = d.radius(quad.directions)
     if np.any(r <= 0.0):
         raise ValueError("domain is not star-shaped: r <= 0 at some direction")
     return quad.integrate(r**d.n) / d.n
@@ -211,13 +166,13 @@ def exact_volume(d: StarDomain, order: int | None = None) -> float:
 
 def exact_surface_area(d: StarDomain, order: int | None = None) -> float:
     quad = SphereQuadrature(d.n, order or default_quad_order())
-    r = d.radius_values(quad)
+    r = d.radius(quad.directions)
     if np.any(r <= 0.0):
         raise ValueError("domain is not star-shaped: r <= 0 at some direction")
-    r_th = d.radius_dtheta(quad)
+    r_th = d.radius(quad.directions, "theta")
     if d.n == 2:
         return quad.integrate(np.sqrt(r * r + r_th * r_th))
-    r_ph = d.radius_dphi(quad)
+    r_ph = d.radius(quad.directions, "phi")
     grad_sq = r_th * r_th + (r_ph / np.sin(quad.theta)) ** 2
     return quad.integrate(r * np.sqrt(r * r + grad_sq))
 
@@ -325,12 +280,8 @@ def radial_harmonic_field(n: int, R: float, coeffs: BoundaryFunction) -> Ambient
     def func(x):
         r = np.linalg.norm(x, axis=-1)
         xhat = x / r[..., None]
-        out = np.zeros_like(x)
-        for s, i, c in items:
-            rho = (r / R) ** s
-            y = np.asarray(spherical_harmonic(n, s, i, xhat))
-            out = out + (c * rho * y)[..., None] * xhat
-        return out
+        radial = {(s, i): c * (r / R) ** s for s, i, c in items}
+        return synthesize(n, radial, xhat)[..., None] * xhat
 
     def jac(x):
         r = np.linalg.norm(x, axis=-1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radial_solutions import ROBIN_EIGEN, TORSION, RadialSolution
-from .special_functions import SphereQuadrature, bessel_j, multiplicity, spherical_harmonic
+from .special_functions import SphereQuadrature, bessel_j, multiplicity, synthesize
 from .sphere_geometry import BoundaryFunction
 
 RESONANCE_TOL = 1e-9
@@ -121,26 +121,16 @@ class ShapeDerivative:
         return sum(cc * cc * self.mu[s] for (s, _i), cc in self.c.items())
 
     def boundary_values(self, directions) -> np.ndarray:
-        d = np.asarray(directions, dtype=float)
         n, R = self.sol.n, self.sol.R
         scale = R ** (-(n - 1) / 2.0)
-        out = np.zeros(d.shape[:-1])
-        for (s, i), cc in self.c.items():
-            if cc != 0.0:
-                out = out + cc * scale * np.asarray(spherical_harmonic(n, s, i, d))
-        return out
+        return synthesize(n, {si: cc * scale for si, cc in self.c.items()}, directions)
 
     def robin_trace_values(self, directions) -> np.ndarray:
         """(du'/dnu + alpha u') on the boundary; equals k_g N for exact data."""
-        d = np.asarray(directions, dtype=float)
         n, R = self.sol.n, self.sol.R
         scale = R ** (-(n - 1) / 2.0)
-        out = np.zeros(d.shape[:-1])
-        for (s, i), cc in self.c.items():
-            if cc != 0.0:
-                y = np.asarray(spherical_harmonic(n, s, i, d))
-                out = out + cc * self.mu[s] * scale * y
-        return out
+        coeffs = {(s, i): cc * self.mu[s] * scale for (s, i), cc in self.c.items()}
+        return synthesize(n, coeffs, directions)
 
     def interior_values(self, points) -> np.ndarray:
         x = np.asarray(points, dtype=float)
@@ -148,13 +138,12 @@ class ShapeDerivative:
         xhat = x / np.where(r > 0, r, 1.0)[..., None]
         n, R = self.sol.n, self.sol.R
         scale = R ** (-(n - 1) / 2.0)
-        out = np.zeros(x.shape[:-1])
-        for (s, i), cc in self.c.items():
-            if cc != 0.0:
-                prof = self.spectrum.mode_profile(s, r)
-                y = np.asarray(spherical_harmonic(n, s, i, xhat))
-                out = out + cc * scale * prof * y
-        return out
+        coeffs = {
+            (s, i): cc * scale * self.spectrum.mode_profile(s, r)
+            for (s, i), cc in self.c.items()
+            if cc != 0.0
+        }
+        return synthesize(n, coeffs, xhat)
 
 
 def shape_derivative_uprime(

@@ -33,7 +33,7 @@ from .radial_solutions import (
     solve_dirichlet_eigen_ball,
     solve_torsion_ball,
 )
-from .special_functions import SphereQuadrature, bessel_j, lb_eigen
+from .special_functions import SphereQuadrature, bessel_j, lb_eigen, synthesize
 from .sphere_geometry import (
     AmbientField,
     BoundaryFunction,
@@ -533,12 +533,7 @@ def dirichlet_variations(
     Q_tor = sum(cc * cc * s / R for (s, _i), cc in c_tor.items())
     trace_sq = sum(cc * cc for cc in c_tor.values())
     # quadrature route for the u'^2 boundary terms
-    up_vals = np.zeros(quad.weights.shape[0])
-    from .special_functions import spherical_harmonic
-
-    for (s, i), cc in c_tor.items():
-        y = np.asarray(spherical_harmonic(n, s, i, quad.directions))
-        up_vals = up_vals + cc * y / R ** ((n - 1) / 2.0)
+    up_vals = synthesize(n, c_tor, quad.directions) / R ** ((n - 1) / 2.0)
     area_w = R ** (n - 1)
     int_up_sq = area_w * quad.integrate(up_vals * up_vals)
     if abs(int_up_sq - trace_sq) > 1e-10 * max(1.0, trace_sq):

@@ -214,6 +214,32 @@ def test_perturbation_from_coefficient_file(tmp_path):
     assert "surface_second_variation_symbolic = 3*pi" in kv
 
 
+def index_config(tmp_path, n, mode):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        f"problem: {{n: {n}, R: 1.0, alpha: 1.0, kind: torsion}}\n"
+        f"perturbation: {{modes: [{mode}]}}\n"
+        f"output: {{directory: {tmp_path / 'reports'}}}\n"
+    )
+    return path
+
+
+def test_n3_top_index_accepted(tmp_path):
+    # n = 3, degree 2 has indices 0..4; i = 4 is the m = +2 harmonic
+    path = index_config(tmp_path, 3, "[2, 4, 0.3]")
+    assert main(["surface", "--config", str(path)]) == 0
+    kv = (tmp_path / "reports" / "surface.kv").read_text()
+    checks = [line for line in kv.splitlines() if line.startswith("check_")]
+    assert checks and all(line.endswith(" = true") for line in checks)
+
+
+def test_n2_index_beyond_multiplicity_rejected(tmp_path, capsys):
+    # n = 2 has two harmonics per degree: index 4 does not exist
+    path = index_config(tmp_path, 2, "[3, 4, 0.3]")
+    assert main(["steklov", "--config", str(path)]) == 2
+    assert "perturbation.modes" in capsys.readouterr().err
+
+
 def test_coefficient_file_dimension_mismatch(tmp_path, capsys):
     field = PerturbationField(3, 1.0, {(2, 2): 1.0}, {})
     coeff_path = tmp_path / "field.json"

@@ -16,6 +16,7 @@ from rsv.special_functions import (
     multiplicity,
     spherical_harmonic,
     spherical_harmonic_dtheta,
+    synthesize,
     tangential_gradient,
 )
 
@@ -164,6 +165,43 @@ def test_dtheta_matches_finite_differences():
             assert abs(val - fd) < 1e-8
 
 
+def _polar_directions(n, theta, phi):
+    if n == 2:
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    st_ = np.sin(theta)
+    return np.stack([st_ * np.cos(phi), st_ * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_synthesize_derivatives_match_centred_differences(n):
+    # every real harmonic of degree <= 4, so n = 3 data is far from zonal
+    rng = np.random.default_rng(11)
+    coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 4)}
+    theta = rng.uniform(0.3, 2.8, 40)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 40)
+    h = 1e-5
+
+    def at(th, ph, derivative=None):
+        return synthesize(n, coeffs, _polar_directions(n, th, ph), derivative)
+
+    fd_theta = (at(theta + h, phi) - at(theta - h, phi)) / (2 * h)
+    assert np.max(np.abs(at(theta, phi, "theta") - fd_theta)) < 1e-8
+    if n == 3:
+        fd_phi = (at(theta, phi + h) - at(theta, phi - h)) / (2 * h)
+        assert np.max(np.abs(at(theta, phi, "phi") - fd_phi)) < 1e-8
+    with pytest.raises(ValueError):
+        at(theta, phi, "r")
+
+
+def test_synthesize_takes_coefficient_arrays():
+    # array coefficients broadcast against the points, term by term
+    quad = SphereQuadrature(3, 8)
+    ramp = np.linspace(0.5, 2.0, quad.weights.shape[0])
+    coeffs = {(2, 1): 0.7 * ramp, (3, 3): -0.2 * ramp}
+    want = ramp * synthesize(3, {(2, 1): 0.7, (3, 3): -0.2}, quad.directions)
+    assert np.max(np.abs(synthesize(3, coeffs, quad.directions) - want)) < 1e-14
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_projection_roundtrip(n):
     basis = HarmonicBasis(n, max_degree=6)
@@ -172,7 +210,7 @@ def test_projection_roundtrip(n):
         (s, i): float(rng.normal())
         for (s, i) in harmonic_indices(n, 4)
     }
-    values = basis.synthesize(coeffs)
+    values = synthesize(n, coeffs, basis.quad.directions)
     back = basis.project(values)
     for key, c in coeffs.items():
         assert abs(back[key] - c) < 1e-11

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsv.special_functions import SphereQuadrature
+from rsv.special_functions import SphereQuadrature, synthesize
 from rsv.sphere_geometry import (
     AmbientField,
     PerturbationField,
@@ -12,7 +12,6 @@ from rsv.sphere_geometry import (
     boundary_mean,
     constant_coeffs,
     constant_field,
-    eval_boundary,
     exact_surface_area,
     exact_volume,
     linear_field,
@@ -72,7 +71,7 @@ def test_radial_extension_normal_trace(n):
     v = radial_harmonic_field(n, R, coeffs)
     quad = SphereQuadrature(n, 24)
     got = normal_trace(v, R, quad)
-    want = eval_boundary(n, coeffs, quad.directions)
+    want = synthesize(n, coeffs, quad.directions)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -206,6 +205,16 @@ def test_nonpositive_radius_rejected():
         exact_volume(StarDomain(2, 1.0, big, {}, 1.5))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_star_radius_at_t_zero_is_the_ball(n):
+    quad = SphereQuadrature(n, 12)
+    d = StarDomain(n, 1.3, {(2, 1): 0.4, (3, 1): -0.1}, {(0, 0): -0.05}, 0.0)
+    assert np.array_equal(d.radius(quad.directions), np.full(quad.weights.shape, 1.3))
+    for derivative in ("theta", "phi") if n == 3 else ("theta",):
+        r_d = d.radius(quad.directions, derivative)
+        assert r_d.shape == quad.weights.shape and not np.any(r_d)
+
+
 def test_perturbation_field_roundtrip():
     p = PerturbationField(n=3, R=1.3, N={(2, 1): 0.9}, W={(0, 0): -0.2})
     q = PerturbationField.from_text(p.to_text())
@@ -213,7 +222,7 @@ def test_perturbation_field_roundtrip():
     v, w = p.ambient_pair()
     quad = SphereQuadrature(3, 16)
     got = normal_trace(v, 1.3, quad)
-    assert np.max(np.abs(got - eval_boundary(3, p.N, quad.directions))) < 1e-13
+    assert np.max(np.abs(got - synthesize(3, p.N, quad.directions))) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from rsv.radial_solutions import (
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
-from rsv.special_functions import SphereQuadrature
-from rsv.sphere_geometry import eval_boundary
+from rsv.special_functions import SphereQuadrature, synthesize
 from rsv.steklov import (
     ShapeDerivative,
     SteklovSpectrum,
@@ -111,7 +110,7 @@ def test_uprime_robin_trace_matches_data(make):
     sd = shape_derivative_uprime(sol, N)
     quad = SphereQuadrature(sol.n, 32)
     got = sd.robin_trace_values(quad.directions)
-    want = sol.k_g() * eval_boundary(sol.n, N, quad.directions)
+    want = sol.k_g() * synthesize(sol.n, N, quad.directions)
     assert np.max(np.abs(got - want)) < 1e-12
     # the two Q paths agree
     assert sd.quadratic_form() == pytest.approx(
