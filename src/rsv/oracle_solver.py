@@ -21,11 +21,13 @@ restricted to zonal (axisymmetric) data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, jv, jvp, spherical_jn
+# jvp is not called here; perfbench/tracer.py wraps it by name
+from scipy.special import eval_legendre, jv, jvp, spherical_jn  # noqa: F401
 
 from .radial_solutions import (
     DIRICHLET_EIGEN,
@@ -46,6 +48,7 @@ from .sphere_geometry import (
 OVERSAMPLE = 4
 RESIDUAL_LIMIT = 1e-6
 CONDITION_LIMIT = 1e14
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +151,41 @@ def _radial_harmonic(degrees: np.ndarray, rho: np.ndarray, scale: float):
     return z, dz
 
 
-def _radial_wave(n: int, degrees: np.ndarray, lam: float, rho: np.ndarray):
-    """Radial factors solving the Helmholtz equation, shaped (basis, points)."""
+def _radial_wave(
+    n: int, degrees: np.ndarray, lam: float, rho: np.ndarray, derivative: bool = True
+):
+    """Radial factors solving the Helmholtz equation, shaped (basis, points),
+    and their rho-derivatives (None when `derivative` is false).
+
+    One scipy table over the orders 0..max(degrees)+1 serves every basis
+    row (in 2-D cos and sin share a degree).  The derivatives come from the
+    neighbouring orders with scipy's own arithmetic, so they equal
+    `jvp` / `spherical_jn(derivative=True)` bit for bit:
+    2 J_k' = J_{k-1} - J_{k+1} and J_0' = -J_1 (DLMF 10.6.1);
+    j_l' = j_{l-1} - (l+1) j_l / z and j_0' = -j_1 (DLMF 10.51.2), which is
+    0/0 at z = 0, where j_1'(0) = 1/3 and j_l'(0) = 0 for l >= 2.
+    """
     k = math.sqrt(lam)
-    z = k * rho[None, :]
+    z = k * rho
+    orders = np.arange(int(degrees.max()) + (2 if derivative else 1))
     if n == 2:
-        f = jv(degrees[:, None], z)
-        df = k * jvp(degrees[:, None], z, 1)
-        return f, df
-    ls, zz = np.broadcast_arrays(degrees[:, None], z)
-    f = spherical_jn(ls, zz)
-    df = k * spherical_jn(ls, zz, derivative=True)
-    return f, df
+        table = jv(orders[:, None], z[None, :])
+    else:
+        table = spherical_jn(orders[:, None], z[None, :])
+    f = table[degrees]
+    if not derivative:
+        return f, None
+    d = np.empty((orders.size - 1, z.size))
+    d[0] = -table[1]
+    if n == 2:
+        d[1:] = (table[:-2] - table[2:]) / 2.0
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:] = table[:-2] - (orders[1:-1, None] + 1.0) * table[1:-1] / z
+        on_axis = z == 0.0
+        d[1:, on_axis] = 0.0
+        d[1:2, on_axis] = 1.0 / 3.0
+    return f, k * d[degrees]
 
 
 def _validate_domain(d: StarDomain) -> None:
@@ -199,24 +225,26 @@ class OracleSolution:
     volume: float
     surface: float
     _scale: float
+    sigma_evals: int = 0  # sigma(lam) evaluations: scan plus refine
+    sigma_min: float = math.nan  # sigma at the located lam
 
     @property
     def n(self) -> int:
         return self.domain.n
 
-    def _parts(self, rho: np.ndarray, theta: np.ndarray):
+    def _parts(self, rho: np.ndarray, theta: np.ndarray, derivative: bool = True):
         degrees, T, dT = _angular_parts(self.n, self.modes, theta)
         if self.kind == TORSION:
             Rf, dRf = _radial_harmonic(degrees, rho, self._scale)
         else:
-            Rf, dRf = _radial_wave(self.n, degrees, self.lam, rho)
+            Rf, dRf = _radial_wave(self.n, degrees, self.lam, rho, derivative)
         return Rf, dRf, T, dT
 
     def values(self, rho, theta) -> np.ndarray:
         """u at polar points (zonal plane points for n = 3)."""
         rho = np.asarray(rho, dtype=float).ravel()
         theta = np.asarray(theta, dtype=float).ravel()
-        Rf, _, T, _ = self._parts(rho, theta)
+        Rf, _, T, _ = self._parts(rho, theta, derivative=False)
         out = self.coefficients @ (Rf * T)
         if self.kind == TORSION:
             out = out - rho**2 / (2.0 * self.n)
@@ -235,7 +263,8 @@ class OracleSolution:
 
 
 def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
-    """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS)."""
+    """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS,
+    u at the interior quadrature nodes)."""
     d = sol.domain
     theta, rho, w = _interior(d, n_theta, n_rho)
     th_flat = np.broadcast_to(theta[:, None], rho.shape).ravel()
@@ -248,7 +277,7 @@ def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     bd = _boundary(d, n_theta)
     bvals = sol.values(bd.r, bd.theta)
     bd_u_sq = float(bd.dS @ (bvals * bvals))
-    return int_u, int_grad_sq, int_u_sq, bd_u_sq
+    return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals
 
 
 def _quad_sizes(modes: int) -> tuple[int, int]:
@@ -308,7 +337,7 @@ def solve_perturbed_torsion(
         _scale=scale,
     )
     n_theta, n_rho = _quad_sizes(modes)
-    int_u, int_grad_sq, _, bd_u_sq = _integrals(sol, n_theta, n_rho)
+    int_u, int_grad_sq, _, bd_u_sq, _ = _integrals(sol, n_theta, n_rho)
     sol.energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
     return sol
 
@@ -340,24 +369,72 @@ def _subspace_sigma(
     return sigma, coeffs, condition
 
 
-def _golden_min(f, a: float, b: float, xtol: float, maxiter: int = 200) -> float:
-    """Abscissa of the minimum of f on [a, b] to bracket width xtol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = f(c), f(e)
-    for _ in range(maxiter):
-        if b - a <= xtol:
-            break
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _sigma_sq_min(
+    f, a: float, m: float, b: float, xtol: float, spacing: float
+) -> float:
+    """Minimiser of sigma = f on [a, b], given f(m) below f(a) and f(b).
+
+    Near a simple eigenvalue sigma^2 is the parabola
+    c^2 (lam - lam*)^2 + floor^2, so the search interpolates sigma^2, not
+    sigma: each step takes the vertex of the parabola through the three
+    lowest samples (Brent's safeguards: a golden-section step into the
+    larger side when the vertex leaves the bracket, the parabola is not
+    convex or the step fails to halve; steps of at least xtol/3, towards
+    the larger side).  The bracket [a, b] always holds the lowest sample.
+    When it is xtol wide, rounding in sigma decides which sample is lowest,
+    so the answer is the vertex of one more parabola, through the lowest
+    sample x and x + h, x + 2h with h = `spacing` on its larger side:
+    samples on one side of lam* fit sigma^2 exactly even when the slopes on
+    the two sides differ.
+    """
+
+    def g(x: float) -> float:
+        return f(x) ** 2
+
+    ga, gx, gb = g(a), g(m), g(b)
+    if not (gx < ga and gx < gb):
+        raise ArithmeticError(f"sigma has no interior minimum in [{a!r}, {b!r}]")
+    lo, hi = a, b
+    x = m
+    (gw, w), (gv, v) = sorted([(ga, a), (gb, b)])
+    tol = xtol / 3.0  # the larger side exceeds 1.5 tol, so x +- tol stays inside
+    last = before = b - a
+    while b - a > xtol:
+        u = math.nan
+        d1 = (gw - gx) / (w - x)
+        curvature = (d1 - (gv - gx) / (v - x)) / (w - v)
+        if curvature > 0.0:
+            u = 0.5 * (x + w) - d1 / (2.0 * curvature)
+        if not (a < u < b and abs(u - x) < 0.5 * before):
+            u = x + _GOLDEN * (b - x) if b - x > x - a else x - _GOLDEN * (x - a)
+        if abs(u - x) < tol:
+            u = x + tol if b - x > x - a else x - tol
+        before, last = last, abs(u - x)
+        gu = g(u)
+        if gu < gx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            (gv, v), (gw, w), (gx, x) = (gw, w), (gx, x), (gu, u)
         else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(e)
-    return c if fc < fe else e
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu < gw:
+                (gv, v), (gw, w) = (gw, w), (gu, u)
+            elif gu < gv:
+                gv, v = gu, u
+    h = spacing if hi - x > x - lo else -spacing
+    g1, g2 = g(x + h), g(x + 2.0 * h)
+    second = g2 - 2.0 * g1 + gx
+    if not second > 0.0:
+        raise ArithmeticError(f"sigma^2 is not convex near lam = {x!r}")
+    vertex = x + h * (0.5 - (g1 - gx) / second)
+    if not lo <= vertex <= hi:
+        raise ArithmeticError(f"sigma^2 vertex {vertex!r} left [{lo!r}, {hi!r}]")
+    return vertex
 
 
 def solve_perturbed_eigen(
@@ -405,6 +482,7 @@ def solve_perturbed_eigen(
         ).T
         return B, M
 
+    @functools.lru_cache(maxsize=None)
     def sigma_at(lam: float) -> float:
         return _subspace_sigma(*matrices(lam))[0]
 
@@ -416,11 +494,16 @@ def solve_perturbed_eigen(
             "root isolation failed: no interior singular-value minimum "
             f"near lam = {lam0:.6g}"
         )
-    # width-based golden section: library minimizers stop at sqrt(eps)|x|,
-    # too coarse for clean second differences of lam(t)
-    lam = _golden_min(sigma_at, grid[best - 1], grid[best + 1], 1e-13 * lam0)
+    # width-based refine: library minimizers stop at sqrt(eps)|x|, too
+    # coarse for clean second differences of lam(t).  The answer is the
+    # vertex of a sigma^2 parabola fitted at spacing 1e-8 lam0, not the
+    # lowest sample, whose place in the 1e-13 lam0 bracket rounding decides
+    lam = _sigma_sq_min(
+        sigma_at, grid[best - 1], grid[best], grid[best + 1],
+        1e-13 * lam0, 1e-8 * lam0,
+    )
     B, M = matrices(lam)
-    _, coeffs, condition = _subspace_sigma(B, M, want_vector=True)
+    sigma_min, coeffs, condition = _subspace_sigma(B, M, want_vector=True)
     if condition > CONDITION_LIMIT:
         raise ArithmeticError(
             f"degenerate collocation basis near lam = {lam:.6g} "
@@ -440,9 +523,11 @@ def solve_perturbed_eigen(
         volume=exact_volume(d),
         surface=exact_surface_area(d),
         _scale=1.0,
+        sigma_evals=sigma_at.cache_info().misses,
+        sigma_min=sigma_min,
     )
     n_theta, n_rho = _quad_sizes(modes)
-    int_u, int_grad_sq, int_u_sq, bd_u_sq = _integrals(sol, n_theta, n_rho)
+    int_u, int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
     norm = math.sqrt(int_u_sq)
     sol.coefficients = coeffs / norm
     # fix the overall sign: the ground state has one sign; make it positive
@@ -451,6 +536,16 @@ def solve_perturbed_eigen(
     )
     if probe.sum() < 0.0:
         sol.coefficients = -sol.coefficients
+        norm = -norm
+    # only the first eigenfunction keeps one sign: a higher mode found in
+    # the scan window changes sign somewhere on the interior grid
+    u_min = float(np.min(u_in / norm))
+    if not u_min > 0.0:
+        raise ArithmeticError(
+            f"eigenfunction at lam = {lam!r} changes sign inside the domain "
+            f"(min u = {u_min:.3e} on the interior quadrature nodes), so it "
+            "is not the first eigenvalue"
+        )
     rayleigh = (int_grad_sq + alpha * bd_u_sq) / int_u_sq
     if abs(rayleigh - lam) > 1e-8 * max(1.0, abs(lam)):
         raise ArithmeticError(
@@ -484,7 +579,7 @@ def energy_of(sol: OracleSolution, p: BallProblem) -> float:
     if sol.kind != DIRICHLET_EIGEN and p.alpha != sol.alpha:
         raise ValueError("problem does not match the solution")
     n_theta, n_rho = _quad_sizes(sol.modes)
-    int_u, int_grad_sq, int_u_sq, bd_u_sq = _integrals(sol, n_theta, n_rho)
+    int_u, int_grad_sq, int_u_sq, bd_u_sq, _ = _integrals(sol, n_theta, n_rho)
     if sol.kind == TORSION:
         direct = int_grad_sq - 2.0 * int_u + sol.alpha * bd_u_sq
         weak = -int_u

@@ -1,10 +1,16 @@
 import math
+import types
 
 import numpy as np
 import pytest
+from golden_section import golden_min
+from scipy.special import jv, jvp, spherical_jn
 
+import rsv.oracle_solver as oracle_solver
 from rsv.oracle_solver import (
     Derivatives,
+    _radial_wave,
+    _sigma_sq_min,
     eigenvalue_curve,
     energy_of,
     finite_difference_derivatives,
@@ -208,6 +214,149 @@ def test_eigenvalue_even_in_t_for_mean_free_data():
     C = 50.0 * max(1.0, abs(g(0.0)))
     for h in (0.04, 0.02):
         assert abs(g(h) - g(-h)) <= C * h**3
+
+
+def readme_eigen_domain(t):
+    return perturbed_domain(pfield(2, 1.0, COS2T), t)
+
+
+def test_eigen_solution_records_the_search():
+    sol = solve_perturbed_eigen(readme_eigen_domain(0.01), 1.0)
+    assert 37 < sol.sigma_evals <= 62
+    assert sol.sigma_min < 1e-6
+    torsion = solve_perturbed_torsion(readme_eigen_domain(0.01), 1.0, modes=16)
+    assert torsion.sigma_evals == 0
+    assert math.isnan(torsion.sigma_min)
+
+
+def test_second_mode_fails_the_ground_state_check(monkeypatch):
+    # centre the scan on j_{1,1}^2, the disk's second Dirichlet eigenvalue:
+    # the solver locks onto J_1(k r) cos(theta + c), which changes sign
+    second = types.SimpleNamespace(lam=3.831705970207512**2)
+    monkeypatch.setattr(oracle_solver, "solve_dirichlet_eigen_ball", lambda n, R: second)
+    with pytest.raises(ArithmeticError, match="min u = -"):
+        solve_perturbed_eigen(
+            readme_eigen_domain(0.01), None, modes=12, kind=DIRICHLET_EIGEN
+        )
+
+
+# ---------------------------------------------------------------------------
+# Bessel table and lam refine
+# ---------------------------------------------------------------------------
+
+Z_SAMPLES = np.array([0.0, 1e-3, 0.5, 3.0, 12.0])
+TOP_ORDER = 21
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_radial_wave_n2_equals_scipy(lam):
+    # k = sqrt(lam) is 1 or 2, so z = k rho reproduces Z_SAMPLES exactly
+    k = math.sqrt(lam)
+    degrees = np.array([0] + [d for d in range(1, TOP_ORDER + 1) for _ in (0, 1)])
+    f, df = _radial_wave(2, degrees, lam, Z_SAMPLES / k)
+    z = Z_SAMPLES[None, :]
+    assert np.array_equal(f, jv(degrees[:, None], z))
+    assert np.array_equal(df, k * jvp(degrees[:, None], z, 1))
+    assert df[1, 0] == 0.5 * k  # J_1'(0) = 1/2
+    values, none = _radial_wave(2, degrees, lam, Z_SAMPLES / k, derivative=False)
+    assert none is None and np.array_equal(values, f)
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_radial_wave_n3_equals_scipy(lam):
+    k = math.sqrt(lam)
+    degrees = np.arange(TOP_ORDER + 1)
+    f, df = _radial_wave(3, degrees, lam, Z_SAMPLES / k)
+    ls, z = np.broadcast_arrays(degrees[:, None], Z_SAMPLES[None, :])
+    assert np.array_equal(f, spherical_jn(ls, z))
+    assert np.array_equal(df, k * spherical_jn(ls, z, derivative=True))
+    assert df[1, 0] == k / 3.0  # j_1'(0) = 1/3
+    values, none = _radial_wave(3, degrees, lam, Z_SAMPLES / k, derivative=False)
+    assert none is None and np.array_equal(values, f)
+
+
+def synthetic_sigma(lam_star, c_left, c_right, floor):
+    """sigma = sqrt(c^2 (lam - lam*)^2 + floor^2), slope c_left / c_right
+    below / above lam*, and the list of points it was evaluated at."""
+    calls = []
+
+    def f(lam):
+        calls.append(lam)
+        c = c_left if lam < lam_star else c_right
+        return math.sqrt((c * (lam - lam_star)) ** 2 + floor**2)
+
+    return f, calls
+
+
+# the solver's refine: one scan step either side of the lowest scan point
+LAM0 = 1.5
+BRACKET = (0.975 * LAM0, LAM0, 1.025 * LAM0)
+XTOL, SPACING = 1e-13 * LAM0, 1e-8 * LAM0
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-12, 1e-6])
+@pytest.mark.parametrize(
+    "slopes", [(1.0, 1.0), (1.0, 1.001), (1.001, 1.0), (0.5, 1.0), (2.0, 1.0)]
+)
+# offsets keep m the lowest bracket point for every slope pair
+@pytest.mark.parametrize("offset", [-0.008, -2e-7, 0.0, 3e-11, 0.005, 0.008])
+def test_sigma_sq_min_finds_the_argmin(floor, slopes, offset):
+    a, m, b = BRACKET
+    lam_star = m + offset * LAM0
+    f, calls = synthetic_sigma(lam_star, *slopes, floor)
+    lam = _sigma_sq_min(f, a, m, b, XTOL, SPACING)
+    assert abs(lam - lam_star) <= XTOL
+    assert a <= min(calls) and max(calls) <= b and a <= lam <= b
+    assert len(set(calls)) <= 25
+
+
+@pytest.mark.parametrize("edge", [0, 2])
+def test_sigma_sq_min_rejects_a_minimum_on_the_bracket_edge(edge):
+    a, m, b = BRACKET
+    f, _ = synthetic_sigma(BRACKET[edge], 1.0, 1.0, 1e-9)
+    with pytest.raises(ArithmeticError, match="no interior minimum"):
+        _sigma_sq_min(f, a, m, b, XTOL, SPACING)
+
+
+def golden_refine(f, a, m, b, xtol, spacing):
+    return golden_min(f, a, b, xtol)
+
+
+def lam_both_refines(monkeypatch, d, alpha, modes, kind):
+    lam = solve_perturbed_eigen(d, alpha, modes, kind).lam
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_solver, "_sigma_sq_min", golden_refine)
+        return lam, solve_perturbed_eigen(d, alpha, modes, kind).lam
+
+
+ZONAL = {(2, 2): 1.0}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.01, -0.01])
+@pytest.mark.parametrize(
+    "n, N, alpha, kind",
+    [
+        (2, COS2T, 1.0, ROBIN_EIGEN),
+        (2, COS2T, None, DIRICHLET_EIGEN),
+        (3, ZONAL, 1.0, ROBIN_EIGEN),
+    ],
+)
+def test_refine_agrees_with_golden_section(monkeypatch, t, n, N, alpha, kind):
+    d = perturbed_domain(pfield(n, 1.0, N), t)
+    lam, lam_golden = lam_both_refines(monkeypatch, d, alpha, 20, kind)
+    assert abs(lam - lam_golden) <= 1e-12 * lam_golden
+
+
+@pytest.mark.parametrize("t", [0.05, -0.05])
+@pytest.mark.parametrize(
+    "n, N, alpha, kind",
+    [(2, COS2T, 1.0, ROBIN_EIGEN), (3, ZONAL, None, DIRICHLET_EIGEN)],
+)
+def test_refine_agrees_with_golden_section_at_few_modes(monkeypatch, t, n, N, alpha, kind):
+    # 8 modes leave sigma a floor of about 1e-7 at |t| = 0.05
+    d = perturbed_domain(pfield(n, 1.0, N), t)
+    lam, lam_golden = lam_both_refines(monkeypatch, d, alpha, 8, kind)
+    assert abs(lam - lam_golden) <= 1e-11 * lam_golden
 
 
 # ---------------------------------------------------------------------------
