@@ -16,7 +16,9 @@ Conventions used by every downstream module:
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import lpmv
@@ -221,13 +223,31 @@ def harmonic_indices(n: int, max_degree: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _angles_from_directions(n: int, direction: np.ndarray):
+class _Angles(NamedTuple):
+    """Angles of unit directions, taken once per evaluation.
+
+    theta is the circle angle for n=2 and the polar angle for n=3; phi is
+    the azimuth (n=3 only).
+    """
+
+    n: int
+    theta: np.ndarray
+    phi: np.ndarray | None
+    cos_theta: np.ndarray
+    sin_theta: np.ndarray
+
+
+def _angles(n: int, direction) -> _Angles:
     d = np.asarray(direction, dtype=float)
     if n == 2:
-        return (np.arctan2(d[..., 1], d[..., 0]),)
-    theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    return theta, phi
+        theta = np.arctan2(d[..., 1], d[..., 0])
+        phi = None
+    elif n == 3:
+        theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
+        phi = np.arctan2(d[..., 1], d[..., 0])
+    else:
+        raise ValueError("n must be 2 or 3")
+    return _Angles(n, theta, phi, np.cos(theta), np.sin(theta))
 
 
 def _legendre_norm(s: int, m: int) -> float:
@@ -239,79 +259,88 @@ def _legendre_norm(s: int, m: int) -> float:
     )
 
 
+def _harmonic(s: int, i: int, ang: _Angles, value=True, dtheta=False, dphi=False):
+    """(Y_{s,i}, dY/dtheta, dY/dphi) at precomputed angles; the parts not
+    asked for are None.  In n=3 all three share one lpmv(|m|, s, cos theta),
+    and d/dtheta adds P_{s-1}^{|m|}:
+
+        d/dtheta P_s^m(cos th) = [s cos(th) P_s^m - (s+m) P_{s-1}^m] / sin(th)
+
+    (poles excluded).  `_angles` has already checked n.
+    """
+    n = ang.n
+    if not 0 <= i < multiplicity(s, n):
+        raise ValueError(f"index {i} out of range for degree {s}, n={n}")
+    y = dy_dtheta = dy_dphi = None
+    if n == 2:
+        if dphi:
+            raise ValueError("dphi is defined for n=3 only")
+        theta = ang.theta
+        if s == 0:
+            if value:
+                y = np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
+            if dtheta:
+                dy_dtheta = np.zeros_like(theta)
+        elif i == 0:
+            if value:
+                y = np.cos(s * theta) / math.sqrt(math.pi)
+            if dtheta:
+                dy_dtheta = -s * np.sin(s * theta) / math.sqrt(math.pi)
+        else:
+            if value:
+                y = np.sin(s * theta) / math.sqrt(math.pi)
+            if dtheta:
+                dy_dtheta = s * np.cos(s * theta) / math.sqrt(math.pi)
+        return y, dy_dtheta, dy_dphi
+    m = i - s
+    am = abs(m)
+    x = ang.cos_theta
+    p = lpmv(am, s, x)
+    k = _legendre_norm(s, am)
+    if dtheta:
+        p_lower = lpmv(am, s - 1, x) if s - 1 >= am else np.zeros_like(x)
+        dp = (s * x * p - (s + am) * p_lower) / ang.sin_theta
+    if m == 0:
+        if value:
+            y = k * p
+        if dtheta:
+            dy_dtheta = k * dp
+        if dphi:
+            dy_dphi = np.zeros_like(ang.theta)
+        return y, dy_dtheta, dy_dphi
+    # m > 0: cos(m phi), m < 0: sin(|m| phi); d/dphi brings -m and the other one
+    trig, dtrig = (np.cos, np.sin) if m > 0 else (np.sin, np.cos)
+    if value or dtheta:
+        azimuth = trig(am * ang.phi)
+    if value:
+        y = math.sqrt(2.0) * k * p * azimuth
+    if dtheta:
+        dy_dtheta = math.sqrt(2.0) * k * dp * azimuth
+    if dphi:
+        dy_dphi = -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi)
+    return y, dy_dtheta, dy_dphi
+
+
 def spherical_harmonic(n: int, s: int, i: int, direction) -> np.ndarray | float:
     """Real orthonormal spherical harmonic Y_{s,i} at unit direction(s).
 
     `direction` has shape (..., n).  For n=2, i=0 is the cosine branch and
     i=1 the sine branch; for n=3 the order is m = i - s.
     """
-    if not 0 <= i < multiplicity(s, n):
-        raise ValueError(f"index {i} out of range for degree {s}, n={n}")
-    if n == 2:
-        (theta,) = _angles_from_directions(2, direction)
-        if s == 0:
-            return np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
-        if i == 0:
-            return np.cos(s * theta) / math.sqrt(math.pi)
-        return np.sin(s * theta) / math.sqrt(math.pi)
-    if n == 3:
-        theta, phi = _angles_from_directions(3, direction)
-        m = i - s
-        am = abs(m)
-        p = lpmv(am, s, np.cos(theta))
-        k = _legendre_norm(s, am)
-        if m == 0:
-            return k * p
-        if m > 0:
-            return math.sqrt(2.0) * k * p * np.cos(m * phi)
-        return math.sqrt(2.0) * k * p * np.sin(am * phi)
-    raise ValueError("n must be 2 or 3")
-
-
-def _lpmv_dtheta(am: int, s: int, theta: np.ndarray) -> np.ndarray:
-    # d/dtheta P_s^m(cos theta) = [s cos(th) P_s^m - (s+m) P_{s-1}^m]/sin(th)
-    x = np.cos(theta)
-    sin_t = np.sin(theta)
-    p = lpmv(am, s, x)
-    p_lower = lpmv(am, s - 1, x) if s - 1 >= am else np.zeros_like(x)
-    return (s * x * p - (s + am) * p_lower) / sin_t
+    return _harmonic(s, i, _angles(n, direction))[0]
 
 
 def spherical_harmonic_dtheta(n: int, s: int, i: int, direction) -> np.ndarray:
     """d/dtheta of Y_{s,i}; for n=3 theta is the polar angle (poles excluded)."""
-    if n == 2:
-        (theta,) = _angles_from_directions(2, direction)
-        if s == 0:
-            return np.zeros_like(theta)
-        if i == 0:
-            return -s * np.sin(s * theta) / math.sqrt(math.pi)
-        return s * np.cos(s * theta) / math.sqrt(math.pi)
-    theta, phi = _angles_from_directions(3, direction)
-    m = i - s
-    am = abs(m)
-    dp = _lpmv_dtheta(am, s, theta)
-    k = _legendre_norm(s, am)
-    if m == 0:
-        return k * dp
-    if m > 0:
-        return math.sqrt(2.0) * k * dp * np.cos(m * phi)
-    return math.sqrt(2.0) * k * dp * np.sin(am * phi)
+    return _harmonic(s, i, _angles(n, direction), value=False, dtheta=True)[1]
 
 
 def spherical_harmonic_dphi(n: int, s: int, i: int, direction) -> np.ndarray:
     """d/dphi of Y_{s,i} (n=3 only; azimuthal derivative)."""
-    if n != 3:
-        raise ValueError("dphi is defined for n=3 only")
-    theta, phi = _angles_from_directions(3, direction)
-    m = i - s
-    am = abs(m)
-    if m == 0:
-        return np.zeros_like(theta)
-    p = lpmv(am, s, np.cos(theta))
-    k = _legendre_norm(s, am)
-    if m > 0:
-        return -m * math.sqrt(2.0) * k * p * np.sin(m * phi)
-    return am * math.sqrt(2.0) * k * p * np.cos(am * phi)
+    return _harmonic(s, i, _angles(n, direction), value=False, dphi=True)[2]
+
+
+_PARTS = {None: 0, "theta": 1, "phi": 2}
 
 
 def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.ndarray:
@@ -322,19 +351,49 @@ def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.
     against the points; zero terms are skipped and the others are added one
     at a time, in mapping order, so equal inputs give equal bits.
     """
-    harmonic = {
-        None: spherical_harmonic,
-        "theta": spherical_harmonic_dtheta,
-        "phi": spherical_harmonic_dphi,
-    }.get(derivative)
-    if harmonic is None:
+    part = _PARTS.get(derivative)
+    if part is None:
         raise ValueError(f"derivative must be None, 'theta' or 'phi'; got {derivative!r}")
     d = np.asarray(directions, dtype=float)
+    ang = _angles(n, d)
+    want = {"value": part == 0, "dtheta": part == 1, "dphi": part == 2}
     out = np.zeros(d.shape[:-1])
     for (s, i), c in coeffs.items():
         if np.any(c != 0.0):
-            out = out + c * np.asarray(harmonic(n, s, i, d))
+            out = out + c * np.asarray(_harmonic(s, i, ang, **want)[part])
     return out
+
+
+class HarmonicGradients:
+    """Y_{s,i} and its tangential gradient at fixed unit directions.
+
+    The angles and the tangent frame are taken once, at construction;
+    each call with (s, i) then costs one harmonic.  Gradients are ambient
+    vectors of shape (..., n), as in `tangential_gradient`.
+    """
+
+    def __init__(self, n: int, directions):
+        ang = self._angles = _angles(n, directions)
+        if n == 2:
+            self._frame = (np.stack([-ang.sin_theta, ang.cos_theta], axis=-1),)
+        else:
+            cos_phi, sin_phi = np.cos(ang.phi), np.sin(ang.phi)
+            theta_hat = np.stack(
+                [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta],
+                axis=-1,
+            )
+            phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)], axis=-1)
+            self._frame = (theta_hat, phi_hat)
+
+    def __call__(self, s: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Y_{s,i}, tangential gradient of Y_{s,i})."""
+        ang = self._angles
+        three = ang.n == 3
+        y, dy_dtheta, dy_dphi = _harmonic(s, i, ang, dtheta=True, dphi=three)
+        grad = dy_dtheta[..., None] * self._frame[0]
+        if three:
+            grad = grad + (dy_dphi / ang.sin_theta)[..., None] * self._frame[1]
+        return y, grad
 
 
 def tangential_gradient(n: int, s: int, i: int, direction) -> np.ndarray:
@@ -344,20 +403,7 @@ def tangential_gradient(n: int, s: int, i: int, direction) -> np.ndarray:
     direction, with |grad|^2 integrating to s(s+n-2) against the unit
     sphere for an orthonormal harmonic.
     """
-    d = np.asarray(direction, dtype=float)
-    if n == 2:
-        (theta,) = _angles_from_directions(2, d)
-        tau = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-        return spherical_harmonic_dtheta(2, s, i, d)[..., None] * tau
-    theta, phi = _angles_from_directions(3, d)
-    theta_hat = np.stack(
-        [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)],
-        axis=-1,
-    )
-    phi_hat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
-    dth = spherical_harmonic_dtheta(3, s, i, d)
-    dph = spherical_harmonic_dphi(3, s, i, d)
-    return dth[..., None] * theta_hat + (dph / np.sin(theta))[..., None] * phi_hat
+    return HarmonicGradients(n, direction)(s, i)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +450,25 @@ class SphereQuadrature:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
+@functools.lru_cache(maxsize=8)
+def _projection_table(n: int, max_degree: int, order: int):
+    """Indices, table of all Y_{s,i} with s <= max_degree on
+    SphereQuadrature(n, order), and the table times the weights.
+
+    Built on first use and kept for the process (n=3, degree 24, order 64
+    holds about 40 MB); both arrays are read-only because every
+    HarmonicBasis on that grid shares them.
+    """
+    quad = SphereQuadrature(n, order)
+    ang = _angles(n, quad.directions)
+    indices = tuple(harmonic_indices(n, max_degree))
+    table = np.stack([np.asarray(_harmonic(s, i, ang)[0]) for (s, i) in indices])
+    weighted = table * quad.weights
+    table.flags.writeable = False
+    weighted.flags.writeable = False
+    return indices, table, weighted
+
+
 class HarmonicBasis:
     """Evaluation table of all Y_{s,i} with s <= max_degree on a quadrature."""
 
@@ -411,18 +476,15 @@ class HarmonicBasis:
         self.n = n
         self.max_degree = max_degree
         self.quad = quad if quad is not None else SphereQuadrature(n)
-        self.indices = harmonic_indices(n, max_degree)
-        self.table = np.stack(
-            [
-                np.asarray(spherical_harmonic(n, s, i, self.quad.directions))
-                for (s, i) in self.indices
-            ]
-        )
+        if self.quad.n != n:
+            raise ValueError(f"quadrature is for n={self.quad.n}, basis for n={n}")
+        indices, self.table, self._weighted = _projection_table(n, max_degree, self.quad.order)
+        self.indices = list(indices)
 
     def gram(self) -> np.ndarray:
-        return (self.table * self.quad.weights) @ self.table.T
+        return self._weighted @ self.table.T
 
     def project(self, values: np.ndarray) -> dict[tuple[int, int], float]:
         """Coefficients of a node-sampled function w.r.t. the orthonormal basis."""
-        coeffs = (self.table * self.quad.weights) @ np.asarray(values, dtype=float)
+        coeffs = self._weighted @ np.asarray(values, dtype=float)
         return {si: float(c) for si, c in zip(self.indices, coeffs)}

@@ -21,12 +21,10 @@ import numpy as np
 
 from .special_functions import (
     HarmonicBasis,
+    HarmonicGradients,
     SphereQuadrature,
-    harmonic_indices,
     lb_eigen,
-    spherical_harmonic,
     synthesize,
-    tangential_gradient,
 )
 
 BoundaryFunction = dict[tuple[int, int], float]
@@ -211,20 +209,6 @@ class AmbientField:
             label=f"({self.label}+{other.label})",
         )
 
-    def jacobian_fd_error(self, points, h: float = 1e-6) -> float:
-        """Self-test: max relative deviation of the Jacobian from central FD."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        worst = 0.0
-        for x in pts:
-            jac = self.jacobian(x)
-            scale = max(1.0, float(np.max(np.abs(jac))))
-            for j in range(self.n):
-                e = np.zeros(self.n)
-                e[j] = h
-                fd = (self(x + e) - self(x - e)) / (2.0 * h)
-                worst = max(worst, float(np.max(np.abs(jac[:, j] - fd))) / scale)
-        return worst
-
 
 def zero_field(n: int) -> AmbientField:
     return AmbientField(
@@ -286,17 +270,18 @@ def radial_harmonic_field(n: int, R: float, coeffs: BoundaryFunction) -> Ambient
     def jac(x):
         r = np.linalg.norm(x, axis=-1)
         xhat = x / r[..., None]
-        eye = np.eye(n)
-        proj = eye - xhat[..., :, None] * xhat[..., None, :]
+        xx = xhat[..., :, None] * xhat[..., None, :]
+        proj = np.eye(n) - xx
+        harmonic = HarmonicGradients(n, xhat)
         out = np.zeros(x.shape + (n,))
         for s, i, c in items:
             rho = (r / R) ** s
             drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
-            y = np.asarray(spherical_harmonic(n, s, i, xhat))
-            gy = tangential_gradient(n, s, i, xhat)
-            out = out + (c * drho * y)[..., None, None] * (
-                xhat[..., :, None] * xhat[..., None, :]
-            )
+            y, gy = harmonic(s, i)
+            y = np.asarray(y)
+            # three terms per mode, in this order: the reports' quadrature
+            # values depend on the summation order
+            out = out + (c * drho * y)[..., None, None] * xx
             out = out + (c * rho / r)[..., None, None] * (
                 xhat[..., :, None] * gy[..., None, :]
             )
@@ -363,81 +348,8 @@ def volume_completion_field(
 
 
 # ---------------------------------------------------------------------------
-# metric / Jacobian / surface-element expansions
+# surface element
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricExpansion:
-    """Taylor data at t=0 of J(t) = det(I + tD_v + (t^2/2)D_w), the surface
-    element m(t), and the pulled-back coefficient matrices A(t)."""
-
-    J0: float
-    J1: float
-    J2: float
-    m0: float
-    m1: float
-    m2: float
-    A0: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    sigma_A: float
-    sigma_B: float
-    sigma_A2: float
-
-
-def metric_expansions(v: AmbientField, w: AmbientField, x) -> MetricExpansion:
-    """Pointwise expansion data; the m-fields use nu = x/|x| (boundary points)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("metric_expansions is pointwise; pass a single point")
-    n = x.shape[0]
-    Dv = v.jacobian(x)
-    Dw = w.jacobian(x)
-    div_v = float(np.trace(Dv))
-    div_w = float(np.trace(Dw))
-    dv_dv = float(np.sum(Dv * Dv.T))  # D_v : D_v = sum_ij dv_i/dx_j dv_j/dx_i
-
-    J1 = div_v
-    J2 = div_v**2 - dv_dv + div_w
-
-    eye = np.eye(n)
-    A1 = div_v * eye - Dv - Dv.T
-    Dv2 = Dv @ Dv
-    A2 = (
-        (div_v**2 - dv_dv) * eye
-        + 2.0 * (Dv2 + Dv2.T)
-        + 2.0 * Dv @ Dv.T
-        - 2.0 * div_v * (Dv + Dv.T)
-        + div_w * eye
-        - (Dw + Dw.T)
-    )
-
-    nu = x / np.linalg.norm(x)
-    P = eye - np.outer(nu, nu)
-    DvP = Dv @ P
-    # metric coefficients in an orthonormal tangent frame: g(t) = I + tA + (t^2/2)B
-    sigma_A = 2.0 * float(np.trace(DvP))
-    sigma_B = 2.0 * float(np.trace(P @ Dv.T @ Dv)) + 2.0 * float(np.trace(P @ Dw))
-    Asym = P @ (Dv + Dv.T) @ P
-    sigma_A2 = float(np.sum(Asym * Asym))
-    m1 = 0.5 * sigma_A
-    m2 = 0.5 * sigma_B - 0.5 * sigma_A2 + 0.25 * sigma_A**2
-
-    return MetricExpansion(
-        J0=1.0,
-        J1=J1,
-        J2=J2,
-        m0=1.0,
-        m1=m1,
-        m2=m2,
-        A0=eye,
-        A1=A1,
-        A2=A2,
-        sigma_A=sigma_A,
-        sigma_B=sigma_B,
-        sigma_A2=sigma_A2,
-    )
 
 
 def surface_element_m2(v: AmbientField, w: AmbientField, R: float, quad: SphereQuadrature) -> np.ndarray:
@@ -456,31 +368,6 @@ def surface_element_m2(v: AmbientField, w: AmbientField, R: float, quad: SphereQ
     Asym = P @ (Dv + np.swapaxes(Dv, -1, -2)) @ P
     sigma_A2 = np.sum(Asym * np.swapaxes(Asym, -1, -2), axis=(-2, -1))
     return 0.5 * sigma_B - 0.5 * sigma_A2 + 0.25 * sigma_A**2
-
-
-def surface_element_m2_from_map(
-    v: AmbientField, w: AmbientField, R: float, quad: SphereQuadrature
-) -> np.ndarray:
-    """Independent route to m-double-dot: exact Taylor coefficients of
-    det(M) |M^{-T} nu| for the quadratic-in-t deformation map."""
-    x = R * quad.directions
-    nu = quad.directions
-    Dv = v.jacobian(x)
-    Dw = w.jacobian(x)
-    div_v = np.trace(Dv, axis1=-2, axis2=-1)
-    div_w = np.trace(Dw, axis1=-2, axis2=-1)
-    dv_dv = np.sum(Dv * np.swapaxes(Dv, -1, -2), axis=(-2, -1))
-    a = np.einsum("qij,qj->qi", Dv, nu)  # D_v nu
-    b = np.einsum("qji,qj->qi", Dv, nu)  # D_v^T nu
-    c = np.einsum("qi,qi->q", nu, a)
-    nDwn = np.einsum("qi,qij,qj->q", nu, Dw, nu)
-    beta1 = -2.0 * c
-    beta2 = np.einsum("qi,qi->q", b, b) + 2.0 * np.einsum("qi,qi->q", a, b) - nDwn
-    # m(t) = J(t) sqrt(q(t)), q = 1 + beta1 t + beta2 t^2 + O(t^3)
-    s1 = 0.5 * beta1
-    s2 = beta2 - 0.25 * beta1**2
-    J2 = div_v**2 - dv_dv + div_w
-    return J2 + 2.0 * div_v * s1 + s2
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+import rsv.special_functions as special_functions
 from rsv.special_functions import (
     HarmonicBasis,
     SphereQuadrature,
@@ -15,6 +19,7 @@ from rsv.special_functions import (
     lb_eigen,
     multiplicity,
     spherical_harmonic,
+    spherical_harmonic_dphi,
     spherical_harmonic_dtheta,
     synthesize,
     tangential_gradient,
@@ -214,3 +219,105 @@ def test_projection_roundtrip(n):
     back = basis.project(values)
     for key, c in coeffs.items():
         assert abs(back[key] - c) < 1e-11
+
+
+def _random_directions(n, count, seed):
+    d = np.random.default_rng(seed).normal(size=(count, n))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+# (n, degree, index, message): an index beyond the multiplicity, one below
+# zero, and a dimension the library does not cover
+_BAD_HARMONICS = [
+    (2, 3, 4, "index 4 out of range for degree 3, n=2"),
+    (2, 0, 1, "index 1 out of range for degree 0, n=2"),
+    (3, 2, 5, "index 5 out of range for degree 2, n=3"),
+    (3, 1, -1, "index -1 out of range for degree 1, n=3"),
+    (4, 2, 0, "n must be 2 or 3"),
+]
+_EVALUATORS = {
+    "value": spherical_harmonic,
+    "theta": spherical_harmonic_dtheta,
+    "phi": spherical_harmonic_dphi,
+    "gradient": tangential_gradient,
+}
+
+
+@pytest.mark.parametrize("evaluator", list(_EVALUATORS))
+@pytest.mark.parametrize("n,s,i,message", _BAD_HARMONICS)
+def test_harmonic_index_and_dimension_rejected(evaluator, n, s, i, message):
+    d = _random_directions(n, 5, 1)
+    with pytest.raises(ValueError, match=message):
+        _EVALUATORS[evaluator](n, s, i, d)
+    if evaluator != "gradient":
+        derivative = None if evaluator == "value" else evaluator
+        with pytest.raises(ValueError, match=message):
+            synthesize(n, {(s, i): 1.0}, d, derivative)
+
+
+def test_dphi_rejected_in_two_dimensions():
+    d = _random_directions(2, 5, 2)
+    with pytest.raises(ValueError, match="dphi is defined for n=3 only"):
+        spherical_harmonic_dphi(2, 2, 1, d)
+    with pytest.raises(ValueError, match="dphi is defined for n=3 only"):
+        synthesize(2, {(2, 1): 1.0}, d, "phi")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_synthesize_bits_match_term_by_term_sum(n):
+    # synthesize takes the angles once; it must still give the bits of
+    # adding c * Y (or its derivative) one harmonic at a time
+    rng = np.random.default_rng(31 + n)
+    coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
+    d = _random_directions(n, 50, 3 + n)
+    routes = {None: spherical_harmonic, "theta": spherical_harmonic_dtheta}
+    if n == 3:
+        routes["phi"] = spherical_harmonic_dphi
+    for derivative, harmonic in routes.items():
+        want = np.zeros(d.shape[0])
+        for (s, i), c in coeffs.items():
+            want = want + c * np.asarray(harmonic(n, s, i, d))
+        assert np.array_equal(synthesize(n, coeffs, d, derivative), want)
+
+
+# ---------------------------------------------------------------------------
+# projection table cache
+# ---------------------------------------------------------------------------
+
+
+def test_projection_table_is_shared_and_read_only():
+    a = HarmonicBasis(3, 24)
+    b = HarmonicBasis(3, 24, SphereQuadrature(3))
+    assert a.table is b.table
+    with pytest.raises(ValueError):
+        a.table[0, 0] = 1.0
+    fresh = np.stack(
+        [np.asarray(spherical_harmonic(3, s, i, a.quad.directions)) for (s, i) in a.indices]
+    )
+    assert np.array_equal(a.table, fresh)
+    values = np.random.default_rng(5).normal(size=a.quad.weights.shape)
+    coeffs = (fresh * a.quad.weights) @ values
+    assert list(a.project(values).values()) == [float(c) for c in coeffs]
+
+
+def test_projection_table_keyed_on_order():
+    coarse = HarmonicBasis(3, 24, SphereQuadrature(3, 32))
+    fine = HarmonicBasis(3, 24, SphereQuadrature(3, 64))
+    assert coarse.table is not fine.table
+    assert coarse.table.shape == (625, 32 * 32)
+    assert HarmonicBasis(3, 24, SphereQuadrature(3, 32)).table is coarse.table
+    with pytest.raises(ValueError):
+        HarmonicBasis(3, 4, SphereQuadrature(2, 32))
+
+
+def test_import_builds_no_projection_table():
+    code = (
+        "import rsv, rsv.special_functions as sf; "
+        "print(sf._projection_table.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(special_functions.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from geometry_reference import (
+    jacobian_fd_error,
+    metric_expansions,
+    radial_harmonic_jacobian,
+    surface_element_m2_from_map,
+)
 from hypothesis import given, settings, strategies as st
 
-from rsv.special_functions import SphereQuadrature, synthesize
+from rsv.special_functions import SphereQuadrature, harmonic_indices, synthesize
 from rsv.sphere_geometry import (
     AmbientField,
     PerturbationField,
@@ -15,7 +21,6 @@ from rsv.sphere_geometry import (
     exact_surface_area,
     exact_volume,
     linear_field,
-    metric_expansions,
     normal_trace,
     perturbed_domain,
     project_zero_mean,
@@ -25,7 +30,6 @@ from rsv.sphere_geometry import (
     sphere_measure,
     surface_divergence,
     surface_element_m2,
-    surface_element_m2_from_map,
     surface_second_variation,
     surface_second_variation_general,
     volume_completion_field,
@@ -58,9 +62,23 @@ def test_analytic_jacobians_match_fd(n):
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     pts *= rng.uniform(0.6, 1.3, size=10)[:, None]
     coeffs = {(0, 0): 0.3, (1, 0): -0.7, (2, 1): 0.5, (3, 0): 0.2}
-    assert radial_harmonic_field(n, 1.0, coeffs).jacobian_fd_error(pts) < 1e-8
+    assert jacobian_fd_error(radial_harmonic_field(n, 1.0, coeffs), pts) < 1e-8
     combo = rotation_field(n, 0.8) + constant_field(n, np.arange(n) + 1.0)
-    assert combo.jacobian_fd_error(pts) < 1e-8
+    assert jacobian_fd_error(combo, pts) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_jacobian_bits_match_per_mode_loop(n):
+    # the one-angle-pass Jacobian must reproduce the per-mode loop bit for
+    # bit: the reports' boundary-functional values are summed from it
+    rng = np.random.default_rng(23)
+    coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
+    coeffs[(2, 1)] = 0.0  # zero modes are skipped on both sides
+    x = rng.normal(size=(64, n))
+    x *= rng.uniform(0.5, 1.5, size=(64, 1)) / np.linalg.norm(x, axis=1)[:, None]
+    field = radial_harmonic_field(n, 1.3, coeffs)
+    assert np.array_equal(field.jacobian(x), radial_harmonic_jacobian(n, 1.3, coeffs, x))
+    assert np.array_equal(field.jacobian(x[0]), radial_harmonic_jacobian(n, 1.3, coeffs, x[0]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
