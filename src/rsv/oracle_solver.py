@@ -33,7 +33,6 @@ from .radial_solutions import (
     DIRICHLET_EIGEN,
     ROBIN_EIGEN,
     TORSION,
-    BallProblem,
     solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
 )
@@ -188,6 +187,12 @@ def _radial_wave(
     return f, k * d[degrees]
 
 
+def _robin_rows(bd: _Boundary, alpha: float, Rf, dRf, T, dT) -> np.ndarray:
+    """Collocation rows of du/dnu + alpha u: (points, basis) for the basis
+    factors Rf, dRf (radial) and T, dT (angular) at the boundary points."""
+    return (bd.nu_rho * (dRf * T) + bd.nu_theta * (Rf * dT) / bd.r + alpha * Rf * T).T
+
+
 def _validate_domain(d: StarDomain) -> None:
     if d.n not in (2, 3):
         raise ValueError("n must be 2 or 3")
@@ -232,34 +237,29 @@ class OracleSolution:
     def n(self) -> int:
         return self.domain.n
 
-    def _parts(self, rho: np.ndarray, theta: np.ndarray, derivative: bool = True):
+    def fields(self, rho, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, du/drho, (1/rho) du/dtheta) at polar points (zonal plane
+        points for n = 3), from one angular and one radial table.  The last
+        is NaN at rho = 0, where u and du/drho stay defined."""
+        rho = np.asarray(rho, dtype=float).ravel()
+        theta = np.asarray(theta, dtype=float).ravel()
         degrees, T, dT = _angular_parts(self.n, self.modes, theta)
         if self.kind == TORSION:
             Rf, dRf = _radial_harmonic(degrees, rho, self._scale)
         else:
-            Rf, dRf = _radial_wave(self.n, degrees, self.lam, rho, derivative)
-        return Rf, dRf, T, dT
+            Rf, dRf = _radial_wave(self.n, degrees, self.lam, rho)
+        u = self.coefficients @ (Rf * T)
+        u_rho = self.coefficients @ (dRf * T)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_ang = self.coefficients @ (Rf * dT) / rho
+        if self.kind == TORSION:
+            u = u - rho**2 / (2.0 * self.n)
+            u_rho = u_rho - rho / self.n
+        return u, u_rho, u_ang
 
     def values(self, rho, theta) -> np.ndarray:
-        """u at polar points (zonal plane points for n = 3)."""
-        rho = np.asarray(rho, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        Rf, _, T, _ = self._parts(rho, theta, derivative=False)
-        out = self.coefficients @ (Rf * T)
-        if self.kind == TORSION:
-            out = out - rho**2 / (2.0 * self.n)
-        return out
-
-    def gradient_polar(self, rho, theta) -> tuple[np.ndarray, np.ndarray]:
-        """(du/drho, (1/rho) du/dtheta) at polar points."""
-        rho = np.asarray(rho, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        Rf, dRf, T, dT = self._parts(rho, theta)
-        u_rho = self.coefficients @ (dRf * T)
-        u_ang = self.coefficients @ (Rf * dT) / rho
-        if self.kind == TORSION:
-            u_rho = u_rho - rho / self.n
-        return u_rho, u_ang
+        """u at polar points."""
+        return self.fields(rho, theta)[0]
 
 
 def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
@@ -268,14 +268,13 @@ def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     d = sol.domain
     theta, rho, w = _interior(d, n_theta, n_rho)
     th_flat = np.broadcast_to(theta[:, None], rho.shape).ravel()
-    vals = sol.values(rho.ravel(), th_flat)
-    g_rho, g_ang = sol.gradient_polar(rho.ravel(), th_flat)
+    vals, g_rho, g_ang = sol.fields(rho.ravel(), th_flat)
     wf = w.ravel()
     int_u = float(wf @ vals)
     int_grad_sq = float(wf @ (g_rho * g_rho + g_ang * g_ang))
     int_u_sq = float(wf @ (vals * vals))
     bd = _boundary(d, n_theta)
-    bvals = sol.values(bd.r, bd.theta)
+    bvals = sol.fields(bd.r, bd.theta)[0]
     bd_u_sq = float(bd.dS @ (bvals * bvals))
     return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals
 
@@ -303,7 +302,7 @@ def solve_perturbed_torsion(
 
     degrees, T, dT = _angular_parts(d.n, modes, bd.theta)
     Rf, dRf = _radial_harmonic(degrees, bd.r, scale)
-    A = (bd.nu_rho * (dRf * T) + bd.nu_theta * (Rf * dT) / bd.r + alpha * Rf * T).T
+    A = _robin_rows(bd, alpha, Rf, dRf, T, dT)
     rhs = -(bd.nu_rho * (-bd.r / d.n) + alpha * (-bd.r**2 / (2.0 * d.n)))
 
     col_norm = np.linalg.norm(A, axis=0)
@@ -339,6 +338,11 @@ def solve_perturbed_torsion(
     n_theta, n_rho = _quad_sizes(modes)
     int_u, int_grad_sq, _, bd_u_sq, _ = _integrals(sol, n_theta, n_rho)
     sol.energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
+    # weak form: testing the PDE with u itself gives E = -int u
+    if abs(sol.energy + int_u) > 1e-9 * max(1.0, abs(sol.energy)):
+        raise ArithmeticError(
+            f"energy forms disagree: {sol.energy!r} vs {-int_u!r}"
+        )
     return sol
 
 
@@ -446,10 +450,11 @@ def solve_perturbed_eigen(
     """First eigenvalue lam(t) of -Lap u = lam u on the perturbed domain with
     the Robin (du/dnu + alpha u = 0) or Dirichlet (u = 0) condition.
 
-    The boundary-condition collocation matrix A(lam) is built from wave
+    The boundary-condition collocation matrix B(lam) is built from wave
     ansatz elements; lam is located by minimizing its smallest singular
     value near the unperturbed value, and the Rayleigh quotient of the
-    reconstructed eigenfunction must reproduce lam to 1e-8.
+    reconstructed eigenfunction must reproduce lam to 1e-8.  The residual
+    is max |B(lam) c| for the L2-normalized coefficients c.
     """
     _validate_domain(d)
     if kind == ROBIN_EIGEN:
@@ -477,10 +482,7 @@ def solve_perturbed_eigen(
         M = (_radial_wave(d.n, degrees, lam, int_rho)[0] * T_in).T
         if kind == DIRICHLET_EIGEN:
             return (Rf * T).T, M
-        B = (
-            bd.nu_rho * (dRf * T) + bd.nu_theta * (Rf * dT) / bd.r + alpha * Rf * T
-        ).T
-        return B, M
+        return _robin_rows(bd, alpha, Rf, dRf, T, dT), M
 
     @functools.lru_cache(maxsize=None)
     def sigma_at(lam: float) -> float:
@@ -553,42 +555,13 @@ def solve_perturbed_eigen(
             f"eigenvalue {lam!r}"
         )
 
-    bvals = sol.values(bd.r, bd.theta)
-    if kind == DIRICHLET_EIGEN:
-        sol.residual = float(np.max(np.abs(bvals)))
-    else:
-        g_rho, g_ang = sol.gradient_polar(bd.r, bd.theta)
-        robin = bd.nu_rho * g_rho + bd.nu_theta * g_ang + alpha * bvals
-        sol.residual = float(np.max(np.abs(robin)))
+    # the boundary-condition rows at lam* applied to the normalized u
+    sol.residual = float(np.max(np.abs(B @ sol.coefficients)))
     if sol.residual > RESIDUAL_LIMIT:
         raise ArithmeticError(
             f"boundary residual {sol.residual:.2e} exceeds {RESIDUAL_LIMIT:.0e}"
         )
     return sol
-
-
-def energy_of(sol: OracleSolution, p: BallProblem) -> float:
-    """Energy of an oracle solution, with the built-in consistency check.
-
-    Torsion: E = int |grad u|^2 - 2 int G(u) + alpha boundary-int u^2 with
-    G(u) = u, cross-checked against the weak form E = -int u to 1e-9.
-    Eigenvalue kinds: the Rayleigh quotient of the stored eigenfunction.
-    """
-    if p.kind != sol.kind or p.n != sol.n:
-        raise ValueError("problem does not match the solution")
-    if sol.kind != DIRICHLET_EIGEN and p.alpha != sol.alpha:
-        raise ValueError("problem does not match the solution")
-    n_theta, n_rho = _quad_sizes(sol.modes)
-    int_u, int_grad_sq, int_u_sq, bd_u_sq, _ = _integrals(sol, n_theta, n_rho)
-    if sol.kind == TORSION:
-        direct = int_grad_sq - 2.0 * int_u + sol.alpha * bd_u_sq
-        weak = -int_u
-        if abs(direct - weak) > 1e-9 * max(1.0, abs(direct)):
-            raise ArithmeticError(
-                f"energy forms disagree: {direct!r} vs {weak!r}"
-            )
-        return direct
-    return (int_grad_sq + sol.alpha * bd_u_sq) / int_u_sq
 
 
 # ---------------------------------------------------------------------------

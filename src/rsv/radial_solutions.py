@@ -129,10 +129,6 @@ class RadialSolution:
         n, R, alpha = self.n, self.R, self.alpha
         return self.source_at_boundary() - alpha * (n - 1) * uR / R + alpha**2 * uR
 
-    def k_g_from_profile(self) -> float:
-        """Same quantity from -u''(R) + alpha^2 u(R); consistency check."""
-        return -float(self.u_rr(self.R)) + self.alpha**2 * self.boundary_value()
-
     def eigenvalue_shift_constant(self) -> float:
         """A = -alpha^2 + (n-1) alpha / R - lam, the factor in
         lam'(0) = A u(R)^2 * int N dS.  Nonpositive for the first eigenvalue."""
@@ -237,9 +233,3 @@ def solve_dirichlet_eigen_ball(n: int, R: float) -> RadialSolution:
     sol = RadialSolution(problem, lam=dirichlet_eigenvalue(n, R))
     sol._scale = 1.0 / math.sqrt(sol.l2_norm_sq())
     return sol
-
-
-def radial_quadrature(R: float, order: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on (0, R), for test-side integrals."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * R * (x + 1.0), 0.5 * R * w

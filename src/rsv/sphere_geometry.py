@@ -61,11 +61,6 @@ def constant_coeffs(n: int, value: float) -> BoundaryFunction:
     return {(0, 0): value * math.sqrt(sphere_measure(n))}
 
 
-def project_zero_mean(N: BoundaryFunction) -> BoundaryFunction:
-    """Remove the constant mode so that the sphere integral of N vanishes."""
-    return {si: c for si, c in N.items() if si[0] != 0}
-
-
 def second_order_volume_correction(
     N: BoundaryFunction, n: int, R: float
 ) -> BoundaryFunction:

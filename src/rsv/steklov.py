@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radial_solutions import ROBIN_EIGEN, TORSION, RadialSolution
-from .special_functions import SphereQuadrature, bessel_j, multiplicity, synthesize
+from .special_functions import bessel_j, multiplicity, synthesize
 from .sphere_geometry import BoundaryFunction
 
 RESONANCE_TOL = 1e-9
@@ -186,14 +186,3 @@ def shape_derivative_uprime(
 
 def quadratic_form_Q(sol: RadialSolution, N: BoundaryFunction) -> float:
     return shape_derivative_uprime(sol, N).quadratic_form()
-
-
-def quadratic_form_Q_quadrature(
-    sd: ShapeDerivative, order: int = 64
-) -> float:
-    """Q by boundary quadrature of (du'/dnu + alpha u') u'; cross-check path."""
-    sol = sd.sol
-    quad = SphereQuadrature(sol.n, order)
-    up = sd.boundary_values(quad.directions)
-    tr = sd.robin_trace_values(quad.directions)
-    return sol.R ** (sol.n - 1) * quad.integrate(up * tr)

@@ -80,32 +80,6 @@ class VariationReport:
     modes: tuple[tuple[int, float], ...] = ()
     extras: dict[str, float] = field(default_factory=dict)
 
-    def to_kv(self) -> str:
-        """Key-value document, one `name = value` line, fixed order."""
-        lines = [
-            f"kind = {self.kind}",
-            f"n = {self.n}",
-            f"R = {self.R!r}",
-            f"alpha = {self.alpha!r}",
-        ]
-        for name in ("E0", "Edot0", "Eddot0", "Sddot0", "F_series", "Q",
-                     "bound_i", "bound_ii"):
-            value = getattr(self, name)
-            if value is not None:
-                lines.append(f"{name} = {value!r}")
-        if self.classification is not None:
-            lines.append(f"classification = {self.classification}")
-        for name in sorted(self.extras):
-            lines.append(f"{name} = {self.extras[name]!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_table(self, sep: str = "\t") -> str:
-        """Flat table, one row per contributing mode degree."""
-        lines = [sep.join(("degree", "contribution"))]
-        for s, value in self.modes:
-            lines.append(sep.join((str(s), repr(value))))
-        return "\n".join(lines) + "\n"
-
 
 def _classify_value(value: float, scale: float = 1.0) -> str:
     if value > _SIGN_TOL * scale:

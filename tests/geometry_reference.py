@@ -6,6 +6,7 @@
 * `surface_element_m2_from_map`: second t-derivative of the surface element
   from the Taylor coefficients of det(M) |M^{-T} nu|, against
   `sphere_geometry.surface_element_m2`;
+* `project_zero_mean`: N without its constant mode;
 * `radial_harmonic_jacobian`: the Jacobian of `radial_harmonic_field` as a
   per-mode loop over the public per-harmonic functions, which the library's
   one-angle-pass evaluation must reproduce bit for bit.
@@ -31,6 +32,11 @@ def jacobian_fd_error(field, points, h: float = 1e-6) -> float:
             fd = (field(x + e) - field(x - e)) / (2.0 * h)
             worst = max(worst, float(np.max(np.abs(jac[:, j] - fd))) / scale)
     return worst
+
+
+def project_zero_mean(N):
+    """Remove the constant mode so that the sphere integral of N vanishes."""
+    return {si: c for si, c in N.items() if si[0] != 0}
 
 
 @dataclass(frozen=True)

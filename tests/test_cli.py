@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from rsv.cli import main
+from rsv.radial_solutions import solve_torsion_ball
 from rsv.sphere_geometry import PerturbationField
+from rsv.variations import second_variation_energy_ball
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -46,6 +48,33 @@ def test_second_variation_reference_report(tmp_path, capsys):
     assert "PASS second-variation.series_vs_oracle" in capsys.readouterr().out
     tsv = (tmp_path / "reports" / "second-variation.tsv").read_text()
     assert tsv.splitlines()[0] == "degree\tcontribution"
+
+
+def test_kv_second_variation_parses_back_to_the_series(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["second-variation", "--config", str(cfg), "--format", "kv"]) == 0
+    text = (tmp_path / "reports" / "second-variation.kv").read_text()
+    kv = dict(line.split(" = ", 1) for line in text.splitlines())
+    var = second_variation_energy_ball(solve_torsion_ball(2, 1.0, 1.0), {(2, 0): SQRT_PI})
+    assert float(kv["second_variation"]) == var.Eddot0
+    assert kv["classification"] == var.classification
+
+
+def test_tsv_rows_are_the_mode_contributions(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        config_text(tmp_path / "reports").replace(
+            f"[[2, 0, {SQRT_PI!r}]]", "[[2, 0, 0.8], [3, 1, -0.5]]"
+        )
+    )
+    assert main(["second-variation", "--config", str(path), "--format", "table"]) == 0
+    lines = (tmp_path / "reports" / "second-variation.tsv").read_text().splitlines()
+    assert lines[0] == "degree\tcontribution"
+    rows = [(int(s), float(v)) for s, v in (line.split("\t") for line in lines[1:])]
+    var = second_variation_energy_ball(
+        solve_torsion_ball(2, 1.0, 1.0), {(2, 0): 0.8, (3, 1): -0.5}
+    )
+    assert rows == list(var.modes) and len(rows) == 2
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
@@ -123,6 +152,47 @@ def test_invalid_dimension_names_field(tmp_path, capsys):
     path.write_text("problem: {n: 4, R: 1.0, alpha: 1.0, kind: torsion}\n")
     assert main(["steklov", "--config", str(path)]) == 2
     assert "problem.n" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "n-float": ("  n: 2\n", "  n: 2.0\n", None, "problem.n"),
+    "R-nan": ("  R: 1.0\n", "  R: .nan\n", None, "problem.R"),
+    "alpha-inf": ("  alpha: 1.0\n", "  alpha: .inf\n", None, "problem.alpha"),
+    "modes-negative": ("oracle:\n", "oracle:\n  modes: -3\n", None, "oracle.modes"),
+    "modes-fraction": ("oracle:\n", "oracle:\n  modes: 2.7\n", None, "oracle.modes"),
+    "levels-fraction": (
+        "richardson_levels: 2", "richardson_levels: 1.5", None, "oracle.richardson_levels"
+    ),
+    "quadrature-negative": (
+        "oracle:\n", "oracle:\n  quadrature_order: -8\n", None, "oracle.quadrature_order"
+    ),
+    "t-text": (
+        "perturbation:\n", "perturbation:\n  t_values: [0.0, abc]\n", None,
+        "perturbation.t_values",
+    ),
+    "t-bool": (
+        "perturbation:\n", "perturbation:\n  t_values: [true, 0.01]\n", None,
+        "perturbation.t_values",
+    ),
+    "degree-bool": (f"[[2, 0, {SQRT_PI!r}]]", "[[true, 0, 1.0]]", None, "perturbation.modes"),
+    "coefficient-text": (
+        f"[[2, 0, {SQRT_PI!r}]]", "[[2, 0, x]]", None, "perturbation.modes"
+    ),
+    "fd-step-text": ("", "", "abc", "RSV_FD_H"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_exits_2_naming_it(case, tmp_path, monkeypatch, capsys):
+    old, new, fd_step, name = MALFORMED[case]
+    # pre-touch the variable so a config-driven write would be undone
+    monkeypatch.setenv("RSV_QUAD_ORDER", "64")
+    if fd_step is not None:
+        monkeypatch.setenv("RSV_FD_H", fd_step)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(config_text(tmp_path / "reports").replace(old, new))
+    assert main(["steklov", "--config", str(path)]) == 2
+    assert f"config error: {name}" in capsys.readouterr().err
 
 
 def test_fd_env_override_writes_failure_list(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,6 @@ from rsv.oracle_solver import (
     _radial_wave,
     _sigma_sq_min,
     eigenvalue_curve,
-    energy_of,
     finite_difference_derivatives,
     solve_perturbed_eigen,
     solve_perturbed_torsion,
@@ -25,7 +24,6 @@ from rsv.radial_solutions import (
     DIRICHLET_EIGEN,
     ROBIN_EIGEN,
     TORSION,
-    BallProblem,
     solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
     solve_torsion_ball,
@@ -110,6 +108,14 @@ def test_unperturbed_disk_matches_ball():
     assert sol.surface == pytest.approx(2.0 * PI, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_values_at_the_centre():
+    # u is defined at rho = 0 although (1/rho) du/dtheta is not
+    sol = solve_perturbed_torsion(StarDomain(2, 1.0, {}, {}, 0.0), 1.0, modes=16)
+    centre = float(solve_torsion_ball(2, 1.0, 1.0).u(0.0))
+    assert sol.values([0.0], [0.0])[0] == pytest.approx(centre, abs=1e-10)
+
+
 def test_unperturbed_ball_matches_n3():
     sol = solve_perturbed_torsion(StarDomain(3, 1.0, {}, {}, 0.0), 1.0, modes=12)
     assert sol.residual <= 1e-12
@@ -123,15 +129,19 @@ def test_perturbed_residual_small():
     assert sol.condition < 1e6
 
 
-def test_energy_of_checks_and_dual_path():
+def test_torsion_weak_form_disagreement_raises(monkeypatch):
+    # E = -int u holds for the exact state; an int u off by 1e-6 relative
+    # must stop the solve instead of returning an energy
+    real = oracle_solver._integrals
+
+    def skewed(sol, n_theta, n_rho):
+        int_u, *rest = real(sol, n_theta, n_rho)
+        return (int_u * (1.0 + 1e-6), *rest)
+
+    monkeypatch.setattr(oracle_solver, "_integrals", skewed)
     d = perturbed_domain(pfield(2, 1.0, COS2T), 0.05)
-    sol = solve_perturbed_torsion(d, 1.0, modes=28)
-    value = energy_of(sol, BallProblem(TORSION, 2, 1.0, 1.0))
-    assert value == pytest.approx(sol.energy, abs=1e-12)
-    with pytest.raises(ValueError):
-        energy_of(sol, BallProblem(TORSION, 2, 1.0, 2.0))
-    with pytest.raises(ValueError):
-        energy_of(sol, BallProblem(ROBIN_EIGEN, 2, 1.0, 1.0))
+    with pytest.raises(ArithmeticError, match="energy forms disagree"):
+        solve_perturbed_torsion(d, 1.0, modes=16)
 
 
 def test_rotated_data_same_energy():
@@ -193,6 +203,24 @@ def test_perturbed_eigen_residual():
     d = perturbed_domain(pfield(2, 1.0, COS2T), 0.05)
     sol = solve_perturbed_eigen(d, 1.0, modes=24)
     assert sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("kind", [ROBIN_EIGEN, DIRICHLET_EIGEN])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, {(2, 2): 1.0})])
+def test_eigen_residual_is_the_boundary_condition_of_u(n, N, kind):
+    # 12 modes leave a residual near 1e-8 (n = 2) and 1e-10 (n = 3), so a
+    # residual of differently scaled coefficients misses by far more than 1e-12
+    modes = 12
+    d = perturbed_domain(pfield(n, 1.0, N), 0.05)
+    sol = solve_perturbed_eigen(d, 1.0, modes=modes, kind=kind)
+    n_basis = 2 * modes + 1 if n == 2 else modes + 1
+    bd = oracle_solver._boundary(d, oracle_solver.OVERSAMPLE * n_basis)
+    u, u_rho, u_ang = sol.fields(bd.r, bd.theta)
+    if kind == DIRICHLET_EIGEN:
+        condition = u
+    else:
+        condition = bd.nu_rho * u_rho + bd.nu_theta * u_ang + sol.alpha * u
+    assert sol.residual == pytest.approx(float(np.max(np.abs(condition))), abs=1e-12)
 
 
 def test_eigen_kind_validation():

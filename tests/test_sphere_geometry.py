@@ -5,6 +5,7 @@ import pytest
 from geometry_reference import (
     jacobian_fd_error,
     metric_expansions,
+    project_zero_mean,
     radial_harmonic_jacobian,
     surface_element_m2_from_map,
 )
@@ -23,7 +24,6 @@ from rsv.sphere_geometry import (
     linear_field,
     normal_trace,
     perturbed_domain,
-    project_zero_mean,
     radial_harmonic_field,
     rotation_field,
     second_order_volume_correction,

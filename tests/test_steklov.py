@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from ball_reference import quadratic_form_Q_quadrature
 
 from rsv.radial_solutions import (
     solve_dirichlet_eigen_ball,
@@ -13,7 +14,6 @@ from rsv.steklov import (
     ShapeDerivative,
     SteklovSpectrum,
     quadratic_form_Q,
-    quadratic_form_Q_quadrature,
     shape_derivative_uprime,
     steklov_spectrum,
 )

@@ -380,38 +380,3 @@ def test_dirichlet_torsion_energy():
 def test_dirichlet_requires_mean_free():
     with pytest.raises(ValueError, match="mean-free"):
         dirichlet_variations(2, 1.0, {(0, 0): 1.0})
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-# ---------------------------------------------------------------------------
-
-
-def test_kv_serialization_deterministic():
-    rep = second_variation_energy_ball(reference_torsion(), COS2T)
-    doc = rep.to_kv()
-    assert doc == rep.to_kv()
-    lines = doc.strip().split("\n")
-    assert lines[0] == "kind = torsion"
-    assert "classification = Positive" in lines
-    keys = [ln.split(" = ")[0] for ln in lines]
-    assert keys.index("E0") < keys.index("Eddot0") < keys.index("bound_i")
-    # repr round-trips the floats exactly
-    for ln in lines:
-        name, _, value = ln.partition(" = ")
-        if name == "Eddot0":
-            assert float(value) == rep.Eddot0
-
-
-def test_table_serialization():
-    rep = second_variation_energy_ball(
-        reference_torsion(), {(2, 0): 0.8, (3, 1): -0.5}
-    )
-    table = rep.to_table()
-    lines = table.strip().split("\n")
-    assert lines[0] == "degree\tcontribution"
-    assert len(lines) == 3
-    assert lines[1].startswith("2\t")
-    assert lines[2].startswith("3\t")
-    per_degree = dict(rep.modes)
-    assert float(lines[1].split("\t")[1]) == per_degree[2]
