@@ -230,7 +230,7 @@ class OracleSolution:
     volume: float
     surface: float
     _scale: float
-    sigma_evals: int = 0  # sigma(lam) evaluations: scan plus refine
+    sigma_evals: int = 0  # sigma(lam) evaluations: grid walk plus refine
     sigma_min: float = math.nan  # sigma at the located lam
 
     @property
@@ -373,6 +373,37 @@ def _subspace_sigma(
     return sigma, coeffs, condition
 
 
+def _grid_bracket(f, grid: np.ndarray, start: int) -> int | None:
+    """Index of the first grid point below both neighbours on a walk that
+    steps strictly downhill in f from the interior point grid[start], one
+    point at a time.
+
+    The first step goes to the lower neighbour; every later step only needs
+    the next point ahead, because the one behind is higher.  Returns None
+    when the walk reaches either end of the grid, or when a tie (two equal
+    neighbouring values) leaves no strictly lower way on.  Calls f at most
+    len(grid) times."""
+    last = len(grid) - 1
+    here, below, above = f(grid[start]), f(grid[start - 1]), f(grid[start + 1])
+    if here < below and here < above:
+        return start
+    if below < here and below < above:
+        step, here = -1, below
+    elif above < here and above < below:
+        step, here = 1, above
+    else:
+        return None
+    i = start + step
+    while 0 < i < last:
+        ahead = f(grid[i + step])
+        if ahead > here:
+            return i
+        if not ahead < here:
+            return None
+        i, here = i + step, ahead
+    return None
+
+
 def _sigma_sq_min(
     f, a: float, m: float, b: float, xtol: float, spacing: float
 ) -> float:
@@ -452,9 +483,14 @@ def solve_perturbed_eigen(
 
     The boundary-condition collocation matrix B(lam) is built from wave
     ansatz elements; lam is located by minimizing its smallest singular
-    value near the unperturbed value, and the Rayleigh quotient of the
-    reconstructed eigenfunction must reproduce lam to 1e-8.  The residual
-    is max |B(lam) c| for the L2-normalized coefficients c.
+    value sigma(lam) near the ball value lam0.  A walk on the grid
+    lam0 * linspace(0.6, 1.5, 37) steps strictly downhill in sigma from
+    lam0 to the first point below both neighbours (`_grid_bracket`); that
+    point and its neighbours bracket the refine.  The ground-state check
+    (u > 0 at every interior node) and the Rayleigh quotient of the
+    reconstructed eigenfunction, which must reproduce lam to 1e-8, prove
+    that the minimum found is the first eigenvalue.  The residual is
+    max |B(lam) c| for the L2-normalized coefficients c.
     """
     _validate_domain(d)
     if kind == ROBIN_EIGEN:
@@ -489,9 +525,8 @@ def solve_perturbed_eigen(
         return _subspace_sigma(*matrices(lam))[0]
 
     grid = lam0 * np.linspace(0.6, 1.5, 37)
-    sigmas = [sigma_at(lam) for lam in grid]
-    best = int(np.argmin(sigmas))
-    if best in (0, len(grid) - 1):
+    best = _grid_bracket(sigma_at, grid, 16)  # grid[16] is lam0 itself
+    if best is None:
         raise ArithmeticError(
             "root isolation failed: no interior singular-value minimum "
             f"near lam = {lam0:.6g}"
@@ -540,7 +575,7 @@ def solve_perturbed_eigen(
         sol.coefficients = -sol.coefficients
         norm = -norm
     # only the first eigenfunction keeps one sign: a higher mode found in
-    # the scan window changes sign somewhere on the interior grid
+    # the lam window changes sign somewhere on the interior grid
     u_min = float(np.min(u_in / norm))
     if not u_min > 0.0:
         raise ArithmeticError(

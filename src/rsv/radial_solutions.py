@@ -12,6 +12,7 @@ boundary-condition comparison routines.  All Bessel evaluations go through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,6 +192,7 @@ def solve_torsion_ball(n: int, R: float, alpha: float) -> RadialSolution:
     return RadialSolution(BallProblem(TORSION, n, R, alpha), lam=None)
 
 
+@functools.lru_cache(maxsize=None)
 def dirichlet_eigenvalue(n: int, R: float) -> float:
     """First Dirichlet eigenvalue (j_{n/2-1,1} / R)^2."""
     j1 = bessel_j_zeros(n / 2.0 - 1.0, 1)[0]
@@ -202,7 +204,10 @@ def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
 
         sqrt(lam) J_{n/2}(sqrt(lam) R) = alpha J_{n/2-1}(sqrt(lam) R)
 
-    in (0, lam_Dirichlet), found by bisection in k = sqrt(lam)."""
+    in (0, lam_Dirichlet), found by bisection in k = sqrt(lam).  The
+    bisection stops once the midpoint rounds to an end of the bracket: the
+    ends are then neighbouring floats and every further step leaves the
+    midpoint, and so k, unchanged."""
     problem = BallProblem(ROBIN_EIGEN, n, R, alpha)
     nu = n / 2.0 - 1.0
     k_hi = math.sqrt(dirichlet_eigenvalue(n, R))
@@ -216,6 +221,8 @@ def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
         raise RuntimeError("no sign change bracketing the first eigenvalue")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) <= 0:
             lo = mid
         else:

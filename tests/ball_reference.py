@@ -4,12 +4,18 @@
 * `k_g_from_profile`: k_g = -u''(R) + alpha^2 u(R) from the radial profile,
   against `RadialSolution.k_g`;
 * `quadratic_form_Q_quadrature`: Q by boundary quadrature of
-  (du'/dnu + alpha u') u', against `ShapeDerivative.quadratic_form`.
+  (du'/dnu + alpha u') u', against `ShapeDerivative.quadratic_form`;
+* `robin_ball_lam_full_bisection`: the first Robin ball eigenvalue by all
+  200 bisection steps, against `solve_robin_eigen_ball`, which stops once
+  the bracket ends are neighbouring floats.
 """
+
+import math
 
 import numpy as np
 
-from rsv.special_functions import SphereQuadrature
+from rsv.radial_solutions import dirichlet_eigenvalue
+from rsv.special_functions import SphereQuadrature, bessel_j
 
 
 def radial_quadrature(R: float, order: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -30,3 +36,23 @@ def quadratic_form_Q_quadrature(sd, order: int = 64) -> float:
     up = sd.boundary_values(quad.directions)
     tr = sd.robin_trace_values(quad.directions)
     return sol.R ** (sol.n - 1) * quad.integrate(up * tr)
+
+
+def robin_ball_lam_full_bisection(n: int, R: float, alpha: float) -> float:
+    """Root of k J_{n/2}(k R) = alpha J_{n/2-1}(k R) in k, squared, by 200
+    bisection steps on the bracket `solve_robin_eigen_ball` starts from."""
+    nu = n / 2.0 - 1.0
+    k_hi = math.sqrt(dirichlet_eigenvalue(n, R))
+
+    def f(k: float) -> float:
+        return k * bessel_j(nu + 1.0, k * R) - alpha * bessel_j(nu, k * R)
+
+    lo, hi = 1e-12 * k_hi, k_hi * (1.0 - 1e-14)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    k = 0.5 * (lo + hi)
+    return k * k

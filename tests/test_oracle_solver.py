@@ -3,12 +3,13 @@ import types
 
 import numpy as np
 import pytest
-from golden_section import golden_min
+from golden_section import full_scan_bracket, golden_min
 from scipy.special import jv, jvp, spherical_jn
 
 import rsv.oracle_solver as oracle_solver
 from rsv.oracle_solver import (
     Derivatives,
+    _grid_bracket,
     _radial_wave,
     _sigma_sq_min,
     eigenvalue_curve,
@@ -250,7 +251,7 @@ def readme_eigen_domain(t):
 
 def test_eigen_solution_records_the_search():
     sol = solve_perturbed_eigen(readme_eigen_domain(0.01), 1.0)
-    assert 37 < sol.sigma_evals <= 62
+    assert sol.sigma_evals <= 25
     assert sol.sigma_min < 1e-6
     torsion = solve_perturbed_torsion(readme_eigen_domain(0.01), 1.0, modes=16)
     assert torsion.sigma_evals == 0
@@ -385,6 +386,144 @@ def test_refine_agrees_with_golden_section_at_few_modes(monkeypatch, t, n, N, al
     d = perturbed_domain(pfield(n, 1.0, N), t)
     lam, lam_golden = lam_both_refines(monkeypatch, d, alpha, 8, kind)
     assert abs(lam - lam_golden) <= 1e-11 * lam_golden
+
+
+# ---------------------------------------------------------------------------
+# lam grid walk
+# ---------------------------------------------------------------------------
+
+GRID = np.linspace(0.6, 1.5, 37)
+
+
+def counted(values):
+    """f(grid[i]) = values[i], and the list of indices it was called at."""
+    calls = []
+    index = {x: i for i, x in enumerate(GRID)}
+
+    def f(x):
+        calls.append(index[x])
+        return values[index[x]]
+
+    return f, calls
+
+
+@pytest.mark.parametrize("centre", [1, 5, 15, 16, 17, 30, 35])
+def test_grid_walk_finds_the_argmin_of_one_valley(centre):
+    values = [abs(i - centre) + 0.1 * (i > centre) for i in range(GRID.size)]
+    f, calls = counted(values)
+    assert _grid_bracket(f, GRID, 16) == centre
+    assert len(calls) <= abs(centre - 16) + 3
+    assert full_scan_bracket(counted(values)[0], GRID, 16) == centre
+
+
+@pytest.mark.parametrize("edge", [0, 36])
+def test_grid_walk_rejects_a_minimum_on_the_edge(edge):
+    f, calls = counted([abs(i - edge) for i in range(GRID.size)])
+    assert _grid_bracket(f, GRID, 16) is None
+    assert len(calls) <= GRID.size
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0] * 37,  # flat
+        [max(i, 10) for i in range(37)],  # downhill to 10, level with 9
+        [2.0 + (i == 16) for i in range(37)],  # both neighbours lower, equal
+        [1.0 + (i > 16) for i in range(37)],  # level with the point below
+    ],
+)
+def test_grid_walk_stops_at_a_tie(values):
+    f, calls = counted(values)
+    assert _grid_bracket(f, GRID, 16) is None
+    assert len(calls) <= GRID.size
+
+
+def test_flat_sigma_raises_after_at_most_one_grid_of_evaluations(monkeypatch):
+    calls = []
+
+    def flat(B, M, want_vector=False):
+        calls.append(want_vector)
+        return 1.0, None, math.nan
+
+    monkeypatch.setattr(oracle_solver, "_subspace_sigma", flat)
+    with pytest.raises(ArithmeticError, match="root isolation failed"):
+        solve_perturbed_eigen(readme_eigen_domain(0.01), 1.0, modes=8)
+    assert 0 < len(calls) <= 37
+
+
+def solve_lam_or_error(d, alpha, modes, kind):
+    try:
+        return solve_perturbed_eigen(d, alpha, modes, kind).lam
+    except ArithmeticError as error:
+        return str(error)
+
+
+def lam_walk_and_full_scan(monkeypatch, d, alpha, modes, kind):
+    lam = solve_lam_or_error(d, alpha, modes, kind)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_solver, "_grid_bracket", full_scan_bracket)
+        return lam, solve_lam_or_error(d, alpha, modes, kind)
+
+
+@pytest.mark.parametrize("modes", [8, 20])
+@pytest.mark.parametrize("t", [0.0, 0.01, -0.01, 0.05, -0.05])
+@pytest.mark.parametrize(
+    "n, N, alpha, kind",
+    [
+        (2, COS2T, 1.0, ROBIN_EIGEN),
+        (2, COS2T, None, DIRICHLET_EIGEN),
+        (3, ZONAL, 1.0, ROBIN_EIGEN),
+        (3, ZONAL, None, DIRICHLET_EIGEN),
+    ],
+)
+def test_grid_walk_keeps_the_bits_of_the_full_scan(monkeypatch, modes, t, n, N, alpha, kind):
+    d = perturbed_domain(pfield(n, 1.0, N), t)
+    lam_walk, lam_full = lam_walk_and_full_scan(monkeypatch, d, alpha, modes, kind)
+    assert lam_walk == lam_full
+    if (n, kind, modes, abs(t)) == (2, DIRICHLET_EIGEN, 8, 0.05):
+        # 8 modes cannot fit this boundary to the residual limit
+        assert lam_walk.startswith("boundary residual")
+    else:
+        assert isinstance(lam_walk, float)
+
+
+def ball_lam(n, alpha, kind):
+    if kind == ROBIN_EIGEN:
+        return solve_robin_eigen_ball(n, 1.0, alpha).lam
+    return solve_dirichlet_eigen_ball(n, 1.0).lam
+
+
+# lam0 = lam1 / 1.6 puts lam1 above the window's top 1.5 lam0, lam1 / 0.55
+# below its bottom 0.6 lam0; in the Dirichlet window lam1 / 0.55 holds the
+# second eigenvalue, which both searches find and the ground-state check
+# rejects
+@pytest.mark.parametrize("factor", [1.6, 0.55])
+@pytest.mark.parametrize(
+    "n, N, alpha, kind",
+    [
+        (2, COS2T, 1.0, ROBIN_EIGEN),
+        (3, ZONAL, 1.0, ROBIN_EIGEN),
+        (2, COS2T, None, DIRICHLET_EIGEN),
+        (3, ZONAL, None, DIRICHLET_EIGEN),
+    ],
+)
+def test_lam1_outside_the_window_raises_as_the_full_scan(
+    monkeypatch, factor, n, N, alpha, kind
+):
+    message = "root isolation failed"
+    if kind == DIRICHLET_EIGEN and factor == 0.55:
+        message = "changes sign inside the domain"
+    shifted = types.SimpleNamespace(lam=ball_lam(n, alpha, kind) / factor)
+    monkeypatch.setattr(oracle_solver, "solve_robin_eigen_ball", lambda n, R, a: shifted)
+    monkeypatch.setattr(oracle_solver, "solve_dirichlet_eigen_ball", lambda n, R: shifted)
+    d = perturbed_domain(pfield(n, 1.0, N), 0.01)
+    errors = []
+    for bracket in (_grid_bracket, full_scan_bracket):
+        monkeypatch.setattr(oracle_solver, "_grid_bracket", bracket)
+        with pytest.raises(ArithmeticError, match=message) as error:
+            solve_perturbed_eigen(d, alpha, 12, kind)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------------------

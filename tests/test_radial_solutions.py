@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from ball_reference import k_g_from_profile, radial_quadrature
+from ball_reference import k_g_from_profile, radial_quadrature, robin_ball_lam_full_bisection
 
+import rsv.radial_solutions as radial_solutions
 from rsv.radial_solutions import (
     BallProblem,
     dirichlet_eigenvalue,
@@ -131,6 +132,30 @@ def test_robin_eigen_monotone_in_alpha():
     assert lams[-1] < dirichlet_eigenvalue(2, 1.0)
 
 
+BISECTION_CASES = [
+    (n, R, alpha)
+    for n in (2, 3)
+    for R in (0.5, 1.0, 2.0)
+    for alpha in (0.05, 0.25, 1.0, 3.0, 50.0)
+]
+
+
+@pytest.mark.parametrize("n,R,alpha", BISECTION_CASES)
+def test_robin_eigen_bisection_stops_on_the_same_bits(n, R, alpha, monkeypatch):
+    calls = []
+    bessel_j = radial_solutions.bessel_j
+
+    def counted_bessel_j(nu, x):
+        calls.append(x)
+        return bessel_j(nu, x)
+
+    lam = solve_robin_eigen_ball(n, R, alpha).lam
+    assert lam == robin_ball_lam_full_bisection(n, R, alpha)
+    monkeypatch.setattr(radial_solutions, "bessel_j", counted_bessel_j)
+    assert solve_robin_eigen_ball(n, R, alpha).lam == lam
+    assert len(calls) <= 120
+
+
 def test_k_g_consistency_both_kinds():
     for n, R, alpha in CASES:
         t = solve_torsion_ball(n, R, alpha)
@@ -151,6 +176,14 @@ def test_dirichlet_eigenvalues():
     # n = 3: j_{1/2,1} = pi, so lam = (pi/R)^2
     assert dirichlet_eigenvalue(3, 1.0) == pytest.approx(math.pi**2, abs=1e-12)
     assert dirichlet_eigenvalue(3, 2.0) == pytest.approx(math.pi**2 / 4, abs=1e-12)
+
+
+def test_dirichlet_eigenvalue_is_cached():
+    first = dirichlet_eigenvalue(2, 1.37)
+    before = dirichlet_eigenvalue.cache_info()
+    assert dirichlet_eigenvalue(2, 1.37) == first
+    after = dirichlet_eigenvalue.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 @pytest.mark.parametrize("n", [2, 3])
