@@ -8,6 +8,9 @@ V(t) are differentiated by Richardson-extrapolated central differences.
 
 The basis evaluations use scipy.special on purpose, keeping the oracle
 independent of the in-repo special-function stack it is meant to check.
+Its Gauss rules (polar angles for n = 3, radii of the interior quadrature)
+are numpy's `leggauss`, taken through the cached
+`special_functions.gauss_legendre`, which only stores numpy's arrays.
 The domain itself (r and dr/dtheta on the boundary) comes from
 `StarDomain.radius`, which defines the perturbed domain and is not shape
 calculus.  The oracle uses neither `steklov` nor `variations`, and its
@@ -36,6 +39,7 @@ from .radial_solutions import (
     solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
 )
+from .special_functions import gauss_legendre
 from .sphere_geometry import (
     PerturbationField,
     StarDomain,
@@ -68,7 +72,7 @@ def _theta_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         theta = 2.0 * math.pi * np.arange(count) / count
         w = np.full(count, 2.0 * math.pi / count)
         return theta, w
-    x, wx = np.polynomial.legendre.leggauss(count)
+    x, wx = gauss_legendre(count)
     theta = 0.5 * math.pi * (x + 1.0)
     w = 2.0 * math.pi * 0.5 * math.pi * wx * np.sin(theta)
     return theta, w
@@ -100,7 +104,7 @@ def _interior(d: StarDomain, n_theta: int, n_rho: int):
     """Tensor quadrature for volume integrals: rho, theta, weights (L, G)."""
     theta, w = _theta_grid(d.n, n_theta)
     r = d.radius(_directions_from_theta(d.n, theta))
-    xg, wg = np.polynomial.legendre.leggauss(n_rho)
+    xg, wg = gauss_legendre(n_rho)
     rho = 0.5 * r[:, None] * (xg[None, :] + 1.0)
     weight = 0.5 * r[:, None] * wg[None, :] * rho ** (d.n - 1) * w[:, None]
     # _theta_grid already carries sin(theta) and the azimuthal factor for n=3
@@ -241,17 +245,33 @@ class OracleSolution:
         """(u, du/drho, (1/rho) du/dtheta) at polar points (zonal plane
         points for n = 3), from one angular and one radial table.  The last
         is NaN at rho = 0, where u and du/drho stay defined."""
-        rho = np.asarray(rho, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        degrees, T, dT = _angular_parts(self.n, self.modes, theta)
+        rho, theta = np.broadcast_arrays(
+            np.asarray(rho, dtype=float).ravel(), np.asarray(theta, dtype=float).ravel()
+        )
+        return self._fields(rho[:, None], _angular_parts(self.n, self.modes, theta))
+
+    def _fields(self, rho: np.ndarray, angular) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`fields` at the points rho[i, j] on the ray of angle theta[i],
+        given `angular` = _angular_parts(n, modes, theta), flattened in row
+        order.  Each angular factor multiplies its whole row of radial
+        factors by broadcasting, which gives the products, and so the sums,
+        of a node-by-node table bit for bit."""
+        degrees, T, dT = angular
+        rays = rho.shape
+        rho = rho.ravel()
         if self.kind == TORSION:
             Rf, dRf = _radial_harmonic(degrees, rho, self._scale)
         else:
             Rf, dRf = _radial_wave(self.n, degrees, self.lam, rho)
-        u = self.coefficients @ (Rf * T)
-        u_rho = self.coefficients @ (dRf * T)
+
+        def times(radial, factor):
+            # radial * factor at every point; factor is constant on each ray
+            return (radial.reshape(-1, *rays) * factor[:, :, None]).reshape(-1, rho.size)
+
+        u = self.coefficients @ times(Rf, T)
+        u_rho = self.coefficients @ times(dRf, T)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_ang = self.coefficients @ (Rf * dT) / rho
+            u_ang = self.coefficients @ times(Rf, dT) / rho
         if self.kind == TORSION:
             u = u - rho**2 / (2.0 * self.n)
             u_rho = u_rho - rho / self.n
@@ -264,17 +284,20 @@ class OracleSolution:
 
 def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS,
-    u at the interior quadrature nodes)."""
+    u at the interior quadrature nodes).
+
+    The interior nodes lie on n_theta rays, and the boundary quadrature
+    takes the same n_theta angles, so one angular table serves both."""
     d = sol.domain
     theta, rho, w = _interior(d, n_theta, n_rho)
-    th_flat = np.broadcast_to(theta[:, None], rho.shape).ravel()
-    vals, g_rho, g_ang = sol.fields(rho.ravel(), th_flat)
+    angular = _angular_parts(d.n, sol.modes, theta)
+    vals, g_rho, g_ang = sol._fields(rho, angular)
     wf = w.ravel()
     int_u = float(wf @ vals)
     int_grad_sq = float(wf @ (g_rho * g_rho + g_ang * g_ang))
     int_u_sq = float(wf @ (vals * vals))
     bd = _boundary(d, n_theta)
-    bvals = sol.fields(bd.r, bd.theta)[0]
+    bvals = sol._fields(bd.r[:, None], angular)[0]
     bd_u_sq = float(bd.dS @ (bvals * bvals))
     return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals
 
@@ -506,12 +529,11 @@ def solve_perturbed_eigen(
     n_basis = 2 * modes + 1 if d.n == 2 else modes + 1
     bd = _boundary(d, OVERSAMPLE * n_basis)
     degrees, T, dT = _angular_parts(d.n, modes, bd.theta)
-    # interior sample rings normalizing the trial functions' bulk size
-    int_theta = bd.theta[::2]
+    # interior sample rings normalizing the trial functions' bulk size, on
+    # every other boundary angle
     int_r = bd.r[::2]
-    _, T_int, _ = _angular_parts(d.n, modes, int_theta)
     int_rho = np.concatenate([0.45 * int_r, 0.8 * int_r])
-    T_in = np.hstack([T_int, T_int])
+    T_in = np.hstack([T[:, ::2], T[:, ::2]])
 
     def matrices(lam: float) -> tuple[np.ndarray, np.ndarray]:
         Rf, dRf = _radial_wave(d.n, degrees, lam, bd.r)

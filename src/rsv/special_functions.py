@@ -227,7 +227,8 @@ class _Angles(NamedTuple):
     """Angles of unit directions, taken once per evaluation.
 
     theta is the circle angle for n=2 and the polar angle for n=3; phi is
-    the azimuth (n=3 only).
+    the azimuth (n=3 only).  For n=3, cos_unique[cos_inverse] is cos_theta:
+    the Legendre factors are evaluated once per distinct cos(theta).
     """
 
     n: int
@@ -235,19 +236,31 @@ class _Angles(NamedTuple):
     phi: np.ndarray | None
     cos_theta: np.ndarray
     sin_theta: np.ndarray
+    cos_unique: np.ndarray | None = None
+    cos_inverse: np.ndarray | None = None
+
+
+def _unique_bits(x) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct float64 values of x and the index map back, so that
+    values[inverse] reproduces x bit for bit.  Values are keyed on their
+    bit pattern: +0.0 and -0.0, and NaNs with different payloads, stay
+    apart."""
+    x = np.asarray(x, dtype=float)
+    bits, inverse = np.unique(np.ravel(x).view(np.int64), return_inverse=True)
+    return bits.view(np.float64), inverse.reshape(x.shape)
 
 
 def _angles(n: int, direction) -> _Angles:
     d = np.asarray(direction, dtype=float)
     if n == 2:
         theta = np.arctan2(d[..., 1], d[..., 0])
-        phi = None
-    elif n == 3:
-        theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
-        phi = np.arctan2(d[..., 1], d[..., 0])
-    else:
+        return _Angles(n, theta, None, np.cos(theta), np.sin(theta))
+    if n != 3:
         raise ValueError("n must be 2 or 3")
-    return _Angles(n, theta, phi, np.cos(theta), np.sin(theta))
+    theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
+    phi = np.arctan2(d[..., 1], d[..., 0])
+    cos_theta = np.cos(theta)
+    return _Angles(n, theta, phi, cos_theta, np.sin(theta), *_unique_bits(cos_theta))
 
 
 def _legendre_norm(s: int, m: int) -> float:
@@ -266,7 +279,9 @@ def _harmonic(s: int, i: int, ang: _Angles, value=True, dtheta=False, dphi=False
 
         d/dtheta P_s^m(cos th) = [s cos(th) P_s^m - (s+m) P_{s-1}^m] / sin(th)
 
-    (poles excluded).  `_angles` has already checked n.
+    (poles excluded).  `_angles` has already checked n.  lpmv runs on the
+    distinct cos(theta) values and is gathered back to the points; being
+    elementwise, it gives the same bits as a call on every point.
     """
     n = ang.n
     if not 0 <= i < multiplicity(s, n):
@@ -295,10 +310,13 @@ def _harmonic(s: int, i: int, ang: _Angles, value=True, dtheta=False, dphi=False
     m = i - s
     am = abs(m)
     x = ang.cos_theta
-    p = lpmv(am, s, x)
+    p = lpmv(am, s, ang.cos_unique)[ang.cos_inverse]
     k = _legendre_norm(s, am)
     if dtheta:
-        p_lower = lpmv(am, s - 1, x) if s - 1 >= am else np.zeros_like(x)
+        if s - 1 >= am:
+            p_lower = lpmv(am, s - 1, ang.cos_unique)[ang.cos_inverse]
+        else:
+            p_lower = np.zeros_like(x)
         dp = (s * x * p - (s + am) * p_lower) / ang.sin_theta
     if m == 0:
         if value:
@@ -411,6 +429,16 @@ def tangential_gradient(n: int, s: int, i: int, direction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's `leggauss(count)` nodes and weights on [-1, 1], built once
+    per count and shared; both arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 class SphereQuadrature:
     """Quadrature nodes/weights on the unit sphere S^{n-1}.
 
@@ -431,7 +459,7 @@ class SphereQuadrature:
             self.directions = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
             self.weights = np.full(order, 2.0 * math.pi / order)
         else:
-            x, w = np.polynomial.legendre.leggauss(order)
+            x, w = gauss_legendre(order)
             theta_1d = np.arccos(x)
             phi_1d = 2.0 * math.pi * np.arange(order) / order
             theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")

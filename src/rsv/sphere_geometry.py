@@ -351,10 +351,12 @@ def surface_element_m2(v: AmbientField, w: AmbientField, R: float, quad: SphereQ
     """Vectorized second t-derivative of the surface element on the sphere of
     radius R, from tangential contractions of the field Jacobians."""
     x = R * quad.directions
-    nu = quad.directions
-    Dv = v.jacobian(x)
-    Dw = w.jacobian(x)
-    eye = np.eye(quad.n)
+    return _surface_element_m2(v.jacobian(x), w.jacobian(x), quad.directions)
+
+
+def _surface_element_m2(Dv: np.ndarray, Dw: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """`surface_element_m2` from the Jacobians Dv, Dw at the points R nu."""
+    eye = np.eye(nu.shape[-1])
     P = eye - nu[..., :, None] * nu[..., None, :]
     DvP = Dv @ P
     sigma_A = 2.0 * np.trace(DvP, axis1=-2, axis2=-1)

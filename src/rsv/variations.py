@@ -37,6 +37,7 @@ from .special_functions import SphereQuadrature, bessel_j, lb_eigen, synthesize
 from .sphere_geometry import (
     AmbientField,
     BoundaryFunction,
+    _surface_element_m2,
     boundary_mean,
     default_quad_order,
     normal_trace,
@@ -441,7 +442,7 @@ def second_variation_general(
     integrals += -2.0 * alpha * ur * ur * area_w * quad.integrate(N * N)
     integrals += -2.0 * ur * ur * area_w * quad.integrate(wnu)
     # surface-element acceleration
-    m2 = surface_element_m2(v, w, R, quad)
+    m2 = _surface_element_m2(Dv, w.jacobian(x), nu)
     integrals += alpha * uR * uR * area_w * quad.integrate(m2)
     return integrals - 2.0 * sd.quadratic_form()
 

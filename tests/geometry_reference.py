@@ -9,14 +9,19 @@
 * `project_zero_mean`: N without its constant mode;
 * `radial_harmonic_jacobian`: the Jacobian of `radial_harmonic_field` as a
   per-mode loop over the public per-harmonic functions, which the library's
-  one-angle-pass evaluation must reproduce bit for bit.
+  one-angle-pass evaluation must reproduce bit for bit;
+* `pointwise_lpmv_harmonic`: an n=3 harmonic and its angular derivatives
+  with lpmv called at every point, which the library's evaluation on the
+  distinct cos(theta) values must reproduce bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lpmv
 
-from rsv.special_functions import spherical_harmonic, tangential_gradient
+from rsv.special_functions import _legendre_norm, spherical_harmonic, tangential_gradient
 
 
 def jacobian_fd_error(field, points, h: float = 1e-6) -> float:
@@ -158,3 +163,24 @@ def radial_harmonic_jacobian(n: int, R: float, coeffs, x) -> np.ndarray:
         )
         out = out + (c * rho * y / r)[..., None, None] * proj
     return out
+
+
+def pointwise_lpmv_harmonic(s: int, i: int, ang):
+    """(Y_{s,i}, dY/dtheta, dY/dphi) for n=3 at the angles `ang` of
+    `special_functions._angles`, with lpmv evaluated at every point."""
+    m = i - s
+    am = abs(m)
+    x = ang.cos_theta
+    p = lpmv(am, s, x)
+    k = _legendre_norm(s, am)
+    p_lower = lpmv(am, s - 1, x) if s - 1 >= am else np.zeros_like(x)
+    dp = (s * x * p - (s + am) * p_lower) / ang.sin_theta
+    if m == 0:
+        return k * p, k * dp, np.zeros_like(ang.theta)
+    trig, dtrig = (np.cos, np.sin) if m > 0 else (np.sin, np.cos)
+    azimuth = trig(am * ang.phi)
+    return (
+        math.sqrt(2.0) * k * p * azimuth,
+        math.sqrt(2.0) * k * dp * azimuth,
+        -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi),
+    )

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 from golden_section import full_scan_bracket, golden_min
+from oracle_reference import node_by_node_integrals
 from scipy.special import jv, jvp, spherical_jn
 
 import rsv.oracle_solver as oracle_solver
@@ -662,3 +663,38 @@ def test_sweep_rows_eigen():
     assert rows[0][1] == pytest.approx(rows[0][2])
     assert rows[0][2] == pytest.approx(1.576992730808607, abs=1e-8)
     assert rows[1][2] > rows[0][2]
+
+
+# ---------------------------------------------------------------------------
+# interior tables: one angular factor per ray
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("modes", [8, 20, 28])
+@pytest.mark.parametrize("t", [0.0, 0.05, -0.05])
+@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
+def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, t, kind, n, N):
+    # checked inside the solve, on the coefficients the solve integrates
+    real = oracle_solver._integrals
+    calls = []
+
+    def checked(sol, n_theta, n_rho):
+        out = real(sol, n_theta, n_rho)
+        calls.append((out, node_by_node_integrals(sol, n_theta, n_rho)))
+        return out
+
+    monkeypatch.setattr(oracle_solver, "_integrals", checked)
+    d = perturbed_domain(pfield(n, 1.0, N), t)
+    try:
+        if kind == TORSION:
+            solve_perturbed_torsion(d, 1.0, modes)
+        else:
+            solve_perturbed_eigen(d, 1.0, modes, kind)
+    except ArithmeticError as error:
+        # 8 modes cannot fit this boundary to the residual limit
+        assert (n, kind, modes, abs(t)) == (2, DIRICHLET_EIGEN, 8, 0.05), str(error)
+    assert len(calls) == 1
+    (*sums, u_in), (*sums_ref, u_in_ref) = calls[0]
+    assert sums == sums_ref
+    assert np.array_equal(u_in, u_in_ref)

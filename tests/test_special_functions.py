@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.special
+from geometry_reference import pointwise_lpmv_harmonic
 from hypothesis import given, settings, strategies as st
 
 import rsv.special_functions as special_functions
@@ -15,6 +16,7 @@ from rsv.special_functions import (
     bessel_j,
     bessel_j_derivative,
     bessel_j_zeros,
+    gauss_legendre,
     harmonic_indices,
     lb_eigen,
     multiplicity,
@@ -308,6 +310,92 @@ def test_projection_table_keyed_on_order():
     assert HarmonicBasis(3, 24, SphereQuadrature(3, 32)).table is coarse.table
     with pytest.raises(ValueError):
         HarmonicBasis(3, 4, SphereQuadrature(2, 32))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def irregular_directions() -> np.ndarray:
+    """40 random unit directions with both poles, the equator at z = +0.0
+    and z = -0.0, and repeated directions and cos(theta) values."""
+    d = np.random.default_rng(11).normal(size=(40, 3))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    d[0] = (0.0, 0.0, 1.0)
+    d[1] = (0.0, 0.0, -1.0)
+    d[2] = (1.0, 0.0, 0.0)
+    d[3] = (0.0, 1.0, -0.0)
+    d[4] = d[5] = d[6] = d[9]
+    d[7] = (-d[9, 1], d[9, 0], d[9, 2])  # d[9] turned about the axis
+    d[8] = d[0]
+    return d
+
+
+def assert_pointwise_lpmv_bits(ang, max_degree: int) -> None:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s, i in harmonic_indices(3, max_degree):
+            got = special_functions._harmonic(s, i, ang, dtheta=True, dphi=True)
+            for part, want in zip(got, pointwise_lpmv_harmonic(s, i, ang)):
+                assert same_bits(part, want), (s, i)
+
+
+@pytest.mark.parametrize("shape", [(40, 3), (5, 8, 3), (3,)])
+def test_harmonic_on_unique_cos_theta_keeps_the_bits_of_pointwise_lpmv(shape):
+    d = irregular_directions()[: math.prod(shape[:-1])].reshape(shape)
+    ang = special_functions._angles(3, d)
+    assert same_bits(ang.cos_unique[ang.cos_inverse], ang.cos_theta)
+    if d.ndim > 1:
+        assert ang.cos_unique.size < ang.cos_theta.size
+    assert_pointwise_lpmv_bits(ang, 6)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s, i in [(0, 0), (3, 1), (5, 8)]:
+            y, want = spherical_harmonic(3, s, i, d), pointwise_lpmv_harmonic(s, i, ang)[0]
+            assert same_bits(y, want) and type(y) is type(want)
+
+
+def test_unique_cos_theta_keeps_signed_zeros_and_nans_apart():
+    cos = np.array([0.0, -0.0, 0.5, np.nan, 0.5, -0.0, 1.0, -1.0, -np.nan])
+    values, inverse = special_functions._unique_bits(cos)
+    assert values.size == 7
+    assert same_bits(values[inverse], cos)
+    # lpmv gives differently signed zeros at +0.0 and -0.0 for these orders
+    assert not same_bits(scipy.special.lpmv(0, 5, 0.0), scipy.special.lpmv(0, 5, -0.0))
+    assert not same_bits(scipy.special.lpmv(1, 4, 0.0), scipy.special.lpmv(1, 4, -0.0))
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    phi = np.linspace(0.1, 6.0, cos.size)
+    ang = special_functions._Angles(3, theta, phi, cos, np.sin(theta), values, inverse)
+    assert_pointwise_lpmv_bits(ang, 6)
+
+
+def test_sphere_grid_evaluates_one_legendre_row_per_gauss_node():
+    ang = special_functions._angles(3, SphereQuadrature(3, 64).directions)
+    assert ang.cos_theta.size == 64 * 64
+    assert ang.cos_unique.size == 64
+
+
+def test_gauss_legendre_is_numpys_rule_shared_and_read_only():
+    x, w = gauss_legendre(12)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    again = gauss_legendre(12)
+    assert again[0] is x and again[1] is w
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_import_builds_no_gauss_rule():
+    code = (
+        "import rsv, rsv.oracle_solver, rsv.special_functions as sf; "
+        "print(sf.gauss_legendre.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(special_functions.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_import_builds_no_projection_table():

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import rsv.variations as variations
 from rsv.radial_solutions import (
     DIRICHLET_EIGEN,
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
+from rsv.special_functions import SphereQuadrature
 from rsv.sphere_geometry import (
     constant_field,
     linear_field,
     radial_harmonic_field,
     rotation_field,
+    surface_element_m2,
     volume_completion_field,
     zero_field,
 )
@@ -338,6 +341,35 @@ def test_general_negative_alpha():
     got = second_variation_general(sol, v, w)
     want = second_variation_energy_ball(sol, N).Eddot0
     assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, N", [(2, {(2, 0): math.sqrt(PI)}), (3, {(2, 1): 0.7, (3, 2): -0.4, (6, 9): 0.2})]
+)
+def test_general_evaluates_the_jacobian_of_v_once(monkeypatch, n, N):
+    sol = solve_torsion_ball(n, 1.0, 1.0)
+    v = radial_harmonic_field(n, 1.0, N)
+    w = volume_completion_field(v, n, 1.0)
+    jacobian = v.jacobian
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return jacobian(x)
+
+    v.jacobian = counting
+    got = second_variation_general(sol, v, w, order=64)
+    assert len(calls) == 1
+    # the former route: surface_element_m2 took the Jacobians of v and w itself
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            variations,
+            "_surface_element_m2",
+            lambda Dv, Dw, nu: surface_element_m2(v, w, 1.0, SphereQuadrature(n, 64)),
+        )
+        former = second_variation_general(sol, v, w, order=64)
+    assert len(calls) == 3
+    assert got == former
 
 
 def test_general_rejects_eigen_kind():
