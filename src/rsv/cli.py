@@ -17,7 +17,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
@@ -646,14 +645,7 @@ def run_sweep(cfg: ExperimentConfig, seed: int) -> Report:
     report = Report("sweep")
     modes = cfg.oracle_modes or 20
 
-    def one(t: float):
-        return sweep_rows(
-            cfg.perturbation, cfg.alpha, cfg.kind, [t], modes=modes
-        )[0]
-
-    workers = max(1, min(len(cfg.t_values), os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, cfg.t_values))
+    rows = sweep_rows(cfg.perturbation, cfg.alpha, cfg.kind, cfg.t_values, modes=modes)
 
     _problem_header(report, cfg)
     report.add("t_count", len(rows))

@@ -536,8 +536,9 @@ def solve_perturbed_eigen(
     T_in = np.hstack([T[:, ::2], T[:, ::2]])
 
     def matrices(lam: float) -> tuple[np.ndarray, np.ndarray]:
-        Rf, dRf = _radial_wave(d.n, degrees, lam, bd.r)
-        M = (_radial_wave(d.n, degrees, lam, int_rho)[0] * T_in).T
+        # the interior rings, and the Dirichlet rows, need no derivative table
+        Rf, dRf = _radial_wave(d.n, degrees, lam, bd.r, derivative=kind != DIRICHLET_EIGEN)
+        M = (_radial_wave(d.n, degrees, lam, int_rho, derivative=False)[0] * T_in).T
         if kind == DIRICHLET_EIGEN:
             return (Rf * T).T, M
         return _robin_rows(bd, alpha, Rf, dRf, T, dT), M

@@ -12,6 +12,7 @@ realized for Hadamard data as the star domain r(theta, t) = R + t N +
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -253,37 +254,66 @@ def radial_harmonic_field(n: int, R: float, coeffs: BoundaryFunction) -> Ambient
 
     Normal trace on the sphere of radius R is exactly the boundary function;
     smooth away from the origin (which is never sampled by the quadratures).
+    Values and Jacobians come from `_radial_table`, so fields built from
+    equal data share them on equal points; the arrays are read-only.
     """
-    items = [(s, i, c) for (s, i), c in coeffs.items() if c != 0.0]
+    items = tuple((s, i, c) for (s, i), c in coeffs.items() if c != 0.0)
+    sign = math.copysign(1.0, R)
 
     def func(x):
-        r = np.linalg.norm(x, axis=-1)
-        xhat = x / r[..., None]
-        radial = {(s, i): c * (r / R) ** s for s, i, c in items}
-        return synthesize(n, radial, xhat)[..., None] * xhat
+        return _radial_table(False, n, R, sign, items, x.shape, x.tobytes())
 
     def jac(x):
-        r = np.linalg.norm(x, axis=-1)
-        xhat = x / r[..., None]
-        xx = xhat[..., :, None] * xhat[..., None, :]
-        proj = np.eye(n) - xx
-        harmonic = HarmonicGradients(n, xhat)
-        out = np.zeros(x.shape + (n,))
-        for s, i, c in items:
-            rho = (r / R) ** s
-            drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
-            y, gy = harmonic(s, i)
-            y = np.asarray(y)
-            # three terms per mode, in this order: the reports' quadrature
-            # values depend on the summation order
-            out = out + (c * drho * y)[..., None, None] * xx
-            out = out + (c * rho / r)[..., None, None] * (
-                xhat[..., :, None] * gy[..., None, :]
-            )
-            out = out + (c * rho * y / r)[..., None, None] * proj
-        return out
+        return _radial_table(True, n, R, sign, items, x.shape, x.tobytes())
 
     return AmbientField(n, func, jac, label="radial-harmonic")
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _radial_table(jacobian: bool, n: int, R: float, sign: float, items, shape, xbytes):
+    """Values or Jacobian of a radial-harmonic field, evaluated once per
+    key and shared read-only.
+
+    The key holds every input bit: n; R with its type and sign (-0.0 == 0.0);
+    the nonzero (s, i, c) terms in mapping order, which sets the order of the
+    per-mode sums; and the shape and bytes of the points, so that +0.0 and
+    -0.0 coordinates stay apart.  The second-variation routes of one
+    deformation all sample its field at R * quad.directions and hit one
+    entry; an n = 3 order-64 entry holds at most about 0.4 MB with its key.
+    """
+    x = np.frombuffer(xbytes).reshape(shape)
+    out = (_radial_jacobian if jacobian else _radial_values)(n, R, items, x)
+    out.flags.writeable = False
+    return out
+
+
+def _radial_values(n: int, R: float, items, x: np.ndarray) -> np.ndarray:
+    r = np.linalg.norm(x, axis=-1)
+    xhat = x / r[..., None]
+    radial = {(s, i): c * (r / R) ** s for s, i, c in items}
+    return synthesize(n, radial, xhat)[..., None] * xhat
+
+
+def _radial_jacobian(n: int, R: float, items, x: np.ndarray) -> np.ndarray:
+    r = np.linalg.norm(x, axis=-1)
+    xhat = x / r[..., None]
+    xx = xhat[..., :, None] * xhat[..., None, :]
+    proj = np.eye(n) - xx
+    harmonic = HarmonicGradients(n, xhat)
+    out = np.zeros(x.shape + (n,))
+    for s, i, c in items:
+        rho = (r / R) ** s
+        drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
+        y, gy = harmonic(s, i)
+        y = np.asarray(y)
+        # three terms per mode, in this order: the reports' quadrature
+        # values depend on the summation order
+        out = out + (c * drho * y)[..., None, None] * xx
+        out = out + (c * rho / r)[..., None, None] * (
+            xhat[..., :, None] * gy[..., None, :]
+        )
+        out = out + (c * rho * y / r)[..., None, None] * proj
+    return out
 
 
 def normal_trace(v: AmbientField, R: float, quad: SphereQuadrature) -> np.ndarray:

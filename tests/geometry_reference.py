@@ -7,9 +7,10 @@
   from the Taylor coefficients of det(M) |M^{-T} nu|, against
   `sphere_geometry.surface_element_m2`;
 * `project_zero_mean`: N without its constant mode;
-* `radial_harmonic_jacobian`: the Jacobian of `radial_harmonic_field` as a
-  per-mode loop over the public per-harmonic functions, which the library's
-  one-angle-pass evaluation must reproduce bit for bit;
+* `radial_harmonic_values` / `radial_harmonic_jacobian`: the values and the
+  Jacobian of `radial_harmonic_field` as a per-mode loop over the public
+  per-harmonic functions, which the library's one-angle-pass evaluation
+  must reproduce bit for bit;
 * `pointwise_lpmv_harmonic`: an n=3 harmonic and its angular derivatives
   with lpmv called at every point, which the library's evaluation on the
   distinct cos(theta) values must reproduce bit for bit.
@@ -138,6 +139,19 @@ def surface_element_m2_from_map(v, w, R: float, quad) -> np.ndarray:
     s2 = beta2 - 0.25 * beta1**2
     J2 = div_v**2 - dv_dv + div_w
     return J2 + 2.0 * div_v * s1 + s2
+
+
+def radial_harmonic_values(n: int, R: float, coeffs, x) -> np.ndarray:
+    """v(x) = sum c (|x|/R)^s Y_{s,i}(x/|x|) x/|x|, one mode at a time, each
+    harmonic evaluated from the directions and added in mapping order."""
+    x = np.asarray(x, dtype=float)
+    r = np.linalg.norm(x, axis=-1)
+    xhat = x / r[..., None]
+    total = np.zeros(r.shape)
+    for (s, i), c in coeffs.items():
+        if c != 0.0:
+            total = total + c * (r / R) ** s * np.asarray(spherical_harmonic(n, s, i, xhat))
+    return total[..., None] * xhat
 
 
 def radial_harmonic_jacobian(n: int, R: float, coeffs, x) -> np.ndarray:

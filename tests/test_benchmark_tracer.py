@@ -59,3 +59,19 @@ def test_tracer_installs_on_rsv_and_uninstall_restores_everything():
         assert set(now) == set(attrs), owner
         for attr, value in attrs.items():
             assert now[attr] is value, (owner, attr)
+
+
+def test_tracer_wraps_the_radial_field_and_its_jacobian():
+    # the tracer wraps plain functions only; a cache decorator on either of
+    # these would drop the radial-field layer out of the traced counts
+    tracer = load_tracer()
+    geometry = rsv.sphere_geometry
+    field, jacobian = geometry.radial_harmonic_field, vars(geometry.AmbientField)["jacobian"]
+    t = tracer.Tracer()
+    try:
+        t.install(rsv)
+        assert geometry.radial_harmonic_field.__wrapped__ is field
+        assert vars(geometry.AmbientField)["jacobian"].__wrapped__ is jacobian
+    finally:
+        t.uninstall()
+    assert geometry.radial_harmonic_field is field

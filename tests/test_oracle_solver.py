@@ -305,6 +305,20 @@ def test_radial_wave_n3_equals_scipy(lam):
     assert none is None and np.array_equal(values, f)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_wave_values_keep_their_bits_without_the_derivative_table(n):
+    # the sigma search builds its interior rings (and Dirichlet rows) with
+    # derivative=False; scipy works element by element, so the one order less
+    # in the table leaves every value's bit pattern as it was
+    degrees = oracle_solver._angular_parts(n, 20, np.linspace(0.0, math.pi, 5))[0]
+    rho = np.concatenate([[0.0], np.linspace(1e-3, 1.3, 97)])
+    for lam in (5.783185962946785, 14.681970642123893, 31.0):
+        with_table, _ = _radial_wave(n, degrees, lam, rho)
+        values, none = _radial_wave(n, degrees, lam, rho, derivative=False)
+        assert none is None and values.shape == with_table.shape
+        assert np.array_equal(values.view(np.int64), with_table.view(np.int64))
+
+
 def synthetic_sigma(lam_star, c_left, c_right, floor):
     """sigma = sqrt(c^2 (lam - lam*)^2 + floor^2), slope c_left / c_right
     below / above lam*, and the list of points it was evaluated at."""

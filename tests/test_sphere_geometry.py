@@ -7,10 +7,13 @@ from geometry_reference import (
     metric_expansions,
     project_zero_mean,
     radial_harmonic_jacobian,
+    radial_harmonic_values,
     surface_element_m2_from_map,
 )
 from hypothesis import given, settings, strategies as st
 
+from rsv import sphere_geometry
+from rsv.radial_solutions import solve_robin_eigen_ball, solve_torsion_ball
 from rsv.special_functions import SphereQuadrature, harmonic_indices, synthesize
 from rsv.sphere_geometry import (
     AmbientField,
@@ -34,6 +37,11 @@ from rsv.sphere_geometry import (
     surface_second_variation_general,
     volume_completion_field,
     zero_field,
+)
+from rsv.variations import (
+    second_variation_eigenvalue_ball,
+    second_variation_energy_ball,
+    second_variation_general,
 )
 
 COS2T = {(2, 0): math.sqrt(math.pi)}  # N(theta) = cos(2 theta) in n = 2
@@ -79,6 +87,138 @@ def test_radial_jacobian_bits_match_per_mode_loop(n):
     field = radial_harmonic_field(n, 1.3, coeffs)
     assert np.array_equal(field.jacobian(x), radial_harmonic_jacobian(n, 1.3, coeffs, x))
     assert np.array_equal(field.jacobian(x[0]), radial_harmonic_jacobian(n, 1.3, coeffs, x[0]))
+
+
+# ---------------------------------------------------------------------------
+# shared radial-harmonic tables: every check compares bits, none a tolerance
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns (so -0.0 != +0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def random_points(n, count, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count, n))
+    return x * rng.uniform(0.5, 1.5, size=(count, 1)) / np.linalg.norm(x, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_tables_match_the_per_mode_references(n):
+    sphere_geometry._radial_table.cache_clear()
+    rng = np.random.default_rng(31)
+    coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
+    coeffs[(3, 1)] = 0.0
+    x = random_points(n, 64, 32)
+    field = radial_harmonic_field(n, 1.3, coeffs)
+    values, jac = field(x), field.jacobian(x)
+    assert same_bits(values, radial_harmonic_values(n, 1.3, coeffs, x))
+    assert same_bits(jac, radial_harmonic_jacobian(n, 1.3, coeffs, x))
+    assert same_bits(field(x[5]), radial_harmonic_values(n, 1.3, coeffs, x[5]))
+    # equal data in a new field, equal points in a new array: the same entries
+    again = radial_harmonic_field(n, 1.3, dict(coeffs))
+    assert again(x.copy()) is values and again.jacobian(x.copy()) is jac
+    assert sphere_geometry._radial_table.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_signed_zero_points_get_separate_entries(n):
+    coeffs = {(1, 0): 0.4, (2, 1): -0.6, (3, 0): 0.3}
+    x_plus = random_points(n, 8, 33)
+    x_plus[0] = [0.9, 0.0] if n == 2 else [0.9, 0.0, 0.3]
+    x_minus = x_plus.copy()
+    x_minus[0, 1] = -0.0
+    field = radial_harmonic_field(n, 1.0, coeffs)
+    sphere_geometry._radial_table.cache_clear()
+    got = [(field(x), field.jacobian(x)) for x in (x_plus, x_minus)]
+    assert sphere_geometry._radial_table.cache_info().currsize == 4
+    for x, (values, jac) in zip((x_plus, x_minus), got):
+        assert same_bits(values, radial_harmonic_values(n, 1.0, coeffs, x))
+        assert same_bits(jac, radial_harmonic_jacobian(n, 1.0, coeffs, x))
+    # the two point sets differ only in the sign of a zero, and so do the
+    # values: an entry keyed on x by value would hand one set the other's
+    assert not same_bits(got[0][0], got[1][0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coefficient_order_sets_the_bits(n):
+    rng = np.random.default_rng(34)
+    forward = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
+    backward = dict(reversed(forward.items()))
+    x = random_points(n, 64, 35)
+    orders = (forward, backward)
+    want = [
+        (radial_harmonic_values(n, 1.3, c, x), radial_harmonic_jacobian(n, 1.3, c, x))
+        for c in orders
+    ]
+    # the two summation orders round differently somewhere on these points
+    assert not same_bits(want[0][0], want[1][0])
+    assert not same_bits(want[0][1], want[1][1])
+    sphere_geometry._radial_table.cache_clear()
+    for k in (0, 1, 0):
+        field = radial_harmonic_field(n, 1.3, orders[k])
+        assert same_bits(field(x), want[k][0])
+        assert same_bits(field.jacobian(x), want[k][1])
+
+
+def test_radial_tables_are_read_only():
+    field = radial_harmonic_field(3, 1.0, {(2, 1): 0.5})
+    x = random_points(3, 4, 36)
+    for table in (field(x), field.jacobian(x)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+def test_radial_table_memo_stays_bounded():
+    info = sphere_geometry._radial_table.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 16
+    x = random_points(3, 16, 37)
+    for k in range(info.maxsize + 3):
+        field = radial_harmonic_field(3, 1.0, {(2, 0): 0.1 * (k + 1)})
+        field(x)
+        field.jacobian(x)
+    assert sphere_geometry._radial_table.cache_info().currsize == info.maxsize
+
+
+@pytest.mark.parametrize(
+    "n, N",
+    [
+        (2, {(2, 0): 0.6, (3, 1): -0.4, (4, 0): 0.2}),
+        (3, {(2, 1): 0.7, (3, 2): -0.4, (4, 0): 0.3, (4, 7): 0.2}),
+    ],
+)
+def test_one_deformation_evaluates_its_field_once(monkeypatch, n, N):
+    R = 1.1
+    torsion, eigen = solve_torsion_ball(n, R, 1.0), solve_robin_eigen_ball(n, R, 1.0)
+
+    def routes():
+        v = radial_harmonic_field(n, R, N)
+        return (
+            second_variation_energy_ball(torsion, N).extras["Eddot0_quadrature"],
+            second_variation_eigenvalue_ball(eigen, N).extras["Eddot0_quadrature"],
+            second_variation_general(torsion, v, volume_completion_field(v, n, R)),
+        )
+
+    items = tuple((s, i, c) for (s, i), c in N.items())
+    calls = {"values": 0, "jacobian": 0}
+    for kind in calls:
+        builder = getattr(sphere_geometry, f"_radial_{kind}")
+
+        def counting(n_, R_, items_, x, builder=builder, kind=kind):
+            calls[kind] += items_ == items
+            return builder(n_, R_, items_, x)
+
+        monkeypatch.setattr(sphere_geometry, f"_radial_{kind}", counting)
+    sphere_geometry._radial_table.cache_clear()
+    shared = routes()
+    assert calls == {"values": 1, "jacobian": 1}
+    # every call rebuilding its tables gives the same bits
+    monkeypatch.setattr(sphere_geometry, "_radial_table", sphere_geometry._radial_table.__wrapped__)
+    assert routes() == shared
+    assert calls == {"values": 4, "jacobian": 5}
 
 
 @pytest.mark.parametrize("n", [2, 3])
