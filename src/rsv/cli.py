@@ -6,16 +6,16 @@ report files (no timestamps, no machine state), and exits 0 only when
 every consistency assertion embedded in that report holds.
 
 Subcommands: first-variation, second-variation, steklov, surface,
-classify, dirichlet, sweep.  Environment overrides: RSV_QUAD_ORDER
-(surface quadrature order, read inside the library) and RSV_FD_H
-(finite-difference step for the oracle curves).
+classify, dirichlet, sweep.  Environment overrides: RSV_QUAD_ORDER (sphere
+quadrature order, read by `sphere_geometry.default_quad_order`) and RSV_FD_H
+(finite-difference step for the oracle curves).  A config's
+`oracle.quadrature_order` sets RSV_QUAD_ORDER for that run only.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -95,6 +95,7 @@ class ExperimentConfig:
     richardson_levels: int
     out_dir: str
     formats: tuple[str, ...]
+    quad_order: int  # oracle.quadrature_order; 0 keeps RSV_QUAD_ORDER
 
 
 def _block(doc: dict, name: str) -> dict:
@@ -242,10 +243,9 @@ def load_config(path: str) -> ExperimentConfig:
     if h <= 0.0:
         raise ConfigError(f"{h_field}: step must be positive, got {h!r}")
     levels = _integer(oracle, "oracle", "richardson_levels", 1, 0)
+    quad_order = 0
     if oracle.get("quadrature_order") is not None:
-        quad = _integer(oracle, "oracle", "quadrature_order", None, 1)
-        # the library reads its quadrature order from this variable
-        os.environ["RSV_QUAD_ORDER"] = str(quad)
+        quad_order = _integer(oracle, "oracle", "quadrature_order", None, 1)
 
     output = _block(doc, "output")
     out_dir = str(output.get("directory", "reports"))
@@ -269,6 +269,7 @@ def load_config(path: str) -> ExperimentConfig:
         richardson_levels=levels,
         out_dir=out_dir,
         formats=tuple(formats),
+        quad_order=quad_order,
     )
 
 
@@ -341,10 +342,10 @@ def render_kv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_table(report: Report, sep: str = "\t") -> str:
-    lines = [sep.join(report.table_header)]
+def render_table(report: Report) -> str:
+    lines = ["\t".join(report.table_header)]
     for row in report.table_rows:
-        lines.append(sep.join(_fmt(v) for v in row))
+        lines.append("\t".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -395,7 +396,7 @@ def _problem_header(report: Report, cfg: ExperimentConfig) -> None:
     report.add("alpha", cfg.alpha)
 
 
-def run_first_variation(cfg: ExperimentConfig, seed: int) -> Report:
+def run_first_variation(cfg: ExperimentConfig) -> Report:
     _require_modes(cfg, "first-variation")
     report = Report("first-variation")
     sol = _ball_state(cfg)
@@ -430,7 +431,7 @@ def run_first_variation(cfg: ExperimentConfig, seed: int) -> Report:
     return report
 
 
-def run_second_variation(cfg: ExperimentConfig, seed: int) -> Report:
+def run_second_variation(cfg: ExperimentConfig) -> Report:
     _require_modes(cfg, "second-variation")
     report = Report("second-variation")
     sol = _ball_state(cfg)
@@ -491,7 +492,7 @@ def run_second_variation(cfg: ExperimentConfig, seed: int) -> Report:
     return report
 
 
-def run_steklov(cfg: ExperimentConfig, seed: int) -> Report:
+def run_steklov(cfg: ExperimentConfig) -> Report:
     if cfg.kind == DIRICHLET_EIGEN:
         raise ConfigError(
             "problem.kind: the Steklov decomposition needs torsion or robin-eigen"
@@ -532,7 +533,7 @@ def run_steklov(cfg: ExperimentConfig, seed: int) -> Report:
     return report
 
 
-def run_surface(cfg: ExperimentConfig, seed: int) -> Report:
+def run_surface(cfg: ExperimentConfig) -> Report:
     _require_modes(cfg, "surface")
     report = Report("surface")
     if not cfg.perturbation.volume_preserving_first_order():
@@ -559,20 +560,7 @@ def run_surface(cfg: ExperimentConfig, seed: int) -> Report:
     return report
 
 
-def _witness_rows(
-    witnesses, seed: int
-) -> list[tuple[str, int, float]]:
-    """Rows (role, degree, value); the seed only breaks exact value ties."""
-    rng = random.Random(seed)
-    keyed = [
-        (value, rng.random(), s, "positive" if value > 0.0 else "negative")
-        for s, value in witnesses
-    ]
-    keyed.sort(key=lambda item: (-item[0], item[1]))
-    return [(role, s, value) for value, _jitter, s, role in keyed]
-
-
-def run_classify(cfg: ExperimentConfig, seed: int) -> Report:
+def run_classify(cfg: ExperimentConfig) -> Report:
     if cfg.kind != TORSION:
         raise ConfigError("problem.kind: classification applies to the torsion kind")
     report = Report("classify")
@@ -584,7 +572,12 @@ def run_classify(cfg: ExperimentConfig, seed: int) -> Report:
     _problem_header(report, cfg)
     report.add("classification", result.classification)
     report.add("searched_degrees", result.searched_degrees)
-    rows = _witness_rows(result.witnesses, seed)
+    # at most one witness of each sign, so sorting by value puts the
+    # positive one first and no two values tie
+    rows = [
+        ("positive" if value > 0.0 else "negative", s, value)
+        for s, value in sorted(result.witnesses, key=lambda w: -w[1])
+    ]
     report.table_header = ("role", "degree", "value")
     report.table_rows = list(rows)
     for role, s, value in rows:
@@ -601,7 +594,7 @@ def run_classify(cfg: ExperimentConfig, seed: int) -> Report:
     return report
 
 
-def run_dirichlet(cfg: ExperimentConfig, seed: int) -> Report:
+def run_dirichlet(cfg: ExperimentConfig) -> Report:
     _require_modes(cfg, "dirichlet")
     if cfg.kind != DIRICHLET_EIGEN:
         raise ConfigError("problem.kind: the dirichlet report needs kind dirichlet-eigen")
@@ -638,7 +631,7 @@ def run_dirichlet(cfg: ExperimentConfig, seed: int) -> Report:
     return report
 
 
-def run_sweep(cfg: ExperimentConfig, seed: int) -> Report:
+def run_sweep(cfg: ExperimentConfig) -> Report:
     _require_modes(cfg, "sweep")
     if not cfg.t_values:
         raise ConfigError("perturbation.t_values: the sweep needs a list of t values")
@@ -729,23 +722,27 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write only this format (default: the config's list)",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="tie-ordering seed for the classification witness list",
-    )
     args = parser.parse_args(argv)
 
+    saved_order = os.environ.get("RSV_QUAD_ORDER")
     try:
         cfg = load_config(args.config)
-        report = RUNNERS[args.subcommand](cfg, args.seed)
+        if cfg.quad_order:
+            # the library reads its quadrature order from this variable
+            os.environ["RSV_QUAD_ORDER"] = str(cfg.quad_order)
+        report = RUNNERS[args.subcommand](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, ValueError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        # the config's order applies to this run only
+        if saved_order is None:
+            os.environ.pop("RSV_QUAD_ORDER", None)
+        else:
+            os.environ["RSV_QUAD_ORDER"] = saved_order
 
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     formats = (args.format,) if args.format else cfg.formats

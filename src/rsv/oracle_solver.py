@@ -231,8 +231,6 @@ class OracleSolution:
     residual: float
     condition: float
     energy: float
-    volume: float
-    surface: float
     _scale: float
     sigma_evals: int = 0  # sigma(lam) evaluations: grid walk plus refine
     sigma_min: float = math.nan  # sigma at the located lam
@@ -354,8 +352,6 @@ def solve_perturbed_torsion(
         residual=residual,
         condition=condition,
         energy=math.nan,
-        volume=exact_volume(d),
-        surface=exact_surface_area(d),
         _scale=scale,
     )
     n_theta, n_rho = _quad_sizes(modes)
@@ -580,8 +576,6 @@ def solve_perturbed_eigen(
         residual=math.nan,
         condition=condition,
         energy=lam,
-        volume=exact_volume(d),
-        surface=exact_surface_area(d),
         _scale=1.0,
         sigma_evals=sigma_at.cache_info().misses,
         sigma_min=sigma_min,
@@ -719,16 +713,16 @@ def eigenvalue_curve(
     return f
 
 
-def surface_curve(p: PerturbationField, order: int | None = None):
+def surface_curve(p: PerturbationField):
     def f(t: float) -> float:
-        return exact_surface_area(perturbed_domain(p, t), order=order)
+        return exact_surface_area(perturbed_domain(p, t))
 
     return f
 
 
-def volume_curve(p: PerturbationField, order: int | None = None):
+def volume_curve(p: PerturbationField):
     def f(t: float) -> float:
-        return exact_volume(perturbed_domain(p, t), order=order)
+        return exact_volume(perturbed_domain(p, t))
 
     return f
 
@@ -751,6 +745,6 @@ def sweep_rows(
             sol = solve_perturbed_eigen(d, alpha, modes=modes, kind=kind)
             lam = sol.lam
         rows.append(
-            (float(t), float(sol.energy), float(lam), float(sol.surface), float(sol.volume))
+            (float(t), float(sol.energy), float(lam), exact_surface_area(d), exact_volume(d))
         )
     return rows

@@ -34,8 +34,8 @@ def _is_half_integer(order: float) -> bool:
     return abs(order - math.floor(order) - 0.5) < _HALF_INT_TOL
 
 
-def _besselj_series(nu: float, x: float, terms: int = 60) -> float:
-    # Ascending series; safe for small x where no cancellation occurs.
+def _besselj_series(nu: float, x: float) -> float:
+    # Ascending series, at most 60 terms; no cancellation for small x.
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
     xh = 0.5 * x
@@ -46,7 +46,7 @@ def _besselj_series(nu: float, x: float, terms: int = 60) -> float:
     total = lead
     term = lead
     q = xh * xh
-    for k in range(1, terms):
+    for k in range(1, 60):
         term *= -q / (k * (nu + k))
         total += term
         if abs(term) < 1e-18 * abs(total) + 1e-300:
@@ -163,8 +163,9 @@ def bessel_j_derivative(order: float, x: float) -> float:
     return (order / x) * bessel_j(order, x) - bessel_j(order + 1.0, x)
 
 
-def bessel_j_zeros(order: float, count: int, step: float = 0.05) -> list[float]:
+def bessel_j_zeros(order: float, count: int) -> list[float]:
     """First `count` positive zeros of J_order, by sign-change scan + bisection."""
+    step = 0.05  # sign-change scan step
     zeros: list[float] = []
     x = max(step, 0.5 * order)  # zeros of J_nu live beyond ~nu
     f_prev = bessel_j(order, x)

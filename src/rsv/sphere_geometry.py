@@ -32,7 +32,12 @@ BoundaryFunction = dict[tuple[int, int], float]
 
 
 def default_quad_order() -> int:
+    """Order of every sphere quadrature in the library: RSV_QUAD_ORDER, or 64."""
     return int(os.environ.get("RSV_QUAD_ORDER", "64"))
+
+
+# harmonic degree up to which `project_normal_trace` expands a normal trace
+PROJECTION_DEGREE = 24
 
 
 def sphere_measure(n: int) -> float:
@@ -149,17 +154,17 @@ def perturbed_domain(p: PerturbationField, t: float) -> StarDomain:
     return StarDomain(n=p.n, R=p.R, N=p.N, W=p.W, t=t)
 
 
-def exact_volume(d: StarDomain, order: int | None = None) -> float:
+def exact_volume(d: StarDomain) -> float:
     """V(t) = (1/n) * integral of r^n over the unit sphere."""
-    quad = SphereQuadrature(d.n, order or default_quad_order())
+    quad = SphereQuadrature(d.n, default_quad_order())
     r = d.radius(quad.directions)
     if np.any(r <= 0.0):
         raise ValueError("domain is not star-shaped: r <= 0 at some direction")
     return quad.integrate(r**d.n) / d.n
 
 
-def exact_surface_area(d: StarDomain, order: int | None = None) -> float:
-    quad = SphereQuadrature(d.n, order or default_quad_order())
+def exact_surface_area(d: StarDomain) -> float:
+    quad = SphereQuadrature(d.n, default_quad_order())
     r = d.radius(quad.directions)
     if np.any(r <= 0.0):
         raise ValueError("domain is not star-shaped: r <= 0 at some direction")
@@ -322,20 +327,14 @@ def normal_trace(v: AmbientField, R: float, quad: SphereQuadrature) -> np.ndarra
     return np.einsum("qi,qi->q", v(x), quad.directions)
 
 
-def project_normal_trace(
-    v: AmbientField,
-    n: int,
-    R: float,
-    max_degree: int = 24,
-    order: int | None = None,
-) -> BoundaryFunction:
+def project_normal_trace(v: AmbientField, n: int, R: float) -> BoundaryFunction:
     """Expand v.nu on the sphere of radius R over orthonormal harmonics.
 
-    Exact for band-limited traces with degree <= max_degree (up to quadrature
-    roundoff); coefficients below 1e-13 of the largest are dropped.
+    Exact for band-limited traces with degree <= PROJECTION_DEGREE (up to
+    quadrature roundoff); coefficients below 1e-13 of the largest are dropped.
     """
-    quad = SphereQuadrature(n, order or default_quad_order())
-    basis = HarmonicBasis(n, max_degree, quad)
+    quad = SphereQuadrature(n, default_quad_order())
+    basis = HarmonicBasis(n, PROJECTION_DEGREE, quad)
     coeffs = basis.project(normal_trace(v, R, quad))
     scale = max(abs(c) for c in coeffs.values()) if coeffs else 0.0
     return {si: c for si, c in coeffs.items() if abs(c) > 1e-13 * scale}
@@ -350,15 +349,13 @@ def surface_divergence(v: AmbientField, x) -> np.ndarray:
     return div - np.einsum("...i,...ij,...j->...", nu, jac, nu)
 
 
-def volume_completion_field(
-    v: AmbientField, n: int, R: float, order: int | None = None
-) -> AmbientField:
+def volume_completion_field(v: AmbientField, n: int, R: float) -> AmbientField:
     """Constant-normal w making (v, w) volume preserving of second order.
 
     Solves the boundary form of the second-order volume condition:
     integral of (v.nu) div v - nu.(D_v v) + w.nu over the sphere = 0.
     """
-    quad = SphereQuadrature(n, order or default_quad_order())
+    quad = SphereQuadrature(n, default_quad_order())
     x = R * quad.directions
     vx = v(x)
     jac = v.jacobian(x)
@@ -415,11 +412,7 @@ def surface_second_variation(N: BoundaryFunction, n: int, R: float) -> float:
 
 
 def surface_second_variation_general(
-    v: AmbientField,
-    w: AmbientField,
-    n: int,
-    R: float,
-    order: int | None = None,
+    v: AmbientField, w: AmbientField, n: int, R: float
 ) -> float:
     """Area second variation for arbitrary ambient (v, w) by quadrature:
 
@@ -429,7 +422,7 @@ def surface_second_variation_general(
     Reduces to `surface_second_variation` when (v, w) is volume preserving
     of second order.
     """
-    quad = SphereQuadrature(n, order or default_quad_order())
+    quad = SphereQuadrature(n, default_quad_order())
     x = R * quad.directions
     nu = quad.directions
     vx = v(x)

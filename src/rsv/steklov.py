@@ -79,13 +79,14 @@ class SteklovSpectrum:
             for s in range(max_degree + 1)
         ]
 
-    def smallest_positive_mu(self, min_degree: int = 1, search_to: int = 64) -> float:
+    def smallest_positive_mu(self, min_degree: int = 1) -> float:
         """min over s >= min_degree of mu_s restricted to mu_s > 0.
 
-        mu_s is increasing and unbounded in s, so a finite scan suffices.
+        mu_s is increasing and unbounded in s, so a scan up to degree 64
+        suffices.
         """
         best = None
-        for s in range(min_degree, search_to + 1):
+        for s in range(min_degree, 64 + 1):
             m = self.mu(s)
             if m > RESONANCE_TOL and (best is None or m < best):
                 best = m

@@ -55,6 +55,7 @@ INDEFINITE = "Indefinite"
 KERNEL = "Kernel"
 
 _SIGN_TOL = 1e-11
+_SIGN_SEARCH_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,10 @@ def _classify_value(value: float, scale: float = 1.0) -> str:
     return KERNEL
 
 
-def _boundary_integral_N(sol_n: int, R: float, N, order: int | None = None) -> float:
+def _boundary_integral_N(sol_n: int, R: float, N) -> float:
     """int N dS over the boundary sphere, N given as coeffs or ambient field."""
     if isinstance(N, AmbientField):
-        quad = SphereQuadrature(sol_n, order or default_quad_order())
+        quad = SphereQuadrature(sol_n, default_quad_order())
         return R ** (sol_n - 1) * quad.integrate(normal_trace(N, R, quad))
     c0 = N.get((0, 0), 0.0)
     return R ** (sol_n - 1) * c0 * math.sqrt(sphere_measure(sol_n))
@@ -158,24 +159,19 @@ def _mode_table(sd: ShapeDerivative) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(per_degree.items()))
 
 
-def second_variation_quadrature(
-    sd: ShapeDerivative,
-    N: BoundaryFunction,
-    W: BoundaryFunction | None = None,
-    order: int | None = None,
-) -> float:
+def second_variation_quadrature(sd: ShapeDerivative, N: BoundaryFunction) -> float:
     """Boundary-functional form of the Hadamard second variation:
 
         -2 int (du'/dnu + alpha u') u' dS
         + alpha u(R)^2 int m''(0) dS
         + (2 alpha u(R)/k_g) int (du'/dnu + alpha u')^2 dS,
 
-    with m''(0) built from the radial extensions of (N, W)."""
+    with m''(0) built from the radial extensions of N and of its
+    second-order volume correction W."""
     sol = sd.sol
     n, R, alpha = sol.n, sol.R, sol.alpha
-    if W is None:
-        W = second_order_volume_correction(N, n, R)
-    quad = SphereQuadrature(n, order or default_quad_order())
+    W = second_order_volume_correction(N, n, R)
+    quad = SphereQuadrature(n, default_quad_order())
     v = radial_harmonic_field(n, R, N)
     w = radial_harmonic_field(n, R, W)
     m2 = surface_element_m2(v, w, R, quad)
@@ -195,11 +191,7 @@ def second_variation_quadrature(
     return out
 
 
-def _hadamard_second_variation(
-    sol: RadialSolution,
-    N: BoundaryFunction,
-    order: int | None = None,
-) -> VariationReport:
+def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> VariationReport:
     if abs(boundary_mean(sol.n, N)) > 1e-12:
         raise ValueError("N must be mean-free (first-order volume preservation)")
     sd = shape_derivative_uprime(sol, N)
@@ -210,7 +202,7 @@ def _hadamard_second_variation(
     F = -2.0 * Q + 2.0 * alpha * uR * kg * norm_sq
     value = alpha * uR**2 * sdd + F
 
-    by_quadrature = second_variation_quadrature(sd, N, order=order)
+    by_quadrature = second_variation_quadrature(sd, N)
     scale = max(1.0, abs(value))
     if abs(by_quadrature - value) > 1e-8 * scale:
         raise ArithmeticError(
@@ -242,24 +234,22 @@ def _hadamard_second_variation(
     )
 
 
-def second_variation_energy_ball(
-    sol: RadialSolution, N: BoundaryFunction, order: int | None = None
-) -> VariationReport:
+def second_variation_energy_ball(sol: RadialSolution, N: BoundaryFunction) -> VariationReport:
     """E''(0) for the torsion energy under volume-preserving Hadamard data."""
     if sol.kind != TORSION:
         raise ValueError("use second_variation_eigenvalue_ball for eigenvalues")
-    return _hadamard_second_variation(sol, N, order=order)
+    return _hadamard_second_variation(sol, N)
 
 
 def second_variation_eigenvalue_ball(
-    sol: RadialSolution, N: BoundaryFunction, order: int | None = None
+    sol: RadialSolution, N: BoundaryFunction
 ) -> VariationReport:
     """lam''(0) = -2 Q(u') + 2 alpha u(R) k int N^2 dS + alpha u(R)^2 S''(0),
     for the normalized first Robin eigenfunction; checks the lower bound
     lam''(0) >= alpha u(R)^2 S''(0)."""
     if sol.kind != ROBIN_EIGEN:
         raise ValueError("needs the first Robin eigenstate")
-    report = _hadamard_second_variation(sol, N, order=order)
+    report = _hadamard_second_variation(sol, N)
     floor = sol.alpha * sol.boundary_value() ** 2 * report.Sddot0
     if report.Eddot0 < floor - 1e-12 * max(1.0, abs(floor)):
         raise ArithmeticError(
@@ -333,13 +323,12 @@ class SignClassification:
     searched_degrees: int
 
 
-def classify_torsion_sign(
-    n: int, R: float, alpha: float, search_depth: int = 12
-) -> SignClassification:
+def classify_torsion_sign(n: int, R: float, alpha: float) -> SignClassification:
     """Sign of the torsion second variation over volume-preserving data.
 
     Scans per-degree values e_s = E''(0) for unit-norm data concentrated at
-    degree s >= 2 (degree 1 is the translation kernel).  Returns the first
+    degree s >= 2 (degree 1 is the translation kernel), up to degree
+    max(_SIGN_SEARCH_DEPTH, ceil(-alpha R) + 2).  Returns the first
     positive and first negative witness when both signs occur.
     """
     if alpha == 0.0:
@@ -347,7 +336,7 @@ def classify_torsion_sign(
     sol = solve_torsion_ball(n, R, alpha)
     spec = SteklovSpectrum(sol)
     uR, kg = sol.boundary_value(), sol.k_g()
-    depth = max(search_depth, int(math.ceil(-alpha * R)) + 2)
+    depth = max(_SIGN_SEARCH_DEPTH, int(math.ceil(-alpha * R)) + 2)
     values: list[tuple[int, float]] = []
     for s in range(2, depth + 1):
         mu = spec.mu(s)
@@ -381,18 +370,12 @@ def classify_torsion_sign(
 # ---------------------------------------------------------------------------
 
 
-def second_variation_general(
-    sol: RadialSolution,
-    v: AmbientField,
-    w: AmbientField,
-    order: int | None = None,
-    max_degree: int = 24,
-) -> float:
+def second_variation_general(sol: RadialSolution, v: AmbientField, w: AmbientField) -> float:
     """Full boundary-integral second variation of the torsion energy for
     arbitrary ambient fields (v, w); no volume constraint is assumed.
 
     u' carries the boundary data (du'/dnu + alpha u') = k_g (v.nu), obtained
-    by projecting v.nu onto harmonics up to max_degree.  For fields that are
+    by projecting v.nu with `project_normal_trace`.  For fields that are
     volume preserving to second order the result coincides with
     second_variation_energy_ball(v.nu) and is independent of the tangential
     part of v and of w.
@@ -400,7 +383,7 @@ def second_variation_general(
     if sol.kind != TORSION:
         raise ValueError("general evaluator covers the torsion energy")
     n, R, alpha = sol.n, sol.R, sol.alpha
-    quad = SphereQuadrature(n, order or default_quad_order())
+    quad = SphereQuadrature(n, default_quad_order())
     x = R * quad.directions
     nu = quad.directions
     vx = v(x)
@@ -421,7 +404,7 @@ def second_variation_general(
     nu_Dv_nu = np.einsum("qi,qij,qj->q", nu, Dv, nu)
     v_sq = np.einsum("qi,qi->q", vx, vx)
 
-    N_coeffs = project_normal_trace(v, n, R, max_degree=max_degree, order=quad.order)
+    N_coeffs = project_normal_trace(v, n, R)
     sd = shape_derivative_uprime(sol, N_coeffs)
     trace = sd.robin_trace_values(quad.directions)
 
@@ -461,9 +444,7 @@ def _dirichlet_mode_log_derivative(n: int, R: float, k: float, s: int) -> float:
     return s / R - k * bessel_j(nu + 1.0, k * R) / j
 
 
-def dirichlet_variations(
-    n: int, R: float, N: BoundaryFunction, order: int | None = None
-) -> VariationReport:
+def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationReport:
     """Dirichlet counterpart quantities on the ball for Hadamard data N:
 
     - first eigenvalue lam_D and the classical second-variation series
@@ -502,7 +483,7 @@ def dirichlet_variations(
 
     # torsion energy with Dirichlet boundary: u = (R^2 - r^2)/(2n)
     ur_tor = -R / n
-    quad = SphereQuadrature(n, order or default_quad_order())
+    quad = SphereQuadrature(n, default_quad_order())
     c_tor = {si: -ur_tor * bv for si, bv in b.items()}
     # u' is harmonic with trace sum c Y / R^{(n-1)/2}
     Q_tor = sum(cc * cc * s / R for (s, _i), cc in c_tor.items())

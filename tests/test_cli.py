@@ -1,6 +1,7 @@
 """End-to-end checks of the report runner: exit codes, report files,
 byte-level determinism, and the embedded assertions."""
 import math
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from rsv.cli import main
 from rsv.radial_solutions import solve_torsion_ball
 from rsv.sphere_geometry import PerturbationField
-from rsv.variations import second_variation_energy_ball
+from rsv.variations import classify_torsion_sign, second_variation_energy_ball
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -114,16 +115,27 @@ def test_classify_indefinite_two_witnesses(tmp_path):
     assert "witness_negative_degree = 3" in kv
 
 
-def test_seed_changes_nothing_without_ties(tmp_path):
+def test_classify_indefinite_row_order(tmp_path):
+    # the positive witness comes first in both files
     cfg = write_config(tmp_path, alpha="-2.5")
-    outs = []
-    for seed in ("7", "8"):
-        out = tmp_path / f"seed{seed}"
-        assert main(
-            ["classify", "--config", str(cfg), "--out", str(out), "--seed", seed]
-        ) == 0
-        outs.append((out / "classify.kv").read_bytes())
-    assert outs[0] == outs[1]
+    assert main(["classify", "--config", str(cfg)]) == 0
+    (pos, pos_value), (neg, neg_value) = classify_torsion_sign(2, 1.0, -2.5).witnesses
+    assert (pos, neg) == (2, 3) and pos_value > 0.0 > neg_value
+    kv = (tmp_path / "reports" / "classify.kv").read_text().splitlines()
+    assert kv[4:10] == [
+        "classification = Indefinite",
+        "searched_degrees = 12",
+        "witness_positive_degree = 2",
+        f"witness_positive_value = {pos_value!r}",
+        "witness_negative_degree = 3",
+        f"witness_negative_value = {neg_value!r}",
+    ]
+    tsv = (tmp_path / "reports" / "classify.tsv").read_text()
+    assert tsv.splitlines() == [
+        "role\tdegree\tvalue",
+        f"positive\t2\t{pos_value!r}",
+        f"negative\t3\t{neg_value!r}",
+    ]
 
 
 def test_format_flag_selects_single_file(tmp_path):
@@ -323,19 +335,39 @@ def test_coefficient_file_dimension_mismatch(tmp_path, capsys):
     assert "perturbation.coefficients" in capsys.readouterr().err
 
 
-def test_quadrature_order_override(tmp_path, monkeypatch):
-    # pre-touch the variable so the config-driven write is restored after
-    monkeypatch.setenv("RSV_QUAD_ORDER", "64")
-    path = tmp_path / "cfg.yaml"
+def quadrature_config(tmp_path, order):
+    path = tmp_path / f"order{order}.yaml"
     path.write_text(
-        config_text(tmp_path / "reports", extra="").replace(
-            "oracle:\n", "oracle:\n  quadrature_order: 96\n"
+        config_text(tmp_path / "reports").replace(
+            "oracle:\n", f"oracle:\n  quadrature_order: {order}\n"
         )
     )
-    import os
+    return path
 
-    assert main(["second-variation", "--config", str(path)]) == 0
-    assert os.environ["RSV_QUAD_ORDER"] == "96"
+
+def second_variation_kv(config, out) -> bytes:
+    before = dict(os.environ)
+    assert main(["second-variation", "--config", str(config), "--out", str(out)]) == 0
+    assert dict(os.environ) == before
+    return (out / "second-variation.kv").read_bytes()
+
+
+def test_quadrature_order_override(tmp_path, monkeypatch):
+    # the config field and the variable set by the caller are one channel
+    monkeypatch.delenv("RSV_QUAD_ORDER", raising=False)
+    from_config = second_variation_kv(quadrature_config(tmp_path, 96), tmp_path / "a")
+    monkeypatch.setenv("RSV_QUAD_ORDER", "96")
+    from_env = second_variation_kv(write_config(tmp_path), tmp_path / "b")
+    assert from_config == from_env
+
+
+def test_config_quadrature_order_applies_to_its_run_only(tmp_path, monkeypatch):
+    monkeypatch.delenv("RSV_QUAD_ORDER", raising=False)
+    plain = write_config(tmp_path)
+    lone = second_variation_kv(plain, tmp_path / "lone")
+    coarse = second_variation_kv(quadrature_config(tmp_path, 8), tmp_path / "coarse")
+    assert coarse != lone
+    assert second_variation_kv(plain, tmp_path / "after") == lone
 
 
 def test_module_runs_as_script(tmp_path):

@@ -30,9 +30,12 @@ from rsv.radial_solutions import (
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
+from rsv.special_functions import SphereQuadrature
 from rsv.sphere_geometry import (
     PerturbationField,
     StarDomain,
+    exact_surface_area,
+    exact_volume,
     perturbed_domain,
     second_order_volume_correction,
     surface_second_variation,
@@ -106,8 +109,23 @@ def test_unperturbed_disk_matches_ball():
     rho = np.linspace(0.05, 0.95, 9)
     theta = np.linspace(0.0, 6.0, 9)
     assert np.max(np.abs(sol.values(rho, theta) - ball.u(rho))) <= 1e-10
-    assert sol.volume == pytest.approx(PI, abs=1e-12)
-    assert sol.surface == pytest.approx(2.0 * PI, abs=1e-12)
+
+
+def test_solves_build_no_sphere_quadrature(monkeypatch):
+    # area and volume are the sweep's to compute, not every solve's
+    init = SphereQuadrature.__init__
+    builds = []
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SphereQuadrature, "__init__", counting)
+    d = perturbed_domain(pfield(3, 1.0, {(2, 2): 0.1, (3, 3): -0.06, (4, 4): 0.04}), 0.02)
+    solve_perturbed_torsion(d, 1.0, modes=28)
+    assert builds == []
+    solve_perturbed_eigen(d, 1.0, modes=8)
+    assert builds == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -658,8 +676,12 @@ def test_sign_change_region_oracle():
 
 def test_sweep_rows_torsion():
     p = pfield(2, 1.0, COS2T)
-    rows = sweep_rows(p, 1.0, TORSION, [-0.02, 0.0, 0.02], modes=16)
+    ts = [-0.02, 0.0, 0.02]
+    rows = sweep_rows(p, 1.0, TORSION, ts, modes=16)
     assert len(rows) == 3
+    for t, row in zip(ts, rows):
+        d = perturbed_domain(p, t)
+        assert row[3] == exact_surface_area(d) and row[4] == exact_volume(d)
     t, E, lam, S, V = rows[1]
     assert t == 0.0
     assert E == pytest.approx(-5.0 * PI / 8.0, abs=1e-10)

@@ -358,7 +358,7 @@ def test_general_evaluates_the_jacobian_of_v_once(monkeypatch, n, N):
         return jacobian(x)
 
     v.jacobian = counting
-    got = second_variation_general(sol, v, w, order=64)
+    got = second_variation_general(sol, v, w)
     assert len(calls) == 1
     # the former route: surface_element_m2 took the Jacobians of v and w itself
     with monkeypatch.context() as patch:
@@ -367,7 +367,7 @@ def test_general_evaluates_the_jacobian_of_v_once(monkeypatch, n, N):
             "_surface_element_m2",
             lambda Dv, Dw, nu: surface_element_m2(v, w, 1.0, SphereQuadrature(n, 64)),
         )
-        former = second_variation_general(sol, v, w, order=64)
+        former = second_variation_general(sol, v, w)
     assert len(calls) == 3
     assert got == former
 

@@ -10,8 +10,9 @@ Runs every subcommand that applies to each reference config and writes
     OUT_DIR/status.tsv                     config, subcommand, exit code
 
 The reference configs are the README experiment for all three kinds, n = 2
-band-limited data, n = 3 zonal data (all three kinds each), and one torsion
-config with R != 1.  rsv is imported from the `src/` next to this script,
+band-limited data, n = 3 zonal data (all three kinds each), one torsion
+config with R != 1, and, last, the README torsion and dirichlet-eigen
+configs with `oracle.quadrature_order: 96`.  rsv is imported from the `src/` next to this script,
 and RSV_QUAD_ORDER / RSV_FD_H are cleared first, so the files depend only
 on the code.  Nothing in them names a path or a time.
 
@@ -46,8 +47,9 @@ BAND_MODES = [[2, 0, 0.08], [2, 1, -0.05], [3, 0, 0.06], [3, 1, 0.04], [4, 1, -0
 ZONAL_MODES = [[2, 2, 0.1], [3, 3, -0.06], [4, 4, 0.04]]
 
 
-def config_yaml(n, R, alpha, kind, modes, oracle_modes, levels) -> str:
+def config_yaml(n, R, alpha, kind, modes, oracle_modes, levels, quad_order=None) -> str:
     rows = "\n".join(f"    - [{s}, {i}, {c!r}]" for s, i, c in modes)
+    order = "" if quad_order is None else f"  quadrature_order: {quad_order}\n"
     return (
         "problem:\n"
         f"  n: {n}\n"
@@ -62,6 +64,7 @@ def config_yaml(n, R, alpha, kind, modes, oracle_modes, levels) -> str:
         f"  modes: {oracle_modes}\n"
         "  h: 5.0e-3\n"
         f"  richardson_levels: {levels}\n"
+        f"{order}"
         "output:\n"
         "  formats: [kv, table]\n"
     )
@@ -79,6 +82,11 @@ def reference_configs() -> dict[str, tuple[str, str]]:
     configs["n2-R2-torsion"] = (
         "torsion", config_yaml(2, 2.0, 0.75, "torsion", [[2, 0, 0.1], [3, 1, 0.05]], 0, 1)
     )
+    # last, so that an order that outlived its run could reach no other config
+    for kind in ("torsion", "dirichlet-eigen"):
+        configs[f"readme-{kind}-order96"] = (
+            kind, config_yaml(2, 1.0, 1.0, kind, README_MODES, 0, 2, quad_order=96)
+        )
     return configs
 
 
