@@ -6,10 +6,15 @@ report files (no timestamps, no machine state), and exits 0 only when
 every consistency assertion embedded in that report holds.
 
 Subcommands: first-variation, second-variation, steklov, surface,
-classify, dirichlet, sweep.  Environment overrides: RSV_QUAD_ORDER (sphere
-quadrature order, read by `sphere_geometry.default_quad_order`) and RSV_FD_H
-(finite-difference step for the oracle curves).  A config's
-`oracle.quadrature_order` sets RSV_QUAD_ORDER for that run only.
+classify, dirichlet, sweep.  `run` builds every report: the problem
+header, the empty-perturbation check of NEEDS_MODES, then the
+subcommand's runner.
+
+Environment overrides, checked by the loader before any computation:
+RSV_QUAD_ORDER (sphere quadrature order, read by
+`special_functions.default_quad_order`) and RSV_FD_H (finite-difference
+step for the oracle curves).  A config's `oracle.quadrature_order` sets
+RSV_QUAD_ORDER for that run only.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from .radial_solutions import (
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
-from .special_functions import multiplicity
+from .special_functions import default_quad_order, multiplicity
 from .sphere_geometry import (
     PerturbationField,
     boundary_mean,
@@ -56,15 +61,6 @@ from .variations import (
     second_variation_eigenvalue_ball,
 )
 
-SUBCOMMANDS = (
-    "first-variation",
-    "second-variation",
-    "steklov",
-    "surface",
-    "classify",
-    "dirichlet",
-    "sweep",
-)
 KINDS = (TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN)
 
 EXIT_OK = 0
@@ -149,16 +145,20 @@ def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
             "perturbation: give either `modes` or `coefficients`, not both"
         )
     if path is not None:
-        file = Path(path)
-        if not file.is_file():
+        if not isinstance(path, str) or not Path(path).is_file():
             raise ConfigError(f"perturbation.coefficients: no such file {path!r}")
-        p = PerturbationField.from_text(file.read_text())
+        try:
+            p = PerturbationField.from_text(Path(path).read_text())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"perturbation.coefficients: unreadable {path!r}: {exc!r}")
         if p.n != n or p.R != R:
             raise ConfigError(
                 f"perturbation.coefficients: file is for n={p.n}, R={p.R!r}; "
                 f"the problem block says n={n}, R={R!r}"
             )
         return p
+    if not isinstance(modes, (list, type(None))):
+        raise ConfigError(f"perturbation.modes: expected a list of modes, got {modes!r}")
     N: dict[tuple[int, int], float] = {}
     for row in modes or []:
         if not (isinstance(row, list) and len(row) == 3):
@@ -177,6 +177,10 @@ def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
         N[(s, i)] = N.get((s, i), 0.0) + c
     p = PerturbationField(n, R, N, {})
     explicit = block.get("volume_correction")
+    if not isinstance(explicit, (bool, type(None))):
+        raise ConfigError(
+            f"perturbation.volume_correction: expected true or false, got {explicit!r}"
+        )
     if explicit is None:
         # default: complete to second-order volume preservation when possible
         if p.volume_preserving_first_order():
@@ -246,9 +250,16 @@ def load_config(path: str) -> ExperimentConfig:
     quad_order = 0
     if oracle.get("quadrature_order") is not None:
         quad_order = _integer(oracle, "oracle", "quadrature_order", None, 1)
+    else:
+        try:
+            default_quad_order()  # the order this run will use
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     output = _block(doc, "output")
-    out_dir = str(output.get("directory", "reports"))
+    out_dir = output.get("directory", "reports")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output.directory: expected a path, got {out_dir!r}")
     formats = output.get("formats", ["kv", "table"])
     if not isinstance(formats, list) or not formats:
         raise ConfigError("output.formats: expected a non-empty list")
@@ -349,11 +360,6 @@ def render_table(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_modes(cfg: ExperimentConfig, sub: str) -> None:
-    if not cfg.perturbation.N:
-        raise ConfigError(f"perturbation.modes: `{sub}` needs at least one mode")
-
-
 def _ball_state(cfg: ExperimentConfig):
     if cfg.kind == TORSION:
         if cfg.alpha == 0.0:
@@ -366,114 +372,87 @@ def _ball_state(cfg: ExperimentConfig):
     return solve_dirichlet_eigen_ball(cfg.n, cfg.R)
 
 
-def _energy_curve(cfg: ExperimentConfig):
-    if cfg.kind == TORSION:
-        modes = cfg.oracle_modes or 28
-        return torsion_energy_curve(cfg.perturbation, cfg.alpha, modes)
-    modes = cfg.oracle_modes or 20
-    return eigenvalue_curve(cfg.perturbation, cfg.alpha, modes, cfg.kind)
-
-
-def _derivatives(cfg: ExperimentConfig, curve):
+def _oracle(cfg: ExperimentConfig, curve=None):
+    """Oracle derivatives at t = 0 of `curve`; by default the torsion energy
+    or first eigenvalue along the config's family."""
+    if curve is None and cfg.kind == TORSION:
+        curve = torsion_energy_curve(cfg.perturbation, cfg.alpha, cfg.oracle_modes or 28)
+    elif curve is None:
+        curve = eigenvalue_curve(cfg.perturbation, cfg.alpha, cfg.oracle_modes or 20, cfg.kind)
     return finite_difference_derivatives(
         curve, h=cfg.h, richardson_levels=cfg.richardson_levels
     )
 
 
-def _boundary_integral(cfg: ExperimentConfig) -> float:
-    """int N dS over the boundary sphere of radius R."""
-    return (
-        boundary_mean(cfg.n, cfg.perturbation.N)
-        * sphere_measure(cfg.n)
-        * cfg.R ** (cfg.n - 1)
-    )
-
-
-def _problem_header(report: Report, cfg: ExperimentConfig) -> None:
-    report.add("kind", cfg.kind)
-    report.add("n", cfg.n)
-    report.add("R", cfg.R)
-    report.add("alpha", cfg.alpha)
-
-
-def run_first_variation(cfg: ExperimentConfig) -> Report:
-    _require_modes(cfg, "first-variation")
-    report = Report("first-variation")
+def _second_variation(cfg: ExperimentConfig):
+    """The closed-form second variation at the ball for the config's kind."""
     sol = _ball_state(cfg)
+    try:
+        if cfg.kind == TORSION:
+            return second_variation_energy_ball(sol, cfg.perturbation.N)
+        if cfg.kind == ROBIN_EIGEN:
+            return second_variation_eigenvalue_ball(sol, cfg.perturbation.N)
+        return dirichlet_variations(cfg.n, cfg.R, cfg.perturbation.N)
+    except ValueError as exc:
+        raise ConfigError(f"perturbation.modes: {exc}")
+
+
+def run_first_variation(cfg: ExperimentConfig, report: Report) -> None:
+    sol = _ball_state(cfg)
+    N = cfg.perturbation.N
     if cfg.kind == TORSION:
         base = sol.energy()
-        series = first_variation_energy(sol, cfg.perturbation.N)
+        series = first_variation_energy(sol, N)
     elif cfg.kind == ROBIN_EIGEN:
         base = sol.lam
-        series = first_variation_eigenvalue(sol, cfg.perturbation.N)
+        series = first_variation_eigenvalue(sol, N)
     else:
         base = sol.lam
-        # Hadamard formula for a simple Dirichlet eigenvalue
-        series = -sol.boundary_slope() ** 2 * _boundary_integral(cfg)
-    der = _derivatives(cfg, _energy_curve(cfg))
-    d1, d1_err = der.d1, der.d1_error
+        # Hadamard formula for a simple Dirichlet eigenvalue: -u_r(R)^2 int N dS
+        int_N = boundary_mean(cfg.n, N) * sphere_measure(cfg.n) * cfg.R ** (cfg.n - 1)
+        series = -sol.boundary_slope() ** 2 * int_N
+    der = _oracle(cfg)
 
-    _problem_header(report, cfg)
     report.add("value_at_ball", base)
     report.add("first_variation_series", series)
-    report.add("oracle_d1", d1)
-    report.add("oracle_d1_error_estimate", d1_err)
+    report.add("oracle_d1", der.d1)
+    report.add("oracle_d1_error_estimate", der.d1_error)
     scale = max(1.0, abs(base))
-    report.check_close("series_vs_oracle", series, d1, 1e-6, scale)
+    report.check_close("series_vs_oracle", series, der.d1, 1e-6, scale)
     if cfg.perturbation.volume_preserving_first_order():
         report.check(
             "critical_at_ball",
-            abs(series) <= 1e-10 * scale and abs(d1) <= 1e-6 * scale,
-            f"series {series!r}, oracle {d1!r} (volume-preserving data)",
+            abs(series) <= 1e-10 * scale and abs(der.d1) <= 1e-6 * scale,
+            f"series {series!r}, oracle {der.d1!r} (volume-preserving data)",
         )
     report.table_header = ("quantity", "value")
-    report.table_rows = [(name, value) for name, value in report.pairs]
-    return report
+    report.table_rows = list(report.pairs)
 
 
-def run_second_variation(cfg: ExperimentConfig) -> Report:
-    _require_modes(cfg, "second-variation")
-    report = Report("second-variation")
-    sol = _ball_state(cfg)
-    _problem_header(report, cfg)
-    try:
-        if cfg.kind == TORSION:
-            var = second_variation_energy_ball(sol, cfg.perturbation.N)
-        elif cfg.kind == ROBIN_EIGEN:
-            var = second_variation_eigenvalue_ball(sol, cfg.perturbation.N)
-        else:
-            var = dirichlet_variations(cfg.n, cfg.R, cfg.perturbation.N)
-    except ValueError as exc:
-        raise ConfigError(f"perturbation.modes: {exc}")
-    der = _derivatives(cfg, _energy_curve(cfg))
-    d2, d2_err = der.d2, der.d2_error
+def run_second_variation(cfg: ExperimentConfig, report: Report) -> None:
+    var = _second_variation(cfg)
+    der = _oracle(cfg)
 
-    for name, value in zip(
-        ("value_at_ball", "first_variation", "second_variation"),
-        (var.E0, var.Edot0, var.Eddot0),
-    ):
-        report.add(name, value)
-    if var.Sddot0 is not None:
-        report.add("surface_second_variation", var.Sddot0)
-    if var.F_series is not None:
-        report.add("F_series", var.F_series)
-    if var.Q is not None:
-        report.add("Q_form", var.Q)
-    if var.bound_i is not None:
-        report.add("lower_bound_uniform", var.bound_i)
-    if var.bound_ii is not None:
-        report.add("lower_bound_refined", var.bound_ii)
-    if var.classification is not None:
-        report.add("classification", var.classification)
-    for name in sorted(var.extras):
-        report.add(name, var.extras[name])
-    report.add("oracle_d2", d2)
-    report.add("oracle_d2_error_estimate", d2_err)
+    for name, value in [
+        ("value_at_ball", var.E0),
+        ("first_variation", var.Edot0),
+        ("second_variation", var.Eddot0),
+        ("surface_second_variation", var.Sddot0),
+        ("F_series", var.F_series),
+        ("Q_form", var.Q),
+        ("lower_bound_uniform", var.bound_i),
+        ("lower_bound_refined", var.bound_ii),
+        ("classification", var.classification),
+        *sorted(var.extras.items()),
+        ("oracle_d2", der.d2),
+        ("oracle_d2_error_estimate", der.d2_error),
+    ]:
+        if value is not None:
+            report.add(name, value)
 
     scale = max(1.0, abs(var.Eddot0))
-    match = abs(var.Eddot0 - d2) <= 1e-3 * scale
-    report.add("oracle_match", match)
-    report.check_close("series_vs_oracle", var.Eddot0, d2, 1e-3, scale)
+    report.add("oracle_match", abs(var.Eddot0 - der.d2) <= 1e-3 * scale)
+    report.check_close("series_vs_oracle", var.Eddot0, der.d2, 1e-3, scale)
     quadrature = var.extras.get("Eddot0_quadrature")
     if quadrature is not None:
         report.check_close(
@@ -489,21 +468,18 @@ def run_second_variation(cfg: ExperimentConfig) -> Report:
 
     report.table_header = ("degree", "contribution")
     report.table_rows = list(var.modes)
-    return report
 
 
-def run_steklov(cfg: ExperimentConfig) -> Report:
+def run_steklov(cfg: ExperimentConfig, report: Report) -> None:
     if cfg.kind == DIRICHLET_EIGEN:
         raise ConfigError(
             "problem.kind: the Steklov decomposition needs torsion or robin-eigen"
         )
-    report = Report("steklov")
     sol = _ball_state(cfg)
     spectrum = SteklovSpectrum(sol)
     depth = cfg.oracle_modes or 12
     table = spectrum.table(depth)
 
-    _problem_header(report, cfg)
     report.add("max_degree", depth)
     report.table_header = ("degree", "mu", "multiplicity")
     report.table_rows = list(table)
@@ -530,46 +506,38 @@ def run_steklov(cfg: ExperimentConfig) -> Report:
         L = spectrum.mu(1) - (cfg.alpha - (cfg.n - 1) / cfg.R + sol.lam / cfg.alpha)
         report.add("degree_one_defect_L", L)
         report.check("degree_one_identity", abs(L) <= 1e-10, f"L = {L!r}")
-    return report
 
 
-def run_surface(cfg: ExperimentConfig) -> Report:
-    _require_modes(cfg, "surface")
-    report = Report("surface")
+def run_surface(cfg: ExperimentConfig, report: Report) -> None:
     if not cfg.perturbation.volume_preserving_first_order():
         raise ConfigError(
             "perturbation.modes: the surface report needs mean-free data "
             "(drop the degree-0 mode)"
         )
     closed = surface_second_variation(cfg.perturbation.N, cfg.n, cfg.R)
-    der = _derivatives(cfg, surface_curve(cfg.perturbation))
-    d1, d2, d2_err = der.d1, der.d2, der.d2_error
+    der = _oracle(cfg, surface_curve(cfg.perturbation))
 
-    _problem_header(report, cfg)
     report.add("surface_second_variation", closed)
-    report.add("oracle_d1", d1)
-    report.add("oracle_d2", d2)
-    report.add("oracle_d2_error_estimate", d2_err)
+    report.add("oracle_d1", der.d1)
+    report.add("oracle_d2", der.d2)
+    report.add("oracle_d2_error_estimate", der.d2_error)
     scale = max(1.0, abs(closed))
-    report.check_close("closed_form_vs_oracle", closed, d2, 1e-6, scale)
+    report.check_close("closed_form_vs_oracle", closed, der.d2, 1e-6, scale)
     report.check(
-        "area_stationary", abs(d1) <= 1e-8 * scale, f"dS/dt at the ball = {d1!r}"
+        "area_stationary", abs(der.d1) <= 1e-8 * scale, f"dS/dt at the ball = {der.d1!r}"
     )
     report.table_header = ("quantity", "value")
-    report.table_rows = [(name, value) for name, value in report.pairs]
-    return report
+    report.table_rows = list(report.pairs)
 
 
-def run_classify(cfg: ExperimentConfig) -> Report:
+def run_classify(cfg: ExperimentConfig, report: Report) -> None:
     if cfg.kind != TORSION:
         raise ConfigError("problem.kind: classification applies to the torsion kind")
-    report = Report("classify")
     try:
         result = classify_torsion_sign(cfg.n, cfg.R, cfg.alpha)
     except ValueError as exc:
         raise ConfigError(f"problem.alpha: {exc}")
 
-    _problem_header(report, cfg)
     report.add("classification", result.classification)
     report.add("searched_degrees", result.searched_degrees)
     # at most one witness of each sign, so sorting by value puts the
@@ -591,32 +559,24 @@ def run_classify(cfg: ExperimentConfig) -> Report:
         consistent and (result.classification != INDEFINITE or len(rows) == 2),
         f"{result.classification} with witnesses {rows!r}",
     )
-    return report
 
 
-def run_dirichlet(cfg: ExperimentConfig) -> Report:
-    _require_modes(cfg, "dirichlet")
+def run_dirichlet(cfg: ExperimentConfig, report: Report) -> None:
     if cfg.kind != DIRICHLET_EIGEN:
         raise ConfigError("problem.kind: the dirichlet report needs kind dirichlet-eigen")
-    report = Report("dirichlet")
-    try:
-        var = dirichlet_variations(cfg.n, cfg.R, cfg.perturbation.N)
-    except ValueError as exc:
-        raise ConfigError(f"perturbation.modes: {exc}")
-    der = _derivatives(cfg, _energy_curve(cfg))
-    d2, d2_err = der.d2, der.d2_error
+    var = _second_variation(cfg)
+    der = _oracle(cfg)
 
-    _problem_header(report, cfg)
     report.add("eigenvalue_at_ball", var.E0)
     report.add("eigenvalue_second_variation", var.Eddot0)
     report.add("classification", var.classification)
     for name in sorted(var.extras):
         report.add(name, var.extras[name])
-    report.add("oracle_d2", d2)
-    report.add("oracle_d2_error_estimate", d2_err)
+    report.add("oracle_d2", der.d2)
+    report.add("oracle_d2_error_estimate", der.d2_error)
 
     scale = max(1.0, abs(var.Eddot0))
-    report.check_close("series_vs_oracle", var.Eddot0, d2, 1e-3, scale)
+    report.check_close("series_vs_oracle", var.Eddot0, der.d2, 1e-3, scale)
     gs = var.extras["gs_coefficient"]
     report.check(
         "degree_one_bound_coefficient", abs(gs) <= 1e-10, f"coefficient = {gs!r}"
@@ -628,19 +588,14 @@ def run_dirichlet(cfg: ExperimentConfig) -> Report:
     )
     report.table_header = ("degree", "contribution")
     report.table_rows = list(var.modes)
-    return report
 
 
-def run_sweep(cfg: ExperimentConfig) -> Report:
-    _require_modes(cfg, "sweep")
+def run_sweep(cfg: ExperimentConfig, report: Report) -> None:
     if not cfg.t_values:
         raise ConfigError("perturbation.t_values: the sweep needs a list of t values")
-    report = Report("sweep")
     modes = cfg.oracle_modes or 20
-
     rows = sweep_rows(cfg.perturbation, cfg.alpha, cfg.kind, cfg.t_values, modes=modes)
 
-    _problem_header(report, cfg)
     report.add("t_count", len(rows))
     report.table_header = ("t", "E", "lam", "S", "V")
     report.table_rows = [tuple(row) for row in rows]
@@ -661,7 +616,6 @@ def run_sweep(cfg: ExperimentConfig) -> Report:
             drift <= limit,
             f"max |V - V0| = {drift:.3e} (limit {limit:.3e})",
         )
-    return report
 
 
 RUNNERS = {
@@ -673,6 +627,20 @@ RUNNERS = {
     "dirichlet": run_dirichlet,
     "sweep": run_sweep,
 }
+# the reports that perturb the ball and so need at least one mode
+NEEDS_MODES = ("first-variation", "second-variation", "surface", "dirichlet", "sweep")
+
+
+def run(sub: str, cfg: ExperimentConfig) -> Report:
+    """The `sub` report for `cfg`: the problem header, then the runner's
+    values, table and checks."""
+    report = Report(sub)
+    for name in ("kind", "n", "R", "alpha"):
+        report.add(name, getattr(cfg, name))
+    if sub in NEEDS_MODES and not cfg.perturbation.N:
+        raise ConfigError(f"perturbation.modes: `{sub}` needs at least one mode")
+    RUNNERS[sub](cfg, report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +681,7 @@ def main(argv: list[str] | None = None) -> int:
             "nearly-spherical domains"
         ),
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="YAML experiment description")
     parser.add_argument("--out", default=None, help="report directory (overrides config)")
     parser.add_argument(
@@ -730,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.quad_order:
             # the library reads its quadrature order from this variable
             os.environ["RSV_QUAD_ORDER"] = str(cfg.quad_order)
-        report = RUNNERS[args.subcommand](cfg)
+        report = run(args.subcommand, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -720,13 +720,6 @@ def surface_curve(p: PerturbationField):
     return f
 
 
-def volume_curve(p: PerturbationField):
-    def f(t: float) -> float:
-        return exact_volume(perturbed_domain(p, t))
-
-    return f
-
-
 def sweep_rows(
     p: PerturbationField,
     alpha: float,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -440,17 +441,31 @@ def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def default_quad_order() -> int:
+    """Order of every sphere quadrature in the library: RSV_QUAD_ORDER, or 64."""
+    text = os.environ.get("RSV_QUAD_ORDER", "64")
+    try:
+        order = int(text)
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise ValueError(f"RSV_QUAD_ORDER: expected an integer >= 1, got {text!r}")
+    return order
+
+
 class SphereQuadrature:
     """Quadrature nodes/weights on the unit sphere S^{n-1}.
 
     n=2: trapezoid rule on the circle (spectrally accurate for periodic
     integrands).  n=3: Gauss-Legendre in cos(theta) x trapezoid in phi.
-    `weights` sum to the sphere measure (2 pi or 4 pi).
+    `weights` sum to the sphere measure (2 pi or 4 pi).  The order defaults
+    to `default_quad_order()`.
     """
 
-    def __init__(self, n: int, order: int = 64):
+    def __init__(self, n: int, order: int | None = None):
         if n not in (2, 3):
             raise ValueError("n must be 2 or 3")
+        order = default_quad_order() if order is None else order
         self.n = n
         self.order = order
         if n == 2:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,11 +28,6 @@ from .special_functions import (
 )
 
 BoundaryFunction = dict[tuple[int, int], float]
-
-
-def default_quad_order() -> int:
-    """Order of every sphere quadrature in the library: RSV_QUAD_ORDER, or 64."""
-    return int(os.environ.get("RSV_QUAD_ORDER", "64"))
 
 
 # harmonic degree up to which `project_normal_trace` expands a normal trace
@@ -101,13 +95,6 @@ class PerturbationField:
     def with_volume_correction(self) -> "PerturbationField":
         return replace(self, W=second_order_volume_correction(self.N, self.n, self.R))
 
-    def ambient_pair(self) -> tuple["AmbientField", "AmbientField"]:
-        """Radial extensions of (N, W) as ambient fields."""
-        return (
-            radial_harmonic_field(self.n, self.R, self.N),
-            radial_harmonic_field(self.n, self.R, self.W),
-        )
-
     def to_text(self) -> str:
         doc = {
             "n": self.n,
@@ -156,7 +143,7 @@ def perturbed_domain(p: PerturbationField, t: float) -> StarDomain:
 
 def exact_volume(d: StarDomain) -> float:
     """V(t) = (1/n) * integral of r^n over the unit sphere."""
-    quad = SphereQuadrature(d.n, default_quad_order())
+    quad = SphereQuadrature(d.n)
     r = d.radius(quad.directions)
     if np.any(r <= 0.0):
         raise ValueError("domain is not star-shaped: r <= 0 at some direction")
@@ -164,7 +151,7 @@ def exact_volume(d: StarDomain) -> float:
 
 
 def exact_surface_area(d: StarDomain) -> float:
-    quad = SphereQuadrature(d.n, default_quad_order())
+    quad = SphereQuadrature(d.n)
     r = d.radius(quad.directions)
     if np.any(r <= 0.0):
         raise ValueError("domain is not star-shaped: r <= 0 at some direction")
@@ -188,11 +175,10 @@ class AmbientField:
     shape, Jacobian has shape (..., n, n) with J[i, j] = d v_i / d x_j.
     """
 
-    def __init__(self, n: int, func, jac, label: str = ""):
+    def __init__(self, n: int, func, jac):
         self.n = n
         self._func = func
         self._jac = jac
-        self.label = label
 
     def __call__(self, x) -> np.ndarray:
         return self._func(np.asarray(x, dtype=float))
@@ -207,7 +193,6 @@ class AmbientField:
             self.n,
             lambda x: self._func(x) + other._func(x),
             lambda x: self._jac(x) + other._jac(x),
-            label=f"({self.label}+{other.label})",
         )
 
 
@@ -216,17 +201,6 @@ def zero_field(n: int) -> AmbientField:
         n,
         lambda x: np.zeros_like(x),
         lambda x: np.zeros(x.shape + (n,)),
-        label="0",
-    )
-
-
-def constant_field(n: int, b) -> AmbientField:
-    b = np.asarray(b, dtype=float)
-    return AmbientField(
-        n,
-        lambda x: np.broadcast_to(b, x.shape).copy(),
-        lambda x: np.zeros(x.shape + (n,)),
-        label="const",
     )
 
 
@@ -242,7 +216,7 @@ def linear_field(M, b=None) -> AmbientField:
     def jac(x):
         return np.broadcast_to(M, x.shape + (n,)).copy()
 
-    return AmbientField(n, func, jac, label="linear")
+    return AmbientField(n, func, jac)
 
 
 def rotation_field(n: int, speed: float = 1.0) -> AmbientField:
@@ -271,7 +245,7 @@ def radial_harmonic_field(n: int, R: float, coeffs: BoundaryFunction) -> Ambient
     def jac(x):
         return _radial_table(True, n, R, sign, items, x.shape, x.tobytes())
 
-    return AmbientField(n, func, jac, label="radial-harmonic")
+    return AmbientField(n, func, jac)
 
 
 @functools.lru_cache(maxsize=4, typed=True)
@@ -333,7 +307,7 @@ def project_normal_trace(v: AmbientField, n: int, R: float) -> BoundaryFunction:
     Exact for band-limited traces with degree <= PROJECTION_DEGREE (up to
     quadrature roundoff); coefficients below 1e-13 of the largest are dropped.
     """
-    quad = SphereQuadrature(n, default_quad_order())
+    quad = SphereQuadrature(n)
     basis = HarmonicBasis(n, PROJECTION_DEGREE, quad)
     coeffs = basis.project(normal_trace(v, R, quad))
     scale = max(abs(c) for c in coeffs.values()) if coeffs else 0.0
@@ -355,7 +329,7 @@ def volume_completion_field(v: AmbientField, n: int, R: float) -> AmbientField:
     Solves the boundary form of the second-order volume condition:
     integral of (v.nu) div v - nu.(D_v v) + w.nu over the sphere = 0.
     """
-    quad = SphereQuadrature(n, default_quad_order())
+    quad = SphereQuadrature(n)
     x = R * quad.directions
     vx = v(x)
     jac = v.jacobian(x)
@@ -422,7 +396,7 @@ def surface_second_variation_general(
     Reduces to `surface_second_variation` when (v, w) is volume preserving
     of second order.
     """
-    quad = SphereQuadrature(n, default_quad_order())
+    quad = SphereQuadrature(n)
     x = R * quad.directions
     nu = quad.directions
     vx = v(x)

@@ -95,10 +95,6 @@ class SteklovSpectrum:
         return best
 
 
-def steklov_spectrum(sol: RadialSolution, max_degree: int) -> list[tuple[int, float, int]]:
-    return SteklovSpectrum(sol).table(max_degree)
-
-
 @dataclass(frozen=True)
 class ShapeDerivative:
     """Expansion of u' over boundary modes phi_{s,i} = a_s(r) Y_{s,i}(x/|x|)
@@ -183,7 +179,3 @@ def shape_derivative_uprime(
             )
         c[(s, i)] = k_g * bv / m
     return ShapeDerivative(spectrum=spec, b=b, c=c, mu=mu)
-
-
-def quadratic_form_Q(sol: RadialSolution, N: BoundaryFunction) -> float:
-    return shape_derivative_uprime(sol, N).quadratic_form()

@@ -39,7 +39,6 @@ from .sphere_geometry import (
     BoundaryFunction,
     _surface_element_m2,
     boundary_mean,
-    default_quad_order,
     normal_trace,
     project_normal_trace,
     radial_harmonic_field,
@@ -94,7 +93,7 @@ def _classify_value(value: float, scale: float = 1.0) -> str:
 def _boundary_integral_N(sol_n: int, R: float, N) -> float:
     """int N dS over the boundary sphere, N given as coeffs or ambient field."""
     if isinstance(N, AmbientField):
-        quad = SphereQuadrature(sol_n, default_quad_order())
+        quad = SphereQuadrature(sol_n)
         return R ** (sol_n - 1) * quad.integrate(normal_trace(N, R, quad))
     c0 = N.get((0, 0), 0.0)
     return R ** (sol_n - 1) * c0 * math.sqrt(sphere_measure(sol_n))
@@ -171,7 +170,7 @@ def second_variation_quadrature(sd: ShapeDerivative, N: BoundaryFunction) -> flo
     sol = sd.sol
     n, R, alpha = sol.n, sol.R, sol.alpha
     W = second_order_volume_correction(N, n, R)
-    quad = SphereQuadrature(n, default_quad_order())
+    quad = SphereQuadrature(n)
     v = radial_harmonic_field(n, R, N)
     w = radial_harmonic_field(n, R, W)
     m2 = surface_element_m2(v, w, R, quad)
@@ -383,7 +382,7 @@ def second_variation_general(sol: RadialSolution, v: AmbientField, w: AmbientFie
     if sol.kind != TORSION:
         raise ValueError("general evaluator covers the torsion energy")
     n, R, alpha = sol.n, sol.R, sol.alpha
-    quad = SphereQuadrature(n, default_quad_order())
+    quad = SphereQuadrature(n)
     x = R * quad.directions
     nu = quad.directions
     vx = v(x)
@@ -483,7 +482,7 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
 
     # torsion energy with Dirichlet boundary: u = (R^2 - r^2)/(2n)
     ur_tor = -R / n
-    quad = SphereQuadrature(n, default_quad_order())
+    quad = SphereQuadrature(n)
     c_tor = {si: -ur_tor * bv for si, bv in b.items()}
     # u' is harmonic with trace sum c Y / R^{(n-1)/2}
     Q_tor = sum(cc * cc * s / R for (s, _i), cc in c_tor.items())

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,44 +168,77 @@ def test_invalid_dimension_names_field(tmp_path, capsys):
 
 
 MALFORMED = {
-    "n-float": ("  n: 2\n", "  n: 2.0\n", None, "problem.n"),
-    "R-nan": ("  R: 1.0\n", "  R: .nan\n", None, "problem.R"),
-    "alpha-inf": ("  alpha: 1.0\n", "  alpha: .inf\n", None, "problem.alpha"),
-    "modes-negative": ("oracle:\n", "oracle:\n  modes: -3\n", None, "oracle.modes"),
-    "modes-fraction": ("oracle:\n", "oracle:\n  modes: 2.7\n", None, "oracle.modes"),
+    "n-float": ("  n: 2\n", "  n: 2.0\n", {}, "problem.n"),
+    "R-nan": ("  R: 1.0\n", "  R: .nan\n", {}, "problem.R"),
+    "alpha-inf": ("  alpha: 1.0\n", "  alpha: .inf\n", {}, "problem.alpha"),
+    "modes-negative": ("oracle:\n", "oracle:\n  modes: -3\n", {}, "oracle.modes"),
+    "modes-fraction": ("oracle:\n", "oracle:\n  modes: 2.7\n", {}, "oracle.modes"),
     "levels-fraction": (
-        "richardson_levels: 2", "richardson_levels: 1.5", None, "oracle.richardson_levels"
+        "richardson_levels: 2", "richardson_levels: 1.5", {}, "oracle.richardson_levels"
     ),
     "quadrature-negative": (
-        "oracle:\n", "oracle:\n  quadrature_order: -8\n", None, "oracle.quadrature_order"
+        "oracle:\n", "oracle:\n  quadrature_order: -8\n", {}, "oracle.quadrature_order"
     ),
     "t-text": (
-        "perturbation:\n", "perturbation:\n  t_values: [0.0, abc]\n", None,
+        "perturbation:\n", "perturbation:\n  t_values: [0.0, abc]\n", {},
         "perturbation.t_values",
     ),
     "t-bool": (
-        "perturbation:\n", "perturbation:\n  t_values: [true, 0.01]\n", None,
+        "perturbation:\n", "perturbation:\n  t_values: [true, 0.01]\n", {},
         "perturbation.t_values",
     ),
-    "degree-bool": (f"[[2, 0, {SQRT_PI!r}]]", "[[true, 0, 1.0]]", None, "perturbation.modes"),
+    "degree-bool": (f"[[2, 0, {SQRT_PI!r}]]", "[[true, 0, 1.0]]", {}, "perturbation.modes"),
     "coefficient-text": (
-        f"[[2, 0, {SQRT_PI!r}]]", "[[2, 0, x]]", None, "perturbation.modes"
+        f"[[2, 0, {SQRT_PI!r}]]", "[[2, 0, x]]", {}, "perturbation.modes"
     ),
-    "fd-step-text": ("", "", "abc", "RSV_FD_H"),
+    "modes-number": (f"[[2, 0, {SQRT_PI!r}]]", "5", {}, "perturbation.modes"),
+    "coefficients-number": (
+        f"modes: [[2, 0, {SQRT_PI!r}]]", "coefficients: 5", {}, "perturbation.coefficients"
+    ),
+    "volume-correction-text": (
+        "perturbation:\n", 'perturbation:\n  volume_correction: "no"\n', {},
+        "perturbation.volume_correction",
+    ),
+    # `!!null` makes the field null whatever path follows it
+    "directory-null": ("  directory: ", "  directory: !!null ", {}, "output.directory"),
+    "fd-step-text": ("", "", {"RSV_FD_H": "abc"}, "RSV_FD_H"),
+    "quad-order-text": ("", "", {"RSV_QUAD_ORDER": "abc"}, "RSV_QUAD_ORDER"),
+    "quad-order-negative": ("", "", {"RSV_QUAD_ORDER": "-4"}, "RSV_QUAD_ORDER"),
+    "quad-order-zero": ("", "", {"RSV_QUAD_ORDER": "0"}, "RSV_QUAD_ORDER"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_field_exits_2_naming_it(case, tmp_path, monkeypatch, capsys):
-    old, new, fd_step, name = MALFORMED[case]
+    old, new, env, name = MALFORMED[case]
     # pre-touch the variable so a config-driven write would be undone
     monkeypatch.setenv("RSV_QUAD_ORDER", "64")
-    if fd_step is not None:
-        monkeypatch.setenv("RSV_FD_H", fd_step)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
     path = tmp_path / "cfg.yaml"
     path.write_text(config_text(tmp_path / "reports").replace(old, new))
     assert main(["steklov", "--config", str(path)]) == 2
     assert f"config error: {name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sub, code",
+    [
+        ("first-variation", 2),
+        ("second-variation", 2),
+        ("surface", 2),
+        ("dirichlet", 2),
+        ("sweep", 2),
+        ("steklov", 0),
+        ("classify", 0),
+    ],
+)
+def test_empty_modes(sub, code, tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(config_text(tmp_path / "reports").replace(f"[[2, 0, {SQRT_PI!r}]]", "[]"))
+    assert main([sub, "--config", str(path)]) == code
+    named = f"config error: perturbation.modes: `{sub}` needs at least one mode"
+    assert (named in capsys.readouterr().err) == (code == 2)
 
 
 def test_fd_env_override_writes_failure_list(tmp_path, monkeypatch, capsys):
@@ -335,6 +369,19 @@ def test_coefficient_file_dimension_mismatch(tmp_path, capsys):
     assert "perturbation.coefficients" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"R": 1.0, "N": [[2, 0, 1.0]]}', "not json"])
+def test_coefficient_file_malformed(text, tmp_path, capsys):
+    coeff_path = tmp_path / "field.json"
+    coeff_path.write_text(text)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        "problem: {n: 2, R: 1.0, alpha: 1.0, kind: torsion}\n"
+        f"perturbation: {{coefficients: {coeff_path}}}\n"
+    )
+    assert main(["surface", "--config", str(path)]) == 2
+    assert "config error: perturbation.coefficients" in capsys.readouterr().err
+
+
 def quadrature_config(tmp_path, order):
     path = tmp_path / f"order{order}.yaml"
     path.write_text(
@@ -372,10 +419,14 @@ def test_config_quadrature_order_applies_to_its_run_only(tmp_path, monkeypatch):
 
 def test_module_runs_as_script(tmp_path):
     cfg = write_config(tmp_path)
+    # the child imports rsv from this checkout's src, as the test process does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "rsv.cli", "steklov", "--config", str(cfg)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "PASS steklov.torsion_spectrum_exact" in proc.stdout

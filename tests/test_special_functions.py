@@ -312,6 +312,16 @@ def test_projection_table_keyed_on_order():
         HarmonicBasis(3, 4, SphereQuadrature(2, 32))
 
 
+def test_default_order_follows_the_variable(monkeypatch):
+    monkeypatch.setenv("RSV_QUAD_ORDER", "32")
+    assert SphereQuadrature(2).order == 32
+    assert HarmonicBasis(2, 4).quad.order == 32
+    for text in ("abc", "-4", "0"):
+        monkeypatch.setenv("RSV_QUAD_ORDER", text)
+        with pytest.raises(ValueError, match="RSV_QUAD_ORDER"):
+            SphereQuadrature(2)
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

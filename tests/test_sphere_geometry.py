@@ -21,7 +21,6 @@ from rsv.sphere_geometry import (
     StarDomain,
     boundary_mean,
     constant_coeffs,
-    constant_field,
     exact_surface_area,
     exact_volume,
     linear_field,
@@ -71,7 +70,7 @@ def test_analytic_jacobians_match_fd(n):
     pts *= rng.uniform(0.6, 1.3, size=10)[:, None]
     coeffs = {(0, 0): 0.3, (1, 0): -0.7, (2, 1): 0.5, (3, 0): 0.2}
     assert jacobian_fd_error(radial_harmonic_field(n, 1.0, coeffs), pts) < 1e-8
-    combo = rotation_field(n, 0.8) + constant_field(n, np.arange(n) + 1.0)
+    combo = rotation_field(n, 0.8) + linear_field(np.zeros((n, n)), np.arange(n) + 1.0)
     assert jacobian_fd_error(combo, pts) < 1e-8
 
 
@@ -377,10 +376,10 @@ def test_perturbation_field_roundtrip():
     p = PerturbationField(n=3, R=1.3, N={(2, 1): 0.9}, W={(0, 0): -0.2})
     q = PerturbationField.from_text(p.to_text())
     assert q == p
-    v, w = p.ambient_pair()
     quad = SphereQuadrature(3, 16)
-    got = normal_trace(v, 1.3, quad)
-    assert np.max(np.abs(got - synthesize(3, p.N, quad.directions))) < 1e-13
+    for data in (p.N, p.W):
+        got = normal_trace(radial_harmonic_field(p.n, p.R, data), 1.3, quad)
+        assert np.max(np.abs(got - synthesize(3, data, quad.directions))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +406,7 @@ def test_surface_second_variation_general_matches_closed_form(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_surface_second_variation_kernel(n):
     # translations (and their Hadamard data, degree 1) leave the area flat
-    tr = constant_field(n, np.eye(n)[0])
+    tr = linear_field(np.zeros((n, n)), np.eye(n)[0])
     assert abs(surface_second_variation_general(tr, zero_field(n), n, 1.0)) < 1e-12
     assert surface_second_variation({(1, 0): 0.7}, n, 1.0) == 0.0
 

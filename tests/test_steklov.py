@@ -13,9 +13,7 @@ from rsv.special_functions import SphereQuadrature, synthesize
 from rsv.steklov import (
     ShapeDerivative,
     SteklovSpectrum,
-    quadratic_form_Q,
     shape_derivative_uprime,
-    steklov_spectrum,
 )
 
 COS2T = {(2, 0): math.sqrt(math.pi)}
@@ -74,7 +72,7 @@ def test_torsion_mode_profiles_are_powers():
 
 
 def test_spectrum_table_shape():
-    rows = steklov_spectrum(solve_torsion_ball(3, 1.0, 1.0), 4)
+    rows = SteklovSpectrum(solve_torsion_ball(3, 1.0, 1.0)).table(4)
     assert [(s, m) for s, _mu, m in rows] == [(0, 1), (1, 3), (2, 5), (3, 7), (4, 9)]
     assert rows[2][1] == pytest.approx(3.0)  # alpha + s/R = 1 + 2
 
@@ -156,7 +154,7 @@ def test_uprime_interior_harmonic_torsion():
 
 def test_quadratic_form_helper():
     t = solve_torsion_ball(2, 1.0, 1.0)
-    assert quadratic_form_Q(t, COS2T) == pytest.approx(math.pi / 3)
+    assert shape_derivative_uprime(t, COS2T).quadratic_form() == pytest.approx(math.pi / 3)
 
 
 def test_smallest_positive_mu():

@@ -11,7 +11,6 @@ from rsv.radial_solutions import (
 )
 from rsv.special_functions import SphereQuadrature
 from rsv.sphere_geometry import (
-    constant_field,
     linear_field,
     radial_harmonic_field,
     rotation_field,
@@ -62,7 +61,8 @@ def test_first_variation_energy_mean_free_zero():
 
 def test_first_variation_energy_ambient_field_matches_coeffs():
     sol = reference_torsion()
-    by_field = first_variation_energy(sol, constant_field(2, np.array([0.3, -0.4])))
+    translation = linear_field(np.zeros((2, 2)), np.array([0.3, -0.4]))
+    by_field = first_variation_energy(sol, translation)
     # v.nu is pure degree 1, hence mean-free
     assert by_field == pytest.approx(0.0, abs=1e-13)
     by_dilation = first_variation_energy(sol, linear_field(np.eye(2)))
@@ -291,7 +291,8 @@ def test_classify_rejects_zero_alpha():
 
 def test_general_translation_zero():
     sol = reference_torsion()
-    got = second_variation_general(sol, constant_field(2, np.array([1.0, 0.0])), zero_field(2))
+    translation = linear_field(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    got = second_variation_general(sol, translation, zero_field(2))
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
