@@ -7,8 +7,12 @@ every consistency assertion embedded in that report holds.
 
 Subcommands: first-variation, second-variation, steklov, surface,
 classify, dirichlet, sweep.  `run` builds every report: the problem
-header, the empty-perturbation check of NEEDS_MODES, then the
-subcommand's runner.
+header, the empty-perturbation check of NEEDS_MODES, the problem-kind
+check of ONLY_KINDS, then the subcommand's runner.
+
+Input rules have one owner each, and the loader or `run` names the config
+field when one fails: `_mode_rows` (mode rows, inline or in a coefficient
+file), `RadialSolution` (the ball problem), `mean_free` (volume preservation).
 
 Environment overrides, checked by the loader before any computation:
 RSV_QUAD_ORDER (sphere quadrature order, read by
@@ -19,6 +23,7 @@ RSV_QUAD_ORDER for that run only.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -45,8 +50,9 @@ from .radial_solutions import (
 )
 from .special_functions import default_quad_order, multiplicity
 from .sphere_geometry import (
+    BoundaryFunction,
     PerturbationField,
-    boundary_mean,
+    mean_free,
     sphere_measure,
     surface_second_variation,
 )
@@ -84,7 +90,6 @@ class ExperimentConfig:
     alpha: float
     kind: str
     perturbation: PerturbationField
-    t: float
     t_values: tuple[float, ...]
     oracle_modes: int
     h: float
@@ -137,6 +142,51 @@ def _integer(block: dict, block_name: str, key: str, default, minimum: int) -> i
     return value
 
 
+def _mode_rows(rows, field: str, n: int) -> BoundaryFunction:
+    """[degree, index, coefficient] rows as a boundary function; repeats add up."""
+    if not isinstance(rows, (list, type(None))):
+        raise ConfigError(f"{field}: expected a list of modes, got {rows!r}")
+    N: BoundaryFunction = {}
+    for row in rows or []:
+        if not (isinstance(row, list) and len(row) == 3):
+            raise ConfigError(f"{field}: each entry must be [degree, index, coefficient]")
+        s, i, c = row
+        if not _is_int(s) or s < 0:
+            raise ConfigError(f"{field}: bad degree {s!r}")
+        if not _is_int(i) or not 0 <= i < multiplicity(s, n):
+            raise ConfigError(
+                f"{field}: bad index {i!r} for degree {s} "
+                f"(n={n} admits 0..{multiplicity(s, n) - 1})"
+            )
+        c = _finite(c, f"{field}: coefficient of ({s}, {i})")
+        N[(s, i)] = N.get((s, i), 0.0) + c
+    return N
+
+
+def _load_coefficients(path, n: int, R: float) -> PerturbationField:
+    """A coefficient file: a JSON object with n, R and the N and W rows."""
+    field = "perturbation.coefficients"
+    if not isinstance(path, str) or not Path(path).is_file():
+        raise ConfigError(f"{field}: no such file {path!r}")
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{field}: unreadable {path!r}: {exc!r}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{field}: expected a JSON object with n, R, N and W")
+    file_n = doc.get("n")
+    if not _is_int(file_n):
+        raise ConfigError(f"{field}: n: expected an integer, got {file_n!r}")
+    file_R = _finite(doc.get("R"), f"{field}: R")
+    if file_n != n or file_R != R:
+        raise ConfigError(
+            f"{field}: file is for n={file_n}, R={file_R!r}; "
+            f"the problem block says n={n}, R={R!r}"
+        )
+    N, W = (_mode_rows(doc.get(key), f"{field}: {key}", n) for key in ("N", "W"))
+    return PerturbationField(n, R, N, W)
+
+
 def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
     modes = block.get("modes")
     path = block.get("coefficients")
@@ -145,37 +195,8 @@ def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
             "perturbation: give either `modes` or `coefficients`, not both"
         )
     if path is not None:
-        if not isinstance(path, str) or not Path(path).is_file():
-            raise ConfigError(f"perturbation.coefficients: no such file {path!r}")
-        try:
-            p = PerturbationField.from_text(Path(path).read_text())
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"perturbation.coefficients: unreadable {path!r}: {exc!r}")
-        if p.n != n or p.R != R:
-            raise ConfigError(
-                f"perturbation.coefficients: file is for n={p.n}, R={p.R!r}; "
-                f"the problem block says n={n}, R={R!r}"
-            )
-        return p
-    if not isinstance(modes, (list, type(None))):
-        raise ConfigError(f"perturbation.modes: expected a list of modes, got {modes!r}")
-    N: dict[tuple[int, int], float] = {}
-    for row in modes or []:
-        if not (isinstance(row, list) and len(row) == 3):
-            raise ConfigError(
-                "perturbation.modes: each entry must be [degree, index, coefficient]"
-            )
-        s, i, c = row
-        if not _is_int(s) or s < 0:
-            raise ConfigError(f"perturbation.modes: bad degree {s!r}")
-        if not _is_int(i) or not 0 <= i < multiplicity(s, n):
-            raise ConfigError(
-                f"perturbation.modes: bad index {i!r} for degree {s} "
-                f"(n={n} admits 0..{multiplicity(s, n) - 1})"
-            )
-        c = _finite(c, f"perturbation.modes: coefficient of ({s}, {i})")
-        N[(s, i)] = N.get((s, i), 0.0) + c
-    p = PerturbationField(n, R, N, {})
+        return _load_coefficients(path, n, R)
+    p = PerturbationField(n, R, _mode_rows(modes, "perturbation.modes", n), {})
     explicit = block.get("volume_correction")
     if not isinstance(explicit, (bool, type(None))):
         raise ConfigError(
@@ -183,10 +204,10 @@ def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
         )
     if explicit is None:
         # default: complete to second-order volume preservation when possible
-        if p.volume_preserving_first_order():
+        if mean_free(p.N):
             p = p.with_volume_correction()
     elif explicit:
-        if not p.volume_preserving_first_order():
+        if not mean_free(p.N):
             raise ConfigError(
                 "perturbation.volume_correction: needs mean-free modes "
                 "(drop the degree-0 entry)"
@@ -225,7 +246,6 @@ def load_config(path: str) -> ExperimentConfig:
 
     perturbation = _block(doc, "perturbation")
     p = _load_perturbation(perturbation, n, R)
-    t = _number(perturbation, "perturbation", "t", 0.05)
     raw_ts = perturbation.get("t_values", [])
     if not isinstance(raw_ts, list):
         raise ConfigError("perturbation.t_values: expected a list of numbers")
@@ -273,7 +293,6 @@ def load_config(path: str) -> ExperimentConfig:
         alpha=alpha,
         kind=kind,
         perturbation=p,
-        t=t,
         t_values=t_values,
         oracle_modes=oracle_modes,
         h=h,
@@ -361,15 +380,15 @@ def render_table(report: Report) -> str:
 
 
 def _ball_state(cfg: ExperimentConfig):
-    if cfg.kind == TORSION:
-        if cfg.alpha == 0.0:
-            raise ConfigError("problem.alpha: the torsion kind needs alpha != 0")
-        return solve_torsion_ball(cfg.n, cfg.R, cfg.alpha)
-    if cfg.kind == ROBIN_EIGEN:
-        if cfg.alpha <= 0.0:
-            raise ConfigError("problem.alpha: the robin-eigen kind needs alpha > 0")
-        return solve_robin_eigen_ball(cfg.n, cfg.R, cfg.alpha)
-    return solve_dirichlet_eigen_ball(cfg.n, cfg.R)
+    # the loader has checked n and R, so the solver can only reject alpha
+    try:
+        if cfg.kind == TORSION:
+            return solve_torsion_ball(cfg.n, cfg.R, cfg.alpha)
+        if cfg.kind == ROBIN_EIGEN:
+            return solve_robin_eigen_ball(cfg.n, cfg.R, cfg.alpha)
+        return solve_dirichlet_eigen_ball(cfg.n, cfg.R)
+    except ValueError as exc:
+        raise ConfigError(f"problem.alpha: {exc}")
 
 
 def _oracle(cfg: ExperimentConfig, curve=None):
@@ -399,18 +418,9 @@ def _second_variation(cfg: ExperimentConfig):
 
 def run_first_variation(cfg: ExperimentConfig, report: Report) -> None:
     sol = _ball_state(cfg)
-    N = cfg.perturbation.N
-    if cfg.kind == TORSION:
-        base = sol.energy()
-        series = first_variation_energy(sol, N)
-    elif cfg.kind == ROBIN_EIGEN:
-        base = sol.lam
-        series = first_variation_eigenvalue(sol, N)
-    else:
-        base = sol.lam
-        # Hadamard formula for a simple Dirichlet eigenvalue: -u_r(R)^2 int N dS
-        int_N = boundary_mean(cfg.n, N) * sphere_measure(cfg.n) * cfg.R ** (cfg.n - 1)
-        series = -sol.boundary_slope() ** 2 * int_N
+    base = sol.energy()
+    first = first_variation_energy if cfg.kind == TORSION else first_variation_eigenvalue
+    series = first(sol, cfg.perturbation.N)
     der = _oracle(cfg)
 
     report.add("value_at_ball", base)
@@ -419,7 +429,7 @@ def run_first_variation(cfg: ExperimentConfig, report: Report) -> None:
     report.add("oracle_d1_error_estimate", der.d1_error)
     scale = max(1.0, abs(base))
     report.check_close("series_vs_oracle", series, der.d1, 1e-6, scale)
-    if cfg.perturbation.volume_preserving_first_order():
+    if mean_free(cfg.perturbation.N):
         report.check(
             "critical_at_ball",
             abs(series) <= 1e-10 * scale and abs(der.d1) <= 1e-6 * scale,
@@ -471,10 +481,6 @@ def run_second_variation(cfg: ExperimentConfig, report: Report) -> None:
 
 
 def run_steklov(cfg: ExperimentConfig, report: Report) -> None:
-    if cfg.kind == DIRICHLET_EIGEN:
-        raise ConfigError(
-            "problem.kind: the Steklov decomposition needs torsion or robin-eigen"
-        )
     sol = _ball_state(cfg)
     spectrum = SteklovSpectrum(sol)
     depth = cfg.oracle_modes or 12
@@ -509,7 +515,7 @@ def run_steklov(cfg: ExperimentConfig, report: Report) -> None:
 
 
 def run_surface(cfg: ExperimentConfig, report: Report) -> None:
-    if not cfg.perturbation.volume_preserving_first_order():
+    if not mean_free(cfg.perturbation.N):
         raise ConfigError(
             "perturbation.modes: the surface report needs mean-free data "
             "(drop the degree-0 mode)"
@@ -531,8 +537,6 @@ def run_surface(cfg: ExperimentConfig, report: Report) -> None:
 
 
 def run_classify(cfg: ExperimentConfig, report: Report) -> None:
-    if cfg.kind != TORSION:
-        raise ConfigError("problem.kind: classification applies to the torsion kind")
     try:
         result = classify_torsion_sign(cfg.n, cfg.R, cfg.alpha)
     except ValueError as exc:
@@ -562,8 +566,6 @@ def run_classify(cfg: ExperimentConfig, report: Report) -> None:
 
 
 def run_dirichlet(cfg: ExperimentConfig, report: Report) -> None:
-    if cfg.kind != DIRICHLET_EIGEN:
-        raise ConfigError("problem.kind: the dirichlet report needs kind dirichlet-eigen")
     var = _second_variation(cfg)
     der = _oracle(cfg)
 
@@ -605,7 +607,7 @@ def run_sweep(cfg: ExperimentConfig, report: Report) -> None:
         for row in rows
     )
     report.check("rows_finite", finite, f"{len(rows)} rows")
-    if cfg.perturbation.volume_preserving_first_order():
+    if mean_free(cfg.perturbation.N):
         v0 = sphere_measure(cfg.n) / cfg.n * cfg.R**cfg.n
         drift = max(abs(row[4] - v0) for row in rows)
         t_max = max(abs(t) for t in cfg.t_values)
@@ -629,6 +631,12 @@ RUNNERS = {
 }
 # the reports that perturb the ball and so need at least one mode
 NEEDS_MODES = ("first-variation", "second-variation", "surface", "dirichlet", "sweep")
+# the reports that apply to some problem kinds only
+ONLY_KINDS = {
+    "steklov": (TORSION, ROBIN_EIGEN),
+    "classify": (TORSION,),
+    "dirichlet": (DIRICHLET_EIGEN,),
+}
 
 
 def run(sub: str, cfg: ExperimentConfig) -> Report:
@@ -639,6 +647,9 @@ def run(sub: str, cfg: ExperimentConfig) -> Report:
         report.add(name, getattr(cfg, name))
     if sub in NEEDS_MODES and not cfg.perturbation.N:
         raise ConfigError(f"perturbation.modes: `{sub}` needs at least one mode")
+    kinds = ONLY_KINDS.get(sub, KINDS)
+    if cfg.kind not in kinds:
+        raise ConfigError(f"problem.kind: `{sub}` needs kind {' or '.join(kinds)}")
     RUNNERS[sub](cfg, report)
     return report
 

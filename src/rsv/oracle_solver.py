@@ -15,7 +15,8 @@ The domain itself (r and dr/dtheta on the boundary) comes from
 `StarDomain.radius`, which defines the perturbed domain and is not shape
 calculus.  The oracle uses neither `steklov` nor `variations`, and its
 basis functions never touch the in-repo Bessel code (the ball eigenvalue
-from `radial_solutions` only centres the lam search window).  Keeping the
+from `radial_solutions` only centres the lam search window, and its solve
+rejects a robin-eigen alpha that is not positive).  Keeping the
 oracle apart from the formulas it checks is the one duplication kept on
 purpose.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
@@ -513,8 +514,6 @@ def solve_perturbed_eigen(
     """
     _validate_domain(d)
     if kind == ROBIN_EIGEN:
-        if alpha is None or alpha <= 0.0:
-            raise ValueError("Robin eigenvalue oracle needs alpha > 0")
         lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
     elif kind == DIRICHLET_EIGEN:
         alpha = 0.0

@@ -6,15 +6,16 @@ Two problem families, both with the Robin condition du/dnu + alpha u = 0:
   robin-eigen  -Lap u = lam u, first eigenvalue, normalized int u^2 = 1,
 
 plus the Dirichlet first eigenvalue (u = 0 on the boundary) used by the
-boundary-condition comparison routines.  All Bessel evaluations go through
-`special_functions.bessel_j`.
+boundary-condition comparison routines.  `RadialSolution` alone decides
+which (kind, n, R, alpha) is a ball problem.  All Bessel evaluations go
+through `special_functions.bessel_j`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +28,19 @@ DIRICHLET_EIGEN = "dirichlet-eigen"
 
 
 @dataclass(frozen=True)
-class BallProblem:
+class RadialSolution:
+    """Radial profile u(|x|) of a ball problem with value/derivative evaluators.
+
+    For eigenvalue kinds `lam` is set and `scale` L2-normalizes the profile
+    over the ball; for torsion `lam` is None.
+    """
+
     kind: str
     n: int
     R: float
     alpha: float = 0.0
+    lam: float | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN):
@@ -42,37 +51,8 @@ class BallProblem:
             raise ValueError("radius must be positive")
         if self.kind == TORSION and self.alpha == 0.0:
             raise ValueError("torsion problem needs alpha != 0")
-        if self.kind == ROBIN_EIGEN and self.alpha <= 0.0:
+        if self.kind == ROBIN_EIGEN and (self.alpha is None or self.alpha <= 0.0):
             raise ValueError("first Robin eigenvalue implemented for alpha > 0")
-
-
-class RadialSolution:
-    """Radial profile u(|x|) with value/derivative evaluators.
-
-    For eigenvalue kinds `lam` is set and the profile is L2-normalized over
-    the ball; for torsion `lam` is None.
-    """
-
-    def __init__(self, problem: BallProblem, lam: float | None, scale: float = 1.0):
-        self.problem = problem
-        self.lam = lam
-        self._scale = scale
-
-    @property
-    def n(self) -> int:
-        return self.problem.n
-
-    @property
-    def R(self) -> float:
-        return self.problem.R
-
-    @property
-    def alpha(self) -> float:
-        return self.problem.alpha
-
-    @property
-    def kind(self) -> str:
-        return self.problem.kind
 
     # -- profile ------------------------------------------------------------
 
@@ -82,7 +62,7 @@ class RadialSolution:
         if self.kind == TORSION:
             return R / (alpha * n) + (R * R - r * r) / (2.0 * n)
         k = math.sqrt(self.lam)
-        return self._scale * _bessel_profile(self.n, k, r)
+        return self.scale * _bessel_profile(self.n, k, r)
 
     def u_r(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -92,7 +72,7 @@ class RadialSolution:
         nu = self.n / 2.0 - 1.0
         vec = np.vectorize(lambda x: bessel_j(nu + 1.0, k * x))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = -self._scale * k * np.where(r > 0, r, 1.0) ** (-nu) * vec(r)
+            out = -self.scale * k * np.where(r > 0, r, 1.0) ** (-nu) * vec(r)
         return np.where(r > 0, out, 0.0)
 
     def u_rr(self, r) -> np.ndarray:
@@ -166,7 +146,7 @@ class RadialSolution:
                 + R ** (n + 4) / (4 * n * n * (n + 4))
             )
         k = math.sqrt(self.lam)
-        return om * self._scale**2 * _lommel_integral(n / 2.0 - 1.0, k, R)
+        return om * self.scale**2 * _lommel_integral(n / 2.0 - 1.0, k, R)
 
 
 def _bessel_profile(n: int, k: float, r: np.ndarray) -> np.ndarray:
@@ -189,7 +169,7 @@ def _lommel_integral(nu: float, k: float, R: float) -> float:
 
 def solve_torsion_ball(n: int, R: float, alpha: float) -> RadialSolution:
     """u = R/(alpha n) + (R^2 - r^2)/(2n), the explicit Robin torsion state."""
-    return RadialSolution(BallProblem(TORSION, n, R, alpha), lam=None)
+    return RadialSolution(TORSION, n, R, alpha)
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,7 +188,7 @@ def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
     bisection stops once the midpoint rounds to an end of the bracket: the
     ends are then neighbouring floats and every further step leaves the
     midpoint, and so k, unchanged."""
-    problem = BallProblem(ROBIN_EIGEN, n, R, alpha)
+    problem = RadialSolution(ROBIN_EIGEN, n, R, alpha)
     nu = n / 2.0 - 1.0
     k_hi = math.sqrt(dirichlet_eigenvalue(n, R))
 
@@ -228,15 +208,11 @@ def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
         else:
             hi = mid
     k = 0.5 * (lo + hi)
-    lam = k * k
-    sol = RadialSolution(problem, lam=lam)
-    sol._scale = 1.0 / math.sqrt(sol.l2_norm_sq())
-    return sol
+    sol = replace(problem, lam=k * k)
+    return replace(sol, scale=1.0 / math.sqrt(sol.l2_norm_sq()))
 
 
 def solve_dirichlet_eigen_ball(n: int, R: float) -> RadialSolution:
     """First Dirichlet eigenstate on B_R, normalized int u^2 = 1."""
-    problem = BallProblem(DIRICHLET_EIGEN, n, R, alpha=0.0)
-    sol = RadialSolution(problem, lam=dirichlet_eigenvalue(n, R))
-    sol._scale = 1.0 / math.sqrt(sol.l2_norm_sq())
-    return sol
+    sol = RadialSolution(DIRICHLET_EIGEN, n, R, lam=dirichlet_eigenvalue(n, R))
+    return replace(sol, scale=1.0 / math.sqrt(sol.l2_norm_sq()))

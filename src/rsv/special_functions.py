@@ -350,16 +350,6 @@ def spherical_harmonic(n: int, s: int, i: int, direction) -> np.ndarray | float:
     return _harmonic(s, i, _angles(n, direction))[0]
 
 
-def spherical_harmonic_dtheta(n: int, s: int, i: int, direction) -> np.ndarray:
-    """d/dtheta of Y_{s,i}; for n=3 theta is the polar angle (poles excluded)."""
-    return _harmonic(s, i, _angles(n, direction), value=False, dtheta=True)[1]
-
-
-def spherical_harmonic_dphi(n: int, s: int, i: int, direction) -> np.ndarray:
-    """d/dphi of Y_{s,i} (n=3 only; azimuthal derivative)."""
-    return _harmonic(s, i, _angles(n, direction), value=False, dphi=True)[2]
-
-
 _PARTS = {None: 0, "theta": 1, "phi": 2}
 
 
@@ -524,9 +514,6 @@ class HarmonicBasis:
             raise ValueError(f"quadrature is for n={self.quad.n}, basis for n={n}")
         indices, self.table, self._weighted = _projection_table(n, max_degree, self.quad.order)
         self.indices = list(indices)
-
-    def gram(self) -> np.ndarray:
-        return self._weighted @ self.table.T
 
     def project(self, values: np.ndarray) -> dict[tuple[int, int], float]:
         """Coefficients of a node-sampled function w.r.t. the orthonormal basis."""

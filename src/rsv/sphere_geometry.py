@@ -13,7 +13,6 @@ realized for Hadamard data as the star domain r(theta, t) = R + t N +
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -49,9 +48,10 @@ def coeff_norm_sq(coeffs: BoundaryFunction) -> float:
     return sum(c * c for c in coeffs.values())
 
 
-def boundary_mean(n: int, coeffs: BoundaryFunction) -> float:
-    c0 = coeffs.get((0, 0), 0.0)
-    return c0 / math.sqrt(sphere_measure(n))
+def mean_free(N: BoundaryFunction) -> bool:
+    """Whether int N dS = 0 (first-order volume preservation): every real
+    harmonic but Y_{0,0} integrates to exactly 0, so N's (0, 0) term decides."""
+    return N.get((0, 0), 0.0) == 0.0
 
 
 def constant_coeffs(n: int, value: float) -> BoundaryFunction:
@@ -69,7 +69,7 @@ def second_order_volume_correction(
     W = -(n-1) * mean(N^2) / R kills the t^2 term of the exact star volume
     (any W with that mean works; a constant keeps the domain band-limited).
     """
-    if boundary_mean(n, N) != 0.0:
+    if not mean_free(N):
         raise ValueError("N must be mean-free (volume preserving of first order)")
     mean_sq = coeff_norm_sq(N) / sphere_measure(n)
     return constant_coeffs(n, -(n - 1) * mean_sq / R)
@@ -89,30 +89,8 @@ class PerturbationField:
     N: BoundaryFunction = field(default_factory=dict)
     W: BoundaryFunction = field(default_factory=dict)
 
-    def volume_preserving_first_order(self) -> bool:
-        return abs(boundary_mean(self.n, self.N)) < 1e-14
-
     def with_volume_correction(self) -> "PerturbationField":
         return replace(self, W=second_order_volume_correction(self.N, self.n, self.R))
-
-    def to_text(self) -> str:
-        doc = {
-            "n": self.n,
-            "R": self.R,
-            "N": [[s, i, c] for (s, i), c in sorted(self.N.items())],
-            "W": [[s, i, c] for (s, i), c in sorted(self.W.items())],
-        }
-        return json.dumps(doc, indent=2)
-
-    @staticmethod
-    def from_text(text: str) -> "PerturbationField":
-        doc = json.loads(text)
-        return PerturbationField(
-            n=int(doc["n"]),
-            R=float(doc["R"]),
-            N={(int(s), int(i)): float(c) for s, i, c in doc.get("N", [])},
-            W={(int(s), int(i)): float(c) for s, i, c in doc.get("W", [])},
-        )
 
 
 @dataclass(frozen=True)
@@ -314,15 +292,6 @@ def project_normal_trace(v: AmbientField, n: int, R: float) -> BoundaryFunction:
     return {si: c for si, c in coeffs.items() if abs(c) > 1e-13 * scale}
 
 
-def surface_divergence(v: AmbientField, x) -> np.ndarray:
-    """div_tangential v = div v - nu . D_v nu at points x (nu = x/|x|)."""
-    x = np.asarray(x, dtype=float)
-    nu = x / np.linalg.norm(x, axis=-1)[..., None]
-    jac = v.jacobian(x)
-    div = np.trace(jac, axis1=-2, axis2=-1)
-    return div - np.einsum("...i,...ij,...j->...", nu, jac, nu)
-
-
 def volume_completion_field(v: AmbientField, n: int, R: float) -> AmbientField:
     """Constant-normal w making (v, w) volume preserving of second order.
 
@@ -376,7 +345,7 @@ def _surface_element_m2(Dv: np.ndarray, Dw: np.ndarray, nu: np.ndarray) -> np.nd
 def surface_second_variation(N: BoundaryFunction, n: int, R: float) -> float:
     """Closed form of the area second variation for volume-preserving
     Hadamard data: sum over modes of c^2 R^(n-3) (s(s+n-2) - (n-1))."""
-    if abs(boundary_mean(n, N)) > 1e-14:
+    if not mean_free(N):
         raise ValueError("N must be mean-free")
     total = 0.0
     for (s, _i), c in N.items():

@@ -25,38 +25,19 @@ import numpy as np
 
 from .radial_solutions import ROBIN_EIGEN, TORSION, RadialSolution
 from .special_functions import bessel_j, multiplicity, synthesize
-from .sphere_geometry import BoundaryFunction
+from .sphere_geometry import BoundaryFunction, mean_free
 
 RESONANCE_TOL = 1e-9
 
 
 class SteklovSpectrum:
-    """mu_s table and radial mode profiles a_s for a torsion or Robin
+    """mu_s table of the radial mode profiles a_s for a torsion or Robin
     eigenvalue state."""
 
     def __init__(self, sol: RadialSolution):
         if sol.kind not in (TORSION, ROBIN_EIGEN):
             raise ValueError("spectrum defined for torsion and robin-eigen states")
         self.sol = sol
-
-    def mode_profile(self, s: int, r) -> np.ndarray:
-        """a_s(r) normalized to a_s(R) = 1."""
-        r = np.asarray(r, dtype=float)
-        n, R = self.sol.n, self.sol.R
-        if self.sol.kind == TORSION:
-            return (r / R) ** s
-        k = math.sqrt(self.sol.lam)
-        nu = n / 2.0 - 1.0 + s
-        jR = bessel_j(nu, k * R)
-        if abs(jR) < 1e-300:
-            raise ArithmeticError(f"degenerate mode s={s}: a_s(R) = 0")
-        vec = np.vectorize(lambda x: bessel_j(nu, k * x))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(r > 0, r, 1.0) ** (1.0 - n / 2.0) * vec(r)
-        # r -> 0 limit of r^{1-n/2} J_nu(kr): zero unless s = 0
-        limit = (k / 2.0) ** nu / math.gamma(nu + 1.0) if s == 0 else 0.0
-        out = np.where(r > 0, out, limit)
-        return out * R ** (n / 2.0 - 1.0) / jR
 
     def log_derivative(self, s: int) -> float:
         """a_s'(R) / a_s(R)."""
@@ -129,19 +110,6 @@ class ShapeDerivative:
         coeffs = {(s, i): cc * self.mu[s] * scale for (s, i), cc in self.c.items()}
         return synthesize(n, coeffs, directions)
 
-    def interior_values(self, points) -> np.ndarray:
-        x = np.asarray(points, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        xhat = x / np.where(r > 0, r, 1.0)[..., None]
-        n, R = self.sol.n, self.sol.R
-        scale = R ** (-(n - 1) / 2.0)
-        coeffs = {
-            (s, i): cc * scale * self.spectrum.mode_profile(s, r)
-            for (s, i), cc in self.c.items()
-            if cc != 0.0
-        }
-        return synthesize(n, coeffs, xhat)
-
 
 def shape_derivative_uprime(
     sol: RadialSolution, N: BoundaryFunction
@@ -149,15 +117,18 @@ def shape_derivative_uprime(
     """Solve the linearized boundary problem (du'/dnu + alpha u') = k_g N.
 
     N is given over unit-sphere-orthonormal harmonics.  For eigenvalue states
-    the degree-0 mode is resonant (mu_0 = 0): mean-free N is required there
-    and c_0 = 0 is fixed by the normalization int u u' = 0.
+    the degree-0 mode is resonant (mu_0 = 0): mean-free N is required there,
+    and u' has no degree-0 part (the normalization int u u' = 0).
     """
+    if sol.kind == ROBIN_EIGEN and not mean_free(N):
+        raise ArithmeticError(
+            "resonant degree-0 mode: N must be mean-free for eigenvalue states"
+        )
     spec = SteklovSpectrum(sol)
     n, R = sol.n, sol.R
     k_g = sol.k_g()
     scale = R ** ((n - 1) / 2.0)
     b = {si: scale * v for si, v in N.items() if v != 0.0}
-    data_scale = max((abs(v) for v in b.values()), default=1.0)
     c: dict[tuple[int, int], float] = {}
     mu: dict[int, float] = {}
     for (s, i), bv in b.items():
@@ -165,14 +136,6 @@ def shape_derivative_uprime(
             mu[s] = spec.mu(s)
         m = mu[s]
         if abs(m) < RESONANCE_TOL * max(1.0, abs(sol.alpha)):
-            if s == 0 and sol.kind == ROBIN_EIGEN:
-                if abs(bv) > 1e-12 * data_scale:
-                    raise ArithmeticError(
-                        "resonant degree-0 mode: N must be mean-free for "
-                        "eigenvalue states"
-                    )
-                c[(s, i)] = 0.0
-                continue
             raise ArithmeticError(
                 f"resonant mode s={s}: mu_s = {m:.3e} with nonzero data; "
                 "the linearized problem is singular at this configuration"

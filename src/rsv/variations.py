@@ -38,7 +38,7 @@ from .sphere_geometry import (
     AmbientField,
     BoundaryFunction,
     _surface_element_m2,
-    boundary_mean,
+    mean_free,
     normal_trace,
     project_normal_trace,
     radial_harmonic_field,
@@ -121,10 +121,13 @@ def first_variation_energy(sol: RadialSolution, v) -> float:
 
 
 def first_variation_eigenvalue(sol: RadialSolution, v) -> float:
-    """lam'(0) = A u(R)^2 int (v.nu) dS with the shift constant
-    A = -alpha^2 + (n-1) alpha / R - lam."""
+    """lam'(0) = A u(R)^2 int (v.nu) dS for the first Robin eigenvalue, with
+    the shift constant A = -alpha^2 + (n-1) alpha / R - lam; for the first
+    Dirichlet eigenvalue, Hadamard's lam'(0) = -u_r(R)^2 int (v.nu) dS."""
+    if sol.kind == DIRICHLET_EIGEN:
+        return -sol.boundary_slope() ** 2 * _boundary_integral_N(sol.n, sol.R, v)
     if sol.kind != ROBIN_EIGEN:
-        raise ValueError("eigenvalue first variation needs a robin-eigen state")
+        raise ValueError("eigenvalue first variation needs an eigenvalue state")
     A = sol.eigenvalue_shift_constant()
     return A * sol.boundary_value() ** 2 * _boundary_integral_N(sol.n, sol.R, v)
 
@@ -191,7 +194,7 @@ def second_variation_quadrature(sd: ShapeDerivative, N: BoundaryFunction) -> flo
 
 
 def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> VariationReport:
-    if abs(boundary_mean(sol.n, N)) > 1e-12:
+    if not mean_free(N):
         raise ValueError("N must be mean-free (first-order volume preservation)")
     sd = shape_derivative_uprime(sol, N)
     alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
@@ -278,7 +281,7 @@ def theorem_bounds(
     """
     if sol.alpha <= 0:
         raise ValueError("bounds are stated for alpha > 0")
-    if abs(boundary_mean(sol.n, N)) > 1e-12:
+    if not mean_free(N):
         raise ValueError("N must be mean-free")
     sd = shape_derivative_uprime(sol, N)
     alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
@@ -330,8 +333,6 @@ def classify_torsion_sign(n: int, R: float, alpha: float) -> SignClassification:
     max(_SIGN_SEARCH_DEPTH, ceil(-alpha R) + 2).  Returns the first
     positive and first negative witness when both signs occur.
     """
-    if alpha == 0.0:
-        raise ValueError("alpha = 0 is not a torsion configuration")
     sol = solve_torsion_ball(n, R, alpha)
     spec = SteklovSpectrum(sol)
     uR, kg = sol.boundary_value(), sol.k_g()
@@ -454,7 +455,7 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
       from the critical-domain second-variation functional
       2 Q(u') + g(0) int u'^2 du/dnu dS + 2(n-1) int u'^2 H dS.
     """
-    if abs(boundary_mean(n, N)) > 1e-12:
+    if not mean_free(N):
         raise ValueError("N must be mean-free")
     eig = solve_dirichlet_eigen_ball(n, R)
     lam_D = eig.lam

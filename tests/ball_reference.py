@@ -7,15 +7,19 @@
   (du'/dnu + alpha u') u', against `ShapeDerivative.quadratic_form`;
 * `robin_ball_lam_full_bisection`: the first Robin ball eigenvalue by all
   200 bisection steps, against `solve_robin_eigen_ball`, which stops once
-  the bracket ends are neighbouring floats.
+  the bracket ends are neighbouring floats;
+* `mode_profile` / `interior_values`: the radial mode profiles a_s and u'
+  inside the ball, whose radial equation and harmonicity the Steklov
+  checks test against `SteklovSpectrum.log_derivative` and the boundary
+  data.
 """
 
 import math
 
 import numpy as np
 
-from rsv.radial_solutions import dirichlet_eigenvalue
-from rsv.special_functions import SphereQuadrature, bessel_j
+from rsv.radial_solutions import TORSION, dirichlet_eigenvalue
+from rsv.special_functions import SphereQuadrature, bessel_j, synthesize
 
 
 def radial_quadrature(R: float, order: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -56,3 +60,38 @@ def robin_ball_lam_full_bisection(n: int, R: float, alpha: float) -> float:
             hi = mid
     k = 0.5 * (lo + hi)
     return k * k
+
+
+def mode_profile(spectrum, s: int, r) -> np.ndarray:
+    """a_s(r) of a `SteklovSpectrum`, normalized to a_s(R) = 1."""
+    r = np.asarray(r, dtype=float)
+    n, R = spectrum.sol.n, spectrum.sol.R
+    if spectrum.sol.kind == TORSION:
+        return (r / R) ** s
+    k = math.sqrt(spectrum.sol.lam)
+    nu = n / 2.0 - 1.0 + s
+    jR = bessel_j(nu, k * R)
+    if abs(jR) < 1e-300:
+        raise ArithmeticError(f"degenerate mode s={s}: a_s(R) = 0")
+    vec = np.vectorize(lambda x: bessel_j(nu, k * x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(r > 0, r, 1.0) ** (1.0 - n / 2.0) * vec(r)
+    # r -> 0 limit of r^{1-n/2} J_nu(kr): zero unless s = 0
+    limit = (k / 2.0) ** nu / math.gamma(nu + 1.0) if s == 0 else 0.0
+    out = np.where(r > 0, out, limit)
+    return out * R ** (n / 2.0 - 1.0) / jR
+
+
+def interior_values(sd, points) -> np.ndarray:
+    """u' of a `ShapeDerivative` at interior points of the ball."""
+    x = np.asarray(points, dtype=float)
+    r = np.linalg.norm(x, axis=-1)
+    xhat = x / np.where(r > 0, r, 1.0)[..., None]
+    n, R = sd.sol.n, sd.sol.R
+    scale = R ** (-(n - 1) / 2.0)
+    coeffs = {
+        (s, i): cc * scale * mode_profile(sd.spectrum, s, r)
+        for (s, i), cc in sd.c.items()
+        if cc != 0.0
+    }
+    return synthesize(n, coeffs, xhat)

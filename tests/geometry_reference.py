@@ -7,6 +7,8 @@
   from the Taylor coefficients of det(M) |M^{-T} nu|, against
   `sphere_geometry.surface_element_m2`;
 * `project_zero_mean`: N without its constant mode;
+* `surface_divergence`: the tangential divergence of an AmbientField, for
+  the divergence theorem on the sphere;
 * `radial_harmonic_values` / `radial_harmonic_jacobian`: the values and the
   Jacobian of `radial_harmonic_field` as a per-mode loop over the public
   per-harmonic functions, which the library's one-angle-pass evaluation
@@ -198,3 +200,12 @@ def pointwise_lpmv_harmonic(s: int, i: int, ang):
         math.sqrt(2.0) * k * dp * azimuth,
         -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi),
     )
+
+
+def surface_divergence(v, x) -> np.ndarray:
+    """div_tangential v = div v - nu . D_v nu at points x (nu = x/|x|)."""
+    x = np.asarray(x, dtype=float)
+    nu = x / np.linalg.norm(x, axis=-1)[..., None]
+    jac = v.jacobian(x)
+    div = np.trace(jac, axis1=-2, axis2=-1)
+    return div - np.einsum("...i,...ij,...j->...", nu, jac, nu)

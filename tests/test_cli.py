@@ -1,5 +1,6 @@
 """End-to-end checks of the report runner: exit codes, report files,
 byte-level determinism, and the embedded assertions."""
+import json
 import math
 import os
 import subprocess
@@ -241,6 +242,44 @@ def test_empty_modes(sub, code, tmp_path, capsys):
     assert (named in capsys.readouterr().err) == (code == 2)
 
 
+@pytest.mark.parametrize(
+    "sub, code", [("second-variation", 2), ("surface", 2), ("first-variation", 0)]
+)
+def test_tiny_degree_zero_mode_is_not_mean_free(sub, code, tmp_path, capsys):
+    # any nonzero (0, 0) coefficient makes int N != 0: the reports that
+    # assume volume-preserving data reject it, the first variation takes it
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        config_text(tmp_path / "reports").replace(
+            f"[[2, 0, {SQRT_PI!r}]]", "[[0, 0, 1.0e-15], [2, 0, 1.0]]"
+        )
+    )
+    assert main([sub, "--config", str(path)]) == code
+    assert ("config error: perturbation.modes" in capsys.readouterr().err) == (code == 2)
+    if code == 0:
+        kv = (tmp_path / "reports" / f"{sub}.kv").read_text()
+        assert "check_critical_at_ball" not in kv
+
+
+@pytest.mark.parametrize(
+    "sub, kind",
+    [("steklov", "dirichlet-eigen"), ("classify", "robin-eigen"), ("dirichlet", "torsion")],
+)
+def test_report_rejects_problem_kind(sub, kind, tmp_path, capsys):
+    assert main([sub, "--config", str(write_config(tmp_path, kind=kind))]) == 2
+    assert f"config error: problem.kind: `{sub}` needs kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sub, kind, alpha",
+    [("steklov", "robin-eigen", "-1.0"), ("second-variation", "torsion", "0.0"),
+     ("classify", "torsion", "0.0")],
+)
+def test_ball_problem_alpha_names_field(sub, kind, alpha, tmp_path, capsys):
+    assert main([sub, "--config", str(write_config(tmp_path, kind=kind, alpha=alpha))]) == 2
+    assert "config error: problem.alpha" in capsys.readouterr().err
+
+
 def test_fd_env_override_writes_failure_list(tmp_path, monkeypatch, capsys):
     # a half-unit step cannot resolve the quartic area term: the oracle
     # comparison must fail honestly and leave a machine-readable record
@@ -315,10 +354,17 @@ def test_dirichlet_report(tmp_path):
     assert "check_second_variation_nonnegative = true" in kv
 
 
+def coefficient_text(field: PerturbationField) -> str:
+    """`field` as a coefficient file: JSON with n, R and the N and W rows."""
+    rows = {name: [[s, i, c] for (s, i), c in data.items()]
+            for name, data in (("N", field.N), ("W", field.W))}
+    return json.dumps({"n": field.n, "R": field.R, **rows})
+
+
 def test_perturbation_from_coefficient_file(tmp_path):
     field = PerturbationField(2, 1.0, {(2, 0): SQRT_PI}, {}).with_volume_correction()
     coeff_path = tmp_path / "field.json"
-    coeff_path.write_text(field.to_text())
+    coeff_path.write_text(coefficient_text(field))
     path = tmp_path / "cfg.yaml"
     path.write_text(
         "problem: {n: 2, R: 1.0, alpha: 1.0, kind: torsion}\n"
@@ -359,7 +405,7 @@ def test_n2_index_beyond_multiplicity_rejected(tmp_path, capsys):
 def test_coefficient_file_dimension_mismatch(tmp_path, capsys):
     field = PerturbationField(3, 1.0, {(2, 2): 1.0}, {})
     coeff_path = tmp_path / "field.json"
-    coeff_path.write_text(field.to_text())
+    coeff_path.write_text(coefficient_text(field))
     path = tmp_path / "cfg.yaml"
     path.write_text(
         "problem: {n: 2, R: 1.0, alpha: 1.0, kind: torsion}\n"
@@ -369,7 +415,19 @@ def test_coefficient_file_dimension_mismatch(tmp_path, capsys):
     assert "perturbation.coefficients" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"R": 1.0, "N": [[2, 0, 1.0]]}', "not json"])
+# file text -> the field the error names; the rows of a file pass the
+# checks of inline `perturbation.modes` rows
+MALFORMED_FILES = {
+    '{"R": 1.0, "N": [[2, 0, 1.0]]}': "perturbation.coefficients: n",
+    "not json": "perturbation.coefficients",
+    '{"n": 2, "R": 1.0, "N": [[2, 0, NaN]]}': "perturbation.coefficients: N",
+    '{"n": 2, "R": 1.0, "N": [[3, 4, 0.3]]}': "perturbation.coefficients: N",
+    '{"n": 2, "R": 1.0, "N": [[true, 0, 1.0]]}': "perturbation.coefficients: N",
+    '{"n": 2, "R": 1.0, "N": [[2, 0, 1.0]], "W": [[0, 0]]}': "perturbation.coefficients: W",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_FILES))
 def test_coefficient_file_malformed(text, tmp_path, capsys):
     coeff_path = tmp_path / "field.json"
     coeff_path.write_text(text)
@@ -379,7 +437,7 @@ def test_coefficient_file_malformed(text, tmp_path, capsys):
         f"perturbation: {{coefficients: {coeff_path}}}\n"
     )
     assert main(["surface", "--config", str(path)]) == 2
-    assert "config error: perturbation.coefficients" in capsys.readouterr().err
+    assert f"config error: {MALFORMED_FILES[text]}" in capsys.readouterr().err
 
 
 def quadrature_config(tmp_path, order):

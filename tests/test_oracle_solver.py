@@ -1,5 +1,7 @@
+import ast
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -633,6 +635,18 @@ def test_eigen_first_derivative_dilation():
     assert fd.d1 == pytest.approx(want, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "n, N", [(2, {(0, 0): 0.3, (2, 0): 0.1}), (3, {(0, 0): 0.3, (2, 2): 0.1})]
+)
+def test_dirichlet_first_derivative_of_data_with_a_mean(n, N):
+    # Hadamard: lam_D'(0) = -u_r(R)^2 int N dS, so only the mean of N counts
+    p = PerturbationField(n, 1.0, N, {})
+    g = eigenvalue_curve(p, None, modes=16 if n == 2 else 12, kind=DIRICHLET_EIGEN)
+    fd = finite_difference_derivatives(g, h=5e-3, richardson_levels=2)
+    want = first_variation_eigenvalue(solve_dirichlet_eigen_ball(n, 1.0), N)
+    assert fd.d1 == pytest.approx(want, rel=1e-8)
+
+
 def test_dirichlet_second_derivative_matches_series():
     p = pfield(2, 1.0, COS2T)
     g = eigenvalue_curve(p, None, modes=16, kind=DIRICHLET_EIGEN)
@@ -735,3 +749,36 @@ def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, 
     (*sums, u_in), (*sums_ref, u_in_ref) = calls[0]
     assert sums == sums_ref
     assert np.array_equal(u_in, u_in_ref)
+
+
+def _rsv_imports(source: str):
+    """(module, name) for each name that `source` imports from rsv; module
+    is the rsv submodule, or "rsv" for the package itself."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "rsv":
+                continue
+            module = module.removeprefix("rsv").lstrip(".") or "rsv"
+            yield from ((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "rsv":
+                    yield alias.name.removeprefix("rsv").lstrip(".") or "rsv", "*"
+
+
+def test_oracle_imports_stay_apart_from_the_formulas_it_checks():
+    # the oracle is the independent side of every closed-form check: no
+    # shape calculus, no in-repo Bessel code, and from the ball states only
+    # the solvers that centre the eigenvalue search
+    imports = set(_rsv_imports(Path(oracle_solver.__file__).read_text()))
+    modules = {module for module, _name in imports}
+    assert not modules & {"rsv", "steklov", "variations"}
+    assert ("special_functions", "gauss_legendre") in imports
+    assert {name for module, name in imports if module == "special_functions"} == {
+        "gauss_legendre"
+    }
+    assert {name for module, name in imports if module == "radial_solutions"} <= {
+        "TORSION", "ROBIN_EIGEN", "DIRICHLET_EIGEN",
+        "solve_torsion_ball", "solve_robin_eigen_ball", "solve_dirichlet_eigen_ball",
+    }

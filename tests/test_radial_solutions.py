@@ -6,7 +6,7 @@ from ball_reference import k_g_from_profile, radial_quadrature, robin_ball_lam_f
 
 import rsv.radial_solutions as radial_solutions
 from rsv.radial_solutions import (
-    BallProblem,
+    RadialSolution,
     dirichlet_eigenvalue,
     solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
@@ -18,13 +18,19 @@ CASES = [(2, 1.0, 1.0), (3, 1.3, 0.7), (2, 0.8, 2.5), (3, 1.0, 0.3)]
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        BallProblem("torsion", 2, 1.0, 0.0)  # alpha = 0 has no torsion state
+        RadialSolution("torsion", 2, 1.0, 0.0)  # alpha = 0 has no torsion state
     with pytest.raises(ValueError):
-        BallProblem("robin-eigen", 2, 1.0, -1.0)
+        RadialSolution("torsion", 4, 1.0, 1.0)
     with pytest.raises(ValueError):
-        BallProblem("torsion", 4, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        BallProblem("helmholtz", 2, 1.0, 1.0)
+        RadialSolution("helmholtz", 2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, -1.0])
+def test_robin_eigen_needs_positive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha > 0"):
+        RadialSolution("robin-eigen", 2, 1.0, alpha)
+    with pytest.raises(ValueError, match="alpha > 0"):
+        solve_robin_eigen_ball(2, 1.0, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from rsv.special_functions import (
     lb_eigen,
     multiplicity,
     spherical_harmonic,
-    spherical_harmonic_dphi,
-    spherical_harmonic_dtheta,
     synthesize,
     tangential_gradient,
 )
@@ -123,7 +121,7 @@ def test_quadrature_measures_sphere(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_harmonics_orthonormal(n):
     basis = HarmonicBasis(n, max_degree=8)
-    gram = basis.gram()
+    gram = (basis.table * basis.quad.weights) @ basis.table.T
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
 
 
@@ -168,7 +166,7 @@ def test_dtheta_matches_finite_differences():
                 spherical_harmonic(n, s, i, d(theta + h))
                 - spherical_harmonic(n, s, i, d(theta - h))
             ) / (2 * h)
-            val = spherical_harmonic_dtheta(n, s, i, d(theta))
+            val = synthesize(n, {(s, i): 1.0}, d(theta), "theta")
             assert abs(val - fd) < 1e-8
 
 
@@ -237,10 +235,17 @@ _BAD_HARMONICS = [
     (3, 1, -1, "index -1 out of range for degree 1, n=3"),
     (4, 2, 0, "n must be 2 or 3"),
 ]
+
+
+def _one_harmonic(derivative):
+    """Y_{s,i}'s angular derivative through `synthesize`, its one route."""
+    return lambda n, s, i, d: synthesize(n, {(s, i): 1.0}, d, derivative)
+
+
 _EVALUATORS = {
     "value": spherical_harmonic,
-    "theta": spherical_harmonic_dtheta,
-    "phi": spherical_harmonic_dphi,
+    "theta": _one_harmonic("theta"),
+    "phi": _one_harmonic("phi"),
     "gradient": tangential_gradient,
 }
 
@@ -260,8 +265,6 @@ def test_harmonic_index_and_dimension_rejected(evaluator, n, s, i, message):
 def test_dphi_rejected_in_two_dimensions():
     d = _random_directions(2, 5, 2)
     with pytest.raises(ValueError, match="dphi is defined for n=3 only"):
-        spherical_harmonic_dphi(2, 2, 1, d)
-    with pytest.raises(ValueError, match="dphi is defined for n=3 only"):
         synthesize(2, {(2, 1): 1.0}, d, "phi")
 
 
@@ -272,9 +275,9 @@ def test_synthesize_bits_match_term_by_term_sum(n):
     rng = np.random.default_rng(31 + n)
     coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
     d = _random_directions(n, 50, 3 + n)
-    routes = {None: spherical_harmonic, "theta": spherical_harmonic_dtheta}
+    routes = {None: spherical_harmonic, "theta": _one_harmonic("theta")}
     if n == 3:
-        routes["phi"] = spherical_harmonic_dphi
+        routes["phi"] = _one_harmonic("phi")
     for derivative, harmonic in routes.items():
         want = np.zeros(d.shape[0])
         for (s, i), c in coeffs.items():

@@ -14,7 +14,9 @@ from rsv.sphere_geometry import (
     linear_field,
     radial_harmonic_field,
     rotation_field,
+    second_order_volume_correction,
     surface_element_m2,
+    surface_second_variation,
     volume_completion_field,
     zero_field,
 )
@@ -168,6 +170,26 @@ def test_mixed_data_additive_over_degrees():
 def test_mean_free_constraint_enforced():
     with pytest.raises(ValueError, match="mean-free"):
         second_variation_energy_ball(reference_torsion(), {(0, 0): 1.0, (2, 0): 1.0})
+
+
+# the routes that assume volume-preserving data, each fed N with a
+# degree-0 mode far below any tolerance: int N is still not zero
+NEEDS_MEAN_FREE = {
+    "surface": lambda N: surface_second_variation(N, 2, 1.0),
+    "bounds": lambda N: theorem_bounds(reference_torsion(), N),
+    "torsion": lambda N: second_variation_energy_ball(reference_torsion(), N),
+    "eigen": lambda N: second_variation_eigenvalue_ball(
+        solve_robin_eigen_ball(2, 1.0, 1.0), N
+    ),
+    "dirichlet": lambda N: dirichlet_variations(2, 1.0, N),
+    "volume-correction": lambda N: second_order_volume_correction(N, 2, 1.0),
+}
+
+
+@pytest.mark.parametrize("route", list(NEEDS_MEAN_FREE))
+def test_tiny_degree_zero_mode_is_not_mean_free(route):
+    with pytest.raises(ValueError, match="mean-free"):
+        NEEDS_MEAN_FREE[route]({(0, 0): 1e-15, (2, 0): 1.0})
 
 
 def test_torsion_kind_enforced():
