@@ -58,7 +58,7 @@ print(f"  target 13 pi/12 = {13 * math.pi / 12!r}")
 
 print()
 print("sweep of the family (t, E, lam, S, V); volume is pinned to O(t^4):")
-rows = sweep_rows(p, 1.0, TORSION, [-0.04, -0.02, 0.0, 0.02, 0.04])
+rows = sweep_rows(p, 1.0, TORSION, [-0.04, -0.02, 0.0, 0.02, 0.04], modes=24)
 print(f"  {'t':>6} {'E':>20} {'S':>18} {'V':>18}")
 for t, Ev, _lam, S, V in rows:
     print(f"  {t:>6.2f} {Ev:>20.12f} {S:>18.12f} {V:>18.12f}")

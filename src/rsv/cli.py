@@ -8,17 +8,17 @@ every consistency assertion embedded in that report holds.
 Subcommands: first-variation, second-variation, steklov, surface,
 classify, dirichlet, sweep.  `run` builds every report: the problem
 header, the empty-perturbation check of NEEDS_MODES, the problem-kind
-check of ONLY_KINDS, then the subcommand's runner.
+check of ONLY_KINDS, the one ball state (`_ball_state`), then the runner.
 
 Input rules have one owner each, and the loader or `run` names the config
-field when one fails: `_mode_rows` (mode rows, inline or in a coefficient
-file), `RadialSolution` (the ball problem), `mean_free` (volume preservation).
+field when one fails: `FIELDS` (the known blocks and keys), `_mode_rows`
+(mode rows, inline or in a coefficient file), `RadialSolution` (the ball
+problem), `mean_free` (volume preservation).
 
-Environment overrides, checked by the loader before any computation:
-RSV_QUAD_ORDER (sphere quadrature order, read by
-`special_functions.default_quad_order`) and RSV_FD_H (finite-difference
-step for the oracle curves).  A config's `oracle.quadrature_order` sets
-RSV_QUAD_ORDER for that run only.
+The one environment override is RSV_QUAD_ORDER (sphere quadrature order,
+read by `special_functions.default_quad_order`), checked by the loader
+before any computation.  A config's `oracle.quadrature_order` sets it for
+that run only.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ from .radial_solutions import (
     DIRICHLET_EIGEN,
     ROBIN_EIGEN,
     TORSION,
+    RadialSolution,
     solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
     solve_torsion_ball,
@@ -61,8 +62,7 @@ from .variations import (
     INDEFINITE,
     classify_torsion_sign,
     dirichlet_variations,
-    first_variation_energy,
-    first_variation_eigenvalue,
+    first_variation,
     second_variation_energy_ball,
     second_variation_eigenvalue_ball,
 )
@@ -99,12 +99,24 @@ class ExperimentConfig:
     quad_order: int  # oracle.quadrature_order; 0 keeps RSV_QUAD_ORDER
 
 
+# the config's blocks and the keys each one knows
+FIELDS = {
+    "problem": ("n", "R", "alpha", "kind"),
+    "perturbation": ("modes", "coefficients", "volume_correction", "t_values"),
+    "oracle": ("modes", "h", "richardson_levels", "quadrature_order"),
+    "output": ("directory", "formats"),
+}
+
+
 def _block(doc: dict, name: str) -> dict:
     value = doc.get(name, {})
     if value is None:
         value = {}
     if not isinstance(value, dict):
         raise ConfigError(f"{name}: expected a mapping, got {type(value).__name__}")
+    for key in value:
+        if key not in FIELDS[name]:
+            raise ConfigError(f"{name}.{key}: unknown field")
     return value
 
 
@@ -188,15 +200,13 @@ def _load_coefficients(path, n: int, R: float) -> PerturbationField:
 
 
 def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
-    modes = block.get("modes")
     path = block.get("coefficients")
-    if modes is not None and path is not None:
-        raise ConfigError(
-            "perturbation: give either `modes` or `coefficients`, not both"
-        )
     if path is not None:
+        for key in ("modes", "volume_correction"):
+            if block.get(key) is not None:
+                raise ConfigError(f"perturbation.{key}: not with `coefficients` (the file holds N and W)")
         return _load_coefficients(path, n, R)
-    p = PerturbationField(n, R, _mode_rows(modes, "perturbation.modes", n), {})
+    p = PerturbationField(n, R, _mode_rows(block.get("modes"), "perturbation.modes", n), {})
     explicit = block.get("volume_correction")
     if not isinstance(explicit, (bool, type(None))):
         raise ConfigError(
@@ -231,6 +241,9 @@ def load_config(path: str) -> ExperimentConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping of blocks")
+    for name in doc:
+        if name not in FIELDS:
+            raise ConfigError(f"{name}: unknown block")
 
     problem = _block(doc, "problem")
     n = _integer(problem, "problem", "n", None, 2)
@@ -256,16 +269,9 @@ def load_config(path: str) -> ExperimentConfig:
     oracle = _block(doc, "oracle")
     # 0 selects the subcommand's default
     oracle_modes = _integer(oracle, "oracle", "modes", 0, 0)
-    h_field, h = "oracle.h", _number(oracle, "oracle", "h", 5e-3)
-    if "RSV_FD_H" in os.environ:
-        h_field, h = "RSV_FD_H", os.environ["RSV_FD_H"]
-        try:
-            h = float(h)
-        except ValueError:
-            pass  # _finite rejects the text and names the variable
-        h = _finite(h, h_field)
+    h = _number(oracle, "oracle", "h", 5e-3)
     if h <= 0.0:
-        raise ConfigError(f"{h_field}: step must be positive, got {h!r}")
+        raise ConfigError(f"oracle.h: step must be positive, got {h!r}")
     levels = _integer(oracle, "oracle", "richardson_levels", 1, 0)
     quad_order = 0
     if oracle.get("quadrature_order") is not None:
@@ -379,8 +385,8 @@ def render_table(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ball_state(cfg: ExperimentConfig):
-    # the loader has checked n and R, so the solver can only reject alpha
+def _ball_state(cfg: ExperimentConfig) -> RadialSolution:
+    # the loader has checked n and R, so the state can only reject alpha
     try:
         if cfg.kind == TORSION:
             return solve_torsion_ball(cfg.n, cfg.R, cfg.alpha)
@@ -403,9 +409,8 @@ def _oracle(cfg: ExperimentConfig, curve=None):
     )
 
 
-def _second_variation(cfg: ExperimentConfig):
+def _second_variation(cfg: ExperimentConfig, sol: RadialSolution):
     """The closed-form second variation at the ball for the config's kind."""
-    sol = _ball_state(cfg)
     try:
         if cfg.kind == TORSION:
             return second_variation_energy_ball(sol, cfg.perturbation.N)
@@ -416,11 +421,9 @@ def _second_variation(cfg: ExperimentConfig):
         raise ConfigError(f"perturbation.modes: {exc}")
 
 
-def run_first_variation(cfg: ExperimentConfig, report: Report) -> None:
-    sol = _ball_state(cfg)
+def run_first_variation(cfg: ExperimentConfig, sol: RadialSolution, report: Report) -> None:
     base = sol.energy()
-    first = first_variation_energy if cfg.kind == TORSION else first_variation_eigenvalue
-    series = first(sol, cfg.perturbation.N)
+    series = first_variation(sol, cfg.perturbation.N)
     der = _oracle(cfg)
 
     report.add("value_at_ball", base)
@@ -439,8 +442,8 @@ def run_first_variation(cfg: ExperimentConfig, report: Report) -> None:
     report.table_rows = list(report.pairs)
 
 
-def run_second_variation(cfg: ExperimentConfig, report: Report) -> None:
-    var = _second_variation(cfg)
+def run_second_variation(cfg: ExperimentConfig, sol: RadialSolution, report: Report) -> None:
+    var = _second_variation(cfg, sol)
     der = _oracle(cfg)
 
     for name, value in [
@@ -480,8 +483,7 @@ def run_second_variation(cfg: ExperimentConfig, report: Report) -> None:
     report.table_rows = list(var.modes)
 
 
-def run_steklov(cfg: ExperimentConfig, report: Report) -> None:
-    sol = _ball_state(cfg)
+def run_steklov(cfg: ExperimentConfig, sol: RadialSolution, report: Report) -> None:
     spectrum = SteklovSpectrum(sol)
     depth = cfg.oracle_modes or 12
     table = spectrum.table(depth)
@@ -514,7 +516,7 @@ def run_steklov(cfg: ExperimentConfig, report: Report) -> None:
         report.check("degree_one_identity", abs(L) <= 1e-10, f"L = {L!r}")
 
 
-def run_surface(cfg: ExperimentConfig, report: Report) -> None:
+def run_surface(cfg: ExperimentConfig, sol: RadialSolution, report: Report) -> None:
     if not mean_free(cfg.perturbation.N):
         raise ConfigError(
             "perturbation.modes: the surface report needs mean-free data "
@@ -536,11 +538,8 @@ def run_surface(cfg: ExperimentConfig, report: Report) -> None:
     report.table_rows = list(report.pairs)
 
 
-def run_classify(cfg: ExperimentConfig, report: Report) -> None:
-    try:
-        result = classify_torsion_sign(cfg.n, cfg.R, cfg.alpha)
-    except ValueError as exc:
-        raise ConfigError(f"problem.alpha: {exc}")
+def run_classify(cfg: ExperimentConfig, sol: RadialSolution, report: Report) -> None:
+    result = classify_torsion_sign(sol.n, sol.R, sol.alpha)
 
     report.add("classification", result.classification)
     report.add("searched_degrees", result.searched_degrees)
@@ -565,8 +564,8 @@ def run_classify(cfg: ExperimentConfig, report: Report) -> None:
     )
 
 
-def run_dirichlet(cfg: ExperimentConfig, report: Report) -> None:
-    var = _second_variation(cfg)
+def run_dirichlet(cfg: ExperimentConfig, sol: RadialSolution, report: Report) -> None:
+    var = _second_variation(cfg, sol)
     der = _oracle(cfg)
 
     report.add("eigenvalue_at_ball", var.E0)
@@ -592,10 +591,10 @@ def run_dirichlet(cfg: ExperimentConfig, report: Report) -> None:
     report.table_rows = list(var.modes)
 
 
-def run_sweep(cfg: ExperimentConfig, report: Report) -> None:
+def run_sweep(cfg: ExperimentConfig, sol: RadialSolution, report: Report) -> None:
     if not cfg.t_values:
         raise ConfigError("perturbation.t_values: the sweep needs a list of t values")
-    modes = cfg.oracle_modes or 20
+    modes = cfg.oracle_modes or (24 if cfg.kind == TORSION else 20)
     rows = sweep_rows(cfg.perturbation, cfg.alpha, cfg.kind, cfg.t_values, modes=modes)
 
     report.add("t_count", len(rows))
@@ -641,7 +640,7 @@ ONLY_KINDS = {
 
 def run(sub: str, cfg: ExperimentConfig) -> Report:
     """The `sub` report for `cfg`: the problem header, then the runner's
-    values, table and checks."""
+    values, table and checks, computed from one ball state."""
     report = Report(sub)
     for name in ("kind", "n", "R", "alpha"):
         report.add(name, getattr(cfg, name))
@@ -650,7 +649,7 @@ def run(sub: str, cfg: ExperimentConfig) -> Report:
     kinds = ONLY_KINDS.get(sub, KINDS)
     if cfg.kind not in kinds:
         raise ConfigError(f"problem.kind: `{sub}` needs kind {' or '.join(kinds)}")
-    RUNNERS[sub](cfg, report)
+    RUNNERS[sub](cfg, _ball_state(cfg), report)
     return report
 
 

@@ -731,7 +731,7 @@ def sweep_rows(
     for t in ts:
         d = perturbed_domain(p, float(t))
         if kind == TORSION:
-            sol = solve_perturbed_torsion(d, alpha, modes=max(modes, 24))
+            sol = solve_perturbed_torsion(d, alpha, modes=modes)
             lam = math.nan
         else:
             sol = solve_perturbed_eigen(d, alpha, modes=modes, kind=kind)

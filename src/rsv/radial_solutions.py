@@ -110,13 +110,6 @@ class RadialSolution:
         n, R, alpha = self.n, self.R, self.alpha
         return self.source_at_boundary() - alpha * (n - 1) * uR / R + alpha**2 * uR
 
-    def eigenvalue_shift_constant(self) -> float:
-        """A = -alpha^2 + (n-1) alpha / R - lam, the factor in
-        lam'(0) = A u(R)^2 * int N dS.  Nonpositive for the first eigenvalue."""
-        if self.kind != ROBIN_EIGEN:
-            raise ValueError("shift constant is defined for the Robin eigenvalue")
-        return -self.alpha**2 + (self.n - 1) * self.alpha / self.R - self.lam
-
     # -- integrals ----------------------------------------------------------
 
     def volume_integral_u(self) -> float:

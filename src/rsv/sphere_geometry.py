@@ -301,15 +301,17 @@ def volume_completion_field(v: AmbientField, n: int, R: float) -> AmbientField:
     quad = SphereQuadrature(n)
     x = R * quad.directions
     vx = v(x)
-    jac = v.jacobian(x)
-    nu = quad.directions
-    div = np.trace(jac, axis1=-2, axis2=-1)
-    integrand = np.einsum("qi,qi->q", vx, nu) * div - np.einsum(
-        "qi,qij,qj->q", nu, jac, vx
-    )
+    integrand = _volume_integrand(quad.directions, vx, v.jacobian(x), np.zeros_like(vx))
     total = R ** (n - 1) * quad.integrate(integrand)
     w_const = -total / (R ** (n - 1) * sphere_measure(n))
     return radial_harmonic_field(n, R, constant_coeffs(n, w_const))
+
+
+def _volume_integrand(nu, vx, Dv, wx) -> np.ndarray:
+    """(v.nu) div v - nu.(D_v v) + w.nu at the points R nu, from v, its
+    Jacobian Dv and w sampled there: the boundary integrand of V''(0)."""
+    N_div_v = np.einsum("qi,qi->q", vx, nu) * np.trace(Dv, axis1=-2, axis2=-1)
+    return N_div_v - np.einsum("qi,qij,qj->q", nu, Dv, vx) + np.einsum("qi,qi->q", wx, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +378,5 @@ def surface_second_variation_general(
     grad_N = np.einsum("qji,qj->qi", Dv, nu) + vx / R
     grad_N = grad_N - np.einsum("qi,qi->q", grad_N, nu)[..., None] * nu
     term1 = np.einsum("qi,qi->q", grad_N, grad_N) - (n - 1) / R**2 * N * N
-    div_v = np.trace(Dv, axis1=-2, axis2=-1)
-    term2 = (
-        N * div_v
-        - np.einsum("qi,qij,qj->q", nu, Dv, vx)
-        + np.einsum("qi,qi->q", wx, nu)
-    )
+    term2 = _volume_integrand(nu, vx, Dv, wx)
     return R ** (n - 1) * quad.integrate(term1 + (n - 1) / R * term2)

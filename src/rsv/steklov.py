@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radial_solutions import ROBIN_EIGEN, TORSION, RadialSolution
+from .radial_solutions import DIRICHLET_EIGEN, ROBIN_EIGEN, TORSION, RadialSolution
 from .special_functions import bessel_j, multiplicity, synthesize
 from .sphere_geometry import BoundaryFunction, mean_free
 
@@ -31,23 +31,21 @@ RESONANCE_TOL = 1e-9
 
 
 class SteklovSpectrum:
-    """mu_s table of the radial mode profiles a_s for a torsion or Robin
-    eigenvalue state."""
+    """mu_s table of the radial mode profiles a_s of a ball state; for the
+    Dirichlet state the ground mode a_0, the eigenfunction, vanishes at R."""
 
     def __init__(self, sol: RadialSolution):
-        if sol.kind not in (TORSION, ROBIN_EIGEN):
-            raise ValueError("spectrum defined for torsion and robin-eigen states")
         self.sol = sol
 
     def log_derivative(self, s: int) -> float:
-        """a_s'(R) / a_s(R)."""
+        """a_s'(R) / a_s(R); a_s(r) = r^{1-n/2} J_{s+n/2-1}(k r) for eigenstates."""
         n, R = self.sol.n, self.sol.R
         if self.sol.kind == TORSION:
             return s / R
         k = math.sqrt(self.sol.lam)
         nu = n / 2.0 - 1.0 + s
         jR = bessel_j(nu, k * R)
-        if abs(jR) < 1e-300:
+        if abs(jR) < 1e-300 or (s == 0 and self.sol.kind == DIRICHLET_EIGEN):
             raise ArithmeticError(f"degenerate mode s={s}: a_s(R) = 0")
         return s / R - k * bessel_j(nu + 1.0, k * R) / jR
 
@@ -120,6 +118,8 @@ def shape_derivative_uprime(
     the degree-0 mode is resonant (mu_0 = 0): mean-free N is required there,
     and u' has no degree-0 part (the normalization int u u' = 0).
     """
+    if sol.kind == DIRICHLET_EIGEN:
+        raise ValueError("u' needs a Robin trace: a torsion or robin-eigen state")
     if sol.kind == ROBIN_EIGEN and not mean_free(N):
         raise ArithmeticError(
             "resonant degree-0 mode: N must be mean-free for eigenvalue states"

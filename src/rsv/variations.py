@@ -33,11 +33,12 @@ from .radial_solutions import (
     solve_dirichlet_eigen_ball,
     solve_torsion_ball,
 )
-from .special_functions import SphereQuadrature, bessel_j, lb_eigen, synthesize
+from .special_functions import SphereQuadrature, lb_eigen, synthesize
 from .sphere_geometry import (
     AmbientField,
     BoundaryFunction,
     _surface_element_m2,
+    _volume_integrand,
     mean_free,
     normal_trace,
     project_normal_trace,
@@ -104,32 +105,16 @@ def _boundary_integral_N(sol_n: int, R: float, N) -> float:
 # ---------------------------------------------------------------------------
 
 
-def first_variation_energy(sol: RadialSolution, v) -> float:
-    """E'(0) = int (v.nu) { |grad u|^2 - 2G(u) - 2 alpha^2 u^2
-    + alpha (n-1) H u^2 } dS with H = 1/R; constant integrand at the ball."""
-    if sol.kind != TORSION:
-        raise ValueError("energy first variation applies to the torsion kind")
-    uR = sol.boundary_value()
-    n, R, alpha = sol.n, sol.R, sol.alpha
-    z = (
-        alpha**2 * uR**2
-        - 2.0 * sol.source_primitive_at_boundary()
-        - 2.0 * alpha**2 * uR**2
-        + alpha * (n - 1) / R * uR**2
-    )
+def first_variation(sol: RadialSolution, v) -> float:
+    """E'(0) or lam'(0) = int (v.nu) { |grad u|^2 - 2G(u) - 2 alpha^2 u^2
+    + alpha (n-1) H u^2 } dS with H = 1/R.  At the ball |grad u|^2 = u_r^2
+    = alpha^2 u^2, so the integrand is the constant -u_r(R)^2 - 2G(u(R))
+    + alpha (n-1) u(R)^2 / R; for Dirichlet (alpha = 0, u(R) = 0) it is
+    Hadamard's -u_r(R)^2."""
+    n, R, uR = sol.n, sol.R, sol.boundary_value()
+    z = -sol.boundary_slope() ** 2 - 2.0 * sol.source_primitive_at_boundary()
+    z += sol.alpha * (n - 1) / R * uR**2
     return z * _boundary_integral_N(n, R, v)
-
-
-def first_variation_eigenvalue(sol: RadialSolution, v) -> float:
-    """lam'(0) = A u(R)^2 int (v.nu) dS for the first Robin eigenvalue, with
-    the shift constant A = -alpha^2 + (n-1) alpha / R - lam; for the first
-    Dirichlet eigenvalue, Hadamard's lam'(0) = -u_r(R)^2 int (v.nu) dS."""
-    if sol.kind == DIRICHLET_EIGEN:
-        return -sol.boundary_slope() ** 2 * _boundary_integral_N(sol.n, sol.R, v)
-    if sol.kind != ROBIN_EIGEN:
-        raise ValueError("eigenvalue first variation needs an eigenvalue state")
-    A = sol.eigenvalue_shift_constant()
-    return A * sol.boundary_value() ** 2 * _boundary_integral_N(sol.n, sol.R, v)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +132,18 @@ def _surface_second_variation_from_b(sd: ShapeDerivative) -> float:
     return total
 
 
-def _mode_table(sd: ShapeDerivative) -> tuple[tuple[int, float], ...]:
-    """Per-degree contribution to E''(0) (surface term plus bracket term)."""
-    sol = sd.sol
+def _mode_table(
+    sol: RadialSolution, b: BoundaryFunction, mu: dict[int, float]
+) -> tuple[tuple[int, float], ...]:
+    """Per-degree contribution to E''(0) (surface term plus bracket term) of
+    the trace coefficients b, with mu the Steklov value of each degree."""
     n, R = sol.n, sol.R
     alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
     per_degree: dict[int, float] = {}
-    for (s, _i), bv in sd.b.items():
+    for (s, _i), bv in b.items():
         mu_lb, _ = lb_eigen(s, n)
         surf = alpha * uR**2 * bv * bv * (mu_lb - (n - 1)) / R**2
-        bracket = 2.0 * bv * bv * (alpha * uR * kg - kg * kg / sd.mu[s])
+        bracket = 2.0 * bv * bv * (alpha * uR * kg - kg * kg / mu[s])
         per_degree[s] = per_degree.get(s, 0.0) + surf + bracket
     return tuple(sorted(per_degree.items()))
 
@@ -180,16 +167,10 @@ def second_variation_quadrature(sd: ShapeDerivative, N: BoundaryFunction) -> flo
     up = sd.boundary_values(quad.directions)
     trace = sd.robin_trace_values(quad.directions)
     area_w = R ** (n - 1)
+    uR, kg = sol.boundary_value(), sol.k_g()
     out = -2.0 * area_w * quad.integrate(trace * up)
-    out += alpha * sol.boundary_value() ** 2 * area_w * quad.integrate(m2)
-    out += (
-        2.0
-        * alpha
-        * sol.boundary_value()
-        / sol.k_g()
-        * area_w
-        * quad.integrate(trace * trace)
-    )
+    out += alpha * uR**2 * area_w * quad.integrate(m2)
+    out += 2.0 * alpha * uR / kg * area_w * quad.integrate(trace * trace)
     return out
 
 
@@ -231,7 +212,7 @@ def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> Vari
         bound_i=bound_i,
         bound_ii=bound_ii,
         classification=_classify_value(value, scale=max(1.0, norm_sq)),
-        modes=_mode_table(sd),
+        modes=_mode_table(sol, sd.b, sd.mu),
         extras={"Eddot0_quadrature": by_quadrature, "boundary_norm_sq_N": norm_sq},
     )
 
@@ -335,21 +316,15 @@ def classify_torsion_sign(n: int, R: float, alpha: float) -> SignClassification:
     """
     sol = solve_torsion_ball(n, R, alpha)
     spec = SteklovSpectrum(sol)
-    uR, kg = sol.boundary_value(), sol.k_g()
     depth = max(_SIGN_SEARCH_DEPTH, int(math.ceil(-alpha * R)) + 2)
-    values: list[tuple[int, float]] = []
-    for s in range(2, depth + 1):
-        mu = spec.mu(s)
-        if abs(mu) < RESONANCE_TOL * max(1.0, abs(alpha)):
+    mu = {s: spec.mu(s) for s in range(2, depth + 1)}
+    for s, m in mu.items():
+        if abs(m) < RESONANCE_TOL * max(1.0, abs(alpha)):
             raise ArithmeticError(
                 f"resonant configuration: mu_{s} = 0 at alpha R = {-s}; "
                 "the linearized problem is degenerate"
             )
-        mu_lb, _ = lb_eigen(s, n)
-        e_s = alpha * uR**2 * (mu_lb - (n - 1)) / R**2 + 2.0 * (
-            alpha * uR * kg - kg * kg / mu
-        )
-        values.append((s, e_s))
+    values = _mode_table(sol, {(s, 0): 1.0 for s in mu}, mu)
 
     tol = _SIGN_TOL * max(1.0, max(abs(e) for _s, e in values))
     positives = [(s, e) for s, e in values if e > tol]
@@ -397,10 +372,8 @@ def second_variation_general(sol: RadialSolution, v: AmbientField, w: AmbientFie
 
     N = np.einsum("qi,qi->q", vx, nu)
     wnu = np.einsum("qi,qi->q", wx, nu)
-    div_v = np.trace(Dv, axis1=-2, axis2=-1)
-    # advective derivative (v.grad)v; the theorem contracts it against nu
-    Dv_v = np.einsum("qij,qj->qi", Dv, vx)
-    v_Dv_nu = np.einsum("qi,qi->q", Dv_v, nu)
+    # advective derivative (v.grad)v, contracted against nu
+    v_Dv_nu = np.einsum("qi,qi->q", np.einsum("qij,qj->qi", Dv, vx), nu)
     nu_Dv_nu = np.einsum("qi,qij,qj->q", nu, Dv, nu)
     v_sq = np.einsum("qi,qi->q", vx, vx)
 
@@ -410,9 +383,9 @@ def second_variation_general(sol: RadialSolution, v: AmbientField, w: AmbientFie
 
     area_w = R ** (n - 1)
     integrals = 0.0
-    # transported-energy term: (N div v - v.(D_v nu) + w.nu)(|grad u|^2 - 2G)
+    # transported-energy term: (N div v - nu.(D_v v) + w.nu)(|grad u|^2 - 2G)
     integrals += (ur * ur - 2.0 * G) * area_w * quad.integrate(
-        N * div_v - v_Dv_nu + wnu
+        _volume_integrand(nu, vx, Dv, wx)
     )
     # first-order interaction of D_v with grad u
     integrals += 4.0 * ur * ur * area_w * quad.integrate(v_Dv_nu - N * nu_Dv_nu)
@@ -435,22 +408,14 @@ def second_variation_general(sol: RadialSolution, v: AmbientField, w: AmbientFie
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_mode_log_derivative(n: int, R: float, k: float, s: int) -> float:
-    """a_s'(R)/a_s(R) for a_s(r) = r^{1-n/2} J_{s+n/2-1}(k r)."""
-    nu = n / 2.0 - 1.0 + s
-    j = bessel_j(nu, k * R)
-    if abs(j) < 1e-14:
-        raise ArithmeticError(f"degenerate Dirichlet mode s={s}")
-    return s / R - k * bessel_j(nu + 1.0, k * R) / j
-
-
 def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationReport:
     """Dirichlet counterpart quantities on the ball for Hadamard data N:
 
     - first eigenvalue lam_D and the classical second-variation series
       (1/2) lam_D''(0) = sum c^2 [beta_s + (n-1)/R], c = -u_r(R) b;
-    - its lower-bound coefficient n/R - k J_{n/2+1}(kR)/J_{n/2}(kR), which
-      vanishes identically at k = sqrt(lam_D) (degree-1 translation kernel);
+    - its lower-bound coefficient beta_1 + (n-1)/R = n/R - k J_{n/2+1}(kR)
+      / J_{n/2}(kR), which vanishes identically at k = sqrt(lam_D) (degree-1
+      translation kernel);
     - the Dirichlet torsion energy: E'(0) (zero for mean-free N) and E''(0)
       from the critical-domain second-variation functional
       2 Q(u') + g(0) int u'^2 du/dnu dS + 2(n-1) int u'^2 H dS.
@@ -458,12 +423,9 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
     if not mean_free(N):
         raise ValueError("N must be mean-free")
     eig = solve_dirichlet_eigen_ball(n, R)
+    spec = SteklovSpectrum(eig)
     lam_D = eig.lam
-    k = math.sqrt(lam_D)
-
-    gs_coefficient = n / R - k * bessel_j(n / 2.0 + 1.0, k * R) / bessel_j(
-        n / 2.0, k * R
-    )
+    gs_coefficient = spec.log_derivative(1) + (n - 1) / R
 
     scale = R ** ((n - 1) / 2.0)
     b = {si: scale * c for si, c in N.items() if c != 0.0}
@@ -474,7 +436,7 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
     modes: dict[int, float] = {}
     lam_ddot_half = 0.0
     for (s, _i), bv in b.items():
-        beta = _dirichlet_mode_log_derivative(n, R, k, s)
+        beta = spec.log_derivative(s)
         c = -ur_eig * bv
         term = c * c * (beta + (n - 1) / R)
         lam_ddot_half += term

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from rsv.cli import main
+from rsv.oracle_solver import solve_perturbed_torsion
 from rsv.radial_solutions import solve_torsion_ball
-from rsv.sphere_geometry import PerturbationField
+from rsv.sphere_geometry import PerturbationField, perturbed_domain
 from rsv.variations import classify_torsion_sign, second_variation_energy_ball
 
 SQRT_PI = math.sqrt(math.pi)
@@ -202,7 +203,11 @@ MALFORMED = {
     ),
     # `!!null` makes the field null whatever path follows it
     "directory-null": ("  directory: ", "  directory: !!null ", {}, "output.directory"),
-    "fd-step-text": ("", "", {"RSV_FD_H": "abc"}, "RSV_FD_H"),
+    "oracle-unknown-key": (
+        "oracle:\n", "oracle:\n  richardson_level: 7\n", {}, "oracle.richardson_level: unknown field"
+    ),
+    "problem-unknown-key": ("  n: 2\n", "  n: 2\n  radius: 1.0\n", {}, "problem.radius: unknown field"),
+    "unknown-block": ("output:\n", "solver:\n  modes: 4\noutput:\n", {}, "solver: unknown block"),
     "quad-order-text": ("", "", {"RSV_QUAD_ORDER": "abc"}, "RSV_QUAD_ORDER"),
     "quad-order-negative": ("", "", {"RSV_QUAD_ORDER": "-4"}, "RSV_QUAD_ORDER"),
     "quad-order-zero": ("", "", {"RSV_QUAD_ORDER": "0"}, "RSV_QUAD_ORDER"),
@@ -273,21 +278,22 @@ def test_report_rejects_problem_kind(sub, kind, tmp_path, capsys):
 @pytest.mark.parametrize(
     "sub, kind, alpha",
     [("steklov", "robin-eigen", "-1.0"), ("second-variation", "torsion", "0.0"),
-     ("classify", "torsion", "0.0")],
+     ("classify", "torsion", "0.0"), ("sweep", "robin-eigen", "-1.0"),
+     ("surface", "robin-eigen", "-1.0")],
 )
 def test_ball_problem_alpha_names_field(sub, kind, alpha, tmp_path, capsys):
     assert main([sub, "--config", str(write_config(tmp_path, kind=kind, alpha=alpha))]) == 2
     assert "config error: problem.alpha" in capsys.readouterr().err
 
 
-def test_fd_env_override_writes_failure_list(tmp_path, monkeypatch, capsys):
+def test_coarse_step_writes_failure_list(tmp_path, capsys):
     # a half-unit step cannot resolve the quartic area term: the oracle
     # comparison must fail honestly and leave a machine-readable record
-    monkeypatch.setenv("RSV_FD_H", "0.5")
     path = tmp_path / "cfg.yaml"
     path.write_text(
-        config_text(tmp_path / "reports").replace("richardson_levels: 2",
-                                                  "richardson_levels: 0")
+        config_text(tmp_path / "reports")
+        .replace("h: 5.0e-3", "h: 0.5")
+        .replace("richardson_levels: 2", "richardson_levels: 0")
     )
     assert main(["surface", "--config", str(path)]) == 1
     failures = (tmp_path / "reports" / "failures.kv").read_text()
@@ -317,6 +323,20 @@ def test_sweep_writes_rows(tmp_path):
     assert lines[2].startswith("0.0\t")
     kv = (tmp_path / "reports" / "sweep.kv").read_text()
     assert "check_volume_preserved = true" in kv
+
+
+def test_torsion_sweep_honours_oracle_modes(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        config_text(tmp_path / "reports").replace(
+            "oracle:\n", "  t_values: [0.02]\noracle:\n  modes: 12\n"
+        )
+    )
+    assert main(["sweep", "--config", str(path), "--format", "table"]) == 0
+    row = (tmp_path / "reports" / "sweep.tsv").read_text().splitlines()[1]
+    field = PerturbationField(2, 1.0, {(2, 0): SQRT_PI}, {}).with_volume_correction()
+    want = solve_perturbed_torsion(perturbed_domain(field, 0.02), 1.0, 12).energy
+    assert row.split("\t")[1] == repr(float(want))
 
 
 def test_first_variation_dilation_matches_oracle(tmp_path):
@@ -425,6 +445,23 @@ MALFORMED_FILES = {
     '{"n": 2, "R": 1.0, "N": [[true, 0, 1.0]]}': "perturbation.coefficients: N",
     '{"n": 2, "R": 1.0, "N": [[2, 0, 1.0]], "W": [[0, 0]]}': "perturbation.coefficients: W",
 }
+
+
+@pytest.mark.parametrize(
+    "key, value", [("modes", "[[2, 0, 1.0]]"), ("volume_correction", "false")]
+)
+def test_coefficient_file_excludes_field(key, value, tmp_path, capsys):
+    # the file holds N and its W row is the correction, so neither the modes
+    # nor a volume correction can be given next to it
+    coeff_path = tmp_path / "field.json"
+    coeff_path.write_text('{"n": 2, "R": 1.0, "N": [[2, 0, 1.0]]}')
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        "problem: {n: 2, R: 1.0, alpha: 1.0, kind: torsion}\n"
+        f"perturbation: {{coefficients: {coeff_path}, {key}: {value}}}\n"
+    )
+    assert main(["surface", "--config", str(path)]) == 2
+    assert f"config error: perturbation.{key}: not with" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", list(MALFORMED_FILES))

@@ -43,7 +43,7 @@ from rsv.sphere_geometry import (
 )
 from rsv.variations import (
     dirichlet_variations,
-    first_variation_eigenvalue,
+    first_variation,
     second_variation_eigenvalue_ball,
     second_variation_energy_ball,
 )
@@ -630,21 +630,29 @@ def test_eigen_first_derivative_dilation():
     p = PerturbationField(2, 1.0, UNIT, {})
     g = eigenvalue_curve(p, 1.0, modes=16)
     fd = finite_difference_derivatives(g, h=5e-3, richardson_levels=1)
-    want = first_variation_eigenvalue(solve_robin_eigen_ball(2, 1.0, 1.0), UNIT)
+    want = first_variation(solve_robin_eigen_ball(2, 1.0, 1.0), UNIT)
     assert fd.d1 < 0
     assert fd.d1 == pytest.approx(want, rel=1e-3)
 
 
+@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
 @pytest.mark.parametrize(
     "n, N", [(2, {(0, 0): 0.3, (2, 0): 0.1}), (3, {(0, 0): 0.3, (2, 2): 0.1})]
 )
-def test_dirichlet_first_derivative_of_data_with_a_mean(n, N):
-    # Hadamard: lam_D'(0) = -u_r(R)^2 int N dS, so only the mean of N counts
+def test_first_derivative_of_data_with_a_mean(n, N, kind):
+    # one Hadamard integrand for all three kinds: the constant
+    # -u_r^2 - 2G(u) + alpha (n-1) u^2/R times int N dS, so only the mean counts
     p = PerturbationField(n, 1.0, N, {})
-    g = eigenvalue_curve(p, None, modes=16 if n == 2 else 12, kind=DIRICHLET_EIGEN)
-    fd = finite_difference_derivatives(g, h=5e-3, richardson_levels=2)
-    want = first_variation_eigenvalue(solve_dirichlet_eigen_ball(n, 1.0), N)
-    assert fd.d1 == pytest.approx(want, rel=1e-8)
+    if kind == TORSION:
+        sol = solve_torsion_ball(n, 1.0, 1.0)
+        curve = torsion_energy_curve(p, 1.0, modes=28 if n == 2 else 20)
+    else:
+        alpha = 1.0 if kind == ROBIN_EIGEN else None
+        sol = (solve_robin_eigen_ball(n, 1.0, 1.0) if alpha
+               else solve_dirichlet_eigen_ball(n, 1.0))
+        curve = eigenvalue_curve(p, alpha, modes=16 if n == 2 else 12, kind=kind)
+    fd = finite_difference_derivatives(curve, h=5e-3, richardson_levels=2)
+    assert fd.d1 == pytest.approx(first_variation(sol, N), rel=1e-8)
 
 
 def test_dirichlet_second_derivative_matches_series():

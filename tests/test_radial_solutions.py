@@ -129,7 +129,7 @@ def test_eigenvalue_shift_constant_nonpositive():
     for n in (2, 3):
         for alpha in (0.1, 0.5, 1.0, 3.0, 10.0):
             e = solve_robin_eigen_ball(n, 1.0, alpha)
-            assert e.eigenvalue_shift_constant() < 0.0
+            assert -alpha**2 + (n - 1) * alpha - e.lam < 0.0
 
 
 def test_robin_eigen_monotone_in_alpha():

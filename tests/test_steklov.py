@@ -26,9 +26,10 @@ def test_torsion_spectrum_affine():
             assert st.mu(s) == pytest.approx(alpha + s / R)
 
 
-def test_spectrum_rejects_dirichlet_state():
-    with pytest.raises(ValueError):
-        SteklovSpectrum(solve_dirichlet_eigen_ball(2, 1.0))
+def test_shape_derivative_rejects_dirichlet_state():
+    # u' solves a Robin-trace problem; the Dirichlet state has none
+    with pytest.raises(ValueError, match="Robin trace"):
+        shape_derivative_uprime(solve_dirichlet_eigen_ball(2, 1.0), COS2T)
 
 
 def test_eigen_spectrum_reference():

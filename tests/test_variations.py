@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 import rsv.variations as variations
 from rsv.radial_solutions import (
     DIRICHLET_EIGEN,
+    solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
 from rsv.special_functions import SphereQuadrature
+from rsv.steklov import SteklovSpectrum
 from rsv.sphere_geometry import (
     linear_field,
     radial_harmonic_field,
@@ -27,8 +30,7 @@ from rsv.variations import (
     POSITIVE,
     classify_torsion_sign,
     dirichlet_variations,
-    first_variation_energy,
-    first_variation_eigenvalue,
+    first_variation,
     second_variation_energy_ball,
     second_variation_eigenvalue_ball,
     second_variation_general,
@@ -53,39 +55,33 @@ def test_first_variation_energy_dilation():
     # z = |grad u|^2 - 2G - 2 alpha^2 u^2 + alpha(n-1)u^2/R = -1 at the
     # reference state, so E'(0) = -int N dS = -2 pi for N = 1.
     sol = reference_torsion()
-    assert first_variation_energy(sol, UNIT) == pytest.approx(-2.0 * PI, abs=1e-12)
+    assert first_variation(sol, UNIT) == pytest.approx(-2.0 * PI, abs=1e-12)
 
 
 def test_first_variation_energy_mean_free_zero():
     sol = reference_torsion()
-    assert first_variation_energy(sol, COS2T) == pytest.approx(0.0, abs=1e-14)
+    assert first_variation(sol, COS2T) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_first_variation_energy_ambient_field_matches_coeffs():
     sol = reference_torsion()
     translation = linear_field(np.zeros((2, 2)), np.array([0.3, -0.4]))
-    by_field = first_variation_energy(sol, translation)
+    by_field = first_variation(sol, translation)
     # v.nu is pure degree 1, hence mean-free
     assert by_field == pytest.approx(0.0, abs=1e-13)
-    by_dilation = first_variation_energy(sol, linear_field(np.eye(2)))
+    by_dilation = first_variation(sol, linear_field(np.eye(2)))
     coeff = {(0, 0): math.sqrt(2.0 * PI)}  # v.nu = R = 1
-    assert by_dilation == pytest.approx(first_variation_energy(sol, coeff), abs=1e-12)
+    assert by_dilation == pytest.approx(first_variation(sol, coeff), abs=1e-12)
 
 
 def test_first_variation_eigenvalue_reference():
     sol = solve_robin_eigen_ball(2, 1.0, 1.0)
-    got = first_variation_eigenvalue(sol, UNIT)
-    A = sol.eigenvalue_shift_constant()
+    got = first_variation(sol, UNIT)
+    # the shift constant A = -alpha^2 + (n-1) alpha/R - lam
+    A = -sol.alpha**2 + (sol.n - 1) * sol.alpha / sol.R - sol.lam
     assert A < 0
     assert got == pytest.approx(A * sol.boundary_value() ** 2 * 2.0 * PI, abs=1e-12)
     assert got == pytest.approx(-1.9300838867658328, abs=1e-10)
-
-
-def test_first_variation_kind_checks():
-    with pytest.raises(ValueError):
-        first_variation_energy(solve_robin_eigen_ball(2, 1.0, 1.0), UNIT)
-    with pytest.raises(ValueError):
-        first_variation_eigenvalue(reference_torsion(), UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +431,21 @@ def test_dirichlet_torsion_energy():
 def test_dirichlet_requires_mean_free():
     with pytest.raises(ValueError, match="mean-free"):
         dirichlet_variations(2, 1.0, {(0, 0): 1.0})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dirichlet_high_degree_series(n):
+    # a_20(R) ~ J_{20+n/2-1}(kR) is below 1e-14 but not zero: the series
+    # term 2 c^2 (beta_s + (n-1)/R) still holds, with beta_s from scipy
+    rep = dirichlet_variations(n, 1.0, {(20, 0): 0.01})
+    eig = solve_dirichlet_eigen_ball(n, 1.0)
+    k, nu = math.sqrt(eig.lam), n / 2.0 + 19.0
+    beta = 20.0 - k * jv(nu + 1.0, k) / jv(nu, k)
+    c = -eig.boundary_slope() * 0.01
+    assert rep.Eddot0 == pytest.approx(2.0 * c * c * (beta + n - 1), rel=1e-12)
+
+
+def test_dirichlet_ground_mode_is_degenerate():
+    # the s = 0 profile is the eigenfunction itself, zero on the boundary
+    with pytest.raises(ArithmeticError, match="s=0"):
+        SteklovSpectrum(solve_dirichlet_eigen_ball(2, 1.0)).mu(0)

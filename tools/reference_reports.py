@@ -13,8 +13,8 @@ The reference configs are the README experiment for all three kinds, n = 2
 band-limited data, n = 3 zonal data (all three kinds each), one torsion
 config with R != 1, and, last, the README torsion and dirichlet-eigen
 configs with `oracle.quadrature_order: 96`.  rsv is imported from the `src/` next to this script,
-and RSV_QUAD_ORDER / RSV_FD_H are cleared first, so the files depend only
-on the code.  Nothing in them names a path or a time.
+and RSV_QUAD_ORDER is cleared first, so the files depend only on the
+code.  Nothing in them names a path or a time.
 
 This is the byte-identity gate for changes that should not move any number:
 run the script in a checkout of the base commit (copy it there if it is
@@ -91,8 +91,7 @@ def reference_configs() -> dict[str, tuple[str, str]]:
 
 
 def run(out_dir: Path) -> int:
-    for var in ("RSV_QUAD_ORDER", "RSV_FD_H"):
-        os.environ.pop(var, None)
+    os.environ.pop("RSV_QUAD_ORDER", None)
     (out_dir / "configs").mkdir(parents=True, exist_ok=True)
     status = ["config\tsubcommand\texit"]
     for name, (kind, text) in reference_configs().items():
