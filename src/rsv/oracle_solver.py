@@ -8,6 +8,9 @@ V(t) are differentiated by Richardson-extrapolated central differences.
 
 The basis evaluations use scipy.special on purpose, keeping the oracle
 independent of the in-repo special-function stack it is meant to check.
+Its Bessel tables take scipy's values at the two top orders and fill the
+lower orders by the standard downward recurrence (`_bessel_table`), not
+by the in-repo Miller code, so scipy stays the only source of values.
 Its Gauss rules (polar angles for n = 3, radii of the interior quadrature)
 are numpy's `leggauss`, taken through the cached
 `special_functions.gauss_legendre`, which only stores numpy's arrays.
@@ -16,9 +19,12 @@ The domain itself (r and dr/dtheta on the boundary) comes from
 calculus.  The oracle uses neither `steklov` nor `variations`, and its
 basis functions never touch the in-repo Bessel code (the ball eigenvalue
 from `radial_solutions` only centres the lam search window, and its solve
-rejects a robin-eigen alpha that is not positive).  Keeping the
-oracle apart from the formulas it checks is the one duplication kept on
-purpose.
+rejects a robin-eigen alpha that is not positive).  The ball eigenvalues
+are cached inside `radial_solutions`; the oracle still calls
+`solve_robin_eigen_ball` / `solve_dirichlet_eigen_ball` by their names
+here on every solve, so replacing those names moves the window.
+Keeping the oracle apart from the formulas it checks is the one
+duplication kept on purpose.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
 """
@@ -155,37 +161,65 @@ def _radial_harmonic(degrees: np.ndarray, rho: np.ndarray, scale: float):
     return z, dz
 
 
+def _bessel_table(n: int, top: int, z: np.ndarray) -> np.ndarray:
+    """J_k(z) (n = 2) or j_k(z) (n = 3) for the orders k = 0..top, shaped
+    (top + 1, points), from two scipy seed orders.
+
+    scipy evaluates the orders top - 1 and top only; the lower orders follow
+    by the downward recurrence c_{k-1} = ((2k + n - 2)/z) c_k - c_{k+1},
+    that is J_{k-1} = (2k/z) J_k - J_{k+1} (DLMF 10.6.1) and
+    j_{l-1} = ((2l+1)/z) j_l - j_{l+1} (DLMF 10.51.1).  Downward is the
+    stable direction for the regular solutions at the oracle's arguments
+    (z up to about 4, orders up to 86).  A column (one point) whose top
+    seed is zero or subnormal takes scipy's direct table instead: that is
+    z = 0, and the underflow of high orders at tiny z, which begins near
+    60 modes.  The recurrence works element by element, so a column's
+    values do not depend on the other points in the call."""
+    bessel = jv if n == 2 else spherical_jn
+    table = np.empty((top + 1, z.size))
+    table[-2:] = bessel(np.arange(top - 1, top + 1)[:, None], z[None, :])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(top - 1, 0, -1):
+            table[k - 1] = ((2 * k + n - 2) / z) * table[k] - table[k + 1]
+    direct = ~(np.abs(table[-1]) >= np.finfo(float).tiny)
+    if direct.any():
+        table[:, direct] = bessel(np.arange(top + 1)[:, None], z[None, direct])
+    return table
+
+
 def _radial_wave(
     n: int, degrees: np.ndarray, lam: float, rho: np.ndarray, derivative: bool = True
 ):
     """Radial factors solving the Helmholtz equation, shaped (basis, points),
     and their rho-derivatives (None when `derivative` is false).
 
-    One scipy table over the orders 0..max(degrees)+1 serves every basis
-    row (in 2-D cos and sin share a degree).  The derivatives come from the
-    neighbouring orders with scipy's own arithmetic, so they equal
-    `jvp` / `spherical_jn(derivative=True)` bit for bit:
+    One table over the orders 0..max(degrees)+2 (`_bessel_table`, seeded at
+    the two top orders whether or not the derivative is asked for, so the
+    values are the same either way) serves every basis row (in 2-D cos and
+    sin share a degree).  The derivatives come from the neighbouring orders:
     2 J_k' = J_{k-1} - J_{k+1} and J_0' = -J_1 (DLMF 10.6.1);
     j_l' = j_{l-1} - (l+1) j_l / z and j_0' = -j_1 (DLMF 10.51.2), which is
-    0/0 at z = 0, where j_1'(0) = 1/3 and j_l'(0) = 0 for l >= 2.
+    0/0 at z = 0, where j_1'(0) = 1/3 and j_l'(0) = 0 for l >= 2.  So the
+    values no longer equal scipy's direct jv / jvp /
+    spherical_jn(derivative=True) bit for bit: at z in {0, 1e-3, 0.5, 3, 12}
+    and orders up to 21 they agree to 4.3e-15 (n = 2) and 2.2e-14 (n = 3)
+    of each column's largest entry, and at z = 0 they are exact.
     """
     k = math.sqrt(lam)
     z = k * rho
-    orders = np.arange(int(degrees.max()) + (2 if derivative else 1))
-    if n == 2:
-        table = jv(orders[:, None], z[None, :])
-    else:
-        table = spherical_jn(orders[:, None], z[None, :])
+    top = int(degrees.max())
+    table = _bessel_table(n, top + 2, z)
     f = table[degrees]
     if not derivative:
         return f, None
-    d = np.empty((orders.size - 1, z.size))
+    d = np.empty((top + 1, z.size))
     d[0] = -table[1]
     if n == 2:
-        d[1:] = (table[:-2] - table[2:]) / 2.0
+        d[1:] = (table[:top] - table[2 : top + 2]) / 2.0
     else:
+        orders = np.arange(1, top + 1)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            d[1:] = table[:-2] - (orders[1:-1, None] + 1.0) * table[1:-1] / z
+            d[1:] = table[:top] - (orders + 1.0) * table[1 : top + 1] / z
         on_axis = z == 0.0
         d[1:, on_axis] = 0.0
         d[1:2, on_axis] = 1.0 / 3.0
@@ -527,16 +561,19 @@ def solve_perturbed_eigen(
     # interior sample rings normalizing the trial functions' bulk size, on
     # every other boundary angle
     int_r = bd.r[::2]
-    int_rho = np.concatenate([0.45 * int_r, 0.8 * int_r])
     T_in = np.hstack([T[:, ::2], T[:, ::2]])
+    # one radial table per sigma evaluation, boundary points first
+    rho = np.concatenate([bd.r, 0.45 * int_r, 0.8 * int_r])
+    on_bd = slice(0, bd.r.size)
+    inside = slice(bd.r.size, None)
 
     def matrices(lam: float) -> tuple[np.ndarray, np.ndarray]:
-        # the interior rings, and the Dirichlet rows, need no derivative table
-        Rf, dRf = _radial_wave(d.n, degrees, lam, bd.r, derivative=kind != DIRICHLET_EIGEN)
-        M = (_radial_wave(d.n, degrees, lam, int_rho, derivative=False)[0] * T_in).T
+        # the Dirichlet rows need no derivative table
+        Rf, dRf = _radial_wave(d.n, degrees, lam, rho, derivative=kind != DIRICHLET_EIGEN)
+        M = (Rf[:, inside] * T_in).T
         if kind == DIRICHLET_EIGEN:
-            return (Rf * T).T, M
-        return _robin_rows(bd, alpha, Rf, dRf, T, dT), M
+            return (Rf[:, on_bd] * T).T, M
+        return _robin_rows(bd, alpha, Rf[:, on_bd], dRf[:, on_bd], T, dT), M
 
     @functools.lru_cache(maxsize=None)
     def sigma_at(lam: float) -> float:

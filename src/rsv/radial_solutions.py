@@ -172,8 +172,9 @@ def dirichlet_eigenvalue(n: int, R: float) -> float:
     return (j1 / R) ** 2
 
 
-def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
-    """First Robin eigenvalue on B_R: the root of
+@functools.lru_cache(maxsize=None)
+def robin_eigenvalue(n: int, R: float, alpha: float) -> float:
+    """First Robin eigenvalue on B_R, alpha > 0: the root of
 
         sqrt(lam) J_{n/2}(sqrt(lam) R) = alpha J_{n/2-1}(sqrt(lam) R)
 
@@ -181,7 +182,6 @@ def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
     bisection stops once the midpoint rounds to an end of the bracket: the
     ends are then neighbouring floats and every further step leaves the
     midpoint, and so k, unchanged."""
-    problem = RadialSolution(ROBIN_EIGEN, n, R, alpha)
     nu = n / 2.0 - 1.0
     k_hi = math.sqrt(dirichlet_eigenvalue(n, R))
 
@@ -201,7 +201,15 @@ def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
         else:
             hi = mid
     k = 0.5 * (lo + hi)
-    sol = replace(problem, lam=k * k)
+    return k * k
+
+
+def solve_robin_eigen_ball(n: int, R: float, alpha: float) -> RadialSolution:
+    """First Robin eigenstate on B_R, normalized int u^2 = 1.  The problem
+    is validated before the cached `robin_eigenvalue` is read, so an
+    invalid alpha raises on every call."""
+    problem = RadialSolution(ROBIN_EIGEN, n, R, alpha)
+    sol = replace(problem, lam=robin_eigenvalue(n, R, alpha))
     return replace(sol, scale=1.0 / math.sqrt(sol.l2_norm_sq()))
 
 

@@ -295,6 +295,23 @@ def test_second_mode_fails_the_ground_state_check(monkeypatch):
 
 Z_SAMPLES = np.array([0.0, 1e-3, 0.5, 3.0, 12.0])
 TOP_ORDER = 21
+TABLE_TOL = 1e-13
+
+
+def scipy_tables(n, degrees, z):
+    """scipy's direct values and z-derivatives, shaped (degrees, points)."""
+    ls, zs = np.broadcast_arrays(degrees[:, None], z[None, :])
+    if n == 2:
+        return jv(ls, zs), jvp(ls, zs, 1)
+    return spherical_jn(ls, zs), spherical_jn(ls, zs, derivative=True)
+
+
+def assert_columns_close(table, reference):
+    # relative to each column's largest entry: the recurrence carries an
+    # absolute error of a few ulps of the column's leading order
+    scale = np.max(np.abs(reference), axis=0)
+    assert np.all(scale > 0.0)
+    assert np.all(np.abs(table - reference) <= TABLE_TOL * scale)
 
 
 @pytest.mark.parametrize("lam", [1.0, 4.0])
@@ -303,9 +320,10 @@ def test_radial_wave_n2_equals_scipy(lam):
     k = math.sqrt(lam)
     degrees = np.array([0] + [d for d in range(1, TOP_ORDER + 1) for _ in (0, 1)])
     f, df = _radial_wave(2, degrees, lam, Z_SAMPLES / k)
-    z = Z_SAMPLES[None, :]
-    assert np.array_equal(f, jv(degrees[:, None], z))
-    assert np.array_equal(df, k * jvp(degrees[:, None], z, 1))
+    values, slopes = scipy_tables(2, degrees, Z_SAMPLES)
+    assert_columns_close(f, values)
+    assert_columns_close(df / k, slopes)
+    assert np.array_equal(f[:, 0], (degrees == 0).astype(float))  # J_k(0) = delta_k0
     assert df[1, 0] == 0.5 * k  # J_1'(0) = 1/2
     values, none = _radial_wave(2, degrees, lam, Z_SAMPLES / k, derivative=False)
     assert none is None and np.array_equal(values, f)
@@ -316,12 +334,31 @@ def test_radial_wave_n3_equals_scipy(lam):
     k = math.sqrt(lam)
     degrees = np.arange(TOP_ORDER + 1)
     f, df = _radial_wave(3, degrees, lam, Z_SAMPLES / k)
-    ls, z = np.broadcast_arrays(degrees[:, None], Z_SAMPLES[None, :])
-    assert np.array_equal(f, spherical_jn(ls, z))
-    assert np.array_equal(df, k * spherical_jn(ls, z, derivative=True))
+    values, slopes = scipy_tables(3, degrees, Z_SAMPLES)
+    assert_columns_close(f, values)
+    assert_columns_close(df / k, slopes)
+    assert np.array_equal(f[:, 0], (degrees == 0).astype(float))  # j_l(0) = delta_l0
     assert df[1, 0] == k / 3.0  # j_1'(0) = 1/3
     values, none = _radial_wave(3, degrees, lam, Z_SAMPLES / k, derivative=False)
     assert none is None and np.array_equal(values, f)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("top", [61, 87])
+def test_radial_wave_falls_back_to_scipy_where_the_top_seed_underflows(n, top):
+    # seeds at the orders top - 1 and top; at top = 87 the seed underflows
+    # at z = 1e-4 and 1.5e-3, at z = 0 it is zero for every top
+    z = np.array([0.0, 1e-4, 1.5e-3])
+    degrees = np.arange(top - 1)
+    f, df = _radial_wave(n, degrees, 1.0, z)
+    values, slopes = scipy_tables(n, degrees, z)
+    for table, reference in ((f, values), (df, slopes)):
+        assert np.all(np.isfinite(table))
+        assert_columns_close(table, reference)
+    # the low orders are zero neither at every point nor at any one point
+    for table in (f, df):
+        assert np.all(np.any(table[:3] != 0.0, axis=1))
+        assert np.all(np.any(table[:3] != 0.0, axis=0))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -558,6 +595,22 @@ def test_lam1_outside_the_window_raises_as_the_full_scan(
             solve_perturbed_eigen(d, alpha, 12, kind)
         errors.append(str(error.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+def test_a_warm_ball_cache_leaves_the_patched_lam0_in_charge(monkeypatch, alpha, kind):
+    # the ball eigenvalues are cached in radial_solutions, below the names the
+    # oracle calls, so patching those names still moves the lam window
+    d = perturbed_domain(pfield(2, 1.0, COS2T), 0.01)
+    lam = solve_perturbed_eigen(d, alpha, 12, kind).lam  # warms the cache
+    lam0 = ball_lam(2, alpha, kind)
+    assert abs(lam - lam0) < 0.1 * lam0
+    shifted = types.SimpleNamespace(lam=lam0 / 1.6)
+    monkeypatch.setattr(oracle_solver, "solve_robin_eigen_ball", lambda n, R, a: shifted)
+    monkeypatch.setattr(oracle_solver, "solve_dirichlet_eigen_ball", lambda n, R: shifted)
+    message = f"root isolation failed: .* near lam = {shifted.lam:.6g}$"
+    with pytest.raises(ArithmeticError, match=message):
+        solve_perturbed_eigen(d, alpha, 12, kind)
 
 
 # ---------------------------------------------------------------------------

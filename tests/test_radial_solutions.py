@@ -162,6 +162,36 @@ def test_robin_eigen_bisection_stops_on_the_same_bits(n, R, alpha, monkeypatch):
     assert len(calls) <= 120
 
 
+@pytest.mark.parametrize("n,R,alpha", BISECTION_CASES)
+def test_robin_eigenvalue_caches_the_bisection(n, R, alpha, monkeypatch):
+    # a cold bisection still stops within 120 Bessel calls on the bits of the
+    # full bisection; a warm call returns them with no Bessel call at all
+    lam = radial_solutions.robin_eigenvalue(n, R, alpha)
+    calls = []
+    bessel_j = radial_solutions.bessel_j
+
+    def counted_bessel_j(nu, x):
+        calls.append(x)
+        return bessel_j(nu, x)
+
+    monkeypatch.setattr(radial_solutions, "bessel_j", counted_bessel_j)
+    assert radial_solutions.robin_eigenvalue.__wrapped__(n, R, alpha) == lam
+    assert 0 < len(calls) <= 120
+    calls.clear()
+    assert radial_solutions.robin_eigenvalue(n, R, alpha) == lam
+    assert calls == []
+
+
+def test_cached_robin_ball_states_repeat_and_still_validate_alpha():
+    first = solve_robin_eigen_ball(2, 1.0, 1.0)
+    assert solve_robin_eigen_ball(2, 1.0, 1.0) == first
+    # the problem is checked before the cache is read, on every call
+    for _ in range(2):
+        for alpha in (None, 0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha > 0"):
+                solve_robin_eigen_ball(2, 1.0, alpha)
+
+
 def test_k_g_consistency_both_kinds():
     for n, R, alpha in CASES:
         t = solve_torsion_ball(n, R, alpha)

@@ -19,11 +19,26 @@ code.  Nothing in them names a path or a time.
 This is the byte-identity gate for changes that should not move any number:
 run the script in a checkout of the base commit (copy it there if it is
 missing) and in the changed tree, then `diff -r` the two directories.
+
+    python tools/reference_reports.py OUT_DIR --against BASE_DIR
+
+is the gate for changes that may move oracle digits only.  After writing
+OUT_DIR it compares it with BASE_DIR (written by the base commit) and exits
+1 when a file is missing or extra, a `status.tsv` line or a config
+differs, any report of a torsion config differs, or any other report
+differs outside its oracle values.  Oracle values are the numeric
+`oracle_*` keys of the key-value reports and the `E` and `lam` columns of
+the eigen sweep tables; every other key and cell must keep its bytes.
+For each oracle key it prints how many values moved, the largest move
+|new - base| / max(1, |base|), and the largest move in units of the base
+report's own `<key>_error_estimate`, each with the report it came from.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -110,8 +125,114 @@ def run(out_dir: Path) -> int:
     return 0 if all(line.endswith("\t0") for line in status[1:]) else 1
 
 
+# report file name -> table columns that hold oracle values in eigen configs
+ORACLE_COLUMNS = {"sweep.tsv": ("E", "lam")}
+
+
+def report_items(path: Path) -> list[tuple[str, str, bool]]:
+    """(key, value, is_oracle) for every entry of a report, in file order."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".kv":
+        pairs = [line.split(" = ", 1) for line in lines]
+        return [(key, value, key.startswith("oracle_")) for key, value in pairs]
+    header = lines[0].split("\t")
+    if header == ["quantity", "value"]:
+        pairs = [line.split("\t", 1) for line in lines[1:]]
+        return [(key, value, key.startswith("oracle_")) for key, value in pairs]
+    oracle = ORACLE_COLUMNS.get(path.name, ())
+    items = [("header", lines[0], False)]
+    for row, line in enumerate(lines[1:]):
+        for column, cell in zip(header, line.split("\t"), strict=True):
+            items.append((f"{path.stem}:{column}[{row}]", cell, column in oracle))
+    return items
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def compare(out_dir: Path, base_dir: Path) -> int:
+    """Print oracle moves and failures of OUT_DIR against BASE_DIR; 0 iff
+    nothing but numeric oracle values moved."""
+    kinds = {name: kind for name, (kind, _) in reference_configs().items()}
+    failures = []
+    moves: dict[str, dict] = {}
+
+    def files(root: Path) -> set[Path]:
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    def largest(record: dict, field: str, size: float, where: Path) -> None:
+        if size > record[field][0]:
+            record[field] = (size, str(where))
+
+    out_files, base_files = files(out_dir), files(base_dir)
+    failures += [f"{rel}: missing" for rel in sorted(base_files - out_files)]
+    failures += [f"{rel}: not in the base" for rel in sorted(out_files - base_files)]
+    for rel in sorted(out_files & base_files):
+        new_path, base_path = out_dir / rel, base_dir / rel
+        if len(rel.parts) < 3 or kinds.get(rel.parts[0]) in (None, "torsion"):
+            if new_path.read_bytes() != base_path.read_bytes():
+                failures.append(f"{rel}: differs")
+            continue
+        try:
+            new, base = report_items(new_path), report_items(base_path)
+        except (ValueError, IndexError):
+            failures.append(f"{rel}: differs and does not parse as a report")
+            continue
+        if [item[0] for item in new] != [item[0] for item in base]:
+            failures.append(f"{rel}: keys differ")
+            continue
+        estimates = {key: _number(value) for key, value, _ in base}
+        for (key, value, oracle), (_, was, _) in zip(new, base):
+            x, x0 = _number(value), _number(was)
+            if not oracle or x is None or x0 is None:
+                if value != was:
+                    failures.append(f"{rel}: {key} = {value} (base {was})")
+                continue
+            record = moves.setdefault(
+                key.split("[")[0],
+                {"values": 0, "moved": 0, "scaled": (0.0, "-"), "ratio": (0.0, "-"),
+                 "unestimated": (0.0, "-"), "estimated": False},
+            )
+            record["values"] += 1
+            estimate = estimates.get(f"{key}_error_estimate")
+            record["estimated"] |= estimate is not None
+            if value == was:
+                continue
+            record["moved"] += 1
+            change = abs(x - x0)
+            largest(record, "scaled", change / max(1.0, abs(x0)), rel)
+            if estimate is not None and estimate > 0.0:
+                largest(record, "ratio", change / estimate, rel)
+            elif estimate is not None:
+                largest(record, "unestimated", change, rel)
+    print(f"{'oracle key':<26} {'moved':>9} {'max |dx|/max(1,|x|)':>20} "
+          f"{'max |dx|/estimate':>18}  where")
+    for name, record in sorted(moves.items()):
+        (scaled, where), (ratio, where_ratio) = record["scaled"], record["ratio"]
+        ratio_text = f"{ratio:.3e}" if record["estimated"] else "-"
+        places = dict.fromkeys(w for w in (where, where_ratio) if w != "-")
+        print(f"{name:<26} {record['moved']:>4}/{record['values']:<4} {scaled:>20.3e} "
+              f"{ratio_text:>18}  {'; '.join(places)}")
+        change, where = record["unestimated"]
+        if where != "-":
+            print(f"{'':<26} largest move where the estimate is 0: {change:.3e}  {where}")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    print(f"{len(failures)} failure(s)")
+    return 1 if failures else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
-    sys.exit(run(Path(sys.argv[1])))
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--against", type=Path, metavar="BASE_DIR")
+    args = parser.parse_args()
+    code = run(args.out_dir)
+    # with a base, the exit codes are compared line by line in status.tsv
+    sys.exit(code if args.against is None else compare(args.out_dir, args.against))
