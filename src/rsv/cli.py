@@ -17,15 +17,13 @@ problem), `mean_free` (volume preservation).
 
 The one environment override is RSV_QUAD_ORDER (sphere quadrature order,
 read by `special_functions.default_quad_order`), checked by the loader
-before any computation.  A config's `oracle.quadrature_order` sets it for
-that run only.
+before any computation; `main` sets no process state.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -96,14 +94,13 @@ class ExperimentConfig:
     richardson_levels: int
     out_dir: str
     formats: tuple[str, ...]
-    quad_order: int  # oracle.quadrature_order; 0 keeps RSV_QUAD_ORDER
 
 
 # the config's blocks and the keys each one knows
 FIELDS = {
     "problem": ("n", "R", "alpha", "kind"),
     "perturbation": ("modes", "coefficients", "volume_correction", "t_values"),
-    "oracle": ("modes", "h", "richardson_levels", "quadrature_order"),
+    "oracle": ("modes", "h", "richardson_levels"),
     "output": ("directory", "formats"),
 }
 
@@ -176,7 +173,8 @@ def _mode_rows(rows, field: str, n: int) -> BoundaryFunction:
 
 
 def _load_coefficients(path, n: int, R: float) -> PerturbationField:
-    """A coefficient file: a JSON object with n, R and the N and W rows."""
+    """A coefficient file: a JSON object with n, R and the N and W rows,
+    and no other key."""
     field = "perturbation.coefficients"
     if not isinstance(path, str) or not Path(path).is_file():
         raise ConfigError(f"{field}: no such file {path!r}")
@@ -186,6 +184,9 @@ def _load_coefficients(path, n: int, R: float) -> PerturbationField:
         raise ConfigError(f"{field}: unreadable {path!r}: {exc!r}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{field}: expected a JSON object with n, R, N and W")
+    for key in doc:
+        if key not in ("n", "R", "N", "W"):
+            raise ConfigError(f"{field}: {key}: unknown field")
     file_n = doc.get("n")
     if not _is_int(file_n):
         raise ConfigError(f"{field}: n: expected an integer, got {file_n!r}")
@@ -273,14 +274,10 @@ def load_config(path: str) -> ExperimentConfig:
     if h <= 0.0:
         raise ConfigError(f"oracle.h: step must be positive, got {h!r}")
     levels = _integer(oracle, "oracle", "richardson_levels", 1, 0)
-    quad_order = 0
-    if oracle.get("quadrature_order") is not None:
-        quad_order = _integer(oracle, "oracle", "quadrature_order", None, 1)
-    else:
-        try:
-            default_quad_order()  # the order this run will use
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    try:
+        default_quad_order()  # the order this run will use
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     output = _block(doc, "output")
     out_dir = output.get("directory", "reports")
@@ -305,7 +302,6 @@ def load_config(path: str) -> ExperimentConfig:
         richardson_levels=levels,
         out_dir=out_dir,
         formats=tuple(formats),
-        quad_order=quad_order,
     )
 
 
@@ -702,12 +698,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    saved_order = os.environ.get("RSV_QUAD_ORDER")
     try:
         cfg = load_config(args.config)
-        if cfg.quad_order:
-            # the library reads its quadrature order from this variable
-            os.environ["RSV_QUAD_ORDER"] = str(cfg.quad_order)
         report = run(args.subcommand, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -715,12 +707,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    finally:
-        # the config's order applies to this run only
-        if saved_order is None:
-            os.environ.pop("RSV_QUAD_ORDER", None)
-        else:
-            os.environ["RSV_QUAD_ORDER"] = saved_order
 
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     formats = (args.format,) if args.format else cfg.formats

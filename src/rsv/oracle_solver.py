@@ -88,6 +88,7 @@ def _theta_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class _Boundary:
     theta: np.ndarray
+    w: np.ndarray  # angular weights of `_theta_grid`
     r: np.ndarray
     r_theta: np.ndarray
     nu_rho: np.ndarray  # radial component of the outward normal
@@ -99,23 +100,20 @@ def _boundary(d: StarDomain, count: int) -> _Boundary:
     theta, w = _theta_grid(d.n, count)
     dirs = _directions_from_theta(d.n, theta)
     r = d.radius(dirs)
-    if np.any(r <= 0.0):
-        raise ValueError("domain is not star-shaped: r <= 0 at some angle")
     rp = d.radius(dirs, "theta")
     g = np.sqrt(r * r + rp * rp)
     dS = w * g if d.n == 2 else w * r * g
-    return _Boundary(theta, r, rp, r / g, -rp / g, dS)
+    return _Boundary(theta, w, r, rp, r / g, -rp / g, dS)
 
 
-def _interior(d: StarDomain, n_theta: int, n_rho: int):
-    """Tensor quadrature for volume integrals: rho, theta, weights (L, G)."""
-    theta, w = _theta_grid(d.n, n_theta)
-    r = d.radius(_directions_from_theta(d.n, theta))
+def _interior(bd: _Boundary, n: int, n_rho: int):
+    """Tensor quadrature for volume integrals on the rays of the boundary
+    angles: rho and weights, shaped (rays, n_rho)."""
     xg, wg = gauss_legendre(n_rho)
-    rho = 0.5 * r[:, None] * (xg[None, :] + 1.0)
-    weight = 0.5 * r[:, None] * wg[None, :] * rho ** (d.n - 1) * w[:, None]
+    rho = 0.5 * bd.r[:, None] * (xg[None, :] + 1.0)
+    weight = 0.5 * bd.r[:, None] * wg[None, :] * rho ** (n - 1) * bd.w[:, None]
     # _theta_grid already carries sin(theta) and the azimuthal factor for n=3
-    return theta, rho, weight
+    return rho, weight
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +230,17 @@ def _robin_rows(bd: _Boundary, alpha: float, Rf, dRf, T, dT) -> np.ndarray:
     return (bd.nu_rho * (dRf * T) + bd.nu_theta * (Rf * dT) / bd.r + alpha * Rf * T).T
 
 
-def _validate_domain(d: StarDomain) -> None:
+def _collocation(d: StarDomain, modes: int):
+    """The collocation set-up both solves share: the boundary at OVERSAMPLE
+    points per basis element and the angular table there, (bd, degrees, T,
+    dT).  Rejects a dimension other than 2 or 3, and non-zonal n = 3 data."""
     if d.n not in (2, 3):
         raise ValueError("n must be 2 or 3")
-    if d.n == 3:
-        for coeffs in (d.N, d.W):
-            for s, i in coeffs:
-                if i != s:
-                    raise ValueError(
-                        "n=3 oracle supports zonal (axisymmetric) data only"
-                    )
+    if d.n == 3 and any(i != s for coeffs in (d.N, d.W) for s, i in coeffs):
+        raise ValueError("n=3 oracle supports zonal (axisymmetric) data only")
+    n_basis = 2 * modes + 1 if d.n == 2 else modes + 1
+    bd = _boundary(d, OVERSAMPLE * n_basis)
+    return (bd, *_angular_parts(d.n, modes, bd.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +309,21 @@ class OracleSolution:
             u_rho = u_rho - rho / self.n
         return u, u_rho, u_ang
 
-    def values(self, rho, theta) -> np.ndarray:
-        """u at polar points."""
-        return self.fields(rho, theta)[0]
-
 
 def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS,
     u at the interior quadrature nodes).
 
-    The interior nodes lie on n_theta rays, and the boundary quadrature
-    takes the same n_theta angles, so one angular table serves both."""
-    d = sol.domain
-    theta, rho, w = _interior(d, n_theta, n_rho)
-    angular = _angular_parts(d.n, sol.modes, theta)
+    One boundary on n_theta angles gives the boundary quadrature and the
+    n_theta rays of the interior nodes, so one angular table serves both."""
+    bd = _boundary(sol.domain, n_theta)
+    rho, w = _interior(bd, sol.n, n_rho)
+    angular = _angular_parts(sol.n, sol.modes, bd.theta)
     vals, g_rho, g_ang = sol._fields(rho, angular)
     wf = w.ravel()
     int_u = float(wf @ vals)
     int_grad_sq = float(wf @ (g_rho * g_rho + g_ang * g_ang))
     int_u_sq = float(wf @ (vals * vals))
-    bd = _boundary(d, n_theta)
     bvals = sol._fields(bd.r[:, None], angular)[0]
     bd_u_sq = float(bd.dS @ (bvals * bvals))
     return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals
@@ -349,14 +343,10 @@ def solve_perturbed_torsion(
     Robin condition is fitted at OVERSAMPLE times as many equispaced
     collocation angles as there are basis functions.
     """
-    _validate_domain(d)
+    bd, degrees, T, dT = _collocation(d, modes)
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
-    n_basis = 2 * modes + 1 if d.n == 2 else modes + 1
-    bd = _boundary(d, OVERSAMPLE * n_basis)
     scale = float(np.max(bd.r))
-
-    degrees, T, dT = _angular_parts(d.n, modes, bd.theta)
     Rf, dRf = _radial_harmonic(degrees, bd.r, scale)
     A = _robin_rows(bd, alpha, Rf, dRf, T, dT)
     rhs = -(bd.nu_rho * (-bd.r / d.n) + alpha * (-bd.r**2 / (2.0 * d.n)))
@@ -543,10 +533,11 @@ def solve_perturbed_eigen(
     point and its neighbours bracket the refine.  The ground-state check
     (u > 0 at every interior node) and the Rayleigh quotient of the
     reconstructed eigenfunction, which must reproduce lam to 1e-8, prove
-    that the minimum found is the first eigenvalue.  The residual is
-    max |B(lam) c| for the L2-normalized coefficients c.
+    that the minimum found is the first eigenvalue.  The coefficients c are
+    L2-normalized with the sign that makes the sum of u over the interior
+    nodes positive, and the residual is max |B(lam) c|.
     """
-    _validate_domain(d)
+    bd, degrees, T, dT = _collocation(d, modes)
     if kind == ROBIN_EIGEN:
         lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
     elif kind == DIRICHLET_EIGEN:
@@ -555,9 +546,6 @@ def solve_perturbed_eigen(
     else:
         raise ValueError(f"unsupported kind {kind!r}")
 
-    n_basis = 2 * modes + 1 if d.n == 2 else modes + 1
-    bd = _boundary(d, OVERSAMPLE * n_basis)
-    degrees, T, dT = _angular_parts(d.n, modes, bd.theta)
     # interior sample rings normalizing the trial functions' bulk size, on
     # every other boundary angle
     int_r = bd.r[::2]
@@ -618,15 +606,9 @@ def solve_perturbed_eigen(
     )
     n_theta, n_rho = _quad_sizes(modes)
     int_u, int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
-    norm = math.sqrt(int_u_sq)
+    # the ground state has one sign: make it positive on the interior nodes
+    norm = math.copysign(math.sqrt(int_u_sq), float(np.sum(u_in)))
     sol.coefficients = coeffs / norm
-    # fix the overall sign: the ground state has one sign; make it positive
-    probe = sol.values(
-        np.full(4, 0.3 * d.R), np.linspace(0.3, 5.9, 4)
-    )
-    if probe.sum() < 0.0:
-        sol.coefficients = -sol.coefficients
-        norm = -norm
     # only the first eigenfunction keeps one sign: a higher mode found in
     # the lam window changes sign somewhere on the interior grid
     u_min = float(np.min(u_in / norm))

@@ -105,14 +105,19 @@ class StarDomain:
 
     def radius(self, directions, derivative: str | None = None) -> np.ndarray:
         """r at unit directions, or its "theta" / "phi" derivative
-        (see `synthesize`); at t = 0 exactly R, or zeros."""
+        (see `synthesize`); at t = 0 exactly R, or zeros.  Raises when a
+        value of r is <= 0: the domain is not star-shaped there."""
         d = np.asarray(directions, dtype=float)
         if self.t == 0.0:
-            return np.full(d.shape[:-1], 0.0 if derivative else self.R)
-        r = self.t * synthesize(self.n, self.N, d, derivative)
-        if derivative is None:
-            r = self.R + r
-        return r + 0.5 * self.t**2 * synthesize(self.n, self.W, d, derivative)
+            r = np.full(d.shape[:-1], 0.0 if derivative else self.R)
+        else:
+            r = self.t * synthesize(self.n, self.N, d, derivative)
+            if derivative is None:
+                r = self.R + r
+            r = r + 0.5 * self.t**2 * synthesize(self.n, self.W, d, derivative)
+        if derivative is None and np.any(r <= 0.0):
+            raise ValueError("domain is not star-shaped: r <= 0 at some direction")
+        return r
 
 
 def perturbed_domain(p: PerturbationField, t: float) -> StarDomain:
@@ -122,17 +127,12 @@ def perturbed_domain(p: PerturbationField, t: float) -> StarDomain:
 def exact_volume(d: StarDomain) -> float:
     """V(t) = (1/n) * integral of r^n over the unit sphere."""
     quad = SphereQuadrature(d.n)
-    r = d.radius(quad.directions)
-    if np.any(r <= 0.0):
-        raise ValueError("domain is not star-shaped: r <= 0 at some direction")
-    return quad.integrate(r**d.n) / d.n
+    return quad.integrate(d.radius(quad.directions) ** d.n) / d.n
 
 
 def exact_surface_area(d: StarDomain) -> float:
     quad = SphereQuadrature(d.n)
     r = d.radius(quad.directions)
-    if np.any(r <= 0.0):
-        raise ValueError("domain is not star-shaped: r <= 0 at some direction")
     r_th = d.radius(quad.directions, "theta")
     if d.n == 2:
         return quad.integrate(np.sqrt(r * r + r_th * r_th))

@@ -44,15 +44,14 @@ def node_by_node_fields(sol, rho, theta):
 def node_by_node_integrals(sol, n_theta: int, n_rho: int):
     """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS,
     u at the interior quadrature nodes)."""
-    d = sol.domain
-    theta, rho, w = _interior(d, n_theta, n_rho)
-    th_flat = np.broadcast_to(theta[:, None], rho.shape).ravel()
+    bd = _boundary(sol.domain, n_theta)
+    rho, w = _interior(bd, sol.n, n_rho)
+    th_flat = np.broadcast_to(bd.theta[:, None], rho.shape).ravel()
     vals, g_rho, g_ang = node_by_node_fields(sol, rho.ravel(), th_flat)
     wf = w.ravel()
     int_u = float(wf @ vals)
     int_grad_sq = float(wf @ (g_rho * g_rho + g_ang * g_ang))
     int_u_sq = float(wf @ (vals * vals))
-    bd = _boundary(d, n_theta)
     bvals = node_by_node_fields(sol, bd.r, bd.theta)[0]
     bd_u_sq = float(bd.dS @ (bvals * bvals))
     return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals

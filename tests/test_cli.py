@@ -178,8 +178,10 @@ MALFORMED = {
     "levels-fraction": (
         "richardson_levels: 2", "richardson_levels: 1.5", {}, "oracle.richardson_levels"
     ),
-    "quadrature-negative": (
-        "oracle:\n", "oracle:\n  quadrature_order: -8\n", {}, "oracle.quadrature_order"
+    # RSV_QUAD_ORDER is the one order channel
+    "quadrature-order-field": (
+        "oracle:\n", "oracle:\n  quadrature_order: 96\n", {},
+        "oracle.quadrature_order: unknown field",
     ),
     "t-text": (
         "perturbation:\n", "perturbation:\n  t_values: [0.0, abc]\n", {},
@@ -217,7 +219,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_field_exits_2_naming_it(case, tmp_path, monkeypatch, capsys):
     old, new, env, name = MALFORMED[case]
-    # pre-touch the variable so a config-driven write would be undone
+    # a valid order, so that only the case's own variables can fail
     monkeypatch.setenv("RSV_QUAD_ORDER", "64")
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -444,6 +446,9 @@ MALFORMED_FILES = {
     '{"n": 2, "R": 1.0, "N": [[3, 4, 0.3]]}': "perturbation.coefficients: N",
     '{"n": 2, "R": 1.0, "N": [[true, 0, 1.0]]}': "perturbation.coefficients: N",
     '{"n": 2, "R": 1.0, "N": [[2, 0, 1.0]], "W": [[0, 0]]}': "perturbation.coefficients: W",
+    # a misspelt W row would drop the volume correction
+    '{"n": 2, "R": 1.0, "N": [[2, 0, 1.7724538509055159]], "w": [[0, 0, -1.0]]}':
+        "perturbation.coefficients: w: unknown field",
 }
 
 
@@ -477,16 +482,6 @@ def test_coefficient_file_malformed(text, tmp_path, capsys):
     assert f"config error: {MALFORMED_FILES[text]}" in capsys.readouterr().err
 
 
-def quadrature_config(tmp_path, order):
-    path = tmp_path / f"order{order}.yaml"
-    path.write_text(
-        config_text(tmp_path / "reports").replace(
-            "oracle:\n", f"oracle:\n  quadrature_order: {order}\n"
-        )
-    )
-    return path
-
-
 def second_variation_kv(config, out) -> bytes:
     before = dict(os.environ)
     assert main(["second-variation", "--config", str(config), "--out", str(out)]) == 0
@@ -495,21 +490,15 @@ def second_variation_kv(config, out) -> bytes:
 
 
 def test_quadrature_order_override(tmp_path, monkeypatch):
-    # the config field and the variable set by the caller are one channel
+    # RSV_QUAD_ORDER, set by the caller, is the one order channel: it moves
+    # the README torsion boundary functional off its order-64 bits
+    config = write_config(tmp_path)
     monkeypatch.delenv("RSV_QUAD_ORDER", raising=False)
-    from_config = second_variation_kv(quadrature_config(tmp_path, 96), tmp_path / "a")
+    order64 = second_variation_kv(config, tmp_path / "a")
     monkeypatch.setenv("RSV_QUAD_ORDER", "96")
-    from_env = second_variation_kv(write_config(tmp_path), tmp_path / "b")
-    assert from_config == from_env
-
-
-def test_config_quadrature_order_applies_to_its_run_only(tmp_path, monkeypatch):
-    monkeypatch.delenv("RSV_QUAD_ORDER", raising=False)
-    plain = write_config(tmp_path)
-    lone = second_variation_kv(plain, tmp_path / "lone")
-    coarse = second_variation_kv(quadrature_config(tmp_path, 8), tmp_path / "coarse")
-    assert coarse != lone
-    assert second_variation_kv(plain, tmp_path / "after") == lone
+    order96 = second_variation_kv(config, tmp_path / "b")
+    assert b"\nEddot0_quadrature = 3.4033920413889427\n" in order64
+    assert b"\nEddot0_quadrature = 3.4033920413889422\n" in order96
 
 
 def test_module_runs_as_script(tmp_path):

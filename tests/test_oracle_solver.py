@@ -109,7 +109,7 @@ def test_unperturbed_disk_matches_ball():
     ball = solve_torsion_ball(2, 1.0, 1.0)
     rho = np.linspace(0.05, 0.95, 9)
     theta = np.linspace(0.0, 6.0, 9)
-    assert np.max(np.abs(sol.values(rho, theta) - ball.u(rho))) <= 1e-10
+    assert np.max(np.abs(sol.fields(rho, theta)[0] - ball.u(rho))) <= 1e-10
 
 
 def test_solves_build_no_sphere_quadrature(monkeypatch):
@@ -134,7 +134,7 @@ def test_values_at_the_centre():
     # u is defined at rho = 0 although (1/rho) du/dtheta is not
     sol = solve_perturbed_torsion(StarDomain(2, 1.0, {}, {}, 0.0), 1.0, modes=16)
     centre = float(solve_torsion_ball(2, 1.0, 1.0).u(0.0))
-    assert sol.values([0.0], [0.0])[0] == pytest.approx(centre, abs=1e-10)
+    assert sol.fields([0.0], [0.0])[0][0] == pytest.approx(centre, abs=1e-10)
 
 
 def test_unperturbed_ball_matches_n3():
@@ -175,8 +175,44 @@ def test_rotated_data_same_energy():
 
 
 def test_non_star_domain_rejected():
-    with pytest.raises(ValueError, match="star"):
-        solve_perturbed_torsion(StarDomain(2, 1.0, {(2, 0): math.sqrt(PI)}, {}, 1.3), 1.0)
+    # one rule, in StarDomain.radius, for the oracle and the exact measures
+    d = StarDomain(2, 1.0, {(2, 0): math.sqrt(PI)}, {}, 1.3)
+    for measure in (lambda d: solve_perturbed_torsion(d, 1.0), exact_volume, exact_surface_area):
+        with pytest.raises(ValueError, match="not star-shaped"):
+            measure(d)
+    # the t = 0 shortcut keeps the rule
+    with pytest.raises(ValueError, match="not star-shaped"):
+        StarDomain(2, 0.0, {}, {}, 0.0).radius([[1.0, 0.0]])
+
+
+def method_calls(monkeypatch, cls, name):
+    """Calls of the method `name` of `cls` from now on, as a list."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind, modes", [(TORSION, 28), (ROBIN_EIGEN, 20)])
+def test_a_solve_samples_the_domain_on_two_grids(monkeypatch, kind, modes):
+    # r and dr/dtheta on the collocation grid and on the quadrature grid,
+    # whose rays also carry the interior nodes
+    radius = method_calls(monkeypatch, StarDomain, "radius")
+    fields = method_calls(monkeypatch, oracle_solver.OracleSolution, "_fields")
+    d = readme_eigen_domain(0.05)
+    if kind == TORSION:
+        solve_perturbed_torsion(d, 1.0, modes)
+    else:
+        solve_perturbed_eigen(d, 1.0, modes)
+    assert len(radius) == 4
+    # the interior nodes and the boundary of one integral pass; the sign of
+    # the eigenfunction comes from the interior nodes already in hand
+    assert len(fields) == 2
 
 
 def test_zero_alpha_rejected():

@@ -147,26 +147,11 @@ BISECTION_CASES = [
 
 
 @pytest.mark.parametrize("n,R,alpha", BISECTION_CASES)
-def test_robin_eigen_bisection_stops_on_the_same_bits(n, R, alpha, monkeypatch):
-    calls = []
-    bessel_j = radial_solutions.bessel_j
-
-    def counted_bessel_j(nu, x):
-        calls.append(x)
-        return bessel_j(nu, x)
-
-    lam = solve_robin_eigen_ball(n, R, alpha).lam
-    assert lam == robin_ball_lam_full_bisection(n, R, alpha)
-    monkeypatch.setattr(radial_solutions, "bessel_j", counted_bessel_j)
-    assert solve_robin_eigen_ball(n, R, alpha).lam == lam
-    assert len(calls) <= 120
-
-
-@pytest.mark.parametrize("n,R,alpha", BISECTION_CASES)
 def test_robin_eigenvalue_caches_the_bisection(n, R, alpha, monkeypatch):
     # a cold bisection still stops within 120 Bessel calls on the bits of the
     # full bisection; a warm call returns them with no Bessel call at all
-    lam = radial_solutions.robin_eigenvalue(n, R, alpha)
+    lam = solve_robin_eigen_ball(n, R, alpha).lam
+    assert lam == radial_solutions.robin_eigenvalue(n, R, alpha)
     calls = []
     bessel_j = radial_solutions.bessel_j
 
@@ -175,8 +160,9 @@ def test_robin_eigenvalue_caches_the_bisection(n, R, alpha, monkeypatch):
         return bessel_j(nu, x)
 
     monkeypatch.setattr(radial_solutions, "bessel_j", counted_bessel_j)
-    assert radial_solutions.robin_eigenvalue.__wrapped__(n, R, alpha) == lam
+    cold = radial_solutions.robin_eigenvalue.__wrapped__(n, R, alpha)
     assert 0 < len(calls) <= 120
+    assert cold == lam == robin_ball_lam_full_bisection(n, R, alpha)
     calls.clear()
     assert radial_solutions.robin_eigenvalue(n, R, alpha) == lam
     assert calls == []

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 import rsv.variations as variations
@@ -11,7 +12,7 @@ from rsv.radial_solutions import (
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
-from rsv.special_functions import SphereQuadrature
+from rsv.special_functions import SphereQuadrature, harmonic_indices
 from rsv.steklov import SteklovSpectrum
 from rsv.sphere_geometry import (
     linear_field,
@@ -449,3 +450,70 @@ def test_dirichlet_ground_mode_is_degenerate():
     # the s = 0 profile is the eigenfunction itself, zero on the boundary
     with pytest.raises(ArithmeticError, match="s=0"):
         SteklovSpectrum(solve_dirichlet_eigen_ball(2, 1.0)).mu(0)
+
+
+# ---------------------------------------------------------------------------
+# properties over random band-limited data
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=20, derandomize=True, deadline=None)
+# coefficients in [-1, 1] on a 1e-12 grid: their squares stay normal floats,
+# so tolerances proportional to |N|^2 do not underflow
+COEFFICIENT = st.floats(-1.0, 1.0).map(lambda c: round(c, 12))
+ALPHA = st.floats(0.2, 4.0)
+
+
+def band_data(n: int, degrees):
+    keys = [(s, i) for s, i in harmonic_indices(n, max(degrees)) if s in degrees]
+    coefficients = st.lists(COEFFICIENT, min_size=len(keys), max_size=len(keys))
+    return coefficients.map(lambda cs: (n, dict(zip(keys, cs))))
+
+
+# mean-free N over every (s, i) of degrees 1-4 (n = 2) or 2-4 (n = 3)
+MEAN_FREE = st.one_of(band_data(2, range(1, 5)), band_data(3, range(2, 5)))
+DEGREE_ONE = st.one_of(band_data(2, (1,)), band_data(3, (1,)))
+
+
+@PROPERTY
+@given(MEAN_FREE, ALPHA)
+def test_property_series_matches_the_boundary_functional_and_its_bounds(data, alpha):
+    n, N = data
+    tor = second_variation_energy_ball(solve_torsion_ball(n, 1.0, alpha), N)
+    eig = second_variation_eigenvalue_ball(solve_robin_eigen_ball(n, 1.0, alpha), N)
+    for rep in (tor, eig):
+        scale = max(1.0, abs(rep.Eddot0))
+        assert abs(rep.extras["Eddot0_quadrature"] - rep.Eddot0) <= 1e-8 * scale
+    scale = max(1.0, abs(tor.Eddot0))
+    assert tor.bound_i <= tor.Eddot0 + 1e-10 * scale
+    # bound_ii needs data free of degree 1 (the barycenter condition)
+    has_degree_one = any(s == 1 and c != 0.0 for (s, _i), c in N.items())
+    assert (tor.bound_ii is None) == has_degree_one
+    if tor.bound_ii is not None:
+        assert tor.bound_ii <= tor.Eddot0 + 1e-10 * scale
+    floor = eig.extras["lower_bound_surface_term"]
+    assert eig.Eddot0 >= floor - 1e-10 * max(1.0, abs(eig.Eddot0))
+
+
+@PROPERTY
+@given(DEGREE_ONE, ALPHA)
+def test_property_translations_are_the_kernel(data, alpha):
+    n, N = data
+    norm_sq = sum(c * c for c in N.values())
+    tor = second_variation_energy_ball(solve_torsion_ball(n, 1.0, alpha), N)
+    eig = second_variation_eigenvalue_ball(solve_robin_eigen_ball(n, 1.0, alpha), N)
+    for rep in (tor, eig):
+        assert abs(rep.Eddot0) <= 1e-12 * norm_sq
+
+
+@PROPERTY
+@given(MEAN_FREE, ALPHA)
+def test_property_general_value_ignores_a_rotation(data, alpha):
+    # a rigid rotation is tangential on the sphere: with each field's own
+    # volume completion, v and v + rotation give one second variation
+    n, N = data
+    sol = solve_torsion_ball(n, 1.0, alpha)
+    v = radial_harmonic_field(n, 1.0, N)
+    vr = v + rotation_field(n)
+    base = second_variation_general(sol, v, volume_completion_field(v, n, 1.0))
+    got = second_variation_general(sol, vr, volume_completion_field(vr, n, 1.0))
+    assert abs(got - base) <= 1e-8 * max(1.0, abs(base))

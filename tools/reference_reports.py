@@ -12,9 +12,10 @@ Runs every subcommand that applies to each reference config and writes
 The reference configs are the README experiment for all three kinds, n = 2
 band-limited data, n = 3 zonal data (all three kinds each), one torsion
 config with R != 1, and, last, the README torsion and dirichlet-eigen
-configs with `oracle.quadrature_order: 96`.  rsv is imported from the `src/` next to this script,
-and RSV_QUAD_ORDER is cleared first, so the files depend only on the
-code.  Nothing in them names a path or a time.
+configs run with RSV_QUAD_ORDER=96 (the `*-order96` configs; the variable
+is set for their runs and removed afterwards).  rsv is imported from the
+`src/` next to this script, and RSV_QUAD_ORDER is cleared first, so the
+files depend only on the code.  Nothing in them names a path or a time.
 
 This is the byte-identity gate for changes that should not move any number:
 run the script in a checkout of the base commit (copy it there if it is
@@ -62,9 +63,8 @@ BAND_MODES = [[2, 0, 0.08], [2, 1, -0.05], [3, 0, 0.06], [3, 1, 0.04], [4, 1, -0
 ZONAL_MODES = [[2, 2, 0.1], [3, 3, -0.06], [4, 4, 0.04]]
 
 
-def config_yaml(n, R, alpha, kind, modes, oracle_modes, levels, quad_order=None) -> str:
+def config_yaml(n, R, alpha, kind, modes, oracle_modes, levels) -> str:
     rows = "\n".join(f"    - [{s}, {i}, {c!r}]" for s, i, c in modes)
-    order = "" if quad_order is None else f"  quadrature_order: {quad_order}\n"
     return (
         "problem:\n"
         f"  n: {n}\n"
@@ -79,28 +79,31 @@ def config_yaml(n, R, alpha, kind, modes, oracle_modes, levels, quad_order=None)
         f"  modes: {oracle_modes}\n"
         "  h: 5.0e-3\n"
         f"  richardson_levels: {levels}\n"
-        f"{order}"
         "output:\n"
         "  formats: [kv, table]\n"
     )
 
 
-def reference_configs() -> dict[str, tuple[str, str]]:
-    """name -> (kind, YAML text)."""
+def reference_configs() -> dict[str, tuple[str, str, str | None]]:
+    """name -> (kind, YAML text, RSV_QUAD_ORDER for its runs or None)."""
     configs = {}
     for kind in SUBCOMMANDS:
-        configs[f"readme-{kind}"] = (kind, config_yaml(2, 1.0, 1.0, kind, README_MODES, 0, 2))
+        configs[f"readme-{kind}"] = (kind, config_yaml(2, 1.0, 1.0, kind, README_MODES, 0, 2), None)
         # eigen oracles at 12 modes keep the residual small at |t| <= 0.02
         modes = 0 if kind == "torsion" else 12
-        configs[f"n2-band-{kind}"] = (kind, config_yaml(2, 1.0, 1.0, kind, BAND_MODES, modes, 1))
-        configs[f"n3-zonal-{kind}"] = (kind, config_yaml(3, 1.0, 1.0, kind, ZONAL_MODES, modes, 1))
+        configs[f"n2-band-{kind}"] = (
+            kind, config_yaml(2, 1.0, 1.0, kind, BAND_MODES, modes, 1), None
+        )
+        configs[f"n3-zonal-{kind}"] = (
+            kind, config_yaml(3, 1.0, 1.0, kind, ZONAL_MODES, modes, 1), None
+        )
     configs["n2-R2-torsion"] = (
-        "torsion", config_yaml(2, 2.0, 0.75, "torsion", [[2, 0, 0.1], [3, 1, 0.05]], 0, 1)
+        "torsion", config_yaml(2, 2.0, 0.75, "torsion", [[2, 0, 0.1], [3, 1, 0.05]], 0, 1), None
     )
     # last, so that an order that outlived its run could reach no other config
     for kind in ("torsion", "dirichlet-eigen"):
         configs[f"readme-{kind}-order96"] = (
-            kind, config_yaml(2, 1.0, 1.0, kind, README_MODES, 0, 2, quad_order=96)
+            kind, config_yaml(2, 1.0, 1.0, kind, README_MODES, 0, 2), "96"
         )
     return configs
 
@@ -109,18 +112,23 @@ def run(out_dir: Path) -> int:
     os.environ.pop("RSV_QUAD_ORDER", None)
     (out_dir / "configs").mkdir(parents=True, exist_ok=True)
     status = ["config\tsubcommand\texit"]
-    for name, (kind, text) in reference_configs().items():
+    for name, (kind, text, order) in reference_configs().items():
         config = out_dir / "configs" / f"{name}.yaml"
         config.write_text(text)
-        for sub in SUBCOMMANDS[kind]:
-            argv = [sub, "--config", str(config), "--out", str(out_dir / name / sub)]
-            log = io.StringIO()
-            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-                code = main(argv)
-            status.append(f"{name}\t{sub}\t{code}")
-            print(f"exit {code}  {name} {sub}", flush=True)
-            if code != 0:
-                print(log.getvalue(), end="", flush=True)
+        if order is not None:
+            os.environ["RSV_QUAD_ORDER"] = order
+        try:
+            for sub in SUBCOMMANDS[kind]:
+                argv = [sub, "--config", str(config), "--out", str(out_dir / name / sub)]
+                log = io.StringIO()
+                with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                    code = main(argv)
+                status.append(f"{name}\t{sub}\t{code}")
+                print(f"exit {code}  {name} {sub}", flush=True)
+                if code != 0:
+                    print(log.getvalue(), end="", flush=True)
+        finally:
+            os.environ.pop("RSV_QUAD_ORDER", None)
     (out_dir / "status.tsv").write_text("\n".join(status) + "\n")
     return 0 if all(line.endswith("\t0") for line in status[1:]) else 1
 
@@ -157,7 +165,7 @@ def _number(text: str) -> float | None:
 def compare(out_dir: Path, base_dir: Path) -> int:
     """Print oracle moves and failures of OUT_DIR against BASE_DIR; 0 iff
     nothing but numeric oracle values moved."""
-    kinds = {name: kind for name, (kind, _) in reference_configs().items()}
+    kinds = {name: kind for name, (kind, *_) in reference_configs().items()}
     failures = []
     moves: dict[str, dict] = {}
 
