@@ -146,12 +146,7 @@ BISECTION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n,R,alpha", BISECTION_CASES)
-def test_robin_eigenvalue_caches_the_bisection(n, R, alpha, monkeypatch):
-    # a cold bisection still stops within 120 Bessel calls on the bits of the
-    # full bisection; a warm call returns them with no Bessel call at all
-    lam = solve_robin_eigen_ball(n, R, alpha).lam
-    assert lam == radial_solutions.robin_eigenvalue(n, R, alpha)
+def _count_bessel_calls(monkeypatch):
     calls = []
     bessel_j = radial_solutions.bessel_j
 
@@ -160,9 +155,25 @@ def test_robin_eigenvalue_caches_the_bisection(n, R, alpha, monkeypatch):
         return bessel_j(nu, x)
 
     monkeypatch.setattr(radial_solutions, "bessel_j", counted_bessel_j)
+    return calls
+
+
+@pytest.mark.parametrize("n,R,alpha", BISECTION_CASES)
+def test_robin_eigen_bisection_stops_on_the_same_bits(n, R, alpha, monkeypatch):
+    # the count runs on the uncached bisection, so a warm cache cannot hide it
+    lam = solve_robin_eigen_ball(n, R, alpha).lam
+    calls = _count_bessel_calls(monkeypatch)
     cold = radial_solutions.robin_eigenvalue.__wrapped__(n, R, alpha)
     assert 0 < len(calls) <= 120
     assert cold == lam == robin_ball_lam_full_bisection(n, R, alpha)
+
+
+@pytest.mark.parametrize("n,R,alpha", BISECTION_CASES)
+def test_robin_eigenvalue_caches_the_bisection(n, R, alpha, monkeypatch):
+    # a warm call returns the cold bisection's bits with no Bessel call at all
+    lam = radial_solutions.robin_eigenvalue(n, R, alpha)
+    calls = _count_bessel_calls(monkeypatch)
+    assert radial_solutions.robin_eigenvalue.__wrapped__(n, R, alpha) == lam
     calls.clear()
     assert radial_solutions.robin_eigenvalue(n, R, alpha) == lam
     assert calls == []
