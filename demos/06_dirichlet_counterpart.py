@@ -34,4 +34,4 @@ assert all(v > 0 for _s, v in rep.modes)
 print()
 print("the Dirichlet torsion energy rides along in the same report:")
 print(f"  E''(0) for cos 2 theta data = {dirichlet_variations(2, 1.0, {(2, 0): math.sqrt(math.pi)}).extras['torsion_energy_Eddot0']!r}")
-print(f"  (11 pi / 8 = {11 * math.pi / 8!r})")
+print(f"  (pi / 2 = {math.pi / 2!r}: 2 c^2 (s - 1)/R with c = (R/n) b)")

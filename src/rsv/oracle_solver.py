@@ -58,7 +58,7 @@ from .sphere_geometry import (
 OVERSAMPLE = 4
 RESIDUAL_LIMIT = 1e-6
 CONDITION_LIMIT = 1e14
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_PARABOLA_STEPS = 8  # sigma^2 refine steps before `_sigma_sq_min` gives up
 
 
 # ---------------------------------------------------------------------------
@@ -448,72 +448,37 @@ def _grid_bracket(f, grid: np.ndarray, start: int) -> int | None:
     return None
 
 
-def _sigma_sq_min(
-    f, a: float, m: float, b: float, xtol: float, spacing: float
-) -> float:
+def _sigma_sq_min(f, a: float, m: float, b: float, spacing: float) -> float:
     """Minimiser of sigma = f on [a, b], given f(m) below f(a) and f(b).
 
     Near a simple eigenvalue sigma^2 is the parabola
-    c^2 (lam - lam*)^2 + floor^2, so the search interpolates sigma^2, not
-    sigma: each step takes the vertex of the parabola through the three
-    lowest samples (Brent's safeguards: a golden-section step into the
-    larger side when the vertex leaves the bracket, the parabola is not
-    convex or the step fails to halve; steps of at least xtol/3, towards
-    the larger side).  The bracket [a, b] always holds the lowest sample.
-    When it is xtol wide, rounding in sigma decides which sample is lowest,
-    so the answer is the vertex of one more parabola, through the lowest
-    sample x and x + h, x + 2h with h = `spacing` on its larger side:
-    samples on one side of lam* fit sigma^2 exactly even when the slopes on
-    the two sides differ.
+    c^2 (lam - lam*)^2 + floor^2, so the refine interpolates sigma^2, not
+    sigma.  From x = m, each step moves x to the vertex of the parabola
+    through x, x + h and x + 2h, h = `spacing` towards the larger side of
+    [a, b]: samples on one side of lam* fit sigma^2 exactly even when the
+    slopes on the two sides differ.  The answer is the vertex of the first
+    step no longer than `spacing`, not the lowest sample, whose place among
+    samples that close rounding in sigma decides.
     """
 
     def g(x: float) -> float:
         return f(x) ** 2
 
-    ga, gx, gb = g(a), g(m), g(b)
-    if not (gx < ga and gx < gb):
+    if not g(m) < min(g(a), g(b)):
         raise ArithmeticError(f"sigma has no interior minimum in [{a!r}, {b!r}]")
-    lo, hi = a, b
     x = m
-    (gw, w), (gv, v) = sorted([(ga, a), (gb, b)])
-    tol = xtol / 3.0  # the larger side exceeds 1.5 tol, so x +- tol stays inside
-    last = before = b - a
-    while b - a > xtol:
-        u = math.nan
-        d1 = (gw - gx) / (w - x)
-        curvature = (d1 - (gv - gx) / (v - x)) / (w - v)
-        if curvature > 0.0:
-            u = 0.5 * (x + w) - d1 / (2.0 * curvature)
-        if not (a < u < b and abs(u - x) < 0.5 * before):
-            u = x + _GOLDEN * (b - x) if b - x > x - a else x - _GOLDEN * (x - a)
-        if abs(u - x) < tol:
-            u = x + tol if b - x > x - a else x - tol
-        before, last = last, abs(u - x)
-        gu = g(u)
-        if gu < gx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            (gv, v), (gw, w), (gx, x) = (gw, w), (gx, x), (gu, u)
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if gu < gw:
-                (gv, v), (gw, w) = (gw, w), (gu, u)
-            elif gu < gv:
-                gv, v = gu, u
-    h = spacing if hi - x > x - lo else -spacing
-    g1, g2 = g(x + h), g(x + 2.0 * h)
-    second = g2 - 2.0 * g1 + gx
-    if not second > 0.0:
-        raise ArithmeticError(f"sigma^2 is not convex near lam = {x!r}")
-    vertex = x + h * (0.5 - (g1 - gx) / second)
-    if not lo <= vertex <= hi:
-        raise ArithmeticError(f"sigma^2 vertex {vertex!r} left [{lo!r}, {hi!r}]")
-    return vertex
+    for _ in range(_PARABOLA_STEPS):
+        h = spacing if b - x > x - a else -spacing
+        g0, g1, g2 = g(x), g(x + h), g(x + 2.0 * h)
+        second = g2 - 2.0 * g1 + g0
+        if not second > 0.0:
+            raise ArithmeticError(f"sigma^2 is not convex near lam = {x!r}")
+        last, x = x, x + h * (0.5 - (g1 - g0) / second)
+        if not a <= x <= b:
+            raise ArithmeticError(f"sigma^2 vertex {x!r} left [{a!r}, {b!r}]")
+        if abs(x - last) <= spacing:
+            return x
+    raise ArithmeticError(f"sigma^2 vertex did not settle near lam = {x!r}")
 
 
 def solve_perturbed_eigen(
@@ -530,7 +495,8 @@ def solve_perturbed_eigen(
     value sigma(lam) near the ball value lam0.  A walk on the grid
     lam0 * linspace(0.6, 1.5, 37) steps strictly downhill in sigma from
     lam0 to the first point below both neighbours (`_grid_bracket`); that
-    point and its neighbours bracket the refine.  The ground-state check
+    point and its neighbours bracket the refine (`_sigma_sq_min`: sigma^2
+    parabolas at spacing 1e-8 lam0).  The ground-state check
     (u > 0 at every interior node) and the Rayleigh quotient of the
     reconstructed eigenfunction, which must reproduce lam to 1e-8, prove
     that the minimum found is the first eigenvalue.  The coefficients c are
@@ -574,13 +540,10 @@ def solve_perturbed_eigen(
             "root isolation failed: no interior singular-value minimum "
             f"near lam = {lam0:.6g}"
         )
-    # width-based refine: library minimizers stop at sqrt(eps)|x|, too
-    # coarse for clean second differences of lam(t).  The answer is the
-    # vertex of a sigma^2 parabola fitted at spacing 1e-8 lam0, not the
-    # lowest sample, whose place in the 1e-13 lam0 bracket rounding decides
+    # library minimizers stop at sqrt(eps)|x|, too coarse for clean second
+    # differences of lam(t); the parabola vertex settles to rounding
     lam = _sigma_sq_min(
-        sigma_at, grid[best - 1], grid[best], grid[best + 1],
-        1e-13 * lam0, 1e-8 * lam0,
+        sigma_at, grid[best - 1], grid[best], grid[best + 1], 1e-8 * lam0
     )
     B, M = matrices(lam)
     sigma_min, coeffs, condition = _subspace_sigma(B, M, want_vector=True)

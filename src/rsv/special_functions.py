@@ -486,25 +486,28 @@ class SphereQuadrature:
 
 @functools.lru_cache(maxsize=8)
 def _projection_table(n: int, max_degree: int, order: int):
-    """Indices, table of all Y_{s,i} with s <= max_degree on
-    SphereQuadrature(n, order), and the table times the weights.
+    """Indices, and the table of Y_{s,i}(x_q) w_q for all s <= max_degree
+    on the nodes x_q and weights w_q of SphereQuadrature(n, order).
 
     Built on first use and kept for the process (n=3, degree 24, order 64
-    holds about 40 MB); both arrays are read-only because every
-    HarmonicBasis on that grid shares them.
+    holds about 20 MB); read-only because every HarmonicBasis on that grid
+    shares it.
     """
     quad = SphereQuadrature(n, order)
     ang = _angles(n, quad.directions)
     indices = tuple(harmonic_indices(n, max_degree))
-    table = np.stack([np.asarray(_harmonic(s, i, ang)[0]) for (s, i) in indices])
-    weighted = table * quad.weights
-    table.flags.writeable = False
+    weighted = np.empty((len(indices), quad.weights.size))
+    for row, (s, i) in zip(weighted, indices):
+        row[:] = _harmonic(s, i, ang)[0]
+    weighted *= quad.weights
     weighted.flags.writeable = False
-    return indices, table, weighted
+    return indices, weighted
 
 
 class HarmonicBasis:
-    """Evaluation table of all Y_{s,i} with s <= max_degree on a quadrature."""
+    """Weighted evaluation table `weighted[k, q]` = Y_k(x_q) w_q of all
+    Y_{s,i} with s <= max_degree, in the order of `indices`, on the nodes
+    x_q and weights w_q of a quadrature."""
 
     def __init__(self, n: int, max_degree: int, quad: SphereQuadrature | None = None):
         self.n = n
@@ -512,10 +515,10 @@ class HarmonicBasis:
         self.quad = quad if quad is not None else SphereQuadrature(n)
         if self.quad.n != n:
             raise ValueError(f"quadrature is for n={self.quad.n}, basis for n={n}")
-        indices, self.table, self._weighted = _projection_table(n, max_degree, self.quad.order)
+        indices, self.weighted = _projection_table(n, max_degree, self.quad.order)
         self.indices = list(indices)
 
     def project(self, values: np.ndarray) -> dict[tuple[int, int], float]:
         """Coefficients of a node-sampled function w.r.t. the orthonormal basis."""
-        coeffs = self._weighted @ np.asarray(values, dtype=float)
+        coeffs = self.weighted @ np.asarray(values, dtype=float)
         return {si: float(c) for si, c in zip(self.indices, coeffs)}

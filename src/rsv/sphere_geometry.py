@@ -106,7 +106,8 @@ class StarDomain:
     def radius(self, directions, derivative: str | None = None) -> np.ndarray:
         """r at unit directions, or its "theta" / "phi" derivative
         (see `synthesize`); at t = 0 exactly R, or zeros.  Raises when a
-        value of r is <= 0: the domain is not star-shaped there."""
+        value of r is not > 0 (<= 0 or NaN): the domain is not star-shaped
+        there."""
         d = np.asarray(directions, dtype=float)
         if self.t == 0.0:
             r = np.full(d.shape[:-1], 0.0 if derivative else self.R)
@@ -115,8 +116,8 @@ class StarDomain:
             if derivative is None:
                 r = self.R + r
             r = r + 0.5 * self.t**2 * synthesize(self.n, self.W, d, derivative)
-        if derivative is None and np.any(r <= 0.0):
-            raise ValueError("domain is not star-shaped: r <= 0 at some direction")
+        if derivative is None and not np.all(r > 0.0):
+            raise ValueError("domain is not star-shaped: r is not > 0 at some direction")
         return r
 
 

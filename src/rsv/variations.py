@@ -33,7 +33,7 @@ from .radial_solutions import (
     solve_dirichlet_eigen_ball,
     solve_torsion_ball,
 )
-from .special_functions import SphereQuadrature, lb_eigen, synthesize
+from .special_functions import SphereQuadrature, lb_eigen
 from .sphere_geometry import (
     AmbientField,
     BoundaryFunction,
@@ -174,7 +174,10 @@ def second_variation_quadrature(sd: ShapeDerivative, N: BoundaryFunction) -> flo
     return out
 
 
-def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> VariationReport:
+def _hadamard_series(sol: RadialSolution, N: BoundaryFunction):
+    """(u', S''(0), int N^2 dS, Q, F, E''(0)) of the series form
+    E''(0) = alpha u(R)^2 S''(0) + F, F = -2 Q + 2 alpha u(R) k_g int N^2 dS,
+    for volume-preserving data N."""
     if not mean_free(N):
         raise ValueError("N must be mean-free (first-order volume preservation)")
     sd = shape_derivative_uprime(sol, N)
@@ -183,7 +186,12 @@ def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> Vari
     norm_sq = sd.boundary_norm_sq_N()
     Q = sd.quadratic_form()
     F = -2.0 * Q + 2.0 * alpha * uR * kg * norm_sq
-    value = alpha * uR**2 * sdd + F
+    return sd, sdd, norm_sq, Q, F, alpha * uR**2 * sdd + F
+
+
+def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> VariationReport:
+    sd, sdd, norm_sq, Q, F, value = _hadamard_series(sol, N)
+    alpha = sol.alpha
 
     by_quadrature = second_variation_quadrature(sd, N)
     scale = max(1.0, abs(value))
@@ -195,8 +203,7 @@ def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> Vari
 
     bound_i = bound_ii = None
     if alpha > 0 and sol.kind == TORSION:
-        has_degree_one = any(s == 1 and c != 0.0 for (s, _i), c in N.items())
-        bound_i, bound_ii = theorem_bounds(sol, N, include_second=not has_degree_one)
+        bound_i, bound_ii = _bounds(sd, sdd, norm_sq, value)
 
     return VariationReport(
         kind=sol.kind,
@@ -248,11 +255,36 @@ def second_variation_eigenvalue_ball(
 # ---------------------------------------------------------------------------
 
 
-def theorem_bounds(
-    sol: RadialSolution,
-    N: BoundaryFunction,
-    include_second: bool = True,
-) -> tuple[float, float | None]:
+def _bounds(sd: ShapeDerivative, sdd: float, norm_sq: float, value: float):
+    """(bound_i, bound_ii) of `theorem_bounds` from the series of
+    `_hadamard_series`; bound_ii is None when the data have degree-1
+    content.  Raises when a bound exceeds the second variation `value`."""
+    sol = sd.sol
+    alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
+    n, R = sol.n, sol.R
+    spec = sd.spectrum
+
+    mu_p = spec.smallest_positive_mu(min_degree=1)
+    bound_i = alpha * uR**2 * sdd + 2.0 * kg * kg * (
+        alpha * uR / kg - 1.0 / mu_p
+    ) * norm_sq
+
+    bound_ii = None
+    if not any(s == 1 for s, _i in sd.b):  # sd.b holds the coefficients c != 0.0
+        mu_pp = spec.smallest_positive_mu(min_degree=2)
+        bound_ii = (
+            alpha * uR**2 * (n + 1) / R**2
+            + 2.0 * kg * alpha * uR
+            - 2.0 * kg * kg / mu_pp
+        ) * norm_sq
+
+    slack = 1e-10 * max(1.0, abs(value))
+    if bound_i > value + slack or (bound_ii is not None and bound_ii > value + slack):
+        raise ArithmeticError("computed lower bound exceeds the second variation")
+    return bound_i, bound_ii
+
+
+def theorem_bounds(sol: RadialSolution, N: BoundaryFunction) -> tuple[float, float]:
     """Lower bounds for the second variation (alpha > 0):
 
     bound_i replaces every 1/mu_s by 1/mu_p, mu_p the smallest positive
@@ -262,37 +294,10 @@ def theorem_bounds(
     """
     if sol.alpha <= 0:
         raise ValueError("bounds are stated for alpha > 0")
-    if not mean_free(N):
-        raise ValueError("N must be mean-free")
-    sd = shape_derivative_uprime(sol, N)
-    alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
-    n, R = sol.n, sol.R
-    norm_sq = sd.boundary_norm_sq_N()
-    sdd = _surface_second_variation_from_b(sd)
-    spec = sd.spectrum
-
-    mu_p = spec.smallest_positive_mu(min_degree=1)
-    bound_i = alpha * uR**2 * sdd + 2.0 * kg * kg * (
-        alpha * uR / kg - 1.0 / mu_p
-    ) * norm_sq
-
-    bound_ii = None
-    if include_second:
-        if any(s == 1 and abs(c) > 0 for (s, _i), c in N.items()):
-            raise ValueError(
-                "bound_ii needs the barycenter condition: no degree-1 content"
-            )
-        mu_pp = spec.smallest_positive_mu(min_degree=2)
-        bound_ii = (
-            alpha * uR**2 * (n + 1) / R**2
-            + 2.0 * kg * alpha * uR
-            - 2.0 * kg * kg / mu_pp
-        ) * norm_sq
-
-    value = alpha * uR**2 * sdd - 2.0 * sd.quadratic_form() + 2.0 * alpha * uR * kg * norm_sq
-    slack = 1e-10 * max(1.0, abs(value))
-    if bound_i > value + slack or (bound_ii is not None and bound_ii > value + slack):
-        raise ArithmeticError("computed lower bound exceeds the second variation")
+    sd, sdd, norm_sq, _Q, _F, value = _hadamard_series(sol, N)
+    bound_i, bound_ii = _bounds(sd, sdd, norm_sq, value)
+    if bound_ii is None:
+        raise ValueError("bound_ii needs the barycenter condition: no degree-1 content")
     return bound_i, bound_ii
 
 
@@ -326,18 +331,12 @@ def classify_torsion_sign(n: int, R: float, alpha: float) -> SignClassification:
             )
     values = _mode_table(sol, {(s, 0): 1.0 for s in mu}, mu)
 
-    tol = _SIGN_TOL * max(1.0, max(abs(e) for _s, e in values))
-    positives = [(s, e) for s, e in values if e > tol]
-    negatives = [(s, e) for s, e in values if e < -tol]
-    if positives and negatives:
-        return SignClassification(
-            n, R, alpha, INDEFINITE, (positives[0], negatives[0]), depth
-        )
-    if positives:
-        return SignClassification(n, R, alpha, POSITIVE, (positives[0],), depth)
-    if negatives:
-        return SignClassification(n, R, alpha, NEGATIVE, (negatives[0],), depth)
-    return SignClassification(n, R, alpha, KERNEL, (), depth)
+    scale = max(1.0, max(abs(e) for _s, e in values))
+    signs = [_classify_value(e, scale) for _s, e in values]
+    found = [sign for sign in (POSITIVE, NEGATIVE) if sign in signs]
+    witnesses = tuple(values[signs.index(sign)] for sign in found)
+    classification = INDEFINITE if len(found) == 2 else found[0] if found else KERNEL
+    return SignClassification(n, R, alpha, classification, witnesses, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +415,18 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
     - its lower-bound coefficient beta_1 + (n-1)/R = n/R - k J_{n/2+1}(kR)
       / J_{n/2}(kR), which vanishes identically at k = sqrt(lam_D) (degree-1
       translation kernel);
-    - the Dirichlet torsion energy: E'(0) (zero for mean-free N) and E''(0)
-      from the critical-domain second-variation functional
-      2 Q(u') + g(0) int u'^2 du/dnu dS + 2(n-1) int u'^2 H dS.
+    - the Dirichlet torsion energy (u = (R^2 - r^2)/(2n)): E'(0) (zero for
+      mean-free N) and E''(0) = 2 sum c_s^2 (s - 1)/R, c = -u_r(R) b
+      = (R/n) b.
+
+    The torsion E''(0) is the alpha -> infinity limit of the Robin torsion
+    term of `_mode_table`.  There u(R) = R/(n alpha), k_g = (1 + alpha R)/n
+    and mu_s = alpha + s/R, so the surface term alpha u(R)^2 b^2 (...)
+    vanishes like 1/alpha, and the bracket term
+    2 b^2 (alpha u(R) k_g - k_g^2/mu_s)
+    = 2 b^2 (R/n^2) (s - 1 - (s - 1)^2/(alpha R + s))
+    tends to 2 b^2 (R/n^2)(s - 1) = 2 c^2 (s - 1)/R.  Degree-1 data
+    (translations) give 0.
     """
     if not mean_free(N):
         raise ValueError("N must be mean-free")
@@ -445,19 +453,9 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
 
     # torsion energy with Dirichlet boundary: u = (R^2 - r^2)/(2n)
     ur_tor = -R / n
-    quad = SphereQuadrature(n)
-    c_tor = {si: -ur_tor * bv for si, bv in b.items()}
-    # u' is harmonic with trace sum c Y / R^{(n-1)/2}
-    Q_tor = sum(cc * cc * s / R for (s, _i), cc in c_tor.items())
-    trace_sq = sum(cc * cc for cc in c_tor.values())
-    # quadrature route for the u'^2 boundary terms
-    up_vals = synthesize(n, c_tor, quad.directions) / R ** ((n - 1) / 2.0)
-    area_w = R ** (n - 1)
-    int_up_sq = area_w * quad.integrate(up_vals * up_vals)
-    if abs(int_up_sq - trace_sq) > 1e-10 * max(1.0, trace_sq):
-        raise ArithmeticError("quadrature and series boundary norms disagree")
-    g0 = 1.0
-    eddot_tor = 2.0 * Q_tor + g0 * ur_tor * int_up_sq + 2.0 * (n - 1) / R * int_up_sq
+    c_sq = [(s, (ur_tor * bv) * (ur_tor * bv)) for (s, _i), bv in b.items()]
+    Q_tor = sum(cc * s / R for s, cc in c_sq)
+    eddot_tor = sum(2.0 * cc * (s - 1) / R for s, cc in c_sq)
     edot_tor = ur_tor**2 * _boundary_integral_N(n, R, N)  # 0 for mean-free N
 
     return VariationReport(

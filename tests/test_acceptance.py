@@ -29,6 +29,7 @@ from rsv.special_functions import (
     HarmonicBasis,
     bessel_j,
     bessel_j_derivative,
+    spherical_harmonic,
 )
 from rsv.sphere_geometry import (
     PerturbationField,
@@ -243,7 +244,10 @@ def test_10_bessel_and_harmonic_substrate():
                 assert abs(d - half) <= 1e-12
     for n in (2, 3):
         basis = HarmonicBasis(n, max_degree=6)
-        gram = (basis.table * basis.quad.weights) @ basis.table.T
+        table = np.stack(
+            [spherical_harmonic(n, s, i, basis.quad.directions) for s, i in basis.indices]
+        )
+        gram = basis.weighted @ table.T
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
 
 

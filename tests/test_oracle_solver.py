@@ -185,6 +185,19 @@ def test_non_star_domain_rejected():
         StarDomain(2, 0.0, {}, {}, 0.0).radius([[1.0, 0.0]])
 
 
+def test_nan_radius_rejected_before_lapack(monkeypatch):
+    # NaN passes r <= 0; the rule asks for r > 0, so NaN data stop at the
+    # domain and never reach the least-squares solve
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("NaN data reached np.linalg.lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    d = StarDomain(2, 1.0, {(2, 0): math.nan}, {}, 0.1)
+    for measure in (exact_volume, lambda d: solve_perturbed_torsion(d, 1.0, modes=16)):
+        with pytest.raises(ValueError, match="not star-shaped"):
+            measure(d)
+
+
 def method_calls(monkeypatch, cls, name):
     """Calls of the method `name` of `cls` from now on, as a list."""
     calls = []
@@ -314,6 +327,15 @@ def test_eigen_solution_records_the_search():
     assert math.isnan(torsion.sigma_min)
 
 
+# README family (n = 2, 20 modes): the grid walk plus one refine step at
+# t = 0, two elsewhere
+@pytest.mark.parametrize("t, evals", [(0.0, 5), (0.005, 8), (-0.005, 8), (0.01, 11), (-0.02, 11)])
+@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+def test_readme_family_sigma_evaluations(t, evals, alpha, kind):
+    sol = solve_perturbed_eigen(readme_eigen_domain(t), alpha, 20, kind)
+    assert sol.sigma_evals <= evals
+
+
 def test_second_mode_fails_the_ground_state_check(monkeypatch):
     # centre the scan on j_{1,1}^2, the disk's second Dirichlet eigenvalue:
     # the solver locks onto J_1(k r) cos(theta + c), which changes sign
@@ -440,10 +462,10 @@ def test_sigma_sq_min_finds_the_argmin(floor, slopes, offset):
     a, m, b = BRACKET
     lam_star = m + offset * LAM0
     f, calls = synthetic_sigma(lam_star, *slopes, floor)
-    lam = _sigma_sq_min(f, a, m, b, XTOL, SPACING)
+    lam = _sigma_sq_min(f, a, m, b, SPACING)
     assert abs(lam - lam_star) <= XTOL
     assert a <= min(calls) and max(calls) <= b and a <= lam <= b
-    assert len(set(calls)) <= 25
+    assert len(set(calls)) <= 14
 
 
 @pytest.mark.parametrize("edge", [0, 2])
@@ -451,11 +473,29 @@ def test_sigma_sq_min_rejects_a_minimum_on_the_bracket_edge(edge):
     a, m, b = BRACKET
     f, _ = synthetic_sigma(BRACKET[edge], 1.0, 1.0, 1e-9)
     with pytest.raises(ArithmeticError, match="no interior minimum"):
-        _sigma_sq_min(f, a, m, b, XTOL, SPACING)
+        _sigma_sq_min(f, a, m, b, SPACING)
 
 
-def golden_refine(f, a, m, b, xtol, spacing):
-    return golden_min(f, a, b, xtol)
+def test_sigma_sq_min_gives_up_when_the_vertex_does_not_settle():
+    # sigma^2 = (lam - lam*)^4: each parabola moves x only about a third of
+    # the way to lam*, so the step cap runs out first
+    a, m, b = BRACKET
+    lam_star = m + 0.01 * LAM0
+    calls = []
+
+    def f(lam):
+        calls.append(lam)
+        return (lam - lam_star) ** 2
+
+    with pytest.raises(ArithmeticError, match="did not settle"):
+        _sigma_sq_min(f, a, m, b, SPACING)
+    assert a <= min(calls) and max(calls) <= b
+    assert len(set(calls)) <= 3 + 3 * oracle_solver._PARABOLA_STEPS
+
+
+def golden_refine(f, a, m, b, spacing):
+    # a 1e-13 lam0 bracket: the refine's spacing is 1e-8 lam0
+    return golden_min(f, a, b, 1e-5 * spacing)
 
 
 def lam_both_refines(monkeypatch, d, alpha, modes, kind):

@@ -118,10 +118,18 @@ def test_quadrature_measures_sphere(n):
     assert abs(total - (2 * math.pi if n == 2 else 4 * math.pi)) < 1e-12
 
 
+def harmonic_table(basis):
+    """Y_{s,i} at the basis's nodes, one harmonic at a time, in its order."""
+    directions = basis.quad.directions
+    return np.stack(
+        [np.asarray(spherical_harmonic(basis.n, s, i, directions)) for s, i in basis.indices]
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_harmonics_orthonormal(n):
     basis = HarmonicBasis(n, max_degree=8)
-    gram = (basis.table * basis.quad.weights) @ basis.table.T
+    gram = basis.weighted @ harmonic_table(basis).T
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
 
 
@@ -293,24 +301,22 @@ def test_synthesize_bits_match_term_by_term_sum(n):
 def test_projection_table_is_shared_and_read_only():
     a = HarmonicBasis(3, 24)
     b = HarmonicBasis(3, 24, SphereQuadrature(3))
-    assert a.table is b.table
+    assert a.weighted is b.weighted
     with pytest.raises(ValueError):
-        a.table[0, 0] = 1.0
-    fresh = np.stack(
-        [np.asarray(spherical_harmonic(3, s, i, a.quad.directions)) for (s, i) in a.indices]
-    )
-    assert np.array_equal(a.table, fresh)
+        a.weighted[0, 0] = 1.0
+    fresh = harmonic_table(a) * a.quad.weights
+    assert np.array_equal(a.weighted, fresh)
     values = np.random.default_rng(5).normal(size=a.quad.weights.shape)
-    coeffs = (fresh * a.quad.weights) @ values
+    coeffs = fresh @ values
     assert list(a.project(values).values()) == [float(c) for c in coeffs]
 
 
 def test_projection_table_keyed_on_order():
     coarse = HarmonicBasis(3, 24, SphereQuadrature(3, 32))
     fine = HarmonicBasis(3, 24, SphereQuadrature(3, 64))
-    assert coarse.table is not fine.table
-    assert coarse.table.shape == (625, 32 * 32)
-    assert HarmonicBasis(3, 24, SphereQuadrature(3, 32)).table is coarse.table
+    assert coarse.weighted is not fine.weighted
+    assert coarse.weighted.shape == (625, 32 * 32)
+    assert HarmonicBasis(3, 24, SphereQuadrature(3, 32)).weighted is coarse.weighted
     with pytest.raises(ValueError):
         HarmonicBasis(3, 4, SphereQuadrature(2, 32))
 

@@ -423,10 +423,31 @@ def test_dirichlet_degree_one_kernel():
 def test_dirichlet_torsion_energy():
     rep = dirichlet_variations(2, 1.0, COS2T)
     assert rep.extras["torsion_energy_Edot0"] == pytest.approx(0.0, abs=1e-13)
-    assert rep.extras["torsion_energy_Eddot0"] == pytest.approx(
-        11.0 * PI / 8.0, abs=1e-10
-    )
+    # 2 c^2 (s - 1)/R with c^2 = (R/n)^2 b^2 = pi/4 at degree 2
+    assert rep.extras["torsion_energy_Eddot0"] == pytest.approx(PI / 2.0, abs=1e-12)
     assert rep.Q == pytest.approx(PI / 2.0, abs=1e-12)
+
+
+TRANSLATIONS = {2: {(1, 0): 0.6, (1, 1): -0.8}, 3: {(1, 1): 0.9}}  # n = 3 zonal
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_dirichlet_torsion_energy_vanishes_on_translations(n, R):
+    rep = dirichlet_variations(n, R, TRANSLATIONS[n])
+    assert rep.extras["torsion_energy_Eddot0"] == 0.0
+
+
+MIXED = {2: {(2, 0): 0.7, (3, 1): 0.4, (1, 0): 0.3}, 3: {(2, 2): 0.7, (3, 3): 0.4}}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_dirichlet_torsion_energy_is_the_large_alpha_robin_limit(n, R):
+    # the Robin bracket term differs from the limit by O(1/(alpha R))
+    dirichlet = dirichlet_variations(n, R, MIXED[n]).extras["torsion_energy_Eddot0"]
+    robin = second_variation_energy_ball(solve_torsion_ball(n, R, 1e6), MIXED[n]).Eddot0
+    assert robin == pytest.approx(dirichlet, rel=1e-5)
 
 
 def test_dirichlet_requires_mean_free():
