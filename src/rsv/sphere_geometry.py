@@ -48,6 +48,13 @@ def coeff_norm_sq(coeffs: BoundaryFunction) -> float:
     return sum(c * c for c in coeffs.values())
 
 
+def trace_coefficients(N: BoundaryFunction, n: int, R: float) -> BoundaryFunction:
+    """Coefficients b = R^((n-1)/2) c of the nonzero terms of N in the basis
+    R^(-(n-1)/2) Y_{s,i}, orthonormal in L2 of the sphere of radius R."""
+    scale = R ** ((n - 1) / 2.0)
+    return {si: scale * c for si, c in N.items() if c != 0.0}
+
+
 def mean_free(N: BoundaryFunction) -> bool:
     """Whether int N dS = 0 (first-order volume preservation): every real
     harmonic but Y_{0,0} integrates to exactly 0, so N's (0, 0) term decides."""
@@ -347,37 +354,25 @@ def _surface_element_m2(Dv: np.ndarray, Dw: np.ndarray, nu: np.ndarray) -> np.nd
 
 def surface_second_variation(N: BoundaryFunction, n: int, R: float) -> float:
     """Closed form of the area second variation for volume-preserving
-    Hadamard data: sum over modes of c^2 R^(n-3) (s(s+n-2) - (n-1))."""
+    Hadamard data: sum over the trace coefficients b of
+    b^2 (s(s+n-2) - (n-1)) / R^2."""
     if not mean_free(N):
         raise ValueError("N must be mean-free")
     total = 0.0
-    for (s, _i), c in N.items():
+    for (s, _i), b in trace_coefficients(N, n, R).items():
         mu, _ = lb_eigen(s, n)
-        total += c * c * R ** (n - 3) * (mu - (n - 1))
+        total += b * b * (mu - (n - 1)) / R**2
     return total
 
 
 def surface_second_variation_general(
     v: AmbientField, w: AmbientField, n: int, R: float
 ) -> float:
-    """Area second variation for arbitrary ambient (v, w) by quadrature:
-
-        S''(0) = int_{dB_R} |grad_tan(v.nu)|^2 - (n-1)/R^2 (v.nu)^2 dS
-               + (n-1)/R int_{dB_R} (v.nu) div v - nu.(D_v v) + w.nu dS.
+    """Area second variation for arbitrary ambient (v, w) by quadrature of
+    the surface-element acceleration: S''(0) = int_{dB_R} m''(0) dS.
 
     Reduces to `surface_second_variation` when (v, w) is volume preserving
     of second order.
     """
     quad = SphereQuadrature(n)
-    x = R * quad.directions
-    nu = quad.directions
-    vx = v(x)
-    wx = w(x)
-    Dv = v.jacobian(x)
-    N = np.einsum("qi,qi->q", vx, nu)
-    # tangential gradient of the scalar x -> v(x).x/R restricted to the sphere
-    grad_N = np.einsum("qji,qj->qi", Dv, nu) + vx / R
-    grad_N = grad_N - np.einsum("qi,qi->q", grad_N, nu)[..., None] * nu
-    term1 = np.einsum("qi,qi->q", grad_N, grad_N) - (n - 1) / R**2 * N * N
-    term2 = _volume_integrand(nu, vx, Dv, wx)
-    return R ** (n - 1) * quad.integrate(term1 + (n - 1) / R * term2)
+    return R ** (n - 1) * quad.integrate(surface_element_m2(v, w, R, quad))

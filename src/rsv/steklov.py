@@ -25,7 +25,7 @@ import numpy as np
 
 from .radial_solutions import DIRICHLET_EIGEN, ROBIN_EIGEN, TORSION, RadialSolution
 from .special_functions import bessel_j, multiplicity, synthesize
-from .sphere_geometry import BoundaryFunction, mean_free
+from .sphere_geometry import BoundaryFunction, coeff_norm_sq, mean_free, trace_coefficients
 
 RESONANCE_TOL = 1e-9
 
@@ -51,6 +51,17 @@ class SteklovSpectrum:
 
     def mu(self, s: int) -> float:
         return self.sol.alpha + self.log_derivative(s)
+
+    def nonresonant_mu(self, s: int) -> float:
+        """mu_s; raises when |mu_s| < RESONANCE_TOL * max(1, |alpha|), where
+        the linearized problem of degree s is singular."""
+        m = self.mu(s)
+        if abs(m) < RESONANCE_TOL * max(1.0, abs(self.sol.alpha)):
+            raise ArithmeticError(
+                f"resonant mode s={s}: mu_s = {m:.3e} at alpha = {self.sol.alpha!r}; "
+                "the linearized problem is singular at this configuration"
+            )
+        return m
 
     def table(self, max_degree: int) -> list[tuple[int, float, int]]:
         return [
@@ -90,7 +101,7 @@ class ShapeDerivative:
 
     def boundary_norm_sq_N(self) -> float:
         """int N^2 dS over the boundary sphere."""
-        return sum(v * v for v in self.b.values())
+        return coeff_norm_sq(self.b)
 
     def quadratic_form(self) -> float:
         """Q = int (du'/dnu + alpha u') u' dS = sum c^2 mu_s."""
@@ -125,20 +136,8 @@ def shape_derivative_uprime(
             "resonant degree-0 mode: N must be mean-free for eigenvalue states"
         )
     spec = SteklovSpectrum(sol)
-    n, R = sol.n, sol.R
     k_g = sol.k_g()
-    scale = R ** ((n - 1) / 2.0)
-    b = {si: scale * v for si, v in N.items() if v != 0.0}
-    c: dict[tuple[int, int], float] = {}
-    mu: dict[int, float] = {}
-    for (s, i), bv in b.items():
-        if s not in mu:
-            mu[s] = spec.mu(s)
-        m = mu[s]
-        if abs(m) < RESONANCE_TOL * max(1.0, abs(sol.alpha)):
-            raise ArithmeticError(
-                f"resonant mode s={s}: mu_s = {m:.3e} with nonzero data; "
-                "the linearized problem is singular at this configuration"
-            )
-        c[(s, i)] = k_g * bv / m
+    b = trace_coefficients(N, sol.n, sol.R)
+    mu = {s: spec.nonresonant_mu(s) for s in dict.fromkeys(s for s, _i in b)}
+    c = {(s, i): k_g * bv / mu[s] for (s, i), bv in b.items()}
     return ShapeDerivative(spectrum=spec, b=b, c=c, mu=mu)

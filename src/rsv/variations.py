@@ -39,6 +39,7 @@ from .sphere_geometry import (
     BoundaryFunction,
     _surface_element_m2,
     _volume_integrand,
+    coeff_norm_sq,
     mean_free,
     normal_trace,
     project_normal_trace,
@@ -46,8 +47,10 @@ from .sphere_geometry import (
     second_order_volume_correction,
     sphere_measure,
     surface_element_m2,
+    surface_second_variation,
+    trace_coefficients,
 )
-from .steklov import RESONANCE_TOL, ShapeDerivative, SteklovSpectrum, shape_derivative_uprime
+from .steklov import ShapeDerivative, SteklovSpectrum, shape_derivative_uprime
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -122,16 +125,6 @@ def first_variation(sol: RadialSolution, v) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _surface_second_variation_from_b(sd: ShapeDerivative) -> float:
-    """S''(0) = sum b^2 (mu_LB_s - (n-1)) / R^2 for volume-preserving data."""
-    n, R = sd.sol.n, sd.sol.R
-    total = 0.0
-    for (s, _i), bv in sd.b.items():
-        mu_lb, _ = lb_eigen(s, n)
-        total += bv * bv * (mu_lb - (n - 1)) / R**2
-    return total
-
-
 def _mode_table(
     sol: RadialSolution, b: BoundaryFunction, mu: dict[int, float]
 ) -> tuple[tuple[int, float], ...]:
@@ -182,7 +175,7 @@ def _hadamard_series(sol: RadialSolution, N: BoundaryFunction):
         raise ValueError("N must be mean-free (first-order volume preservation)")
     sd = shape_derivative_uprime(sol, N)
     alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
-    sdd = _surface_second_variation_from_b(sd)
+    sdd = surface_second_variation(N, sol.n, sol.R)
     norm_sq = sd.boundary_norm_sq_N()
     Q = sd.quadratic_form()
     F = -2.0 * Q + 2.0 * alpha * uR * kg * norm_sq
@@ -278,7 +271,10 @@ def _bounds(sd: ShapeDerivative, sdd: float, norm_sq: float, value: float):
             - 2.0 * kg * kg / mu_pp
         ) * norm_sq
 
-    slack = 1e-10 * max(1.0, abs(value))
+    # value and the bounds are differences of terms of size `terms`, which
+    # grows like alpha: the slack covers their rounding as well
+    terms = abs(alpha * uR**2 * sdd) + 2.0 * (abs(alpha * uR * kg) + kg * kg / mu_p) * norm_sq
+    slack = 1e-10 * max(1.0, abs(value)) + 1e-14 * terms
     if bound_i > value + slack or (bound_ii is not None and bound_ii > value + slack):
         raise ArithmeticError("computed lower bound exceeds the second variation")
     return bound_i, bound_ii
@@ -322,13 +318,7 @@ def classify_torsion_sign(n: int, R: float, alpha: float) -> SignClassification:
     sol = solve_torsion_ball(n, R, alpha)
     spec = SteklovSpectrum(sol)
     depth = max(_SIGN_SEARCH_DEPTH, int(math.ceil(-alpha * R)) + 2)
-    mu = {s: spec.mu(s) for s in range(2, depth + 1)}
-    for s, m in mu.items():
-        if abs(m) < RESONANCE_TOL * max(1.0, abs(alpha)):
-            raise ArithmeticError(
-                f"resonant configuration: mu_{s} = 0 at alpha R = {-s}; "
-                "the linearized problem is degenerate"
-            )
+    mu = {s: spec.nonresonant_mu(s) for s in range(2, depth + 1)}
     values = _mode_table(sol, {(s, 0): 1.0 for s in mu}, mu)
 
     scale = max(1.0, max(abs(e) for _s, e in values))
@@ -435,9 +425,8 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
     lam_D = eig.lam
     gs_coefficient = spec.log_derivative(1) + (n - 1) / R
 
-    scale = R ** ((n - 1) / 2.0)
-    b = {si: scale * c for si, c in N.items() if c != 0.0}
-    norm_sq = sum(bv * bv for bv in b.values())
+    b = trace_coefficients(N, n, R)
+    norm_sq = coeff_norm_sq(b)
 
     # eigenvalue series
     ur_eig = eig.boundary_slope()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lpmv
 
-from rsv.special_functions import _legendre_norm, spherical_harmonic, tangential_gradient
+from rsv.special_functions import HarmonicGradients, _legendre_norm, spherical_harmonic
 
 
 def jacobian_fd_error(field, points, h: float = 1e-6) -> float:
@@ -170,7 +170,7 @@ def radial_harmonic_jacobian(n: int, R: float, coeffs, x) -> np.ndarray:
         rho = (r / R) ** s
         drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
         y = np.asarray(spherical_harmonic(n, s, i, xhat))
-        gy = tangential_gradient(n, s, i, xhat)
+        gy = HarmonicGradients(n, xhat)(s, i)[1]
         out = out + (c * drho * y)[..., None, None] * (
             xhat[..., :, None] * xhat[..., None, :]
         )

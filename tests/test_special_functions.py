@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import rsv.special_functions as special_functions
 from rsv.special_functions import (
     HarmonicBasis,
+    HarmonicGradients,
     SphereQuadrature,
     bessel_j,
     bessel_j_derivative,
@@ -22,7 +23,6 @@ from rsv.special_functions import (
     multiplicity,
     spherical_harmonic,
     synthesize,
-    tangential_gradient,
 )
 
 
@@ -37,6 +37,18 @@ def test_bessel_matches_scipy(order):
     ours = np.array([bessel_j(order, float(x)) for x in z])
     ref = scipy.special.jv(order, z)
     assert np.max(np.abs(ours - ref)) < 1e-13
+
+
+def test_bessel_integer_orders_small_argument_relative():
+    # the backward recurrence alone covers x < 0.5; scipy's jv flushes to 0
+    # below about 1e-290, where only the size of ours is checked
+    z = np.logspace(-12, math.log10(0.5), 60)
+    for order in range(31):
+        ours = np.array([bessel_j(float(order), float(x)) for x in z])
+        ref = scipy.special.jv(order, z)
+        normal = ref != 0.0
+        assert np.all(np.abs(ours - ref)[normal] <= 5e-13 * np.abs(ref[normal]))
+        assert np.all(np.abs(ours[~normal]) < 1e-289)
 
 
 def test_bessel_at_zero():
@@ -150,7 +162,7 @@ def test_unsold_sum(n):
 def test_tangential_gradient_dirichlet_energy(n, s, i):
     # int |grad_tan Y|^2 = s(s+n-2) int Y^2 = s(s+n-2) on the unit sphere
     quad = SphereQuadrature(n, 48)
-    g = tangential_gradient(n, s, i, quad.directions)
+    g = HarmonicGradients(n, quad.directions)(s, i)[1]
     energy = quad.integrate(np.einsum("qi,qi->q", g, g))
     mu, _ = lb_eigen(s, n)
     assert abs(energy - mu) < 1e-10
@@ -254,7 +266,7 @@ _EVALUATORS = {
     "value": spherical_harmonic,
     "theta": _one_harmonic("theta"),
     "phi": _one_harmonic("phi"),
-    "gradient": tangential_gradient,
+    "gradient": lambda n, s, i, d: HarmonicGradients(n, d)(s, i)[1],
 }
 
 

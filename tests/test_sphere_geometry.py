@@ -400,6 +400,24 @@ def test_surface_second_variation_general_matches_closed_form(n):
     assert got == pytest.approx(want, abs=1e-11)
 
 
+@pytest.mark.parametrize("n,R", [(2, 1.0), (2, 1.7), (3, 1.0), (3, 1.7)])
+def test_surface_second_variation_general_dilation(n, R):
+    # v = x, w = 0: S(t) = |S^{n-1}| (R (1 + t))^(n-1), S''(0) = 0 (n = 2), 8 pi R^2 (n = 3)
+    got = surface_second_variation_general(linear_field(np.eye(n)), zero_field(n), n, R)
+    if n == 2:
+        assert abs(got) <= 1e-12 * R
+    else:
+        assert got == pytest.approx(8.0 * math.pi * R**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.7])
+def test_surface_second_variation_general_skew_field(R):
+    # v = rotation generator, w = 0 maps the circle of radius R to one of
+    # radius R sqrt(1 + t^2): S(t) = 2 pi R sqrt(1 + t^2), S''(0) = 2 pi R
+    got = surface_second_variation_general(rotation_field(2), zero_field(2), 2, R)
+    assert got == pytest.approx(2.0 * math.pi * R, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_surface_second_variation_kernel(n):
     # translations (and their Hadamard data, degree 1) leave the area flat

@@ -132,6 +132,26 @@ def test_degree_one_is_kernel():
     assert rep.bound_ii is None
 
 
+@pytest.mark.parametrize(
+    "n,R,N", [(2, 1.0, {(2, 0): 1.0}), (3, 1.0, {(2, 2): 1.0}), (3, 2.0, {(2, 2): 1.0})]
+)
+def test_bounds_hold_through_large_alpha_cancellation(n, R, N):
+    # at alpha = 1e7 E''(0) and bound_ii are differences of terms of size
+    # ~1e6 times E''(0); their rounding must not read as a failed bound
+    rep = second_variation_energy_ball(solve_torsion_ball(n, R, 1e7), N)
+    # bound_ii is tight for pure degree-2 data
+    assert rep.bound_ii == pytest.approx(rep.Eddot0, rel=1e-8)
+    assert rep.bound_i <= rep.Eddot0
+
+
+def test_sddot0_is_the_closed_form_surface_variation():
+    # the n2-R2 reference config: the report's S''(0) and the surface
+    # closed form are one computation, equal to the last bit at R != 1
+    N = {(2, 0): 0.1, (3, 1): 0.05}
+    rep = second_variation_energy_ball(solve_torsion_ball(2, 2.0, 0.75), N)
+    assert surface_second_variation(N, 2, 2.0) == rep.Sddot0
+
+
 def test_bound_ii_requires_barycenter_condition():
     with pytest.raises(ValueError, match="degree-1"):
         theorem_bounds(reference_torsion(), {(1, 0): 0.5, (2, 0): 1.0})
@@ -446,8 +466,31 @@ MIXED = {2: {(2, 0): 0.7, (3, 1): 0.4, (1, 0): 0.3}, 3: {(2, 2): 0.7, (3, 3): 0.
 def test_dirichlet_torsion_energy_is_the_large_alpha_robin_limit(n, R):
     # the Robin bracket term differs from the limit by O(1/(alpha R))
     dirichlet = dirichlet_variations(n, R, MIXED[n]).extras["torsion_energy_Eddot0"]
-    robin = second_variation_energy_ball(solve_torsion_ball(n, R, 1e6), MIXED[n]).Eddot0
+    robin = second_variation_energy_ball(solve_torsion_ball(n, R, 1e7), MIXED[n]).Eddot0
     assert robin == pytest.approx(dirichlet, rel=1e-5)
+
+
+def _robin_dirichlet_gaps(n, R, alpha):
+    """Relative gaps of lam0, lam'(0) for N = Y_{0,0} and lam''(0) for
+    mean-free N between the Robin eigenvalue at alpha and the Dirichlet one."""
+    robin, dirichlet = solve_robin_eigen_ball(n, R, alpha), solve_dirichlet_eigen_ball(n, R)
+    N = MIXED[n]
+    pairs = [
+        (robin.lam, dirichlet.lam),
+        (first_variation(robin, {(0, 0): 1.0}), first_variation(dirichlet, {(0, 0): 1.0})),
+        (second_variation_eigenvalue_ball(robin, N).Eddot0, dirichlet_variations(n, R, N).Eddot0),
+    ]
+    return np.array([abs(r / d - 1.0) for r, d in pairs])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_robin_eigenvalue_closed_forms_tend_to_dirichlet(n, R):
+    # lam0, lam'(0) and lam''(0) of the Robin eigenvalue approach the
+    # Dirichlet values like 1/(alpha R)
+    coarse, fine = _robin_dirichlet_gaps(n, R, 1e6), _robin_dirichlet_gaps(n, R, 1e7)
+    assert np.all(fine <= 1e-6)
+    assert np.all(fine <= coarse / 5.0)
 
 
 def test_dirichlet_requires_mean_free():
