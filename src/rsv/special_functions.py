@@ -207,11 +207,14 @@ def harmonic_indices(n: int, max_degree: int) -> list[tuple[int, int]]:
 
 
 class _Angles(NamedTuple):
-    """Angles of unit directions, taken once per evaluation.
+    """Angles of unit directions, taken once per grid of directions.
 
     theta is the circle angle for n=2 and the polar angle for n=3; phi is
-    the azimuth (n=3 only).  For n=3, cos_unique[cos_inverse] is cos_theta:
-    the Legendre factors are evaluated once per distinct cos(theta).
+    the azimuth (n=3 only).  For n=3, cos_unique[cos_inverse] is cos_theta
+    and phi_unique[phi_inverse] is phi: the Legendre and the azimuthal
+    factors are evaluated once per distinct cos(theta) and phi.  `values`
+    holds the value-only harmonics already evaluated on these directions,
+    keyed by (s, i) (see `_harmonic_value`).
     """
 
     n: int
@@ -221,6 +224,9 @@ class _Angles(NamedTuple):
     sin_theta: np.ndarray
     cos_unique: np.ndarray | None = None
     cos_inverse: np.ndarray | None = None
+    phi_unique: np.ndarray | None = None
+    phi_inverse: np.ndarray | None = None
+    values: dict | None = None
 
 
 def _unique_bits(x) -> tuple[np.ndarray, np.ndarray]:
@@ -233,17 +239,50 @@ def _unique_bits(x) -> tuple[np.ndarray, np.ndarray]:
     return bits.view(np.float64), inverse.reshape(x.shape)
 
 
+# highest degree whose values `_harmonic_value` keeps for a grid
+_MEMO_DEGREE = 8
+
+
 def _angles(n: int, direction) -> _Angles:
+    """The angles of `direction` (shape (..., n)), shared by every call on
+    equal directions; see `_grid_angles`."""
+    if n not in (2, 3):
+        raise ValueError("n must be 2 or 3")
     d = np.asarray(direction, dtype=float)
+    if d.ndim == 0 or d.shape[-1] != n:
+        raise ValueError(f"directions of shape {d.shape} are not {n}-vectors (n={n})")
+    return _grid_angles(n, d.shape, d.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_angles(n: int, shape, dbytes) -> _Angles:
+    """Angles and harmonic values of one grid of directions, kept for the
+    four grids used last.
+
+    The key is n and the shape and bytes of the directions, so +0.0 and
+    -0.0 stay apart, and a miss rebuilds the directions from those bytes.
+    Every array is read-only.  A grid keeps the values of the harmonics of
+    degree <= _MEMO_DEGREE asked of it: at most 81 rows (n=3) or 17 (n=2),
+    so 81 * 8 bytes per direction, and 9 * 8 more for the angles and the
+    key: at most 2.9 MB for a SphereQuadrature(3, 64) grid and about 12 MB
+    for four.
+    """
+    d = np.frombuffer(dbytes).reshape(shape)
     if n == 2:
         theta = np.arctan2(d[..., 1], d[..., 0])
-        return _Angles(n, theta, None, np.cos(theta), np.sin(theta))
-    if n != 3:
-        raise ValueError("n must be 2 or 3")
-    theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    cos_theta = np.cos(theta)
-    return _Angles(n, theta, phi, cos_theta, np.sin(theta), *_unique_bits(cos_theta))
+        ang = _Angles(n, theta, None, np.cos(theta), np.sin(theta), values={})
+    else:
+        theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
+        phi = np.arctan2(d[..., 1], d[..., 0])
+        cos_theta = np.cos(theta)
+        ang = _Angles(
+            n, theta, phi, cos_theta, np.sin(theta),
+            *_unique_bits(cos_theta), *_unique_bits(phi), values={},
+        )
+    for a in ang[1:-1]:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return ang
 
 
 def _legendre_norm(s: int, m: int) -> float:
@@ -263,8 +302,10 @@ def _harmonic(s: int, i: int, ang: _Angles, value=True, dtheta=False, dphi=False
         d/dtheta P_s^m(cos th) = [s cos(th) P_s^m - (s+m) P_{s-1}^m] / sin(th)
 
     (poles excluded).  `_angles` has already checked n.  lpmv runs on the
-    distinct cos(theta) values and is gathered back to the points; being
-    elementwise, it gives the same bits as a call on every point.
+    distinct cos(theta) values and cos/sin(|m| phi) on the distinct phi,
+    and both are gathered back to the points; being elementwise, they give
+    the same bits as a call on every point.  Nothing is kept: this is the
+    evaluator behind `_harmonic_value`'s memo.
     """
     n = ang.n
     if not 0 <= i < multiplicity(s, n):
@@ -312,21 +353,37 @@ def _harmonic(s: int, i: int, ang: _Angles, value=True, dtheta=False, dphi=False
     # m > 0: cos(m phi), m < 0: sin(|m| phi); d/dphi brings -m and the other one
     trig, dtrig = (np.cos, np.sin) if m > 0 else (np.sin, np.cos)
     if value or dtheta:
-        azimuth = trig(am * ang.phi)
+        azimuth = trig(am * ang.phi_unique)[ang.phi_inverse]
     if value:
         y = math.sqrt(2.0) * k * p * azimuth
     if dtheta:
         dy_dtheta = math.sqrt(2.0) * k * dp * azimuth
     if dphi:
-        dy_dphi = -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi)
+        dy_dphi = -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi_unique)[ang.phi_inverse]
     return y, dy_dtheta, dy_dphi
+
+
+def _harmonic_value(s: int, i: int, ang: _Angles):
+    """Y_{s,i} at the angles of a grid from `_angles`, evaluated once per
+    grid: values of degree <= _MEMO_DEGREE are kept, read-only, in
+    `ang.values`."""
+    if not 0 <= i < multiplicity(s, ang.n):
+        raise ValueError(f"index {i} out of range for degree {s}, n={ang.n}")
+    y = ang.values.get((s, i))
+    if y is None:
+        y = np.asarray(_harmonic(s, i, ang)[0])
+        if s <= _MEMO_DEGREE:
+            y.flags.writeable = False
+            ang.values[(s, i)] = y
+    return y
 
 
 def spherical_harmonic(n: int, s: int, i: int, direction) -> np.ndarray | float:
     """Real orthonormal spherical harmonic Y_{s,i} at unit direction(s).
 
     `direction` has shape (..., n).  For n=2, i=0 is the cosine branch and
-    i=1 the sine branch; for n=3 the order is m = i - s.
+    i=1 the sine branch; for n=3 the order is m = i - s.  The result is a
+    new array on every call.
     """
     return _harmonic(s, i, _angles(n, direction))[0]
 
@@ -340,7 +397,8 @@ def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.
     `derivative` is None for the values, "theta" or "phi" for the angular
     derivatives.  A coefficient may be a scalar or an array that broadcasts
     against the points; zero terms are skipped and the others are added one
-    at a time, in mapping order, so equal inputs give equal bits.
+    at a time, in mapping order, so equal inputs give equal bits.  Values
+    come from the grid's memo (`_harmonic_value`).
     """
     part = _PARTS.get(derivative)
     if part is None:
@@ -351,7 +409,11 @@ def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.
     out = np.zeros(d.shape[:-1])
     for (s, i), c in coeffs.items():
         if np.any(c != 0.0):
-            out = out + c * np.asarray(_harmonic(s, i, ang, **want)[part])
+            if part == 0:
+                y = _harmonic_value(s, i, ang)
+            else:
+                y = np.asarray(_harmonic(s, i, ang, **want)[part])
+            out = out + c * y
     return out
 
 
@@ -360,30 +422,32 @@ class HarmonicGradients:
 
     The angles and the tangent frame are taken once, at construction;
     each call with (s, i) then costs one harmonic.  Gradients are ambient
-    vectors of shape (..., n), orthogonal to the direction.
+    vectors, orthogonal to the direction, with the component axis first:
+    shape (n, ...) for directions of shape (..., n), so that each product
+    runs over the points rather than over a trailing axis of length n.
     """
 
     def __init__(self, n: int, directions):
         ang = self._angles = _angles(n, directions)
         if n == 2:
-            self._frame = (np.stack([-ang.sin_theta, ang.cos_theta], axis=-1),)
+            self._frame = (np.stack([-ang.sin_theta, ang.cos_theta]),)
         else:
-            cos_phi, sin_phi = np.cos(ang.phi), np.sin(ang.phi)
+            cos_phi = np.cos(ang.phi_unique)[ang.phi_inverse]
+            sin_phi = np.sin(ang.phi_unique)[ang.phi_inverse]
             theta_hat = np.stack(
-                [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta],
-                axis=-1,
+                [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta]
             )
-            phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)], axis=-1)
+            phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)])
             self._frame = (theta_hat, phi_hat)
 
     def __call__(self, s: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Y_{s,i}, tangential gradient of Y_{s,i})."""
+        """(Y_{s,i}, tangential gradient of Y_{s,i} of shape (n, ...))."""
         ang = self._angles
         three = ang.n == 3
         y, dy_dtheta, dy_dphi = _harmonic(s, i, ang, dtheta=True, dphi=three)
-        grad = dy_dtheta[..., None] * self._frame[0]
+        grad = dy_dtheta * self._frame[0]
         if three:
-            grad = grad + (dy_dphi / ang.sin_theta)[..., None] * self._frame[1]
+            grad += (dy_dphi / ang.sin_theta) * self._frame[1]
         return y, grad
 
 
@@ -462,7 +526,8 @@ def _projection_table(n: int, max_degree: int, order: int):
 
     Built on first use and kept for the process (n=3, degree 24, order 64
     holds about 20 MB); read-only because every HarmonicBasis on that grid
-    shares it.
+    shares it.  Its rows come from the uncached `_harmonic`, so the grid's
+    value memo does not hold a second copy of them.
     """
     quad = SphereQuadrature(n, order)
     ang = _angles(n, quad.directions)

@@ -262,23 +262,30 @@ def _radial_values(n: int, R: float, items, x: np.ndarray) -> np.ndarray:
 def _radial_jacobian(n: int, R: float, items, x: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(x, axis=-1)
     xhat = x / r[..., None]
-    xx = xhat[..., :, None] * xhat[..., None, :]
-    proj = np.eye(n) - xx
     harmonic = HarmonicGradients(n, xhat)
-    out = np.zeros(x.shape + (n,))
+    # component-major layout (n, n, ...): every product below runs over the
+    # points, not over a trailing axis of length n, and adds into `out`
+    # through one buffer; the elementwise results are those of the
+    # point-major products
+    u = np.ascontiguousarray(np.moveaxis(xhat, -1, 0))
+    xx = u[:, None] * u[None, :]
+    proj = np.eye(n).reshape((n, n) + (1,) * r.ndim) - xx
+    out = np.zeros(xx.shape)
+    tmp = np.empty(xx.shape)
     for s, i, c in items:
         rho = (r / R) ** s
         drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
         y, gy = harmonic(s, i)
-        y = np.asarray(y)
         # three terms per mode, in this order: the reports' quadrature
         # values depend on the summation order
-        out = out + (c * drho * y)[..., None, None] * xx
-        out = out + (c * rho / r)[..., None, None] * (
-            xhat[..., :, None] * gy[..., None, :]
-        )
-        out = out + (c * rho * y / r)[..., None, None] * proj
-    return out
+        np.multiply(c * drho * y, xx, out=tmp)
+        out += tmp
+        np.multiply(u[:, None], gy[None, :], out=tmp)
+        tmp *= c * rho / r
+        out += tmp
+        np.multiply(c * rho * y / r, proj, out=tmp)
+        out += tmp
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 def normal_trace(v: AmbientField, R: float, quad: SphereQuadrature) -> np.ndarray:

@@ -10,12 +10,20 @@
 * `surface_divergence`: the tangential divergence of an AmbientField, for
   the divergence theorem on the sphere;
 * `radial_harmonic_values` / `radial_harmonic_jacobian`: the values and the
-  Jacobian of `radial_harmonic_field` as a per-mode loop over the public
-  per-harmonic functions, which the library's one-angle-pass evaluation
-  must reproduce bit for bit;
+  Jacobian of `radial_harmonic_field` as a per-mode loop over pointwise
+  harmonics and gradients in point-major (..., n) layout, which the
+  library's memoised, component-major evaluation must reproduce bit for
+  bit;
 * `pointwise_lpmv_harmonic`: an n=3 harmonic and its angular derivatives
-  with lpmv called at every point, which the library's evaluation on the
-  distinct cos(theta) values must reproduce bit for bit.
+  with lpmv and cos/sin(|m| phi) called at every point, which the
+  library's evaluation on the distinct cos(theta) and phi values must
+  reproduce bit for bit;
+* `pointwise_harmonic` / `pointwise_gradient`: Y_{s,i} and its tangential
+  gradient from those pointwise parts (n=3) or from `spherical_harmonic`
+  (n=2, which takes no distinct values), with the frame built at every
+  point;
+* `pointwise_synthesis`: the harmonic sum of `synthesize`, one pointwise
+  term at a time.
 """
 
 import math
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lpmv
 
-from rsv.special_functions import HarmonicGradients, _legendre_norm, spherical_harmonic
+from rsv.special_functions import _angles, _harmonic, _legendre_norm, spherical_harmonic
 
 
 def jacobian_fd_error(field, points, h: float = 1e-6) -> float:
@@ -145,20 +153,21 @@ def surface_element_m2_from_map(v, w, R: float, quad) -> np.ndarray:
 
 def radial_harmonic_values(n: int, R: float, coeffs, x) -> np.ndarray:
     """v(x) = sum c (|x|/R)^s Y_{s,i}(x/|x|) x/|x|, one mode at a time, each
-    harmonic evaluated from the directions and added in mapping order."""
+    harmonic evaluated pointwise and added in mapping order."""
     x = np.asarray(x, dtype=float)
     r = np.linalg.norm(x, axis=-1)
     xhat = x / r[..., None]
     total = np.zeros(r.shape)
     for (s, i), c in coeffs.items():
         if c != 0.0:
-            total = total + c * (r / R) ** s * np.asarray(spherical_harmonic(n, s, i, xhat))
+            total = total + c * (r / R) ** s * np.asarray(pointwise_harmonic(n, s, i, xhat))
     return total[..., None] * xhat
 
 
 def radial_harmonic_jacobian(n: int, R: float, coeffs, x) -> np.ndarray:
     """Jacobian of v(x) = sum c (|x|/R)^s Y_{s,i}(x/|x|) x/|x|, one mode at a
-    time, each harmonic and gradient evaluated from the directions."""
+    time in point-major (..., n, n) layout, each harmonic and gradient
+    evaluated pointwise."""
     x = np.asarray(x, dtype=float)
     items = [(s, i, c) for (s, i), c in coeffs.items() if c != 0.0]
     r = np.linalg.norm(x, axis=-1)
@@ -169,8 +178,8 @@ def radial_harmonic_jacobian(n: int, R: float, coeffs, x) -> np.ndarray:
     for s, i, c in items:
         rho = (r / R) ** s
         drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
-        y = np.asarray(spherical_harmonic(n, s, i, xhat))
-        gy = HarmonicGradients(n, xhat)(s, i)[1]
+        y = np.asarray(pointwise_harmonic(n, s, i, xhat))
+        gy = pointwise_gradient(n, s, i, xhat)
         out = out + (c * drho * y)[..., None, None] * (
             xhat[..., :, None] * xhat[..., None, :]
         )
@@ -183,7 +192,8 @@ def radial_harmonic_jacobian(n: int, R: float, coeffs, x) -> np.ndarray:
 
 def pointwise_lpmv_harmonic(s: int, i: int, ang):
     """(Y_{s,i}, dY/dtheta, dY/dphi) for n=3 at the angles `ang` of
-    `special_functions._angles`, with lpmv evaluated at every point."""
+    `special_functions._angles`, with lpmv and cos/sin(|m| phi) evaluated
+    at every point."""
     m = i - s
     am = abs(m)
     x = ang.cos_theta
@@ -200,6 +210,42 @@ def pointwise_lpmv_harmonic(s: int, i: int, ang):
         math.sqrt(2.0) * k * dp * azimuth,
         -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi),
     )
+
+
+def pointwise_harmonic(n: int, s: int, i: int, directions):
+    """Y_{s,i} at unit directions of shape (..., n), evaluated at every point."""
+    if n == 2:
+        return spherical_harmonic(2, s, i, directions)
+    return pointwise_lpmv_harmonic(s, i, _angles(3, directions))[0]
+
+
+def pointwise_gradient(n: int, s: int, i: int, directions) -> np.ndarray:
+    """Tangential gradient of Y_{s,i}, shape (..., n): the angular
+    derivatives times the frame vectors, built at every point."""
+    ang = _angles(n, directions)
+    if n == 2:
+        dy_dtheta = _harmonic(s, i, ang, value=False, dtheta=True)[1]
+        frame = np.stack([-ang.sin_theta, ang.cos_theta], axis=-1)
+        return dy_dtheta[..., None] * frame
+    _y, dy_dtheta, dy_dphi = pointwise_lpmv_harmonic(s, i, ang)
+    cos_phi, sin_phi = np.cos(ang.phi), np.sin(ang.phi)
+    theta_hat = np.stack(
+        [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta], axis=-1
+    )
+    phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)], axis=-1)
+    grad = dy_dtheta[..., None] * theta_hat
+    return grad + (dy_dphi / ang.sin_theta)[..., None] * phi_hat
+
+
+def pointwise_synthesis(n: int, coeffs, directions) -> np.ndarray:
+    """sum c Y_{s,i} at unit directions, one pointwise term at a time in
+    mapping order, zero terms skipped."""
+    d = np.asarray(directions, dtype=float)
+    total = np.zeros(d.shape[:-1])
+    for (s, i), c in coeffs.items():
+        if c != 0.0:
+            total = total + c * np.asarray(pointwise_harmonic(n, s, i, d))
+    return total
 
 
 def surface_divergence(v, x) -> np.ndarray:

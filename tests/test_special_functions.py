@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.special
-from geometry_reference import pointwise_lpmv_harmonic
+from geometry_reference import pointwise_lpmv_harmonic, pointwise_synthesis
 from hypothesis import given, settings, strategies as st
 
 import rsv.special_functions as special_functions
@@ -163,11 +163,12 @@ def test_tangential_gradient_dirichlet_energy(n, s, i):
     # int |grad_tan Y|^2 = s(s+n-2) int Y^2 = s(s+n-2) on the unit sphere
     quad = SphereQuadrature(n, 48)
     g = HarmonicGradients(n, quad.directions)(s, i)[1]
-    energy = quad.integrate(np.einsum("qi,qi->q", g, g))
+    assert g.shape == (n, quad.weights.size)
+    energy = quad.integrate(np.einsum("iq,iq->q", g, g))
     mu, _ = lb_eigen(s, n)
     assert abs(energy - mu) < 1e-10
     # gradients are tangential
-    radial = np.einsum("qi,qi->q", g, quad.directions)
+    radial = np.einsum("iq,qi->q", g, quad.directions)
     assert np.max(np.abs(radial)) < 1e-12
 
 
@@ -393,9 +394,17 @@ def test_unique_cos_theta_keeps_signed_zeros_and_nans_apart():
     # lpmv gives differently signed zeros at +0.0 and -0.0 for these orders
     assert not same_bits(scipy.special.lpmv(0, 5, 0.0), scipy.special.lpmv(0, 5, -0.0))
     assert not same_bits(scipy.special.lpmv(1, 4, 0.0), scipy.special.lpmv(1, 4, -0.0))
+    # the azimuths take the same care: +-0.0, +-pi and NaNs of either sign
+    phi = np.array([0.0, -0.0, math.pi, -math.pi, np.nan, math.pi, -0.0, 1.0, -np.nan])
+    phi_values, phi_inverse = special_functions._unique_bits(phi)
+    assert phi_values.size == 7
+    assert same_bits(phi_values[phi_inverse], phi)
+    # sin(|m| phi) keeps the sign of a zero azimuth
+    assert not same_bits(np.sin(2 * 0.0), np.sin(2 * -0.0))
     theta = np.arccos(np.clip(cos, -1.0, 1.0))
-    phi = np.linspace(0.1, 6.0, cos.size)
-    ang = special_functions._Angles(3, theta, phi, cos, np.sin(theta), values, inverse)
+    ang = special_functions._Angles(
+        3, theta, phi, cos, np.sin(theta), values, inverse, phi_values, phi_inverse
+    )
     assert_pointwise_lpmv_bits(ang, 6)
 
 
@@ -403,6 +412,105 @@ def test_sphere_grid_evaluates_one_legendre_row_per_gauss_node():
     ang = special_functions._angles(3, SphereQuadrature(3, 64).directions)
     assert ang.cos_theta.size == 64 * 64
     assert ang.cos_unique.size == 64
+
+
+def test_directions_of_the_wrong_dimension_rejected():
+    with pytest.raises(ValueError, match=r"shape \(3,\) are not 2-vectors \(n=2\)"):
+        spherical_harmonic(2, 2, 0, [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"shape \(1, 2\) are not 3-vectors \(n=3\)"):
+        synthesize(3, {(2, 1): 1.0}, [[1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"shape \(\) are not 3-vectors"):
+        HarmonicGradients(3, 1.0)
+    # the shape is checked before the grid memo is consulted
+    d = _random_directions(3, 6, 4)
+    special_functions._angles(3, d)
+    info = special_functions._grid_angles.cache_info()
+    with pytest.raises(ValueError, match=r"shape \(6, 3\) are not 2-vectors"):
+        synthesize(2, {(2, 1): 1.0}, d)
+    assert special_functions._grid_angles.cache_info() == info
+
+
+def test_grid_memo_is_read_only_and_keeps_signed_zeros_apart():
+    special_functions._grid_angles.cache_clear()
+    d_plus = irregular_directions()
+    d_minus = d_plus.copy()
+    d_minus[2, 1] = -0.0  # (1, -0.0, 0): azimuth -0.0 in place of +0.0
+    coeffs = {si: 1.0 for si in harmonic_indices(3, 4)}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in (d_plus, d_minus):
+            synthesize(3, coeffs, d)
+    assert special_functions._grid_angles.cache_info().currsize == 2
+    plus, minus = special_functions._angles(3, d_plus), special_functions._angles(3, d_minus)
+    assert special_functions._grid_angles.cache_info().hits == 2
+    assert same_bits(plus.phi[2], 0.0) and same_bits(minus.phi[2], -0.0)
+    assert set(plus.values) == set(minus.values) == set(coeffs)
+    for ang in (plus, minus):
+        for (s, i), y in ang.values.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert same_bits(y, pointwise_lpmv_harmonic(s, i, ang)[0]), (s, i)
+            with pytest.raises(ValueError):
+                y[0] = 1.0
+        for a in ang[1:-1]:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+    # sin(|m| phi) keeps the sign of the zero azimuth
+    assert not same_bits(plus.values[(3, 2)], minus.values[(3, 2)])
+
+
+def test_projection_table_build_keeps_no_harmonic_values():
+    special_functions._projection_table.cache_clear()
+    special_functions._grid_angles.cache_clear()
+    quad = SphereQuadrature(3, 16)
+    HarmonicBasis(3, 8, quad)
+    ang = special_functions._angles(3, quad.directions)
+    assert special_functions._grid_angles.cache_info().hits == 1
+    assert ang.values == {}
+
+
+class _CountingNumpy:
+    """numpy for `special_functions`, counting its cos and sin calls."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x):
+        self.counts["trig"] += 1
+        return np.cos(x)
+
+    def sin(self, x):
+        self.counts["trig"] += 1
+        return np.sin(x)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_synthesize_evaluates_each_harmonic_once_per_grid(monkeypatch, n):
+    quad = SphereQuadrature(n, 64)
+    special_functions._grid_angles.cache_clear()
+    special_functions._angles(n, quad.directions)
+    counts = {"lpmv": 0, "trig": 0}
+
+    def counting_lpmv(*args):
+        counts["lpmv"] += 1
+        return scipy.special.lpmv(*args)
+
+    monkeypatch.setattr(special_functions, "lpmv", counting_lpmv)
+    monkeypatch.setattr(special_functions, "np", _CountingNumpy(counts))
+    indices = [si for si in harmonic_indices(n, 6) if si[0] >= 2]
+    coeffs = {si: 1.0 + k for k, si in enumerate(indices)}
+    first = synthesize(n, coeffs, quad.directions)
+    # one lpmv per harmonic in n = 3, one cos or sin per non-zonal harmonic
+    trig = sum(1 for s, i in indices if (n == 2 or i != s))
+    want = {"lpmv": len(indices) if n == 3 else 0, "trig": trig}
+    assert counts == want
+    for scale in (2.0, -0.5, 1.0):
+        again = synthesize(n, {si: scale * c for si, c in coeffs.items()}, quad.directions.copy())
+    assert counts == want
+    assert same_bits(again, first)
+    monkeypatch.undo()
+    assert same_bits(first, pointwise_synthesis(n, coeffs, quad.directions))
 
 
 def test_gauss_legendre_is_numpys_rule_shared_and_read_only():

@@ -5,6 +5,7 @@ import pytest
 from geometry_reference import (
     jacobian_fd_error,
     metric_expansions,
+    pointwise_synthesis,
     project_zero_mean,
     radial_harmonic_jacobian,
     radial_harmonic_values,
@@ -179,6 +180,27 @@ def test_radial_table_memo_stays_bounded():
         field(x)
         field.jacobian(x)
     assert sphere_geometry._radial_table.cache_info().currsize == info.maxsize
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("R", [1.0, 1.3])
+def test_sphere_grid_tables_match_the_pointwise_references(n, R):
+    # the grid of every library integral: memoised harmonics, separable
+    # angle factors and the component-major Jacobian, with every order m of
+    # degrees 0-6, against pointwise point-major evaluation
+    quad = SphereQuadrature(n, 64)
+    rng = np.random.default_rng(38)
+    coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
+    items = tuple((s, i, c) for (s, i), c in coeffs.items())
+    x = R * quad.directions
+    jac = sphere_geometry._radial_jacobian(n, R, items, x)
+    assert same_bits(jac, radial_harmonic_jacobian(n, R, coeffs, x))
+    assert jac.flags.c_contiguous
+    values = sphere_geometry._radial_values(n, R, items, x)
+    assert same_bits(values, radial_harmonic_values(n, R, coeffs, x))
+    want = pointwise_synthesis(n, coeffs, quad.directions)
+    for _ in range(2):  # the second call reads the grid's memo
+        assert same_bits(synthesize(n, coeffs, quad.directions), want)
 
 
 @pytest.mark.parametrize(
