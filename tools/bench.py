@@ -1,12 +1,12 @@
 """Run the perfbench workloads and write one BENCH_<tag>.json record.
 
     python tools/bench.py TAG [--workloads W ...] [--seeds S ...] [--seconds T]
-                              [--root DIR] [--base DIR --base-tag TAG]
+                              [--base DIR --base-tag TAG]
 
 For each workload and seed it runs `perfbench/run.py --trace 0` of the
-checkout at --root (default: the checkout holding this script) as a
-subprocess, and once per workload, at the first seed, `--trace 1`.  The
-last line each run prints is one JSON object; its metrics, the end-to-end
+checkout holding this script as a subprocess, and once per workload, at
+the first seed, `--trace 1`.  The last line each run prints is one JSON
+object; its metrics, the end-to-end
 ones and the traced per-layer counters (sigma evaluations per solve,
 solves per derivative, Bessel calls, quadrature builds, ...) go into
 `BENCH_<TAG>.json` at the root of this checkout, with the median of every
@@ -122,14 +122,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--base", type=Path)
     parser.add_argument("--base-tag")
     args = parser.parse_args(argv)
     if (args.base is None) != (args.base_tag is None):
         parser.error("--base and --base-tag go together")
 
-    sides = [(args.tag, args.root.resolve())]
+    sides = [(args.tag, ROOT)]
     if args.base is not None:
         sides.append((args.base_tag, args.base.resolve()))
     runs = {tag: [] for tag, _ in sides}
