@@ -148,15 +148,36 @@ def _angular_parts(n: int, modes: int, theta: np.ndarray):
     return ls, T, dT
 
 
-def _radial_harmonic(degrees: np.ndarray, rho: np.ndarray, scale: float):
-    """(rho/scale)^k and its rho-derivative, shaped (basis, points)."""
-    k = degrees[:, None].astype(float)
-    z = (rho[None, :] / scale) ** degrees[:, None]
+@functools.lru_cache(maxsize=16)
+def _grid_angular_parts(n: int, modes: int, count: int):
+    """`_angular_parts` on the angles of `_theta_grid(n, count)`, which every
+    boundary of that size shares; read-only, kept per grid."""
+    parts = _angular_parts(n, modes, _theta_grid(n, count)[0])
+    for table in parts:
+        table.flags.writeable = False
+    return parts
+
+
+def _radial_harmonic(top: int, rho: np.ndarray, scale: float) -> np.ndarray:
+    """(rho/scale)^k for the orders k = 0..top, shaped (top + 1, points).
+
+    One `pow` call over all the points: numpy's float64 power gives results
+    that depend on the length of its inner loop, so splitting the points
+    into blocks would move bits."""
+    return (rho[None, :] / scale) ** np.arange(top + 1)[:, None]
+
+
+def _harmonic_slopes(z: np.ndarray, rho: np.ndarray, scale: float, out: np.ndarray):
+    """rho-derivatives k z / rho of the powers z = `_radial_harmonic`, written
+    to `out` (which may be z itself): 0 where rho is not > 0, and 1/scale
+    for k = 1, which has a finite slope at the origin."""
+    k = np.arange(z.shape[0], dtype=float)[:, None]
+    np.multiply(k, z, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dz = np.where(rho[None, :] > 0.0, k * z / rho[None, :], 0.0)
-    # k = 1 has a finite slope at the origin
-    dz[degrees == 1] = 1.0 / scale
-    return z, dz
+        np.divide(out, rho, out=out)
+    out[:, ~(rho > 0.0)] = 0.0
+    out[1:2] = 1.0 / scale
+    return out
 
 
 def _bessel_table(n: int, top: int, z: np.ndarray) -> np.ndarray:
@@ -185,16 +206,15 @@ def _bessel_table(n: int, top: int, z: np.ndarray) -> np.ndarray:
     return table
 
 
-def _radial_wave(
-    n: int, degrees: np.ndarray, lam: float, rho: np.ndarray, derivative: bool = True
-):
-    """Radial factors solving the Helmholtz equation, shaped (basis, points),
-    and their rho-derivatives (None when `derivative` is false).
+def _radial_wave(n: int, top: int, lam: float, rho: np.ndarray, derivative: bool = True):
+    """Radial factors solving the Helmholtz equation for the orders
+    k = 0..top, shaped (top + 1, points), and their rho-derivatives (None
+    when `derivative` is false).
 
-    One table over the orders 0..max(degrees)+2 (`_bessel_table`, seeded at
-    the two top orders whether or not the derivative is asked for, so the
-    values are the same either way) serves every basis row (in 2-D cos and
-    sin share a degree).  The derivatives come from the neighbouring orders:
+    The values are a view of one table over the orders 0..top+2
+    (`_bessel_table`, seeded at the two top orders whether or not the
+    derivative is asked for, so the values are the same either way).  The
+    derivatives come from the neighbouring orders:
     2 J_k' = J_{k-1} - J_{k+1} and J_0' = -J_1 (DLMF 10.6.1);
     j_l' = j_{l-1} - (l+1) j_l / z and j_0' = -j_1 (DLMF 10.51.2), which is
     0/0 at z = 0, where j_1'(0) = 1/3 and j_l'(0) = 0 for l >= 2.  So the
@@ -205,23 +225,27 @@ def _radial_wave(
     """
     k = math.sqrt(lam)
     z = k * rho
-    top = int(degrees.max())
     table = _bessel_table(n, top + 2, z)
-    f = table[degrees]
+    f = table[: top + 1]
     if not derivative:
         return f, None
+    # formed in place, operation by operation, without order-sized temporaries
     d = np.empty((top + 1, z.size))
-    d[0] = -table[1]
+    np.negative(table[1], out=d[0])
     if n == 2:
-        d[1:] = (table[:top] - table[2 : top + 2]) / 2.0
+        np.subtract(table[:top], table[2 : top + 2], out=d[1:])
+        d[1:] /= 2.0
     else:
         orders = np.arange(1, top + 1)[:, None]
+        np.multiply(orders + 1.0, table[1 : top + 1], out=d[1:])
         with np.errstate(divide="ignore", invalid="ignore"):
-            d[1:] = table[:top] - (orders + 1.0) * table[1 : top + 1] / z
+            d[1:] /= z
+            np.subtract(table[:top], d[1:], out=d[1:])
         on_axis = z == 0.0
         d[1:, on_axis] = 0.0
         d[1:2, on_axis] = 1.0 / 3.0
-    return f, k * d[degrees]
+    d *= k
+    return f, d
 
 
 def _robin_rows(bd: _Boundary, alpha: float, Rf, dRf, T, dT) -> np.ndarray:
@@ -240,7 +264,7 @@ def _collocation(d: StarDomain, modes: int):
         raise ValueError("n=3 oracle supports zonal (axisymmetric) data only")
     n_basis = 2 * modes + 1 if d.n == 2 else modes + 1
     bd = _boundary(d, OVERSAMPLE * n_basis)
-    return (bd, *_angular_parts(d.n, modes, bd.theta))
+    return (bd, *_grid_angular_parts(d.n, modes, bd.theta.size))
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +309,39 @@ class OracleSolution:
     def _fields(self, rho: np.ndarray, angular) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`fields` at the points rho[i, j] on the ray of angle theta[i],
         given `angular` = _angular_parts(n, modes, theta), flattened in row
-        order.  Each angular factor multiplies its whole row of radial
-        factors by broadcasting, which gives the products, and so the sums,
-        of a node-by-node table bit for bit."""
+        order.
+
+        The radial tables hold one row per degree (cos and sin share one in
+        2-D).  Each of the three products is gathered by degree into one
+        basis x points buffer and multiplied there by its angular factor,
+        which is constant on each ray; the products, and so the sums, are
+        those of a node-by-node table bit for bit.  The torsion slopes
+        overwrite the powers once the two products that need them are
+        summed."""
         degrees, T, dT = angular
         rays = rho.shape
         rho = rho.ravel()
         if self.kind == TORSION:
-            Rf, dRf = _radial_harmonic(degrees, rho, self._scale)
+            values = _radial_harmonic(self.modes, rho, self._scale)
         else:
-            Rf, dRf = _radial_wave(self.n, degrees, self.lam, rho)
+            values, slopes = _radial_wave(self.n, self.modes, self.lam, rho)
+        buf = np.empty((degrees.size, rho.size))
+        rows = buf.reshape(-1, *rays)
 
-        def times(radial, factor):
-            # radial * factor at every point; factor is constant on each ray
-            return (radial.reshape(-1, *rays) * factor[:, :, None]).reshape(-1, rho.size)
+        def summed(table, factor):
+            # mode="clip" lets take write into `out` directly; the default
+            # "raise" goes through a hidden temporary of the same size
+            np.take(table, degrees, axis=0, out=buf, mode="clip")
+            np.multiply(rows, factor[:, :, None], out=rows)
+            return self.coefficients @ buf
 
-        u = self.coefficients @ times(Rf, T)
-        u_rho = self.coefficients @ times(dRf, T)
+        u = summed(values, T)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_ang = self.coefficients @ times(Rf, dT) / rho
-        if self.kind == TORSION:
-            u = u - rho**2 / (2.0 * self.n)
-            u_rho = u_rho - rho / self.n
-        return u, u_rho, u_ang
+            u_ang = summed(values, dT) / rho
+        if self.kind != TORSION:
+            return u, summed(slopes, T), u_ang
+        u_rho = summed(_harmonic_slopes(values, rho, self._scale, out=values), T)
+        return u - rho**2 / (2.0 * self.n), u_rho - rho / self.n, u_ang
 
 
 def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
@@ -318,7 +352,7 @@ def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     n_theta rays of the interior nodes, so one angular table serves both."""
     bd = _boundary(sol.domain, n_theta)
     rho, w = _interior(bd, sol.n, n_rho)
-    angular = _angular_parts(sol.n, sol.modes, bd.theta)
+    angular = _grid_angular_parts(sol.n, sol.modes, n_theta)
     vals, g_rho, g_ang = sol._fields(rho, angular)
     wf = w.ravel()
     int_u = float(wf @ vals)
@@ -347,8 +381,9 @@ def solve_perturbed_torsion(
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
     scale = float(np.max(bd.r))
-    Rf, dRf = _radial_harmonic(degrees, bd.r, scale)
-    A = _robin_rows(bd, alpha, Rf, dRf, T, dT)
+    z = _radial_harmonic(modes, bd.r, scale)
+    dz = _harmonic_slopes(z, bd.r, scale, out=np.empty_like(z))
+    A = _robin_rows(bd, alpha, z[degrees], dz[degrees], T, dT)
     rhs = -(bd.nu_rho * (-bd.r / d.n) + alpha * (-bd.r**2 / (2.0 * d.n)))
 
     col_norm = np.linalg.norm(A, axis=0)
@@ -523,11 +558,12 @@ def solve_perturbed_eigen(
 
     def matrices(lam: float) -> tuple[np.ndarray, np.ndarray]:
         # the Dirichlet rows need no derivative table
-        Rf, dRf = _radial_wave(d.n, degrees, lam, rho, derivative=kind != DIRICHLET_EIGEN)
+        f, df = _radial_wave(d.n, modes, lam, rho, derivative=kind != DIRICHLET_EIGEN)
+        Rf = f[degrees]
         M = (Rf[:, inside] * T_in).T
         if kind == DIRICHLET_EIGEN:
             return (Rf[:, on_bd] * T).T, M
-        return _robin_rows(bd, alpha, Rf[:, on_bd], dRf[:, on_bd], T, dT), M
+        return _robin_rows(bd, alpha, Rf[:, on_bd], df[degrees][:, on_bd], T, dT), M
 
     @functools.lru_cache(maxsize=None)
     def sigma_at(lam: float) -> float:

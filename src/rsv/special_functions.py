@@ -176,16 +176,17 @@ def bessel_j_zeros(order: float, count: int) -> list[float]:
 
 
 def lb_eigen(s: int, n: int) -> tuple[float, int]:
-    """Laplace-Beltrami eigenvalue mu = s(s+n-2) on S^{n-1} and its multiplicity."""
+    """Laplace-Beltrami eigenvalue mu = s(s+n-2) on S^{n-1} and its multiplicity.
+
+    The multiplicity (2s+n-2) (s+n-3)! / (s! (n-2)!) is taken as the sum of
+    binomials C(s+n-2, n-2) + C(s+n-3, n-2), the same integer without the
+    factorials."""
     if s < 0:
         raise ValueError("degree must be >= 0")
     mu = float(s * (s + n - 2))
     if s == 0:
         return mu, 1
-    d = (2 * s + n - 2) * math.factorial(s + n - 3) // (
-        math.factorial(s) * math.factorial(n - 2)
-    )
-    return mu, d
+    return mu, math.comb(s + n - 2, n - 2) + math.comb(s + n - 3, n - 2)
 
 
 def multiplicity(s: int, n: int) -> int:

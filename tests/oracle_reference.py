@@ -7,18 +7,52 @@ is the coefficient sum over the products Rf * T of two node-by-node
 tables.  The oracle now evaluates the angular factors once per distinct
 angle and broadcasts them along each ray; the tests check that both give
 the same bits.
+
+Its radial tables are the oracle's former ones too (`basis_row_harmonic`,
+`basis_row_wave`): one row per basis element, so cos and sin rows of one
+degree are computed or copied twice.  The oracle now keeps one row per
+degree and gathers the rows it multiplies into one reused buffer.
 """
+
+import math
 
 import numpy as np
 
-from rsv.oracle_solver import (
-    _angular_parts,
-    _boundary,
-    _interior,
-    _radial_harmonic,
-    _radial_wave,
-)
+from rsv.oracle_solver import _angular_parts, _bessel_table, _boundary, _interior
 from rsv.radial_solutions import TORSION
+
+
+def basis_row_harmonic(degrees, rho, scale):
+    """(rho/scale)^k and its rho-derivative, shaped (basis, points)."""
+    k = degrees[:, None].astype(float)
+    z = (rho[None, :] / scale) ** degrees[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dz = np.where(rho[None, :] > 0.0, k * z / rho[None, :], 0.0)
+    # k = 1 has a finite slope at the origin
+    dz[degrees == 1] = 1.0 / scale
+    return z, dz
+
+
+def basis_row_wave(n, degrees, lam, rho):
+    """Helmholtz radial factors and their rho-derivatives, shaped (basis,
+    points), from one `_bessel_table` over the orders 0..max(degrees)+2."""
+    k = math.sqrt(lam)
+    z = k * rho
+    top = int(degrees.max())
+    table = _bessel_table(n, top + 2, z)
+    f = table[degrees]
+    d = np.empty((top + 1, z.size))
+    d[0] = -table[1]
+    if n == 2:
+        d[1:] = (table[:top] - table[2 : top + 2]) / 2.0
+    else:
+        orders = np.arange(1, top + 1)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:] = table[:top] - (orders + 1.0) * table[1 : top + 1] / z
+        on_axis = z == 0.0
+        d[1:, on_axis] = 0.0
+        d[1:2, on_axis] = 1.0 / 3.0
+    return f, k * d[degrees]
 
 
 def node_by_node_fields(sol, rho, theta):
@@ -28,9 +62,9 @@ def node_by_node_fields(sol, rho, theta):
     theta = np.asarray(theta, dtype=float).ravel()
     degrees, T, dT = _angular_parts(sol.n, sol.modes, theta)
     if sol.kind == TORSION:
-        Rf, dRf = _radial_harmonic(degrees, rho, sol._scale)
+        Rf, dRf = basis_row_harmonic(degrees, rho, sol._scale)
     else:
-        Rf, dRf = _radial_wave(sol.n, degrees, sol.lam, rho)
+        Rf, dRf = basis_row_wave(sol.n, degrees, sol.lam, rho)
     u = sol.coefficients @ (Rf * T)
     u_rho = sol.coefficients @ (dRf * T)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,12 +1,13 @@
 import ast
 import math
+import tracemalloc
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from golden_section import full_scan_bracket, golden_min
-from oracle_reference import node_by_node_integrals
+from oracle_reference import node_by_node_fields, node_by_node_integrals
 from scipy.special import jv, jvp, spherical_jn
 
 import rsv.oracle_solver as oracle_solver
@@ -376,14 +377,14 @@ def assert_columns_close(table, reference):
 def test_radial_wave_n2_equals_scipy(lam):
     # k = sqrt(lam) is 1 or 2, so z = k rho reproduces Z_SAMPLES exactly
     k = math.sqrt(lam)
-    degrees = np.array([0] + [d for d in range(1, TOP_ORDER + 1) for _ in (0, 1)])
-    f, df = _radial_wave(2, degrees, lam, Z_SAMPLES / k)
+    degrees = np.arange(TOP_ORDER + 1)
+    f, df = _radial_wave(2, TOP_ORDER, lam, Z_SAMPLES / k)
     values, slopes = scipy_tables(2, degrees, Z_SAMPLES)
     assert_columns_close(f, values)
     assert_columns_close(df / k, slopes)
     assert np.array_equal(f[:, 0], (degrees == 0).astype(float))  # J_k(0) = delta_k0
     assert df[1, 0] == 0.5 * k  # J_1'(0) = 1/2
-    values, none = _radial_wave(2, degrees, lam, Z_SAMPLES / k, derivative=False)
+    values, none = _radial_wave(2, TOP_ORDER, lam, Z_SAMPLES / k, derivative=False)
     assert none is None and np.array_equal(values, f)
 
 
@@ -391,13 +392,13 @@ def test_radial_wave_n2_equals_scipy(lam):
 def test_radial_wave_n3_equals_scipy(lam):
     k = math.sqrt(lam)
     degrees = np.arange(TOP_ORDER + 1)
-    f, df = _radial_wave(3, degrees, lam, Z_SAMPLES / k)
+    f, df = _radial_wave(3, TOP_ORDER, lam, Z_SAMPLES / k)
     values, slopes = scipy_tables(3, degrees, Z_SAMPLES)
     assert_columns_close(f, values)
     assert_columns_close(df / k, slopes)
     assert np.array_equal(f[:, 0], (degrees == 0).astype(float))  # j_l(0) = delta_l0
     assert df[1, 0] == k / 3.0  # j_1'(0) = 1/3
-    values, none = _radial_wave(3, degrees, lam, Z_SAMPLES / k, derivative=False)
+    values, none = _radial_wave(3, TOP_ORDER, lam, Z_SAMPLES / k, derivative=False)
     assert none is None and np.array_equal(values, f)
 
 
@@ -408,7 +409,7 @@ def test_radial_wave_falls_back_to_scipy_where_the_top_seed_underflows(n, top):
     # at z = 1e-4 and 1.5e-3, at z = 0 it is zero for every top
     z = np.array([0.0, 1e-4, 1.5e-3])
     degrees = np.arange(top - 1)
-    f, df = _radial_wave(n, degrees, 1.0, z)
+    f, df = _radial_wave(n, top - 2, 1.0, z)
     values, slopes = scipy_tables(n, degrees, z)
     for table, reference in ((f, values), (df, slopes)):
         assert np.all(np.isfinite(table))
@@ -424,11 +425,10 @@ def test_radial_wave_values_keep_their_bits_without_the_derivative_table(n):
     # the sigma search builds its interior rings (and Dirichlet rows) with
     # derivative=False; scipy works element by element, so the one order less
     # in the table leaves every value's bit pattern as it was
-    degrees = oracle_solver._angular_parts(n, 20, np.linspace(0.0, math.pi, 5))[0]
     rho = np.concatenate([[0.0], np.linspace(1e-3, 1.3, 97)])
     for lam in (5.783185962946785, 14.681970642123893, 31.0):
-        with_table, _ = _radial_wave(n, degrees, lam, rho)
-        values, none = _radial_wave(n, degrees, lam, rho, derivative=False)
+        with_table, _ = _radial_wave(n, 20, lam, rho)
+        values, none = _radial_wave(n, 20, lam, rho, derivative=False)
         assert none is None and values.shape == with_table.shape
         assert np.array_equal(values.view(np.int64), with_table.view(np.int64))
 
@@ -886,6 +886,58 @@ def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, 
     (*sums, u_in), (*sums_ref, u_in_ref) = calls[0]
     assert sums == sums_ref
     assert np.array_equal(u_in, u_in_ref)
+
+
+@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
+def test_fields_keep_the_bits_of_the_basis_row_tables(kind, n, N):
+    # the public fields against one radial row per basis element, on
+    # boundary points and on scattered interior points (the axis included)
+    d = perturbed_domain(pfield(n, 1.0, N), 0.05)
+    if kind == TORSION:
+        sol = solve_perturbed_torsion(d, 1.0, 20)
+    else:
+        sol = solve_perturbed_eigen(d, 1.0, 16, kind)
+    bd = oracle_solver._boundary(d, 53)
+    rng = np.random.default_rng(19)
+    theta = rng.uniform(0.0, 2.0 * PI if n == 2 else PI, 300)
+    dirs = oracle_solver._directions_from_theta(n, theta)
+    rho = rng.uniform(0.0, 1.0, theta.size) * d.radius(dirs)
+    rho[0] = 0.0
+    for points in ((bd.r, bd.theta), (rho, theta)):
+        for field, reference in zip(sol.fields(*points), node_by_node_fields(sol, *points)):
+            assert np.array_equal(field, reference, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "n, N, kind, modes", [(2, COS2T, TORSION, 28), (3, ZONAL, TORSION, 28), (2, COS2T, ROBIN_EIGEN, 20)]
+)
+def test_integrals_hold_one_basis_by_nodes_buffer(n, N, kind, modes):
+    # per-degree radial tables and one product buffer: the peak of one call
+    # stays below 2.5 basis x nodes doubles (above 3.1 with a fresh array
+    # per product and basis-row tables)
+    d = perturbed_domain(pfield(n, 1.0, N), 0.05)
+    if kind == TORSION:
+        sol = solve_perturbed_torsion(d, 1.0, modes)
+    else:
+        sol = solve_perturbed_eigen(d, 1.0, modes, kind)
+    n_theta, n_rho = oracle_solver._quad_sizes(modes)
+    tracemalloc.start()
+    try:
+        oracle_solver._integrals(sol, n_theta, n_rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sol.coefficients.size * n_theta * n_rho * 8
+
+
+def test_grid_angular_tables_are_kept_read_only():
+    parts = oracle_solver._grid_angular_parts(2, 12, 100)
+    assert parts is oracle_solver._grid_angular_parts(2, 12, 100)
+    theta = oracle_solver._theta_grid(2, 100)[0]
+    for table, fresh in zip(parts, oracle_solver._angular_parts(2, 12, theta)):
+        assert not table.flags.writeable
+        assert np.array_equal(table, fresh)
 
 
 def _rsv_imports(source: str):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -108,6 +109,17 @@ def test_lb_eigen_values():
     assert lb_eigen(2, 3) == (6.0, 5)
     assert lb_eigen(3, 3) == (12.0, 7)
     assert multiplicity(4, 3) == 9
+
+
+def test_lb_eigen_multiplicity_matches_the_factorial_formula():
+    # a plain function, so the benchmark tracer still wraps it by name
+    assert inspect.isfunction(lb_eigen)
+    for n in (2, 3, 4, 5):
+        for s in range(41):
+            dim = 1 if s == 0 else (2 * s + n - 2) * math.factorial(s + n - 3) // (
+                math.factorial(s) * math.factorial(n - 2)
+            )
+            assert lb_eigen(s, n) == (float(s * (s + n - 2)), dim)
 
 
 def test_harmonic_indices_cover_multiplicities():
