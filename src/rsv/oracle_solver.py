@@ -90,7 +90,6 @@ class _Boundary:
     theta: np.ndarray
     w: np.ndarray  # angular weights of `_theta_grid`
     r: np.ndarray
-    r_theta: np.ndarray
     nu_rho: np.ndarray  # radial component of the outward normal
     nu_theta: np.ndarray  # polar-tangent component
     dS: np.ndarray  # surface weights: sum dS f = boundary integral
@@ -103,7 +102,7 @@ def _boundary(d: StarDomain, count: int) -> _Boundary:
     rp = d.radius(dirs, "theta")
     g = np.sqrt(r * r + rp * rp)
     dS = w * g if d.n == 2 else w * r * g
-    return _Boundary(theta, w, r, rp, r / g, -rp / g, dS)
+    return _Boundary(theta, w, r, r / g, -rp / g, dS)
 
 
 def _interior(bd: _Boundary, n: int, n_rho: int):
@@ -297,19 +296,11 @@ class OracleSolution:
     def n(self) -> int:
         return self.domain.n
 
-    def fields(self, rho, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, du/drho, (1/rho) du/dtheta) at polar points (zonal plane
-        points for n = 3), from one angular and one radial table.  The last
-        is NaN at rho = 0, where u and du/drho stay defined."""
-        rho, theta = np.broadcast_arrays(
-            np.asarray(rho, dtype=float).ravel(), np.asarray(theta, dtype=float).ravel()
-        )
-        return self._fields(rho[:, None], _angular_parts(self.n, self.modes, theta))
-
     def _fields(self, rho: np.ndarray, angular) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`fields` at the points rho[i, j] on the ray of angle theta[i],
-        given `angular` = _angular_parts(n, modes, theta), flattened in row
-        order.
+        """(u, du/drho, (1/rho) du/dtheta) at the points rho[i, j] on the
+        ray of angle theta[i] (zonal plane points for n = 3), given
+        `angular` = _angular_parts(n, modes, theta), flattened in row order.
+        The last is NaN at rho = 0, where u and du/drho stay defined.
 
         The radial tables hold one row per degree (cos and sin share one in
         2-D).  Each of the three products is gathered by degree into one

@@ -75,13 +75,6 @@ class RadialSolution:
             out = -self.scale * k * np.where(r > 0, r, 1.0) ** (-nu) * vec(r)
         return np.where(r > 0, out, 0.0)
 
-    def u_rr(self, r) -> np.ndarray:
-        """Second radial derivative, from the equation away from r = 0."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == TORSION:
-            return np.full_like(r, -1.0 / self.n)
-        return -(self.n - 1) / r * self.u_r(r) - self.lam * self.u(r)
-
     # -- boundary data ------------------------------------------------------
 
     def boundary_value(self) -> float:

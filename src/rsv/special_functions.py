@@ -10,8 +10,8 @@ Conventions used by every downstream module:
 * n=3 basis: real associated-Legendre harmonics, index i = m + s with
   order m in [-s, s];
 * Bessel J is evaluated in-repo (backward recurrence for integer orders,
-  spherical Bessel recurrence for half-integer orders); scipy.special is
-  used only as a cross-check in the test suite.
+  spherical Bessel recurrence for half-integer orders); scipy's Bessel J
+  is only a test cross-check.  n=3 harmonics use scipy.special.lpmv.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ class _Angles(NamedTuple):
     the azimuth (n=3 only).  For n=3, cos_unique[cos_inverse] is cos_theta
     and phi_unique[phi_inverse] is phi: the Legendre and the azimuthal
     factors are evaluated once per distinct cos(theta) and phi.  `values`
-    holds the value-only harmonics already evaluated on these directions,
-    keyed by (s, i) (see `_harmonic_value`).
+    holds the harmonic values and angular derivatives already evaluated on
+    these directions, keyed by (s, i, part) (see `_harmonic_part`).
     """
 
     n: int
@@ -240,7 +240,7 @@ def _unique_bits(x) -> tuple[np.ndarray, np.ndarray]:
     return bits.view(np.float64), inverse.reshape(x.shape)
 
 
-# highest degree whose values `_harmonic_value` keeps for a grid
+# highest degree whose rows `_harmonic_part` keeps for a grid
 _MEMO_DEGREE = 8
 
 
@@ -257,16 +257,16 @@ def _angles(n: int, direction) -> _Angles:
 
 @functools.lru_cache(maxsize=4)
 def _grid_angles(n: int, shape, dbytes) -> _Angles:
-    """Angles and harmonic values of one grid of directions, kept for the
+    """Angles and harmonic rows of one grid of directions, kept for the
     four grids used last.
 
     The key is n and the shape and bytes of the directions, so +0.0 and
     -0.0 stay apart, and a miss rebuilds the directions from those bytes.
-    Every array is read-only.  A grid keeps the values of the harmonics of
-    degree <= _MEMO_DEGREE asked of it: at most 81 rows (n=3) or 17 (n=2),
-    so 81 * 8 bytes per direction, and 9 * 8 more for the angles and the
-    key: at most 2.9 MB for a SphereQuadrature(3, 64) grid and about 12 MB
-    for four.
+    Every array is read-only.  A grid keeps the rows of degree
+    <= _MEMO_DEGREE asked of it, values and angular derivatives: at most
+    3 * 81 rows (n=3) or 2 * 17 (n=2), so 243 * 8 bytes per direction, and
+    9 * 8 more for the angles and the key: at most 8.3 MB for a
+    SphereQuadrature(3, 64) grid and about 33 MB for four.
     """
     d = np.frombuffer(dbytes).reshape(shape)
     if n == 2:
@@ -295,9 +295,9 @@ def _legendre_norm(s: int, m: int) -> float:
     )
 
 
-def _harmonic(s: int, i: int, ang: _Angles, value=True, dtheta=False, dphi=False):
-    """(Y_{s,i}, dY/dtheta, dY/dphi) at precomputed angles; the parts not
-    asked for are None.  In n=3 all three share one lpmv(|m|, s, cos theta),
+def _harmonic(s: int, i: int, ang: _Angles, part: int = 0) -> np.ndarray:
+    """One part of Y_{s,i} at precomputed angles: 0 the value, 1 dY/dtheta,
+    2 dY/dphi (n=3 only).  In n=3 every part takes lpmv(|m|, s, cos theta),
     and d/dtheta adds P_{s-1}^{|m|}:
 
         d/dtheta P_s^m(cos th) = [s cos(th) P_s^m - (s+m) P_{s-1}^m] / sin(th)
@@ -306,76 +306,55 @@ def _harmonic(s: int, i: int, ang: _Angles, value=True, dtheta=False, dphi=False
     distinct cos(theta) values and cos/sin(|m| phi) on the distinct phi,
     and both are gathered back to the points; being elementwise, they give
     the same bits as a call on every point.  Nothing is kept: this is the
-    evaluator behind `_harmonic_value`'s memo.
+    evaluator behind `_harmonic_part`'s memo.
     """
     n = ang.n
     if not 0 <= i < multiplicity(s, n):
         raise ValueError(f"index {i} out of range for degree {s}, n={n}")
-    y = dy_dtheta = dy_dphi = None
     if n == 2:
-        if dphi:
+        if part == 2:
             raise ValueError("dphi is defined for n=3 only")
         theta = ang.theta
         if s == 0:
-            if value:
-                y = np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
-            if dtheta:
-                dy_dtheta = np.zeros_like(theta)
-        elif i == 0:
-            if value:
-                y = np.cos(s * theta) / math.sqrt(math.pi)
-            if dtheta:
-                dy_dtheta = -s * np.sin(s * theta) / math.sqrt(math.pi)
-        else:
-            if value:
-                y = np.sin(s * theta) / math.sqrt(math.pi)
-            if dtheta:
-                dy_dtheta = s * np.cos(s * theta) / math.sqrt(math.pi)
-        return y, dy_dtheta, dy_dphi
+            return np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi) if part == 0 else 0.0)
+        # i = 0: cos(s theta), i = 1: sin(s theta); d/dtheta brings -+s and the other one
+        trig, dtrig = (np.cos, np.sin) if i == 0 else (np.sin, np.cos)
+        if part == 0:
+            return trig(s * theta) / math.sqrt(math.pi)
+        return (-s if i == 0 else s) * dtrig(s * theta) / math.sqrt(math.pi)
     m = i - s
     am = abs(m)
-    x = ang.cos_theta
+    if part == 2 and m == 0:
+        return np.zeros_like(ang.theta)
+    # the Legendre factor of the part: P_s^|m|, or its theta-derivative
     p = lpmv(am, s, ang.cos_unique)[ang.cos_inverse]
     k = _legendre_norm(s, am)
-    if dtheta:
+    if part == 1:
+        x = ang.cos_theta
         if s - 1 >= am:
             p_lower = lpmv(am, s - 1, ang.cos_unique)[ang.cos_inverse]
         else:
             p_lower = np.zeros_like(x)
-        dp = (s * x * p - (s + am) * p_lower) / ang.sin_theta
+        p = (s * x * p - (s + am) * p_lower) / ang.sin_theta
     if m == 0:
-        if value:
-            y = k * p
-        if dtheta:
-            dy_dtheta = k * dp
-        if dphi:
-            dy_dphi = np.zeros_like(ang.theta)
-        return y, dy_dtheta, dy_dphi
+        return k * p
     # m > 0: cos(m phi), m < 0: sin(|m| phi); d/dphi brings -m and the other one
     trig, dtrig = (np.cos, np.sin) if m > 0 else (np.sin, np.cos)
-    if value or dtheta:
-        azimuth = trig(am * ang.phi_unique)[ang.phi_inverse]
-    if value:
-        y = math.sqrt(2.0) * k * p * azimuth
-    if dtheta:
-        dy_dtheta = math.sqrt(2.0) * k * dp * azimuth
-    if dphi:
-        dy_dphi = -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi_unique)[ang.phi_inverse]
-    return y, dy_dtheta, dy_dphi
+    if part == 2:
+        return -m * math.sqrt(2.0) * k * p * dtrig(am * ang.phi_unique)[ang.phi_inverse]
+    return math.sqrt(2.0) * k * p * trig(am * ang.phi_unique)[ang.phi_inverse]
 
 
-def _harmonic_value(s: int, i: int, ang: _Angles):
-    """Y_{s,i} at the angles of a grid from `_angles`, evaluated once per
-    grid: values of degree <= _MEMO_DEGREE are kept, read-only, in
-    `ang.values`."""
-    if not 0 <= i < multiplicity(s, ang.n):
-        raise ValueError(f"index {i} out of range for degree {s}, n={ang.n}")
-    y = ang.values.get((s, i))
+def _harmonic_part(s: int, i: int, ang: _Angles, part: int) -> np.ndarray:
+    """`_harmonic(s, i, ang, part)` at the angles of a grid from `_angles`,
+    evaluated once per grid: rows of degree <= _MEMO_DEGREE are kept,
+    read-only, in `ang.values` under (s, i, part)."""
+    y = ang.values.get((s, i, part))
     if y is None:
-        y = np.asarray(_harmonic(s, i, ang)[0])
+        y = np.asarray(_harmonic(s, i, ang, part))
         if s <= _MEMO_DEGREE:
             y.flags.writeable = False
-            ang.values[(s, i)] = y
+            ang.values[(s, i, part)] = y
     return y
 
 
@@ -386,7 +365,7 @@ def spherical_harmonic(n: int, s: int, i: int, direction) -> np.ndarray | float:
     i=1 the sine branch; for n=3 the order is m = i - s.  The result is a
     new array on every call.
     """
-    return _harmonic(s, i, _angles(n, direction))[0]
+    return _harmonic(s, i, _angles(n, direction))
 
 
 _PARTS = {None: 0, "theta": 1, "phi": 2}
@@ -398,34 +377,30 @@ def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.
     `derivative` is None for the values, "theta" or "phi" for the angular
     derivatives.  A coefficient may be a scalar or an array that broadcasts
     against the points; zero terms are skipped and the others are added one
-    at a time, in mapping order, so equal inputs give equal bits.  Values
-    come from the grid's memo (`_harmonic_value`).
+    at a time, in mapping order, so equal inputs give equal bits.  Every
+    part comes from the grid's memo (`_harmonic_part`).
     """
     part = _PARTS.get(derivative)
     if part is None:
         raise ValueError(f"derivative must be None, 'theta' or 'phi'; got {derivative!r}")
     d = np.asarray(directions, dtype=float)
     ang = _angles(n, d)
-    want = {"value": part == 0, "dtheta": part == 1, "dphi": part == 2}
     out = np.zeros(d.shape[:-1])
     for (s, i), c in coeffs.items():
         if np.any(c != 0.0):
-            if part == 0:
-                y = _harmonic_value(s, i, ang)
-            else:
-                y = np.asarray(_harmonic(s, i, ang, **want)[part])
-            out = out + c * y
+            out = out + c * _harmonic_part(s, i, ang, part)
     return out
 
 
 class HarmonicGradients:
     """Y_{s,i} and its tangential gradient at fixed unit directions.
 
-    The angles and the tangent frame are taken once, at construction;
-    each call with (s, i) then costs one harmonic.  Gradients are ambient
-    vectors, orthogonal to the direction, with the component axis first:
-    shape (n, ...) for directions of shape (..., n), so that each product
-    runs over the points rather than over a trailing axis of length n.
+    The angles and the tangent frame are taken once, at construction; each
+    call with (s, i) reads the value and the angular derivatives from the
+    grid's memo (`_harmonic_part`).  Gradients are ambient vectors,
+    orthogonal to the direction, with the component axis first: shape
+    (n, ...) for directions of shape (..., n), so that each product runs
+    over the points rather than over a trailing axis of length n.
     """
 
     def __init__(self, n: int, directions):
@@ -442,13 +417,12 @@ class HarmonicGradients:
             self._frame = (theta_hat, phi_hat)
 
     def __call__(self, s: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Y_{s,i}, tangential gradient of Y_{s,i} of shape (n, ...))."""
+        """(Y_{s,i}, read-only, and its tangential gradient of shape (n, ...))."""
         ang = self._angles
-        three = ang.n == 3
-        y, dy_dtheta, dy_dphi = _harmonic(s, i, ang, dtheta=True, dphi=three)
-        grad = dy_dtheta * self._frame[0]
-        if three:
-            grad += (dy_dphi / ang.sin_theta) * self._frame[1]
+        y = _harmonic_part(s, i, ang, 0)
+        grad = _harmonic_part(s, i, ang, 1) * self._frame[0]
+        if ang.n == 3:
+            grad += (_harmonic_part(s, i, ang, 2) / ang.sin_theta) * self._frame[1]
         return y, grad
 
 
@@ -528,14 +502,14 @@ def _projection_table(n: int, max_degree: int, order: int):
     Built on first use and kept for the process (n=3, degree 24, order 64
     holds about 20 MB); read-only because every HarmonicBasis on that grid
     shares it.  Its rows come from the uncached `_harmonic`, so the grid's
-    value memo does not hold a second copy of them.
+    memo does not hold a second copy of them.
     """
     quad = SphereQuadrature(n, order)
     ang = _angles(n, quad.directions)
     indices = tuple(harmonic_indices(n, max_degree))
     weighted = np.empty((len(indices), quad.weights.size))
     for row, (s, i) in zip(weighted, indices):
-        row[:] = _harmonic(s, i, ang)[0]
+        row[:] = _harmonic(s, i, ang)
     weighted *= quad.weights
     weighted.flags.writeable = False
     return indices, weighted

@@ -1,6 +1,8 @@
 """Independent routes that only the ball-state and Steklov checks use.
 
 * `radial_quadrature`: Gauss-Legendre nodes and weights on (0, R);
+* `u_rr`: the second radial derivative of a `RadialSolution`, from its
+  equation, for the radial-equation residual checks;
 * `k_g_from_profile`: k_g = -u''(R) + alpha^2 u(R) from the radial profile,
   against `RadialSolution.k_g`;
 * `quadratic_form_Q_quadrature`: Q by boundary quadrature of
@@ -28,9 +30,17 @@ def radial_quadrature(R: float, order: int = 256) -> tuple[np.ndarray, np.ndarra
     return 0.5 * R * (x + 1.0), 0.5 * R * w
 
 
+def u_rr(sol, r) -> np.ndarray:
+    """Second radial derivative of `sol`, from the equation away from r = 0."""
+    r = np.asarray(r, dtype=float)
+    if sol.kind == TORSION:
+        return np.full_like(r, -1.0 / sol.n)
+    return -(sol.n - 1) / r * sol.u_r(r) - sol.lam * sol.u(r)
+
+
 def k_g_from_profile(sol) -> float:
     """Normal derivative of (du/dnu + alpha u) from -u''(R) + alpha^2 u(R)."""
-    return -float(sol.u_rr(sol.R)) + sol.alpha**2 * sol.boundary_value()
+    return -float(u_rr(sol, sol.R)) + sol.alpha**2 * sol.boundary_value()
 
 
 def quadratic_form_Q_quadrature(sd, order: int = 64) -> float:

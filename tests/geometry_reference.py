@@ -18,12 +18,12 @@
   with lpmv and cos/sin(|m| phi) called at every point, which the
   library's evaluation on the distinct cos(theta) and phi values must
   reproduce bit for bit;
-* `pointwise_harmonic` / `pointwise_gradient`: Y_{s,i} and its tangential
-  gradient from those pointwise parts (n=3) or from `spherical_harmonic`
-  (n=2, which takes no distinct values), with the frame built at every
-  point;
-* `pointwise_synthesis`: the harmonic sum of `synthesize`, one pointwise
-  term at a time.
+* `pointwise_harmonic` / `pointwise_gradient`: Y_{s,i} or one of its
+  angular derivatives, and its tangential gradient, from those pointwise
+  parts (n=3) or from `_harmonic` (n=2, which takes no distinct values),
+  with the frame built at every point;
+* `pointwise_synthesis`: the harmonic sum of `synthesize`, values or one
+  angular derivative, one pointwise term at a time.
 """
 
 import math
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lpmv
 
-from rsv.special_functions import _angles, _harmonic, _legendre_norm, spherical_harmonic
+from rsv.special_functions import _angles, _harmonic, _legendre_norm
 
 
 def jacobian_fd_error(field, points, h: float = 1e-6) -> float:
@@ -212,11 +212,13 @@ def pointwise_lpmv_harmonic(s: int, i: int, ang):
     )
 
 
-def pointwise_harmonic(n: int, s: int, i: int, directions):
-    """Y_{s,i} at unit directions of shape (..., n), evaluated at every point."""
+def pointwise_harmonic(n: int, s: int, i: int, directions, part: int = 0):
+    """Part `part` of Y_{s,i} (0 the value, 1 dY/dtheta, 2 dY/dphi) at unit
+    directions of shape (..., n), evaluated at every point."""
+    ang = _angles(n, directions)
     if n == 2:
-        return spherical_harmonic(2, s, i, directions)
-    return pointwise_lpmv_harmonic(s, i, _angles(3, directions))[0]
+        return _harmonic(s, i, ang, part)
+    return pointwise_lpmv_harmonic(s, i, ang)[part]
 
 
 def pointwise_gradient(n: int, s: int, i: int, directions) -> np.ndarray:
@@ -224,7 +226,7 @@ def pointwise_gradient(n: int, s: int, i: int, directions) -> np.ndarray:
     derivatives times the frame vectors, built at every point."""
     ang = _angles(n, directions)
     if n == 2:
-        dy_dtheta = _harmonic(s, i, ang, value=False, dtheta=True)[1]
+        dy_dtheta = _harmonic(s, i, ang, 1)
         frame = np.stack([-ang.sin_theta, ang.cos_theta], axis=-1)
         return dy_dtheta[..., None] * frame
     _y, dy_dtheta, dy_dphi = pointwise_lpmv_harmonic(s, i, ang)
@@ -237,14 +239,15 @@ def pointwise_gradient(n: int, s: int, i: int, directions) -> np.ndarray:
     return grad + (dy_dphi / ang.sin_theta)[..., None] * phi_hat
 
 
-def pointwise_synthesis(n: int, coeffs, directions) -> np.ndarray:
-    """sum c Y_{s,i} at unit directions, one pointwise term at a time in
-    mapping order, zero terms skipped."""
+def pointwise_synthesis(n: int, coeffs, directions, part: int = 0) -> np.ndarray:
+    """sum c Y_{s,i}, or the sum of part `part` of each (see
+    `pointwise_harmonic`), at unit directions, one pointwise term at a time
+    in mapping order, zero terms skipped."""
     d = np.asarray(directions, dtype=float)
     total = np.zeros(d.shape[:-1])
     for (s, i), c in coeffs.items():
         if c != 0.0:
-            total = total + c * np.asarray(pointwise_harmonic(n, s, i, d))
+            total = total + c * np.asarray(pointwise_harmonic(n, s, i, d, part))
     return total
 
 

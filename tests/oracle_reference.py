@@ -1,4 +1,5 @@
-"""The oracle's former node-by-node integrals, kept for swap tests.
+"""The oracle's former node-by-node integrals, kept for swap tests, and
+`fields`, the oracle fields at arbitrary polar points.
 
 `node_by_node_integrals` is `oracle_solver._integrals` as it was before the
 interior quadrature took one angular table per ray: every interior node and
@@ -53,6 +54,16 @@ def basis_row_wave(n, degrees, lam, rho):
         d[1:, on_axis] = 0.0
         d[1:2, on_axis] = 1.0 / 3.0
     return f, k * d[degrees]
+
+
+def fields(sol, rho, theta):
+    """(u, du/drho, (1/rho) du/dtheta) of an `OracleSolution` at polar points
+    (zonal plane points for n = 3), from one angular and one radial table.
+    The last is NaN at rho = 0, where u and du/drho stay defined."""
+    rho, theta = np.broadcast_arrays(
+        np.asarray(rho, dtype=float).ravel(), np.asarray(theta, dtype=float).ravel()
+    )
+    return sol._fields(rho[:, None], _angular_parts(sol.n, sol.modes, theta))
 
 
 def node_by_node_fields(sol, rho, theta):

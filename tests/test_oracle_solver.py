@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from golden_section import full_scan_bracket, golden_min
-from oracle_reference import node_by_node_fields, node_by_node_integrals
+from oracle_reference import fields, node_by_node_fields, node_by_node_integrals
 from scipy.special import jv, jvp, spherical_jn
 
 import rsv.oracle_solver as oracle_solver
@@ -110,7 +110,7 @@ def test_unperturbed_disk_matches_ball():
     ball = solve_torsion_ball(2, 1.0, 1.0)
     rho = np.linspace(0.05, 0.95, 9)
     theta = np.linspace(0.0, 6.0, 9)
-    assert np.max(np.abs(sol.fields(rho, theta)[0] - ball.u(rho))) <= 1e-10
+    assert np.max(np.abs(fields(sol, rho, theta)[0] - ball.u(rho))) <= 1e-10
 
 
 def test_solves_build_no_sphere_quadrature(monkeypatch):
@@ -135,7 +135,7 @@ def test_values_at_the_centre():
     # u is defined at rho = 0 although (1/rho) du/dtheta is not
     sol = solve_perturbed_torsion(StarDomain(2, 1.0, {}, {}, 0.0), 1.0, modes=16)
     centre = float(solve_torsion_ball(2, 1.0, 1.0).u(0.0))
-    assert sol.fields([0.0], [0.0])[0][0] == pytest.approx(centre, abs=1e-10)
+    assert fields(sol, [0.0], [0.0])[0][0] == pytest.approx(centre, abs=1e-10)
 
 
 def test_unperturbed_ball_matches_n3():
@@ -286,7 +286,7 @@ def test_eigen_residual_is_the_boundary_condition_of_u(n, N, kind):
     sol = solve_perturbed_eigen(d, 1.0, modes=modes, kind=kind)
     n_basis = 2 * modes + 1 if n == 2 else modes + 1
     bd = oracle_solver._boundary(d, oracle_solver.OVERSAMPLE * n_basis)
-    u, u_rho, u_ang = sol.fields(bd.r, bd.theta)
+    u, u_rho, u_ang = fields(sol, bd.r, bd.theta)
     if kind == DIRICHLET_EIGEN:
         condition = u
     else:
@@ -891,7 +891,7 @@ def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, 
 @pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
 @pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
 def test_fields_keep_the_bits_of_the_basis_row_tables(kind, n, N):
-    # the public fields against one radial row per basis element, on
+    # the fields against one radial row per basis element, on
     # boundary points and on scattered interior points (the axis included)
     d = perturbed_domain(pfield(n, 1.0, N), 0.05)
     if kind == TORSION:
@@ -905,7 +905,7 @@ def test_fields_keep_the_bits_of_the_basis_row_tables(kind, n, N):
     rho = rng.uniform(0.0, 1.0, theta.size) * d.radius(dirs)
     rho[0] = 0.0
     for points in ((bd.r, bd.theta), (rho, theta)):
-        for field, reference in zip(sol.fields(*points), node_by_node_fields(sol, *points)):
+        for field, reference in zip(fields(sol, *points), node_by_node_fields(sol, *points)):
             assert np.array_equal(field, reference, equal_nan=True)
 
 

@@ -7,7 +7,12 @@ import sys
 import numpy as np
 import pytest
 import scipy.special
-from geometry_reference import pointwise_lpmv_harmonic, pointwise_synthesis
+from geometry_reference import (
+    pointwise_gradient,
+    pointwise_harmonic,
+    pointwise_lpmv_harmonic,
+    pointwise_synthesis,
+)
 from hypothesis import given, settings, strategies as st
 
 import rsv.special_functions as special_functions
@@ -379,9 +384,8 @@ def irregular_directions() -> np.ndarray:
 def assert_pointwise_lpmv_bits(ang, max_degree: int) -> None:
     with np.errstate(divide="ignore", invalid="ignore"):
         for s, i in harmonic_indices(3, max_degree):
-            got = special_functions._harmonic(s, i, ang, dtheta=True, dphi=True)
-            for part, want in zip(got, pointwise_lpmv_harmonic(s, i, ang)):
-                assert same_bits(part, want), (s, i)
+            for part, want in enumerate(pointwise_lpmv_harmonic(s, i, ang)):
+                assert same_bits(special_functions._harmonic(s, i, ang, part), want), (s, i)
 
 
 @pytest.mark.parametrize("shape", [(40, 3), (5, 8, 3), (3,)])
@@ -455,9 +459,9 @@ def test_grid_memo_is_read_only_and_keeps_signed_zeros_apart():
     plus, minus = special_functions._angles(3, d_plus), special_functions._angles(3, d_minus)
     assert special_functions._grid_angles.cache_info().hits == 2
     assert same_bits(plus.phi[2], 0.0) and same_bits(minus.phi[2], -0.0)
-    assert set(plus.values) == set(minus.values) == set(coeffs)
+    assert set(plus.values) == set(minus.values) == {(s, i, 0) for s, i in coeffs}
     for ang in (plus, minus):
-        for (s, i), y in ang.values.items():
+        for (s, i, _part), y in ang.values.items():
             with np.errstate(divide="ignore", invalid="ignore"):
                 assert same_bits(y, pointwise_lpmv_harmonic(s, i, ang)[0]), (s, i)
             with pytest.raises(ValueError):
@@ -466,7 +470,7 @@ def test_grid_memo_is_read_only_and_keeps_signed_zeros_apart():
             with pytest.raises(ValueError):
                 a[0] = 1.0
     # sin(|m| phi) keeps the sign of the zero azimuth
-    assert not same_bits(plus.values[(3, 2)], minus.values[(3, 2)])
+    assert not same_bits(plus.values[(3, 2, 0)], minus.values[(3, 2, 0)])
 
 
 def test_projection_table_build_keeps_no_harmonic_values():
@@ -497,11 +501,9 @@ class _CountingNumpy:
         return np.sin(x)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_synthesize_evaluates_each_harmonic_once_per_grid(monkeypatch, n):
-    quad = SphereQuadrature(n, 64)
-    special_functions._grid_angles.cache_clear()
-    special_functions._angles(n, quad.directions)
+def _count_harmonic_calls(monkeypatch) -> dict:
+    """Counts of the lpmv and the cos/sin calls `special_functions` makes
+    from here on."""
     counts = {"lpmv": 0, "trig": 0}
 
     def counting_lpmv(*args):
@@ -510,6 +512,15 @@ def test_synthesize_evaluates_each_harmonic_once_per_grid(monkeypatch, n):
 
     monkeypatch.setattr(special_functions, "lpmv", counting_lpmv)
     monkeypatch.setattr(special_functions, "np", _CountingNumpy(counts))
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_synthesize_evaluates_each_harmonic_once_per_grid(monkeypatch, n):
+    quad = SphereQuadrature(n, 64)
+    special_functions._grid_angles.cache_clear()
+    special_functions._angles(n, quad.directions)
+    counts = _count_harmonic_calls(monkeypatch)
     indices = [si for si in harmonic_indices(n, 6) if si[0] >= 2]
     coeffs = {si: 1.0 + k for k, si in enumerate(indices)}
     first = synthesize(n, coeffs, quad.directions)
@@ -523,6 +534,63 @@ def test_synthesize_evaluates_each_harmonic_once_per_grid(monkeypatch, n):
     assert same_bits(again, first)
     monkeypatch.undo()
     assert same_bits(first, pointwise_synthesis(n, coeffs, quad.directions))
+
+
+def _calls_of_one_part(n: int, s: int, i: int, part: int) -> tuple[int, int]:
+    """(lpmv, cos/sin) calls of one fresh `_harmonic` part, degree s >= 1:
+    dY/dtheta adds P_{s-1}^{|m|} when it exists, and a zonal dY/dphi is
+    zero without a call."""
+    if n == 2:
+        return 0, 1
+    m = i - s
+    if part == 2 and m == 0:
+        return 0, 0
+    return 1 + (part == 1 and s - 1 >= abs(m)), int(m != 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivatives_and_gradients_evaluate_each_part_once_per_grid(monkeypatch, n):
+    # angular derivatives of synthesize and the rows of HarmonicGradients
+    # share the grid's memo: two passes evaluate each (s, i, part) once
+    quad = SphereQuadrature(n, 64)
+    special_functions._grid_angles.cache_clear()
+    gradients = [
+        HarmonicGradients(n, quad.directions),
+        HarmonicGradients(n, quad.directions.copy()),
+    ]
+    counts = _count_harmonic_calls(monkeypatch)
+    indices = [si for si in harmonic_indices(n, 6) if si[0] >= 2]
+    coeffs = {si: 1.0 + k for k, si in enumerate(indices)}
+    derivatives = ["theta", "phi"][: n - 1]
+    sums, rows = [], []
+    for harmonic in gradients:
+        sums.append([synthesize(n, coeffs, quad.directions, dv) for dv in derivatives])
+        rows.append([harmonic(s, i) for s, i in indices])
+    calls = [_calls_of_one_part(n, s, i, part) for s, i in indices for part in range(n)]
+    assert counts == {"lpmv": sum(c[0] for c in calls), "trig": sum(c[1] for c in calls)}
+    monkeypatch.undo()
+    assert all(same_bits(a, b) for a, b in zip(*sums))
+    assert all(same_bits(a, b) for pair in zip(*rows) for a, b in zip(*pair))
+    for part, total in enumerate(sums[0], 1):
+        assert same_bits(total, pointwise_synthesis(n, coeffs, quad.directions, part))
+    for (s, i), (y, grad) in zip(indices, rows[0]):
+        assert same_bits(y, pointwise_harmonic(n, s, i, quad.directions))
+        assert same_bits(np.moveaxis(grad, 0, -1), pointwise_gradient(n, s, i, quad.directions))
+
+
+def test_kept_derivative_rows_are_read_only_pointwise_bits():
+    d = irregular_directions()
+    special_functions._grid_angles.cache_clear()
+    coeffs = {si: 1.0 for si in harmonic_indices(3, 5)}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for derivative in ("theta", "phi"):
+            synthesize(3, coeffs, d, derivative)
+        ang = special_functions._angles(3, d)
+        assert set(ang.values) == {(s, i, part) for s, i in coeffs for part in (1, 2)}
+        for (s, i, part), y in ang.values.items():
+            assert same_bits(y, pointwise_lpmv_harmonic(s, i, ang)[part]), (s, i, part)
+            with pytest.raises(ValueError):
+                y[0] = 1.0
 
 
 def test_gauss_legendre_is_numpys_rule_shared_and_read_only():

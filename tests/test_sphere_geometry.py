@@ -14,7 +14,7 @@ from geometry_reference import (
 )
 from hypothesis import given, settings, strategies as st
 
-from rsv import sphere_geometry
+from rsv import special_functions, sphere_geometry
 from rsv.radial_solutions import solve_robin_eigen_ball, solve_torsion_ball
 from rsv.special_functions import SphereQuadrature, harmonic_indices, synthesize
 from rsv.sphere_geometry import (
@@ -187,10 +187,11 @@ def test_radial_table_memo_stays_bounded():
 def test_sphere_grid_tables_match_the_pointwise_references(n, R):
     # the grid of every library integral: memoised harmonics, separable
     # angle factors and the component-major Jacobian, with every order m of
-    # degrees 0-6, against pointwise point-major evaluation
+    # degrees 0-10, against pointwise point-major evaluation; degrees 9 and
+    # 10 are above the memo's and are evaluated afresh on every call
     quad = SphereQuadrature(n, 64)
     rng = np.random.default_rng(38)
-    coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
+    coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 10)}
     items = tuple((s, i, c) for (s, i), c in coeffs.items())
     x = R * quad.directions
     jac = sphere_geometry._radial_jacobian(n, R, items, x)
@@ -198,9 +199,12 @@ def test_sphere_grid_tables_match_the_pointwise_references(n, R):
     assert jac.flags.c_contiguous
     values = sphere_geometry._radial_values(n, R, items, x)
     assert same_bits(values, radial_harmonic_values(n, R, coeffs, x))
-    want = pointwise_synthesis(n, coeffs, quad.directions)
-    for _ in range(2):  # the second call reads the grid's memo
-        assert same_bits(synthesize(n, coeffs, quad.directions), want)
+    for part, derivative in enumerate([None, "theta", "phi"][:n]):
+        want = pointwise_synthesis(n, coeffs, quad.directions, part)
+        for _ in range(2):  # the second call reads the grid's memo
+            assert same_bits(synthesize(n, coeffs, quad.directions, derivative), want)
+    memo = special_functions._angles(n, quad.directions).values
+    assert max(s for s, _i, _part in memo) == special_functions._MEMO_DEGREE
 
 
 @pytest.mark.parametrize(
