@@ -227,12 +227,27 @@ def _load_perturbation(block: dict, n: int, R: float) -> PerturbationField:
     return p
 
 
+# libyaml's parser when PyYAML was built with it: about ten times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse_yaml(text: str):
+    """The document in `text`.  A text that libyaml rejects is parsed again
+    by the pure-Python parser, whose error (and its line and column) is the
+    one reported: libyaml words some errors differently and places others
+    elsewhere, for example at the end of the stream."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError:
+        return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def load_config(path: str) -> ExperimentConfig:
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"no such config file: {path}")
     try:
-        doc = yaml.safe_load(file.read_text())
+        doc = _parse_yaml(file.read_text())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -11,9 +11,11 @@ independent of the in-repo special-function stack it is meant to check.
 Its Bessel tables take scipy's values at the two top orders and fill the
 lower orders by the standard downward recurrence (`_bessel_table`), not
 by the in-repo Miller code, so scipy stays the only source of values.
-Its Gauss rules (polar angles for n = 3, radii of the interior quadrature)
-are numpy's `leggauss`, taken through the cached
+Its Gauss rules (polar angles for n = 3, radii of the eigenfunction
+integrals) are numpy's `leggauss`, taken through the cached
 `special_functions.gauss_legendre`, which only stores numpy's arrays.
+A torsion state is a polynomial on each ray, so its radial integrals are
+taken in closed form (`_torsion_integrals`), with no radial nodes.
 The domain itself (r and dr/dtheta on the boundary) comes from
 `StarDomain.radius`, which defines the perturbed domain and is not shape
 calculus.  The oracle uses neither `steklov` nor `variations`, and its
@@ -127,15 +129,16 @@ def _angular_parts(n: int, modes: int, theta: np.ndarray):
         rows_t = [np.ones_like(theta)]
         rows_dt = [np.zeros_like(theta)]
         for k in range(1, modes + 1):
+            cos_k, sin_k = np.cos(k * theta), np.sin(k * theta)
             ks += [k, k]
-            rows_t += [np.cos(k * theta), np.sin(k * theta)]
-            rows_dt += [-k * np.sin(k * theta), k * np.cos(k * theta)]
+            rows_t += [cos_k, sin_k]
+            rows_dt += [-k * sin_k, k * cos_k]
         return np.array(ks), np.vstack(rows_t), np.vstack(rows_dt)
     ls = np.arange(modes + 1)
     x = np.cos(theta)
     sin_t = np.sin(theta)
     T = eval_legendre(ls[:, None], x[None, :])
-    shifted = eval_legendre(np.maximum(ls - 1, 0)[:, None], x[None, :])
+    shifted = T[np.maximum(ls - 1, 0)]  # P_{l-1}, P_0 in row 0
     # dP_l(cos t)/dt = l (cos t P_l - P_{l-1}) / sin t; zero on the axis
     with np.errstate(divide="ignore", invalid="ignore"):
         dT = np.where(
@@ -158,25 +161,8 @@ def _grid_angular_parts(n: int, modes: int, count: int):
 
 
 def _radial_harmonic(top: int, rho: np.ndarray, scale: float) -> np.ndarray:
-    """(rho/scale)^k for the orders k = 0..top, shaped (top + 1, points).
-
-    One `pow` call over all the points: numpy's float64 power gives results
-    that depend on the length of its inner loop, so splitting the points
-    into blocks would move bits."""
+    """(rho/scale)^k for the orders k = 0..top, shaped (top + 1, points)."""
     return (rho[None, :] / scale) ** np.arange(top + 1)[:, None]
-
-
-def _harmonic_slopes(z: np.ndarray, rho: np.ndarray, scale: float, out: np.ndarray):
-    """rho-derivatives k z / rho of the powers z = `_radial_harmonic`, written
-    to `out` (which may be z itself): 0 where rho is not > 0, and 1/scale
-    for k = 1, which has a finite slope at the origin."""
-    k = np.arange(z.shape[0], dtype=float)[:, None]
-    np.multiply(k, z, out=out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, rho, out=out)
-    out[:, ~(rho > 0.0)] = 0.0
-    out[1:2] = 1.0 / scale
-    return out
 
 
 def _bessel_table(n: int, top: int, z: np.ndarray) -> np.ndarray:
@@ -297,25 +283,22 @@ class OracleSolution:
         return self.domain.n
 
     def _fields(self, rho: np.ndarray, angular) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, du/drho, (1/rho) du/dtheta) at the points rho[i, j] on the
-        ray of angle theta[i] (zonal plane points for n = 3), given
-        `angular` = _angular_parts(n, modes, theta), flattened in row order.
-        The last is NaN at rho = 0, where u and du/drho stay defined.
+        """(u, du/drho, (1/rho) du/dtheta) of an eigenfunction at the points
+        rho[i, j] on the ray of angle theta[i] (zonal plane points for
+        n = 3), given `angular` = _angular_parts(n, modes, theta), flattened
+        in row order.  The last is NaN at rho = 0, where u and du/drho stay
+        defined.  A torsion state needs no fields: `_torsion_integrals`
+        integrates it along each ray in closed form.
 
         The radial tables hold one row per degree (cos and sin share one in
         2-D).  Each of the three products is gathered by degree into one
         basis x points buffer and multiplied there by its angular factor,
         which is constant on each ray; the products, and so the sums, are
-        those of a node-by-node table bit for bit.  The torsion slopes
-        overwrite the powers once the two products that need them are
-        summed."""
+        those of a node-by-node table bit for bit."""
         degrees, T, dT = angular
         rays = rho.shape
         rho = rho.ravel()
-        if self.kind == TORSION:
-            values = _radial_harmonic(self.modes, rho, self._scale)
-        else:
-            values, slopes = _radial_wave(self.n, self.modes, self.lam, rho)
+        values, slopes = _radial_wave(self.n, self.modes, self.lam, rho)
         buf = np.empty((degrees.size, rho.size))
         rows = buf.reshape(-1, *rays)
 
@@ -329,15 +312,13 @@ class OracleSolution:
         u = summed(values, T)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_ang = summed(values, dT) / rho
-        if self.kind != TORSION:
-            return u, summed(slopes, T), u_ang
-        u_rho = summed(_harmonic_slopes(values, rho, self._scale, out=values), T)
-        return u - rho**2 / (2.0 * self.n), u_rho - rho / self.n, u_ang
+        return u, summed(slopes, T), u_ang
 
 
 def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS,
-    u at the interior quadrature nodes).
+    u at the interior quadrature nodes) of an eigenfunction, by Gauss
+    rules in rho on the rays of the boundary angles.
 
     One boundary on n_theta angles gives the boundary quadrature and the
     n_theta rays of the interior nodes, so one angular table serves both."""
@@ -354,8 +335,50 @@ def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals
 
 
+def _angle_count(modes: int) -> int:
+    """Boundary angles (and rays) of the integrals of a solve."""
+    return max(64, 4 * modes + 16)
+
+
 def _quad_sizes(modes: int) -> tuple[int, int]:
-    return max(64, 4 * modes + 16), max(48, modes + 8)
+    """Angles and Gauss nodes per ray of the eigen `_integrals`."""
+    return _angle_count(modes), max(48, modes + 8)
+
+
+def _torsion_integrals(sol: OracleSolution, n_theta: int):
+    """(int u dx, int |grad u|^2 dx, boundary int u^2 dS) of a torsion
+    state, exact along each ray; only the angular rule of `_theta_grid`
+    remains.
+
+    On the ray of angle theta_i, which meets the boundary at r_i, u is a
+    polynomial in s = rho / r_i: u = sum_k a_ki s^k, with the harmonic terms
+    of degree k (cos and sin share one in 2-D) and, at k = 2, the
+    particular part -rho^2/(2n).  Likewise r_i (1/rho) du/dtheta =
+    sum_k b_ki s^(k-1).  So, with v_ki = k a_ki,
+      int_0^r_i u rho^(n-1) drho = r_i^n sum_k a_ki / (k + n),
+      int_0^r_i |grad u|^2 rho^(n-1) drho = r_i^(n-2) (v_i' H v_i + b_i' H b_i),
+    where H_kl = 1 / (k + l + n - 2) for k, l >= 1 (v_0 = b_0 = 0), and u at
+    the boundary point is sum_k a_ki."""
+    n = sol.n
+    bd = _boundary(sol.domain, n_theta)
+    degrees, T, dT = _grid_angular_parts(n, sol.modes, n_theta)
+    top = max(sol.modes, 2)
+    # the coefficients summed by degree: row k holds those of degree k
+    by_degree = np.zeros((top + 1, degrees.size))
+    by_degree[degrees, np.arange(degrees.size)] = sol.coefficients
+    powers = _radial_harmonic(top, bd.r, sol._scale)
+    a = (by_degree @ T) * powers
+    a[2] -= bd.r**2 / (2.0 * n)
+    b = (by_degree[1:] @ dT) * powers[1:]
+    k = np.arange(1.0, top + 1.0)
+    H = 1.0 / (k[:, None] + k[None, :] + (n - 2))
+    v = k[:, None] * a[1:]
+    along = np.sum(v * (H @ v), axis=0) + np.sum(b * (H @ b), axis=0)
+    int_u = float(bd.w @ (bd.r**n * ((1.0 / (np.arange(top + 1) + n)) @ a)))
+    int_grad_sq = float(bd.w @ (bd.r ** (n - 2) * along))
+    u_bd = np.sum(a, axis=0)
+    bd_u_sq = float(bd.dS @ (u_bd * u_bd))
+    return int_u, int_grad_sq, bd_u_sq
 
 
 def solve_perturbed_torsion(
@@ -373,7 +396,8 @@ def solve_perturbed_torsion(
         raise ValueError("alpha must be nonzero")
     scale = float(np.max(bd.r))
     z = _radial_harmonic(modes, bd.r, scale)
-    dz = _harmonic_slopes(z, bd.r, scale, out=np.empty_like(z))
+    dz = np.arange(modes + 1.0)[:, None] * z / bd.r  # r > 0 on a star domain
+    dz[1] = 1.0 / scale  # exactly, where (r/scale)/r would round
     A = _robin_rows(bd, alpha, z[degrees], dz[degrees], T, dT)
     rhs = -(bd.nu_rho * (-bd.r / d.n) + alpha * (-bd.r**2 / (2.0 * d.n)))
 
@@ -405,8 +429,7 @@ def solve_perturbed_torsion(
         energy=math.nan,
         _scale=scale,
     )
-    n_theta, n_rho = _quad_sizes(modes)
-    int_u, int_grad_sq, _, bd_u_sq, _ = _integrals(sol, n_theta, n_rho)
+    int_u, int_grad_sq, bd_u_sq = _torsion_integrals(sol, _angle_count(modes))
     sol.energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
     # weak form: testing the PDE with u itself gives E = -int u
     if abs(sol.energy + int_u) > 1e-9 * max(1.0, abs(sol.energy)):

@@ -1,5 +1,5 @@
 """The oracle's former node-by-node integrals, kept for swap tests, and
-`fields`, the oracle fields at arbitrary polar points.
+`fields`, the oracle's eigenfunction fields at arbitrary polar points.
 
 `node_by_node_integrals` is `oracle_solver._integrals` as it was before the
 interior quadrature took one angular table per ray: every interior node and
@@ -7,7 +7,9 @@ every boundary node gets its own angular factors, and the field at a node
 is the coefficient sum over the products Rf * T of two node-by-node
 tables.  The oracle now evaluates the angular factors once per distinct
 angle and broadcasts them along each ray; the tests check that both give
-the same bits.
+the same bits.  For a torsion state, whose integrals the oracle now takes in
+closed form along each ray, `node_by_node_integrals` is the Gauss-rule
+reference, and `node_by_node_fields` the one evaluation of its fields.
 
 Its radial tables are the oracle's former ones too (`basis_row_harmonic`,
 `basis_row_wave`): one row per basis element, so cos and sin rows of one
@@ -57,8 +59,9 @@ def basis_row_wave(n, degrees, lam, rho):
 
 
 def fields(sol, rho, theta):
-    """(u, du/drho, (1/rho) du/dtheta) of an `OracleSolution` at polar points
-    (zonal plane points for n = 3), from one angular and one radial table.
+    """(u, du/drho, (1/rho) du/dtheta) of an eigen `OracleSolution` at polar
+    points (zonal plane points for n = 3), from one angular and one radial
+    table.
     The last is NaN at rho = 0, where u and du/drho stay defined."""
     rho, theta = np.broadcast_arrays(
         np.asarray(rho, dtype=float).ravel(), np.asarray(theta, dtype=float).ravel()

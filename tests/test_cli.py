@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+import rsv.cli as cli
 from rsv.cli import main
 from rsv.oracle_solver import solve_perturbed_torsion
 from rsv.radial_solutions import solve_torsion_ball
@@ -160,6 +162,68 @@ def test_yaml_parse_error_reports_line(tmp_path, capsys):
     assert main(["steklov", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config parse error" in err and "line" in err
+
+
+YAML_ERRORS = [
+    "problem: {n: 2, R: 1.0\n  alpha: oops\n",
+    'problem:\n  kind: "torsion\n',
+    "problem:\n  n: 2\n R: 1.0\n",
+    "problem:\n\tn: 2\n",
+    "problem: [1, 2\n",
+    "a: b: c\n",
+    "- x\ny: 1\n",
+    "problem: *missing\n",
+    "a: 1\na: [\n",
+    "%YAML 9.9\n---\na: 1\n",
+    "problem: !!binary 5\n",
+]
+
+
+def yaml_error(text, loader):
+    """(line, column, problem) of the error `loader` raises on `text`."""
+    with pytest.raises(yaml.YAMLError) as info:
+        yaml.load(text, Loader=loader)
+    mark = info.value.problem_mark
+    return mark.line + 1, mark.column + 1, info.value.problem
+
+
+@pytest.mark.parametrize("text", YAML_ERRORS)
+def test_yaml_parse_errors_keep_the_pure_python_wording(text, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["steklov", "--config", str(path)]) == 2
+    line, column, problem = yaml_error(text, yaml.SafeLoader)
+    expected = f"config parse error at line {line}, column {column}: {problem}\n"
+    assert capsys.readouterr().err.endswith(expected)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_configs_parse_with_libyaml_to_the_same_documents(tmp_path, monkeypatch):
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+    # libyaml words most of these errors otherwise, so the message must
+    # come from a second, pure-Python parse
+    differ = [
+        text for text in YAML_ERRORS
+        if yaml_error(text, yaml.CSafeLoader) != yaml_error(text, yaml.SafeLoader)
+    ]
+    assert len(differ) >= 8
+    base = config_text(tmp_path / "reports")
+    texts = [base] + [base.replace(old, new) for old, new, _env, _name in MALFORMED.values()]
+    texts += [
+        config_text(tmp_path, kind, alpha)
+        for kind in ("robin-eigen", "dirichlet-eigen") for alpha in ("2", "-0.5e-1")
+    ]
+    for text in texts:
+        # repr, so that a NaN compares equal to itself
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+    # a valid config never reaches the pure-Python parser
+    def pure_python(*args, **kwargs):
+        raise AssertionError("a valid config went through yaml.SafeLoader")
+
+    monkeypatch.setattr(yaml.SafeLoader, "__init__", pure_python)
+    assert cli.load_config(str(write_config(tmp_path))).n == 2
 
 
 def test_invalid_dimension_names_field(tmp_path, capsys):

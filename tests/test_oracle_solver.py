@@ -106,11 +106,23 @@ def test_fd_detects_cancellation():
 def test_unperturbed_disk_matches_ball():
     sol = solve_perturbed_torsion(StarDomain(2, 1.0, {}, {}, 0.0), 1.0, modes=16)
     assert sol.residual <= 1e-12
-    assert sol.energy == pytest.approx(-5.0 * PI / 8.0, abs=1e-12)
     ball = solve_torsion_ball(2, 1.0, 1.0)
+    assert sol.energy == pytest.approx(-5.0 * PI / 8.0, rel=2e-15, abs=0.0)
+    assert sol.energy == pytest.approx(ball.energy(), rel=2e-15, abs=0.0)
     rho = np.linspace(0.05, 0.95, 9)
     theta = np.linspace(0.0, 6.0, 9)
-    assert np.max(np.abs(fields(sol, rho, theta)[0] - ball.u(rho))) <= 1e-10
+    assert np.max(np.abs(node_by_node_fields(sol, rho, theta)[0] - ball.u(rho))) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 3.0, -0.7])
+@pytest.mark.parametrize("R", [0.7, 1.0, 2.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_unperturbed_ball_energy_to_the_last_bits(n, R, alpha):
+    # the radial integrals are exact, so only rounding separates the
+    # oracle's energy from the closed form (Gauss rules in rho: 1.1e-14)
+    sol = solve_torsion_ball(n, R, alpha)
+    oracle = solve_perturbed_torsion(StarDomain(n, R, {}, {}, 0.0), alpha, modes=16)
+    assert oracle.energy == pytest.approx(sol.energy(), rel=2e-15, abs=0.0)
 
 
 def test_solves_build_no_sphere_quadrature(monkeypatch):
@@ -135,7 +147,7 @@ def test_values_at_the_centre():
     # u is defined at rho = 0 although (1/rho) du/dtheta is not
     sol = solve_perturbed_torsion(StarDomain(2, 1.0, {}, {}, 0.0), 1.0, modes=16)
     centre = float(solve_torsion_ball(2, 1.0, 1.0).u(0.0))
-    assert fields(sol, [0.0], [0.0])[0][0] == pytest.approx(centre, abs=1e-10)
+    assert node_by_node_fields(sol, [0.0], [0.0])[0][0] == pytest.approx(centre, abs=1e-10)
 
 
 def test_unperturbed_ball_matches_n3():
@@ -154,13 +166,13 @@ def test_perturbed_residual_small():
 def test_torsion_weak_form_disagreement_raises(monkeypatch):
     # E = -int u holds for the exact state; an int u off by 1e-6 relative
     # must stop the solve instead of returning an energy
-    real = oracle_solver._integrals
+    real = oracle_solver._torsion_integrals
 
-    def skewed(sol, n_theta, n_rho):
-        int_u, *rest = real(sol, n_theta, n_rho)
+    def skewed(sol, n_theta):
+        int_u, *rest = real(sol, n_theta)
         return (int_u * (1.0 + 1e-6), *rest)
 
-    monkeypatch.setattr(oracle_solver, "_integrals", skewed)
+    monkeypatch.setattr(oracle_solver, "_torsion_integrals", skewed)
     d = perturbed_domain(pfield(2, 1.0, COS2T), 0.05)
     with pytest.raises(ArithmeticError, match="energy forms disagree"):
         solve_perturbed_torsion(d, 1.0, modes=16)
@@ -224,9 +236,10 @@ def test_a_solve_samples_the_domain_on_two_grids(monkeypatch, kind, modes):
     else:
         solve_perturbed_eigen(d, 1.0, modes)
     assert len(radius) == 4
-    # the interior nodes and the boundary of one integral pass; the sign of
-    # the eigenfunction comes from the interior nodes already in hand
-    assert len(fields) == 2
+    # eigen: the interior nodes and the boundary of one integral pass; the
+    # sign of the eigenfunction comes from the interior nodes already in
+    # hand.  Torsion integrates its polynomials in closed form: no fields.
+    assert len(fields) == (0 if kind == TORSION else 2)
 
 
 def test_zero_alpha_rejected():
@@ -860,7 +873,7 @@ def test_sweep_rows_eigen():
 
 @pytest.mark.parametrize("modes", [8, 20, 28])
 @pytest.mark.parametrize("t", [0.0, 0.05, -0.05])
-@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
+@pytest.mark.parametrize("kind", [ROBIN_EIGEN, DIRICHLET_EIGEN])
 @pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
 def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, t, kind, n, N):
     # checked inside the solve, on the coefficients the solve integrates
@@ -875,10 +888,7 @@ def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, 
     monkeypatch.setattr(oracle_solver, "_integrals", checked)
     d = perturbed_domain(pfield(n, 1.0, N), t)
     try:
-        if kind == TORSION:
-            solve_perturbed_torsion(d, 1.0, modes)
-        else:
-            solve_perturbed_eigen(d, 1.0, modes, kind)
+        solve_perturbed_eigen(d, 1.0, modes, kind)
     except ArithmeticError as error:
         # 8 modes cannot fit this boundary to the residual limit
         assert (n, kind, modes, abs(t)) == (2, DIRICHLET_EIGEN, 8, 0.05), str(error)
@@ -888,16 +898,13 @@ def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, 
     assert np.array_equal(u_in, u_in_ref)
 
 
-@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
+@pytest.mark.parametrize("kind", [ROBIN_EIGEN, DIRICHLET_EIGEN])
 @pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
 def test_fields_keep_the_bits_of_the_basis_row_tables(kind, n, N):
-    # the fields against one radial row per basis element, on
+    # the eigenfunction fields against one radial row per basis element, on
     # boundary points and on scattered interior points (the axis included)
     d = perturbed_domain(pfield(n, 1.0, N), 0.05)
-    if kind == TORSION:
-        sol = solve_perturbed_torsion(d, 1.0, 20)
-    else:
-        sol = solve_perturbed_eigen(d, 1.0, 16, kind)
+    sol = solve_perturbed_eigen(d, 1.0, 16, kind)
     bd = oracle_solver._boundary(d, 53)
     rng = np.random.default_rng(19)
     theta = rng.uniform(0.0, 2.0 * PI if n == 2 else PI, 300)
@@ -909,18 +916,13 @@ def test_fields_keep_the_bits_of_the_basis_row_tables(kind, n, N):
             assert np.array_equal(field, reference, equal_nan=True)
 
 
-@pytest.mark.parametrize(
-    "n, N, kind, modes", [(2, COS2T, TORSION, 28), (3, ZONAL, TORSION, 28), (2, COS2T, ROBIN_EIGEN, 20)]
-)
+@pytest.mark.parametrize("n, N, kind, modes", [(2, COS2T, ROBIN_EIGEN, 20)])
 def test_integrals_hold_one_basis_by_nodes_buffer(n, N, kind, modes):
     # per-degree radial tables and one product buffer: the peak of one call
     # stays below 2.5 basis x nodes doubles (above 3.1 with a fresh array
     # per product and basis-row tables)
     d = perturbed_domain(pfield(n, 1.0, N), 0.05)
-    if kind == TORSION:
-        sol = solve_perturbed_torsion(d, 1.0, modes)
-    else:
-        sol = solve_perturbed_eigen(d, 1.0, modes, kind)
+    sol = solve_perturbed_eigen(d, 1.0, modes, kind)
     n_theta, n_rho = oracle_solver._quad_sizes(modes)
     tracemalloc.start()
     try:
@@ -929,6 +931,70 @@ def test_integrals_hold_one_basis_by_nodes_buffer(n, N, kind, modes):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * sol.coefficients.size * n_theta * n_rho * 8
+
+
+def torsion_survey():
+    """480 seeded torsion cases: n in {2, 3}, five alphas, 48 draws each of
+    modes in 8..40, |t| <= 0.1 and data on degrees 2..4 (zonal for n = 3)."""
+    rng = np.random.default_rng(2101)
+    for n in (2, 3):
+        for alpha in (0.25, 1.0, 3.0, -0.7, -2.5):
+            for _ in range(48):
+                modes = int(rng.integers(8, 41))
+                t = float(rng.uniform(-0.1, 0.1))
+                c = rng.normal(0.0, 0.6, 6)
+                if n == 2:
+                    N = {(s, i): float(c[2 * j + i]) for j, s in enumerate((2, 3, 4)) for i in (0, 1)}
+                else:
+                    N = {(s, s): float(c[j]) for j, s in enumerate((2, 3, 4))}
+                yield n, alpha, modes, t, N
+
+
+def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatch):
+    # the closed form against node-by-node Gauss rules with modes + 40
+    # nodes per ray, which are exact for these polynomials up to rounding;
+    # and the weak-form check against the one the Gauss rules of
+    # `_quad_sizes` gave on the same coefficients
+    real = oracle_solver._torsion_integrals
+    calls = []
+
+    def recorded(sol, n_theta):
+        out = real(sol, n_theta)
+        calls.append((sol, n_theta, out))
+        return out
+
+    monkeypatch.setattr(oracle_solver, "_torsion_integrals", recorded)
+    worst, moved, outcomes = 0.0, [], {"ok": 0, "weak form": 0, "before": 0}
+    for case in torsion_survey():
+        n, alpha, modes, t, N = case
+        calls.clear()
+        try:
+            solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes)
+            raised = False
+        except ArithmeticError as error:
+            if not calls:
+                # the collocation limits, checked before any integral
+                assert "residual" in str(error) or "ill-conditioned" in str(error)
+                outcomes["before"] += 1
+                continue
+            assert "energy forms disagree" in str(error)
+            raised = True
+        (sol, n_theta, (int_u, int_grad_sq, bd_u_sq)), = calls
+        energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
+        g_u, g_grad_sq, _, g_bd_u_sq, _ = node_by_node_integrals(sol, n_theta, modes + 40)
+        gauss = g_grad_sq - 2.0 * g_u + alpha * g_bd_u_sq
+        worst = max(worst, abs(energy - gauss) / abs(gauss))
+        p_u, p_grad_sq, _, p_bd_u_sq, _ = node_by_node_integrals(
+            sol, *oracle_solver._quad_sizes(modes)
+        )
+        former = p_grad_sq - 2.0 * p_u + alpha * p_bd_u_sq
+        if (abs(former + p_u) > 1e-9 * max(1.0, abs(former))) != raised:
+            moved.append(case)
+        outcomes["weak form" if raised else "ok"] += 1
+    assert worst <= 2e-13
+    assert moved == []
+    # every outcome occurs, so the comparison has cases of each kind
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_grid_angular_tables_are_kept_read_only():
