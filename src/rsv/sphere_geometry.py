@@ -359,17 +359,19 @@ def _surface_element_m2(Dv: np.ndarray, Dw: np.ndarray, nu: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
+def _surface_term(s: int, b: float, n: int, R: float) -> float:
+    """Term b^2 (s(s+n-2) - (n-1)) / R^2 of S''(0) for a trace coefficient b."""
+    mu, _ = lb_eigen(s, n)
+    return b * b * (mu - (n - 1)) / R**2
+
+
 def surface_second_variation(N: BoundaryFunction, n: int, R: float) -> float:
     """Closed form of the area second variation for volume-preserving
-    Hadamard data: sum over the trace coefficients b of
-    b^2 (s(s+n-2) - (n-1)) / R^2."""
+    Hadamard data: the sum of `_surface_term` over the trace coefficients."""
     if not mean_free(N):
         raise ValueError("N must be mean-free")
-    total = 0.0
-    for (s, _i), b in trace_coefficients(N, n, R).items():
-        mu, _ = lb_eigen(s, n)
-        total += b * b * (mu - (n - 1)) / R**2
-    return total
+    b = trace_coefficients(N, n, R)
+    return sum((_surface_term(s, bv, n, R) for (s, _i), bv in b.items()), 0.0)
 
 
 def surface_second_variation_general(

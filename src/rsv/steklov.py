@@ -25,7 +25,7 @@ import numpy as np
 
 from .radial_solutions import DIRICHLET_EIGEN, ROBIN_EIGEN, TORSION, RadialSolution
 from .special_functions import bessel_j, multiplicity, synthesize
-from .sphere_geometry import BoundaryFunction, coeff_norm_sq, mean_free, trace_coefficients
+from .sphere_geometry import BoundaryFunction, mean_free, trace_coefficients
 
 RESONANCE_TOL = 1e-9
 
@@ -98,14 +98,6 @@ class ShapeDerivative:
     @property
     def sol(self) -> RadialSolution:
         return self.spectrum.sol
-
-    def boundary_norm_sq_N(self) -> float:
-        """int N^2 dS over the boundary sphere."""
-        return coeff_norm_sq(self.b)
-
-    def quadratic_form(self) -> float:
-        """Q = int (du'/dnu + alpha u') u' dS = sum c^2 mu_s."""
-        return sum(cc * cc * self.mu[s] for (s, _i), cc in self.c.items())
 
     def boundary_values(self, directions) -> np.ndarray:
         n, R = self.sol.n, self.sol.R

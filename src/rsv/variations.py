@@ -7,15 +7,20 @@ energy E and the first Robin eigenvalue lam, this module evaluates
     E''(0), lam''(0)          (volume-preserving Hadamard data N = v.nu),
     E''(0) for arbitrary ambient (v, w)  (full boundary-integral theorem),
 
-together with the mode-wise decomposition
+together with lower bounds, the sign classification of the torsion second
+variation in alpha, and the analogous Dirichlet quantities (where the
+classical second-variation formula of the first Dirichlet eigenvalue is
+recovered and its lower-bound coefficient vanishes).
 
-    E''(0) = alpha u(R)^2 S''(0) + F,
-    F = 2 sum_s b_s^2 [alpha u(R) k_g - k_g^2 / mu_s],
+Every ball second variation of a Robin state is read off one table,
+`_degree_terms`, with one row per trace coefficient b = b_{s,i} of N:
 
-lower bounds, the sign classification of the torsion second variation in
-alpha, and the analogous Dirichlet quantities (where the classical
-second-variation formula of the first Dirichlet eigenvalue is recovered and
-its lower-bound coefficient vanishes).
+    S_s = b^2 (s(s+n-2) - (n-1)) / R^2,  N_s = b^2,  Q_s = c^2 mu_s,  c = k_g b / mu_s.
+
+The column sums S''(0), int N^2 dS and Q give E''(0) = alpha u(R)^2 S''(0)
++ F with F = -2 Q + 2 alpha u(R) k_g int N^2 dS; the same expression over
+the rows of one degree gives its printed contribution and the
+sign-classification witnesses.
 """
 
 from __future__ import annotations
@@ -33,11 +38,12 @@ from .radial_solutions import (
     solve_dirichlet_eigen_ball,
     solve_torsion_ball,
 )
-from .special_functions import SphereQuadrature, lb_eigen
+from .special_functions import SphereQuadrature
 from .sphere_geometry import (
     AmbientField,
     BoundaryFunction,
     _surface_element_m2,
+    _surface_term,
     _volume_integrand,
     coeff_norm_sq,
     mean_free,
@@ -47,7 +53,6 @@ from .sphere_geometry import (
     second_order_volume_correction,
     sphere_measure,
     surface_element_m2,
-    surface_second_variation,
     trace_coefficients,
 )
 from .steklov import ShapeDerivative, SteklovSpectrum, shape_derivative_uprime
@@ -125,20 +130,31 @@ def first_variation(sol: RadialSolution, v) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mode_table(
-    sol: RadialSolution, b: BoundaryFunction, mu: dict[int, float]
-) -> tuple[tuple[int, float], ...]:
-    """Per-degree contribution to E''(0) (surface term plus bracket term) of
-    the trace coefficients b, with mu the Steklov value of each degree."""
-    n, R = sol.n, sol.R
-    alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
-    per_degree: dict[int, float] = {}
+def _degree_terms(sol: RadialSolution, b: BoundaryFunction, mu: dict[int, float]):
+    """Rows (s, S_s, N_s, Q_s) of the module docstring, one per trace
+    coefficient b_{s,i}, with mu the Steklov value of each degree."""
+    n, R, kg = sol.n, sol.R, sol.k_g()
+    rows = []
     for (s, _i), bv in b.items():
-        mu_lb, _ = lb_eigen(s, n)
-        surf = alpha * uR**2 * bv * bv * (mu_lb - (n - 1)) / R**2
-        bracket = 2.0 * bv * bv * (alpha * uR * kg - kg * kg / mu[s])
-        per_degree[s] = per_degree.get(s, 0.0) + surf + bracket
-    return tuple(sorted(per_degree.items()))
+        c = kg * bv / mu[s]
+        rows.append((s, _surface_term(s, bv, n, R), bv * bv, c * c * mu[s]))
+    return rows
+
+
+def _series(sol: RadialSolution, rows):
+    """(S''(0), int N^2 dS, Q, F, E''(0), per-degree E''(0)) of `_degree_terms`
+    rows: column sums, and (F, E''(0)) of the sums and of each row."""
+    alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
+
+    def value(sdd: float, norm_sq: float, Q: float) -> tuple[float, float]:
+        F = -2.0 * Q + 2.0 * alpha * uR * kg * norm_sq
+        return F, alpha * uR**2 * sdd + F
+
+    sums = tuple(sum((row[j] for row in rows), 0.0) for j in (1, 2, 3))
+    per_degree: dict[int, float] = {}
+    for s, *terms in rows:
+        per_degree[s] = per_degree.get(s, 0.0) + value(*terms)[1]
+    return (*sums, *value(*sums), tuple(sorted(per_degree.items())))
 
 
 def second_variation_quadrature(sd: ShapeDerivative, N: BoundaryFunction) -> float:
@@ -168,22 +184,15 @@ def second_variation_quadrature(sd: ShapeDerivative, N: BoundaryFunction) -> flo
 
 
 def _hadamard_series(sol: RadialSolution, N: BoundaryFunction):
-    """(u', S''(0), int N^2 dS, Q, F, E''(0)) of the series form
-    E''(0) = alpha u(R)^2 S''(0) + F, F = -2 Q + 2 alpha u(R) k_g int N^2 dS,
-    for volume-preserving data N."""
+    """(u', *`_series`) for volume-preserving data N."""
     if not mean_free(N):
         raise ValueError("N must be mean-free (first-order volume preservation)")
     sd = shape_derivative_uprime(sol, N)
-    alpha, uR, kg = sol.alpha, sol.boundary_value(), sol.k_g()
-    sdd = surface_second_variation(N, sol.n, sol.R)
-    norm_sq = sd.boundary_norm_sq_N()
-    Q = sd.quadratic_form()
-    F = -2.0 * Q + 2.0 * alpha * uR * kg * norm_sq
-    return sd, sdd, norm_sq, Q, F, alpha * uR**2 * sdd + F
+    return (sd, *_series(sol, _degree_terms(sol, sd.b, sd.mu)))
 
 
 def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> VariationReport:
-    sd, sdd, norm_sq, Q, F, value = _hadamard_series(sol, N)
+    sd, sdd, norm_sq, Q, F, value, modes = _hadamard_series(sol, N)
     alpha = sol.alpha
 
     by_quadrature = second_variation_quadrature(sd, N)
@@ -212,7 +221,7 @@ def _hadamard_second_variation(sol: RadialSolution, N: BoundaryFunction) -> Vari
         bound_i=bound_i,
         bound_ii=bound_ii,
         classification=_classify_value(value, scale=max(1.0, norm_sq)),
-        modes=_mode_table(sol, sd.b, sd.mu),
+        modes=modes,
         extras={"Eddot0_quadrature": by_quadrature, "boundary_norm_sq_N": norm_sq},
     )
 
@@ -290,7 +299,7 @@ def theorem_bounds(sol: RadialSolution, N: BoundaryFunction) -> tuple[float, flo
     """
     if sol.alpha <= 0:
         raise ValueError("bounds are stated for alpha > 0")
-    sd, sdd, norm_sq, _Q, _F, value = _hadamard_series(sol, N)
+    sd, sdd, norm_sq, _Q, _F, value, _modes = _hadamard_series(sol, N)
     bound_i, bound_ii = _bounds(sd, sdd, norm_sq, value)
     if bound_ii is None:
         raise ValueError("bound_ii needs the barycenter condition: no degree-1 content")
@@ -319,7 +328,7 @@ def classify_torsion_sign(n: int, R: float, alpha: float) -> SignClassification:
     spec = SteklovSpectrum(sol)
     depth = max(_SIGN_SEARCH_DEPTH, int(math.ceil(-alpha * R)) + 2)
     mu = {s: spec.nonresonant_mu(s) for s in range(2, depth + 1)}
-    values = _mode_table(sol, {(s, 0): 1.0 for s in mu}, mu)
+    values = _series(sol, _degree_terms(sol, {(s, 0): 1.0 for s in mu}, mu))[-1]
 
     scale = max(1.0, max(abs(e) for _s, e in values))
     signs = [_classify_value(e, scale) for _s, e in values]
@@ -389,7 +398,8 @@ def second_variation_general(sol: RadialSolution, v: AmbientField, w: AmbientFie
     # surface-element acceleration
     m2 = _surface_element_m2(Dv, w.jacobian(x), nu)
     integrals += alpha * uR * uR * area_w * quad.integrate(m2)
-    return integrals - 2.0 * sd.quadratic_form()
+    Q = sum((row[3] for row in _degree_terms(sol, sd.b, sd.mu)), 0.0)
+    return integrals - 2.0 * Q
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +419,11 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
       mean-free N) and E''(0) = 2 sum c_s^2 (s - 1)/R, c = -u_r(R) b
       = (R/n) b.
 
-    The torsion E''(0) is the alpha -> infinity limit of the Robin torsion
-    term of `_mode_table`.  There u(R) = R/(n alpha), k_g = (1 + alpha R)/n
-    and mu_s = alpha + s/R, so the surface term alpha u(R)^2 b^2 (...)
-    vanishes like 1/alpha, and the bracket term
-    2 b^2 (alpha u(R) k_g - k_g^2/mu_s)
+    The torsion E''(0) is the alpha -> infinity limit of a Robin torsion row
+    of `_degree_terms`.  There u(R) = R/(n alpha), k_g = (1 + alpha R)/n
+    and mu_s = alpha + s/R, so the surface term alpha u(R)^2 S_s vanishes
+    like 1/alpha, and the rest -2 Q_s + 2 alpha u(R) k_g N_s
+    = 2 b^2 (alpha u(R) k_g - k_g^2/mu_s)
     = 2 b^2 (R/n^2) (s - 1 - (s - 1)^2/(alpha R + s))
     tends to 2 b^2 (R/n^2)(s - 1) = 2 c^2 (s - 1)/R.  Degree-1 data
     (translations) give 0.
@@ -428,23 +438,18 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
     b = trace_coefficients(N, n, R)
     norm_sq = coeff_norm_sq(b)
 
-    # eigenvalue series
-    ur_eig = eig.boundary_slope()
+    ur_eig, ur_tor = eig.boundary_slope(), -R / n
     modes: dict[int, float] = {}
-    lam_ddot_half = 0.0
+    lam_ddot_half = Q_tor = eddot_tor = 0.0
     for (s, _i), bv in b.items():
-        beta = spec.log_derivative(s)
         c = -ur_eig * bv
-        term = c * c * (beta + (n - 1) / R)
+        term = c * c * (spec.log_derivative(s) + (n - 1) / R)
         lam_ddot_half += term
         modes[s] = modes.get(s, 0.0) + 2.0 * term
+        cc = (ur_tor * bv) * (ur_tor * bv)
+        Q_tor += cc * s / R
+        eddot_tor += 2.0 * cc * (s - 1) / R
     lam_ddot = 2.0 * lam_ddot_half
-
-    # torsion energy with Dirichlet boundary: u = (R^2 - r^2)/(2n)
-    ur_tor = -R / n
-    c_sq = [(s, (ur_tor * bv) * (ur_tor * bv)) for (s, _i), bv in b.items()]
-    Q_tor = sum(cc * s / R for s, cc in c_sq)
-    eddot_tor = sum(2.0 * cc * (s - 1) / R for s, cc in c_sq)
     edot_tor = ur_tor**2 * _boundary_integral_N(n, R, N)  # 0 for mean-free N
 
     return VariationReport(

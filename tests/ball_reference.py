@@ -6,7 +6,8 @@
 * `k_g_from_profile`: k_g = -u''(R) + alpha^2 u(R) from the radial profile,
   against `RadialSolution.k_g`;
 * `quadratic_form_Q_quadrature`: Q by boundary quadrature of
-  (du'/dnu + alpha u') u', against `ShapeDerivative.quadratic_form`;
+  (du'/dnu + alpha u') u', against the series Q (the Q column sum of
+  `variations._degree_terms`, a second-variation report's `Q`);
 * `robin_ball_lam_full_bisection`: the first Robin ball eigenvalue by all
   200 bisection steps, against `solve_robin_eigen_ball`, which stops once
   the bracket ends are neighbouring floats;

@@ -5,16 +5,19 @@ import pytest
 from ball_reference import interior_values, mode_profile, quadratic_form_Q_quadrature
 
 from rsv.radial_solutions import (
+    TORSION,
     solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
 from rsv.special_functions import SphereQuadrature, synthesize
+from rsv.sphere_geometry import coeff_norm_sq
 from rsv.steklov import (
     ShapeDerivative,
     SteklovSpectrum,
     shape_derivative_uprime,
 )
+from rsv.variations import second_variation_eigenvalue_ball, second_variation_energy_ball
 
 COS2T = {(2, 0): math.sqrt(math.pi)}
 
@@ -90,8 +93,8 @@ def test_uprime_reference_case():
     assert sd.boundary_values(np.array([1.0, 0.0])) == pytest.approx(1 / 3)
     pt = np.array([0.0, 0.5])  # theta = pi/2, r = 1/2
     assert interior_values(sd, pt) == pytest.approx(-1 / 12)
-    assert sd.quadratic_form() == pytest.approx(math.pi / 3)
-    assert sd.boundary_norm_sq_N() == pytest.approx(math.pi)
+    assert second_variation_energy_ball(t, COS2T).Q == pytest.approx(math.pi / 3)
+    assert coeff_norm_sq(sd.b) == pytest.approx(math.pi)
 
 
 @pytest.mark.parametrize(
@@ -111,10 +114,12 @@ def test_uprime_robin_trace_matches_data(make):
     got = sd.robin_trace_values(quad.directions)
     want = sol.k_g() * synthesize(sol.n, N, quad.directions)
     assert np.max(np.abs(got - want)) < 1e-12
-    # the two Q paths agree
-    assert sd.quadratic_form() == pytest.approx(
-        quadratic_form_Q_quadrature(sd), rel=1e-12
-    )
+    # the two Q paths agree: the series of the report and boundary quadrature
+    if sol.kind == TORSION:
+        report = second_variation_energy_ball(sol, N)
+    else:
+        report = second_variation_eigenvalue_ball(sol, N)
+    assert report.Q == pytest.approx(quadratic_form_Q_quadrature(sd), rel=1e-12)
 
 
 def test_uprime_mean_mode_rules():
@@ -156,7 +161,7 @@ def test_uprime_interior_harmonic_torsion():
 
 def test_quadratic_form_helper():
     t = solve_torsion_ball(2, 1.0, 1.0)
-    assert shape_derivative_uprime(t, COS2T).quadratic_form() == pytest.approx(math.pi / 3)
+    assert second_variation_energy_ball(t, COS2T).Q == pytest.approx(math.pi / 3)
 
 
 def test_smallest_positive_mu():

@@ -542,11 +542,20 @@ DEGREE_ONE = st.one_of(band_data(2, (1,)), band_data(3, (1,)))
 @given(MEAN_FREE, ALPHA)
 def test_property_series_matches_the_boundary_functional_and_its_bounds(data, alpha):
     n, N = data
-    tor = second_variation_energy_ball(solve_torsion_ball(n, 1.0, alpha), N)
-    eig = second_variation_eigenvalue_ball(solve_robin_eigen_ball(n, 1.0, alpha), N)
-    for rep in (tor, eig):
+    tor_sol, eig_sol = solve_torsion_ball(n, 1.0, alpha), solve_robin_eigen_ball(n, 1.0, alpha)
+    tor = second_variation_energy_ball(tor_sol, N)
+    eig = second_variation_eigenvalue_ball(eig_sol, N)
+    for sol, rep in ((tor_sol, tor), (eig_sol, eig)):
         scale = max(1.0, abs(rep.Eddot0))
         assert abs(rep.extras["Eddot0_quadrature"] - rep.Eddot0) <= 1e-8 * scale
+        # the per-degree rows sum to E''(0) up to the rounding of the
+        # cancelling terms, sized as `_bounds` sizes its slack
+        uR, kg = sol.boundary_value(), sol.k_g()
+        mu_p = SteklovSpectrum(sol).smallest_positive_mu(min_degree=1)
+        norm_sq = rep.extras["boundary_norm_sq_N"]
+        terms = abs(alpha * uR**2 * rep.Sddot0)
+        terms += 2.0 * (abs(alpha * uR * kg) + kg * kg / mu_p) * norm_sq
+        assert abs(sum(e for _s, e in rep.modes) - rep.Eddot0) <= 1e-14 * terms
     scale = max(1.0, abs(tor.Eddot0))
     assert tor.bound_i <= tor.Eddot0 + 1e-10 * scale
     # bound_ii needs data free of degree 1 (the barycenter condition)

@@ -26,10 +26,11 @@ missing) and in the changed tree, then `diff -r` the two directories.
 is the gate for changes that may move oracle digits only.  After writing
 OUT_DIR it compares it with BASE_DIR (written by the base commit) and exits
 1 when a file is missing or extra, a `status.tsv` line or a config
-differs, any report of a torsion config differs, or any other report
-differs outside its oracle values.  Oracle values are the numeric
-`oracle_*` keys of the key-value reports and the `E` and `lam` columns of
-the eigen sweep tables; every other key and cell must keep its bytes.
+differs, or a report differs outside its oracle values.  Oracle values are
+the finite numeric `oracle_*` keys of the key-value reports, the `E`
+column of the sweep tables and, for the eigen kinds, their `lam` column;
+every other key and cell must keep its bytes, the torsion sweep's `nan`
+`lam` column too.
 For each oracle key it prints how many values moved, the largest move
 |new - base| / max(1, |base|), and the largest move in units of the base
 report's own `<key>_error_estimate`, each with the report it came from.
@@ -133,12 +134,17 @@ def run(out_dir: Path) -> int:
     return 0 if all(line.endswith("\t0") for line in status[1:]) else 1
 
 
-# report file name -> table columns that hold oracle values in eigen configs
-ORACLE_COLUMNS = {"sweep.tsv": ("E", "lam")}
+# config kind -> report file name -> table columns that hold oracle values
+ORACLE_COLUMNS = {
+    "torsion": {"sweep.tsv": ("E",)},
+    "robin-eigen": {"sweep.tsv": ("E", "lam")},
+    "dirichlet-eigen": {"sweep.tsv": ("E", "lam")},
+}
 
 
-def report_items(path: Path) -> list[tuple[str, str, bool]]:
-    """(key, value, is_oracle) for every entry of a report, in file order."""
+def report_items(path: Path, kind: str) -> list[tuple[str, str, bool]]:
+    """(key, value, is_oracle) for every entry of a report of a `kind`
+    config, in file order."""
     lines = path.read_text().splitlines()
     if path.suffix == ".kv":
         pairs = [line.split(" = ", 1) for line in lines]
@@ -147,7 +153,7 @@ def report_items(path: Path) -> list[tuple[str, str, bool]]:
     if header == ["quantity", "value"]:
         pairs = [line.split("\t", 1) for line in lines[1:]]
         return [(key, value, key.startswith("oracle_")) for key, value in pairs]
-    oracle = ORACLE_COLUMNS.get(path.name, ())
+    oracle = ORACLE_COLUMNS[kind].get(path.name, ())
     items = [("header", lines[0], False)]
     for row, line in enumerate(lines[1:]):
         for column, cell in zip(header, line.split("\t"), strict=True):
@@ -156,10 +162,12 @@ def report_items(path: Path) -> list[tuple[str, str, bool]]:
 
 
 def _number(text: str) -> float | None:
+    """The finite value of `text`, else None (compared byte for byte)."""
     try:
-        return float(text)
+        x = float(text)
     except ValueError:
         return None
+    return x if math.isfinite(x) else None
 
 
 def compare(out_dir: Path, base_dir: Path) -> int:
@@ -181,12 +189,13 @@ def compare(out_dir: Path, base_dir: Path) -> int:
     failures += [f"{rel}: not in the base" for rel in sorted(out_files - base_files)]
     for rel in sorted(out_files & base_files):
         new_path, base_path = out_dir / rel, base_dir / rel
-        if len(rel.parts) < 3 or kinds.get(rel.parts[0]) in (None, "torsion"):
+        kind = kinds.get(rel.parts[0])
+        if len(rel.parts) < 3 or kind is None:
             if new_path.read_bytes() != base_path.read_bytes():
                 failures.append(f"{rel}: differs")
             continue
         try:
-            new, base = report_items(new_path), report_items(base_path)
+            new, base = report_items(new_path, kind), report_items(base_path, kind)
         except (ValueError, IndexError):
             failures.append(f"{rel}: differs and does not parse as a report")
             continue
