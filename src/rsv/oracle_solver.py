@@ -316,8 +316,8 @@ class OracleSolution:
 
 
 def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
-    """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS,
-    u at the interior quadrature nodes) of an eigenfunction, by Gauss
+    """(int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS, u at the
+    interior quadrature nodes) of an eigenfunction, by Gauss
     rules in rho on the rays of the boundary angles.
 
     One boundary on n_theta angles gives the boundary quadrature and the
@@ -327,12 +327,11 @@ def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     angular = _grid_angular_parts(sol.n, sol.modes, n_theta)
     vals, g_rho, g_ang = sol._fields(rho, angular)
     wf = w.ravel()
-    int_u = float(wf @ vals)
     int_grad_sq = float(wf @ (g_rho * g_rho + g_ang * g_ang))
     int_u_sq = float(wf @ (vals * vals))
     bvals = sol._fields(bd.r[:, None], angular)[0]
     bd_u_sq = float(bd.dS @ (bvals * bvals))
-    return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals
+    return int_grad_sq, int_u_sq, bd_u_sq, vals
 
 
 def _angle_count(modes: int) -> int:
@@ -618,7 +617,7 @@ def solve_perturbed_eigen(
         sigma_min=sigma_min,
     )
     n_theta, n_rho = _quad_sizes(modes)
-    int_u, int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
+    int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
     # the ground state has one sign: make it positive on the interior nodes
     norm = math.copysign(math.sqrt(int_u_sq), float(np.sum(u_in)))
     sol.coefficients = coeffs / norm

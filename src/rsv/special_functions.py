@@ -392,38 +392,28 @@ def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.
     return out
 
 
-class HarmonicGradients:
-    """Y_{s,i} and its tangential gradient at fixed unit directions.
+def _tangential_gradient(n: int, coeffs, directions) -> np.ndarray:
+    """Tangential gradient of the harmonic sum of c * Y_{s,i}, shape (..., n)
+    for unit directions of shape (..., n): the theta (and, for n=3, phi)
+    derivative of `synthesize` times the unit frame vectors,
 
-    The angles and the tangent frame are taken once, at construction; each
-    call with (s, i) reads the value and the angular derivatives from the
-    grid's memo (`_harmonic_part`).  Gradients are ambient vectors,
-    orthogonal to the direction, with the component axis first: shape
-    (n, ...) for directions of shape (..., n), so that each product runs
-    over the points rather than over a trailing axis of length n.
-    """
+        d/dtheta theta_hat + (1 / sin theta) d/dphi phi_hat
 
-    def __init__(self, n: int, directions):
-        ang = self._angles = _angles(n, directions)
-        if n == 2:
-            self._frame = (np.stack([-ang.sin_theta, ang.cos_theta]),)
-        else:
-            cos_phi = np.cos(ang.phi_unique)[ang.phi_inverse]
-            sin_phi = np.sin(ang.phi_unique)[ang.phi_inverse]
-            theta_hat = np.stack(
-                [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta]
-            )
-            phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)])
-            self._frame = (theta_hat, phi_hat)
-
-    def __call__(self, s: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Y_{s,i}, read-only, and its tangential gradient of shape (n, ...))."""
-        ang = self._angles
-        y = _harmonic_part(s, i, ang, 0)
-        grad = _harmonic_part(s, i, ang, 1) * self._frame[0]
-        if ang.n == 3:
-            grad += (_harmonic_part(s, i, ang, 2) / ang.sin_theta) * self._frame[1]
-        return y, grad
+    (theta_hat = (-sin theta, cos theta) for n=2).  Orthogonal to the
+    direction; the poles are excluded for n=3."""
+    ang = _angles(n, directions)
+    if n == 2:
+        frame = np.stack([-ang.sin_theta, ang.cos_theta], axis=-1)
+        return synthesize(n, coeffs, directions, "theta")[..., None] * frame
+    cos_phi = np.cos(ang.phi_unique)[ang.phi_inverse]
+    sin_phi = np.sin(ang.phi_unique)[ang.phi_inverse]
+    theta_hat = np.stack(
+        [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta], axis=-1
+    )
+    phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)], axis=-1)
+    grad = synthesize(n, coeffs, directions, "theta")[..., None] * theta_hat
+    grad += (synthesize(n, coeffs, directions, "phi") / ang.sin_theta)[..., None] * phi_hat
+    return grad
 
 
 # ---------------------------------------------------------------------------

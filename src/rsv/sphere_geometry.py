@@ -20,8 +20,8 @@ import numpy as np
 
 from .special_functions import (
     HarmonicBasis,
-    HarmonicGradients,
     SphereQuadrature,
+    _tangential_gradient,
     lb_eigen,
     synthesize,
 )
@@ -226,66 +226,58 @@ def radial_harmonic_field(n: int, R: float, coeffs: BoundaryFunction) -> Ambient
     sign = math.copysign(1.0, R)
 
     def func(x):
-        return _radial_table(False, n, R, sign, items, x.shape, x.tobytes())
+        return _radial_table(n, R, sign, items, x.shape, x.tobytes())[0]
 
     def jac(x):
-        return _radial_table(True, n, R, sign, items, x.shape, x.tobytes())
+        return _radial_table(n, R, sign, items, x.shape, x.tobytes())[1]
 
     return AmbientField(n, func, jac)
 
 
 @functools.lru_cache(maxsize=4, typed=True)
-def _radial_table(jacobian: bool, n: int, R: float, sign: float, items, shape, xbytes):
-    """Values or Jacobian of a radial-harmonic field, evaluated once per
-    key and shared read-only.
+def _radial_table(n: int, R: float, sign: float, items, shape, xbytes):
+    """Values and Jacobian of a radial-harmonic field, evaluated together
+    once per key and shared read-only.
 
     The key holds every input bit: n; R with its type and sign (-0.0 == 0.0);
     the nonzero (s, i, c) terms in mapping order, which sets the order of the
-    per-mode sums; and the shape and bytes of the points, so that +0.0 and
+    harmonic sums; and the shape and bytes of the points, so that +0.0 and
     -0.0 coordinates stay apart.  The second-variation routes of one
     deformation all sample its field at R * quad.directions and hit one
-    entry; an n = 3 order-64 entry holds at most about 0.4 MB with its key.
+    entry; an n = 3 order-64 entry holds at most about 0.5 MB with its key.
     """
     x = np.frombuffer(xbytes).reshape(shape)
-    out = (_radial_jacobian if jacobian else _radial_values)(n, R, items, x)
-    out.flags.writeable = False
+    out = _radial_fields(n, R, items, x)
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
-def _radial_values(n: int, R: float, items, x: np.ndarray) -> np.ndarray:
+def _radial_fields(n: int, R: float, items, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, D v) at the points x for v = g xhat, g = sum c (r/R)^s Y_{s,i}(xhat):
+
+        D v = (d_r g) xhat xhat^T + xhat (grad_S g)^T / r + (g / r)(I - xhat xhat^T),
+
+    with g, d_r g and the angular derivatives of g each one `synthesize`
+    sum in the mapping order of the terms (grad_S g from
+    `_tangential_gradient`), and the three products formed once."""
     r = np.linalg.norm(x, axis=-1)
     xhat = x / r[..., None]
+    # the per-point coefficients hold one array per term (1.5 MB for 45
+    # terms on an n = 3 order-64 grid): one dict at a time, none kept
+    # through the products
+    slope = {(s, i): c * (s * r ** (s - 1) / R**s) for s, i, c in items if s > 0}
+    dg = synthesize(n, slope, xhat)
+    del slope
     radial = {(s, i): c * (r / R) ** s for s, i, c in items}
-    return synthesize(n, radial, xhat)[..., None] * xhat
-
-
-def _radial_jacobian(n: int, R: float, items, x: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(x, axis=-1)
-    xhat = x / r[..., None]
-    harmonic = HarmonicGradients(n, xhat)
-    # component-major layout (n, n, ...): every product below runs over the
-    # points, not over a trailing axis of length n, and adds into `out`
-    # through one buffer; the elementwise results are those of the
-    # point-major products
-    u = np.ascontiguousarray(np.moveaxis(xhat, -1, 0))
-    xx = u[:, None] * u[None, :]
-    proj = np.eye(n).reshape((n, n) + (1,) * r.ndim) - xx
-    out = np.zeros(xx.shape)
-    tmp = np.empty(xx.shape)
-    for s, i, c in items:
-        rho = (r / R) ** s
-        drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
-        y, gy = harmonic(s, i)
-        # three terms per mode, in this order: the reports' quadrature
-        # values depend on the summation order
-        np.multiply(c * drho * y, xx, out=tmp)
-        out += tmp
-        np.multiply(u[:, None], gy[None, :], out=tmp)
-        tmp *= c * rho / r
-        out += tmp
-        np.multiply(c * rho * y / r, proj, out=tmp)
-        out += tmp
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+    g = synthesize(n, radial, xhat)
+    grad = _tangential_gradient(n, radial, xhat)
+    del radial
+    xx = xhat[..., :, None] * xhat[..., None, :]
+    jac = dg[..., None, None] * xx
+    jac += xhat[..., :, None] * (grad / r[..., None])[..., None, :]
+    jac += (g / r)[..., None, None] * (np.eye(n) - xx)
+    return g[..., None] * xhat, jac
 
 
 def normal_trace(v: AmbientField, R: float, quad: SphereQuadrature) -> np.ndarray:

@@ -10,20 +10,22 @@
 * `surface_divergence`: the tangential divergence of an AmbientField, for
   the divergence theorem on the sphere;
 * `radial_harmonic_values` / `radial_harmonic_jacobian`: the values and the
-  Jacobian of `radial_harmonic_field` as a per-mode loop over pointwise
-  harmonics and gradients in point-major (..., n) layout, which the
-  library's memoised, component-major evaluation must reproduce bit for
-  bit;
+  Jacobian of `radial_harmonic_field` in point-major (..., n) layout, from
+  pointwise harmonics summed in mapping order; the Jacobian then forms the
+  three products of D v = (d_r g) xhat xhat^T + xhat (grad_S g)^T / r +
+  (g / r)(I - xhat xhat^T) once, which the library's memoised evaluation
+  must reproduce bit for bit;
 * `pointwise_lpmv_harmonic`: an n=3 harmonic and its angular derivatives
   with lpmv and cos/sin(|m| phi) called at every point, which the
   library's evaluation on the distinct cos(theta) and phi values must
   reproduce bit for bit;
-* `pointwise_harmonic` / `pointwise_gradient`: Y_{s,i} or one of its
-  angular derivatives, and its tangential gradient, from those pointwise
-  parts (n=3) or from `_harmonic` (n=2, which takes no distinct values),
-  with the frame built at every point;
-* `pointwise_synthesis`: the harmonic sum of `synthesize`, values or one
-  angular derivative, one pointwise term at a time.
+* `pointwise_harmonic`: Y_{s,i} or one of its angular derivatives from
+  those pointwise parts (n=3) or from `_harmonic` (n=2, which takes no
+  distinct values);
+* `pointwise_synthesis` / `pointwise_tangential_gradient`: the harmonic sum
+  of `synthesize`, values or one angular derivative, one pointwise term at
+  a time, and the tangential gradient of such a sum with the frame built
+  at every point.
 """
 
 import math
@@ -165,29 +167,24 @@ def radial_harmonic_values(n: int, R: float, coeffs, x) -> np.ndarray:
 
 
 def radial_harmonic_jacobian(n: int, R: float, coeffs, x) -> np.ndarray:
-    """Jacobian of v(x) = sum c (|x|/R)^s Y_{s,i}(x/|x|) x/|x|, one mode at a
-    time in point-major (..., n, n) layout, each harmonic and gradient
-    evaluated pointwise."""
+    """Jacobian of v = g x/|x|, g = sum c (|x|/R)^s Y_{s,i}(x/|x|), in
+    point-major (..., n, n) layout: g, d_r g and grad_S g summed over the
+    nonzero modes in mapping order from pointwise harmonics, then
+
+        D v = (d_r g) xhat xhat^T + xhat (grad_S g)^T / r + (g / r)(I - xhat xhat^T)."""
     x = np.asarray(x, dtype=float)
     items = [(s, i, c) for (s, i), c in coeffs.items() if c != 0.0]
     r = np.linalg.norm(x, axis=-1)
     xhat = x / r[..., None]
-    eye = np.eye(n)
-    proj = eye - xhat[..., :, None] * xhat[..., None, :]
-    out = np.zeros(x.shape + (n,))
-    for s, i, c in items:
-        rho = (r / R) ** s
-        drho = s * r ** (s - 1) / R**s if s > 0 else np.zeros_like(r)
-        y = np.asarray(pointwise_harmonic(n, s, i, xhat))
-        gy = pointwise_gradient(n, s, i, xhat)
-        out = out + (c * drho * y)[..., None, None] * (
-            xhat[..., :, None] * xhat[..., None, :]
-        )
-        out = out + (c * rho / r)[..., None, None] * (
-            xhat[..., :, None] * gy[..., None, :]
-        )
-        out = out + (c * rho * y / r)[..., None, None] * proj
-    return out
+    radial = {(s, i): c * (r / R) ** s for s, i, c in items}
+    slope = {(s, i): c * (s * r ** (s - 1) / R**s) for s, i, c in items if s > 0}
+    g = pointwise_synthesis(n, radial, xhat)
+    dg = pointwise_synthesis(n, slope, xhat)
+    grad = pointwise_tangential_gradient(n, radial, xhat)
+    xx = xhat[..., :, None] * xhat[..., None, :]
+    out = dg[..., None, None] * xx
+    out = out + xhat[..., :, None] * (grad / r[..., None])[..., None, :]
+    return out + (g / r)[..., None, None] * (np.eye(n) - xx)
 
 
 def pointwise_lpmv_harmonic(s: int, i: int, ang):
@@ -221,34 +218,35 @@ def pointwise_harmonic(n: int, s: int, i: int, directions, part: int = 0):
     return pointwise_lpmv_harmonic(s, i, ang)[part]
 
 
-def pointwise_gradient(n: int, s: int, i: int, directions) -> np.ndarray:
-    """Tangential gradient of Y_{s,i}, shape (..., n): the angular
-    derivatives times the frame vectors, built at every point."""
+def pointwise_synthesis(n: int, coeffs, directions, part: int = 0) -> np.ndarray:
+    """sum c Y_{s,i}, or the sum of part `part` of each (see
+    `pointwise_harmonic`), at unit directions, one pointwise term at a time
+    in mapping order; a coefficient may be an array over the points, and
+    all-zero terms are skipped."""
+    d = np.asarray(directions, dtype=float)
+    total = np.zeros(d.shape[:-1])
+    for (s, i), c in coeffs.items():
+        if np.any(c != 0.0):
+            total = total + c * np.asarray(pointwise_harmonic(n, s, i, d, part))
+    return total
+
+
+def pointwise_tangential_gradient(n: int, coeffs, directions) -> np.ndarray:
+    """Tangential gradient of sum c Y_{s,i}, shape (..., n): the pointwise
+    sums of the angular derivatives times the frame vectors, built at every
+    point."""
     ang = _angles(n, directions)
     if n == 2:
-        dy_dtheta = _harmonic(s, i, ang, 1)
         frame = np.stack([-ang.sin_theta, ang.cos_theta], axis=-1)
-        return dy_dtheta[..., None] * frame
-    _y, dy_dtheta, dy_dphi = pointwise_lpmv_harmonic(s, i, ang)
+        return pointwise_synthesis(n, coeffs, directions, 1)[..., None] * frame
     cos_phi, sin_phi = np.cos(ang.phi), np.sin(ang.phi)
     theta_hat = np.stack(
         [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta], axis=-1
     )
     phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)], axis=-1)
-    grad = dy_dtheta[..., None] * theta_hat
-    return grad + (dy_dphi / ang.sin_theta)[..., None] * phi_hat
-
-
-def pointwise_synthesis(n: int, coeffs, directions, part: int = 0) -> np.ndarray:
-    """sum c Y_{s,i}, or the sum of part `part` of each (see
-    `pointwise_harmonic`), at unit directions, one pointwise term at a time
-    in mapping order, zero terms skipped."""
-    d = np.asarray(directions, dtype=float)
-    total = np.zeros(d.shape[:-1])
-    for (s, i), c in coeffs.items():
-        if c != 0.0:
-            total = total + c * np.asarray(pointwise_harmonic(n, s, i, d, part))
-    return total
+    grad = pointwise_synthesis(n, coeffs, directions, 1)[..., None] * theta_hat
+    d_phi = pointwise_synthesis(n, coeffs, directions, 2)
+    return grad + (d_phi / ang.sin_theta)[..., None] * phi_hat
 
 
 def surface_divergence(v, x) -> np.ndarray:

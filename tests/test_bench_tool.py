@@ -59,3 +59,68 @@ def test_medians_per_workload(bench):
         "series-scan": {"cases_per_ref_s": 21.0, "setup_s": 0.7},
         "eigen-reports": {"cases_per_ref_s": 8.0},
     }
+
+
+METRICS = [
+    {"name": "cases_per_ref_s", "unit": "1/s", "better": "higher", "bound": 0.24},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def synthetic_runs(workload, values):
+    """One run per seed 1, 2, ... with the given (cases_per_ref_s, peak_rss_mb)."""
+    return [
+        {"workload": workload, "seed": seed, "metrics": {"cases_per_ref_s": c, "peak_rss_mb": m}}
+        for seed, (c, m) in enumerate(values, 1)
+    ]
+
+
+def test_compare_counts_pairs_in_the_better_direction(bench):
+    base = synthetic_runs(
+        "series-scan", [(20.0, 90.0), (22.0, 91.0), (21.0, 92.0), (23.0, 93.0), (24.0, 94.0)]
+    )
+    change = synthetic_runs(
+        "series-scan", [(25.0, 90.0), (21.0, 92.0), (21.0, 91.0), (26.0, 95.0), (27.0, 93.0)]
+    )
+    # alternated sides: pairs are matched by seed, not by position
+    rows = bench.compare(change[::-1], base, METRICS)
+    assert rows == [
+        {
+            "workload": "series-scan", "metric": "cases_per_ref_s",
+            "won": 3, "lost": 1, "tied": 1,
+            "median": 25.0, "base_median": 22.0, "base_quartiles": (21.0, 23.0),
+        },
+        {
+            "workload": "series-scan", "metric": "peak_rss_mb",
+            "won": 2, "lost": 2, "tied": 1,
+            "median": 92.0, "base_median": 92.0, "base_quartiles": (91.0, 93.0),
+        },
+    ]
+    text = bench.format_comparison(rows)
+    assert text.splitlines()[1].split() == [
+        "series-scan", "cases_per_ref_s", "3", "1", "1", "25", "22", "21", "..", "23",
+    ]
+
+
+def test_compare_keeps_workloads_apart_and_skips_unpaired_runs(bench):
+    base = synthetic_runs("eigen-reports", [(8.0, 66.0)]) + synthetic_runs(
+        "torsion-reports", [(60.0, 70.0), (62.0, 70.0)]
+    )
+    change = synthetic_runs("torsion-reports", [(61.0, 69.0), (61.0, 71.0), (99.0, 1.0)])
+    change += synthetic_runs("eigen-reports", [(7.0, 66.0)])
+    del change[-1]["metrics"]["peak_rss_mb"]
+    rows = {(r["workload"], r["metric"]): r for r in bench.compare(change, base, METRICS)}
+    # the third torsion run has no base partner; eigen has no peak_rss_mb pair
+    assert set(rows) == {
+        ("torsion-reports", "cases_per_ref_s"), ("torsion-reports", "peak_rss_mb"),
+        ("eigen-reports", "cases_per_ref_s"),
+    }
+    torsion = rows["torsion-reports", "cases_per_ref_s"]
+    assert (torsion["won"], torsion["lost"], torsion["tied"]) == (1, 1, 0)
+    eigen = rows["eigen-reports", "cases_per_ref_s"]
+    assert (eigen["lost"], eigen["base_quartiles"]) == (1, (8.0, 8.0))
+
+
+def test_end_to_end_metrics_come_from_the_benchmark_file(bench):
+    names = {m["name"]: m["better"] for m in bench.end_to_end_metrics()}
+    assert names["cases_per_ref_s"] == "higher" and names["peak_rss_mb"] == "lower"

@@ -546,23 +546,24 @@ def test_coefficient_file_malformed(text, tmp_path, capsys):
     assert f"config error: {MALFORMED_FILES[text]}" in capsys.readouterr().err
 
 
-def second_variation_kv(config, out) -> bytes:
+def surface_kv(config, out) -> bytes:
     before = dict(os.environ)
-    assert main(["second-variation", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["surface", "--config", str(config), "--out", str(out)]) == 0
     assert dict(os.environ) == before
-    return (out / "second-variation.kv").read_bytes()
+    return (out / "surface.kv").read_bytes()
 
 
 def test_quadrature_order_override(tmp_path, monkeypatch):
     # RSV_QUAD_ORDER, set by the caller, is the one order channel: it moves
-    # the README torsion boundary functional off its order-64 bits
+    # the README surface report's oracle off its order-64 bits (the exact
+    # area of each perturbed domain is a sphere quadrature)
     config = write_config(tmp_path)
     monkeypatch.delenv("RSV_QUAD_ORDER", raising=False)
-    order64 = second_variation_kv(config, tmp_path / "a")
+    order64 = surface_kv(config, tmp_path / "a")
     monkeypatch.setenv("RSV_QUAD_ORDER", "96")
-    order96 = second_variation_kv(config, tmp_path / "b")
-    assert b"\nEddot0_quadrature = 3.4033920413889427\n" in order64
-    assert b"\nEddot0_quadrature = 3.4033920413889422\n" in order96
+    order96 = surface_kv(config, tmp_path / "b")
+    assert b"\noracle_d2 = 9.424777960773135\n" in order64
+    assert b"\noracle_d2 = 9.424777960722508\n" in order96
 
 
 def test_module_runs_as_script(tmp_path):

@@ -8,18 +8,17 @@ import numpy as np
 import pytest
 import scipy.special
 from geometry_reference import (
-    pointwise_gradient,
-    pointwise_harmonic,
     pointwise_lpmv_harmonic,
     pointwise_synthesis,
+    pointwise_tangential_gradient,
 )
 from hypothesis import given, settings, strategies as st
 
 import rsv.special_functions as special_functions
 from rsv.special_functions import (
     HarmonicBasis,
-    HarmonicGradients,
     SphereQuadrature,
+    _tangential_gradient,
     bessel_j,
     bessel_j_derivative,
     bessel_j_zeros,
@@ -175,17 +174,29 @@ def test_unsold_sum(n):
         assert np.max(np.abs(total - expected)) < 1e-10
 
 
-@pytest.mark.parametrize("n,s,i", [(2, 1, 0), (2, 3, 1), (3, 1, 1), (3, 2, 3), (3, 4, 2)])
-def test_tangential_gradient_dirichlet_energy(n, s, i):
-    # int |grad_tan Y|^2 = s(s+n-2) int Y^2 = s(s+n-2) on the unit sphere
+@pytest.mark.parametrize(
+    "n, coeffs",
+    [
+        (2, {(1, 0): 1.0}),
+        (2, {(3, 1): 1.0}),
+        (3, {(1, 1): 1.0}),
+        (3, {(2, 3): 1.0}),
+        (3, {(4, 2): 1.0}),
+        (2, {(1, 0): 0.5, (3, 1): -1.2, (4, 0): 0.7}),
+        (3, {(1, 1): 0.5, (2, 3): -1.2, (4, 2): 0.7, (4, 8): 0.3}),
+    ],
+)
+def test_tangential_gradient_dirichlet_energy(n, coeffs):
+    # int |grad_tan sum c Y|^2 = sum c^2 s(s+n-2) on the unit sphere, the
+    # harmonics being orthonormal eigenfunctions of the Laplace-Beltrami
     quad = SphereQuadrature(n, 48)
-    g = HarmonicGradients(n, quad.directions)(s, i)[1]
-    assert g.shape == (n, quad.weights.size)
-    energy = quad.integrate(np.einsum("iq,iq->q", g, g))
-    mu, _ = lb_eigen(s, n)
-    assert abs(energy - mu) < 1e-10
+    g = _tangential_gradient(n, coeffs, quad.directions)
+    assert g.shape == (quad.weights.size, n)
+    energy = quad.integrate(np.einsum("qi,qi->q", g, g))
+    want = sum(c * c * lb_eigen(s, n)[0] for (s, _i), c in coeffs.items())
+    assert abs(energy - want) < 1e-10
     # gradients are tangential
-    radial = np.einsum("iq,qi->q", g, quad.directions)
+    radial = np.einsum("qi,qi->q", g, quad.directions)
     assert np.max(np.abs(radial)) < 1e-12
 
 
@@ -284,7 +295,7 @@ _EVALUATORS = {
     "value": spherical_harmonic,
     "theta": _one_harmonic("theta"),
     "phi": _one_harmonic("phi"),
-    "gradient": lambda n, s, i, d: HarmonicGradients(n, d)(s, i)[1],
+    "gradient": lambda n, s, i, d: _tangential_gradient(n, {(s, i): 1.0}, d),
 }
 
 
@@ -436,7 +447,7 @@ def test_directions_of_the_wrong_dimension_rejected():
     with pytest.raises(ValueError, match=r"shape \(1, 2\) are not 3-vectors \(n=3\)"):
         synthesize(3, {(2, 1): 1.0}, [[1.0, 0.0]])
     with pytest.raises(ValueError, match=r"shape \(\) are not 3-vectors"):
-        HarmonicGradients(3, 1.0)
+        _tangential_gradient(3, {(2, 1): 1.0}, 1.0)
     # the shape is checked before the grid memo is consulted
     d = _random_directions(3, 6, 4)
     special_functions._angles(3, d)
@@ -550,32 +561,34 @@ def _calls_of_one_part(n: int, s: int, i: int, part: int) -> tuple[int, int]:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_derivatives_and_gradients_evaluate_each_part_once_per_grid(monkeypatch, n):
-    # angular derivatives of synthesize and the rows of HarmonicGradients
-    # share the grid's memo: two passes evaluate each (s, i, part) once
+    # the values, the angular derivatives and the tangential gradient of a
+    # harmonic sum share the grid's memo: two passes, on equal directions
+    # in two arrays, evaluate each (s, i, part) once
     quad = SphereQuadrature(n, 64)
     special_functions._grid_angles.cache_clear()
-    gradients = [
-        HarmonicGradients(n, quad.directions),
-        HarmonicGradients(n, quad.directions.copy()),
-    ]
+    grids = [quad.directions, quad.directions.copy()]
+    special_functions._angles(n, grids[0])
     counts = _count_harmonic_calls(monkeypatch)
     indices = [si for si in harmonic_indices(n, 6) if si[0] >= 2]
     coeffs = {si: 1.0 + k for k, si in enumerate(indices)}
-    derivatives = ["theta", "phi"][: n - 1]
-    sums, rows = [], []
-    for harmonic in gradients:
-        sums.append([synthesize(n, coeffs, quad.directions, dv) for dv in derivatives])
-        rows.append([harmonic(s, i) for s, i in indices])
+    derivatives = [None, "theta", "phi"][:n]
+    sums, gradients = [], []
+    for d in grids:
+        sums.append([synthesize(n, coeffs, d, dv) for dv in derivatives])
+        gradients.append(_tangential_gradient(n, coeffs, d))
     calls = [_calls_of_one_part(n, s, i, part) for s, i in indices for part in range(n)]
-    assert counts == {"lpmv": sum(c[0] for c in calls), "trig": sum(c[1] for c in calls)}
+    # the n=3 frame takes one cos and one sin of the distinct phi per call
+    frame = 2 * len(grids) if n == 3 else 0
+    assert counts == {
+        "lpmv": sum(c[0] for c in calls),
+        "trig": sum(c[1] for c in calls) + frame,
+    }
     monkeypatch.undo()
     assert all(same_bits(a, b) for a, b in zip(*sums))
-    assert all(same_bits(a, b) for pair in zip(*rows) for a, b in zip(*pair))
-    for part, total in enumerate(sums[0], 1):
+    assert same_bits(*gradients)
+    for part, total in enumerate(sums[0]):
         assert same_bits(total, pointwise_synthesis(n, coeffs, quad.directions, part))
-    for (s, i), (y, grad) in zip(indices, rows[0]):
-        assert same_bits(y, pointwise_harmonic(n, s, i, quad.directions))
-        assert same_bits(np.moveaxis(grad, 0, -1), pointwise_gradient(n, s, i, quad.directions))
+    assert same_bits(gradients[0], pointwise_tangential_gradient(n, coeffs, quad.directions))
 
 
 def test_kept_derivative_rows_are_read_only_pointwise_bits():

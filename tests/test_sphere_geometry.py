@@ -75,9 +75,10 @@ def test_analytic_jacobians_match_fd(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_radial_jacobian_bits_match_per_mode_loop(n):
-    # the one-angle-pass Jacobian must reproduce the per-mode loop bit for
-    # bit: the reports' boundary-functional values are summed from it
+def test_radial_jacobian_bits_match_the_pointwise_formula(n):
+    # the memoised Jacobian must reproduce the pointwise harmonic sums and
+    # products bit for bit: the reports' boundary-functional values are
+    # summed from it
     rng = np.random.default_rng(23)
     coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
     coeffs[(2, 1)] = 0.0  # zero modes are skipped on both sides
@@ -106,7 +107,7 @@ def random_points(n, count, seed):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_radial_tables_match_the_per_mode_references(n):
+def test_radial_table_matches_the_pointwise_references(n):
     sphere_geometry._radial_table.cache_clear()
     rng = np.random.default_rng(31)
     coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 6)}
@@ -117,10 +118,11 @@ def test_radial_tables_match_the_per_mode_references(n):
     assert same_bits(values, radial_harmonic_values(n, 1.3, coeffs, x))
     assert same_bits(jac, radial_harmonic_jacobian(n, 1.3, coeffs, x))
     assert same_bits(field(x[5]), radial_harmonic_values(n, 1.3, coeffs, x[5]))
-    # equal data in a new field, equal points in a new array: the same entries
+    # values and Jacobian share one entry; equal data in a new field and
+    # equal points in a new array hit it again
     again = radial_harmonic_field(n, 1.3, dict(coeffs))
     assert again(x.copy()) is values and again.jacobian(x.copy()) is jac
-    assert sphere_geometry._radial_table.cache_info().hits == 2
+    assert sphere_geometry._radial_table.cache_info().hits == 3
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -133,7 +135,7 @@ def test_signed_zero_points_get_separate_entries(n):
     field = radial_harmonic_field(n, 1.0, coeffs)
     sphere_geometry._radial_table.cache_clear()
     got = [(field(x), field.jacobian(x)) for x in (x_plus, x_minus)]
-    assert sphere_geometry._radial_table.cache_info().currsize == 4
+    assert sphere_geometry._radial_table.cache_info().currsize == 2
     for x, (values, jac) in zip((x_plus, x_minus), got):
         assert same_bits(values, radial_harmonic_values(n, 1.0, coeffs, x))
         assert same_bits(jac, radial_harmonic_jacobian(n, 1.0, coeffs, x))
@@ -186,7 +188,7 @@ def test_radial_table_memo_stays_bounded():
 @pytest.mark.parametrize("R", [1.0, 1.3])
 def test_sphere_grid_tables_match_the_pointwise_references(n, R):
     # the grid of every library integral: memoised harmonics, separable
-    # angle factors and the component-major Jacobian, with every order m of
+    # angle factors and the harmonic-sum Jacobian, with every order m of
     # degrees 0-10, against pointwise point-major evaluation; degrees 9 and
     # 10 are above the memo's and are evaluated afresh on every call
     quad = SphereQuadrature(n, 64)
@@ -194,10 +196,9 @@ def test_sphere_grid_tables_match_the_pointwise_references(n, R):
     coeffs = {si: float(rng.normal()) for si in harmonic_indices(n, 10)}
     items = tuple((s, i, c) for (s, i), c in coeffs.items())
     x = R * quad.directions
-    jac = sphere_geometry._radial_jacobian(n, R, items, x)
+    values, jac = sphere_geometry._radial_fields(n, R, items, x)
     assert same_bits(jac, radial_harmonic_jacobian(n, R, coeffs, x))
     assert jac.flags.c_contiguous
-    values = sphere_geometry._radial_values(n, R, items, x)
     assert same_bits(values, radial_harmonic_values(n, R, coeffs, x))
     for part, derivative in enumerate([None, "theta", "phi"][:n]):
         want = pointwise_synthesis(n, coeffs, quad.directions, part)
@@ -227,22 +228,22 @@ def test_one_deformation_evaluates_its_field_once(monkeypatch, n, N):
         )
 
     items = tuple((s, i, c) for (s, i), c in N.items())
-    calls = {"values": 0, "jacobian": 0}
-    for kind in calls:
-        builder = getattr(sphere_geometry, f"_radial_{kind}")
+    builds = []
+    build = sphere_geometry._radial_fields
 
-        def counting(n_, R_, items_, x, builder=builder, kind=kind):
-            calls[kind] += items_ == items
-            return builder(n_, R_, items_, x)
+    def counting(n_, R_, items_, x):
+        builds.append(items_ == items)
+        return build(n_, R_, items_, x)
 
-        monkeypatch.setattr(sphere_geometry, f"_radial_{kind}", counting)
+    monkeypatch.setattr(sphere_geometry, "_radial_fields", counting)
     sphere_geometry._radial_table.cache_clear()
     shared = routes()
-    assert calls == {"values": 1, "jacobian": 1}
-    # every call rebuilding its tables gives the same bits
+    assert builds.count(True) == 1
+    # every call rebuilding its table gives the same bits: the field of N
+    # is sampled 3 times for its values and 4 times for its Jacobian
     monkeypatch.setattr(sphere_geometry, "_radial_table", sphere_geometry._radial_table.__wrapped__)
     assert routes() == shared
-    assert calls == {"values": 4, "jacobian": 5}
+    assert builds.count(True) == 1 + 7
 
 
 @pytest.mark.parametrize("n", [2, 3])

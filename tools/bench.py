@@ -16,7 +16,10 @@ pinned, and the Python, numpy and scipy versions.
 With --base, a second checkout (the base of a change) is run on the same
 workloads and seeds, alternating per seed which side goes first, and its
 record is written as `BENCH_<BASE_TAG>.json`: a before/after pair from one
-session on one machine.
+session on one machine.  It then prints, for each workload and each
+end-to-end metric of `BENCHMARK.json` (whose `better` field gives the
+direction), how many seed pairs the change won, lost and tied, the median
+of each side, and the base's quartiles.
 
 Each perfbench run also writes its full result file under the checkout's
 `perfbench/results/`; the BLAS threads are read from there.
@@ -94,6 +97,58 @@ def medians(runs: list[dict]) -> dict:
     return out
 
 
+def end_to_end_metrics() -> list[dict]:
+    """The end-to-end metrics of `BENCHMARK.json`: name, unit, better, bound."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartile (inclusive method; one value is both)."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def compare(runs: list[dict], base_runs: list[dict], metrics: list[dict]) -> list[dict]:
+    """Per workload and metric: the seed pairs (equal workload and seed) that
+    the change won, lost and tied in the metric's `better` direction, the
+    median of each side over those pairs, and the base's quartiles."""
+    base = {(r["workload"], r["seed"]): r["metrics"] for r in base_runs}
+    rows = []
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        for metric in metrics:
+            name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+            pairs = []
+            for r in runs:
+                partner = base.get((r["workload"], r["seed"]), {})
+                if r["workload"] == workload and name in r["metrics"] and name in partner:
+                    pairs.append((r["metrics"][name], partner[name]))
+            if not pairs:
+                continue
+            change, before = [p[0] for p in pairs], [p[1] for p in pairs]
+            gains = [sign * (a - b) for a, b in pairs]
+            rows.append({
+                "workload": workload, "metric": name,
+                "won": sum(g > 0 for g in gains), "lost": sum(g < 0 for g in gains),
+                "tied": sum(g == 0 for g in gains),
+                "median": statistics.median(change), "base_median": statistics.median(before),
+                "base_quartiles": quartiles(before),
+            })
+    return rows
+
+
+def format_comparison(rows: list[dict]) -> str:
+    lines = [f"{'workload':16s} {'metric':18s} won lost tied {'median':>12s} "
+             f"{'base median':>12s}  base quartiles"]
+    for r in rows:
+        q1, q3 = r["base_quartiles"]
+        lines.append(f"{r['workload']:16s} {r['metric']:18s} {r['won']:3d} {r['lost']:4d} "
+                     f"{r['tied']:4d} {r['median']:12.6g} {r['base_median']:12.6g}  "
+                     f"{q1:.6g} .. {q3:.6g}")
+    return "\n".join(lines)
+
+
 def record(tag: str, root: Path, args, runs: list[dict], traced: list[dict]) -> dict:
     import numpy
     import scipy
@@ -146,6 +201,9 @@ def main(argv=None) -> int:
         path = ROOT / f"BENCH_{tag}.json"
         path.write_text(json.dumps(record(tag, root, args, runs[tag], traced[tag]), indent=1) + "\n")
         print(f"wrote {path}")
+    if args.base is not None:
+        rows = compare(runs[args.tag], runs[args.base_tag], end_to_end_metrics())
+        print(format_comparison(rows))
     return 0
 
 
