@@ -342,8 +342,8 @@ class Report:
         self.checks.append((name, bool(ok), detail))
 
     def check_close(
-        self, name: str, got: float, want: float, tol: float, scale: float = 1.0
-    ) -> None:
+        self, name: str, got: float, want: float, tol: float, scale: float
+    ) -> bool:
         got, want = float(got), float(want)
         dev = abs(got - want)
         limit = tol * max(1.0, abs(scale))
@@ -352,6 +352,7 @@ class Report:
             dev <= limit,
             f"|{got!r} - {want!r}| = {dev:.3e} (limit {limit:.3e})",
         )
+        return dev <= limit
 
 
 def _fmt(value: object) -> str:
@@ -475,8 +476,9 @@ def run_second_variation(cfg: ExperimentConfig, sol: RadialSolution, report: Rep
             report.add(name, value)
 
     scale = max(1.0, abs(var.Eddot0))
-    report.add("oracle_match", abs(var.Eddot0 - der.d2) <= 1e-3 * scale)
-    report.check_close("series_vs_oracle", var.Eddot0, der.d2, 1e-3, scale)
+    report.add(
+        "oracle_match", report.check_close("series_vs_oracle", var.Eddot0, der.d2, 1e-3, scale)
+    )
     quadrature = var.extras.get("Eddot0_quadrature")
     if quadrature is not None:
         report.check_close(

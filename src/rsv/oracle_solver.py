@@ -438,31 +438,36 @@ def solve_perturbed_torsion(
     return sol
 
 
-def _subspace_sigma(
-    B: np.ndarray, M: np.ndarray, want_vector: bool = False
-) -> tuple[float, np.ndarray | None, float]:
-    """Smallest angle between the trial space and boundary-vanishing fields.
-
-    Orthonormalizes the stacked (boundary; interior) sample matrix and takes
-    the smallest singular value of the boundary block: small iff some trial
-    combination nearly vanishes on the boundary while staying of unit size
-    inside.  Columns are rescaled to unit norm, so tiny natural scales cost
-    nothing; only underflowed (exactly zero) columns are dropped.  Returns
-    (sigma, coefficients or None, condition estimate)."""
+def _orthonormal_rows(B: np.ndarray, M: np.ndarray):
+    """(boundary block of Q, R, column norms, kept columns) of the QR of the
+    stacked (boundary; interior) samples.  Columns are rescaled to unit norm,
+    so tiny natural scales cost nothing; only underflowed (exactly zero)
+    columns are dropped."""
     S = np.vstack([B, M])
     norms = np.linalg.norm(S, axis=0)
     keep = norms > 0.0
     Q, R = np.linalg.qr(S[:, keep] / norms[keep])
-    _, svals, vt = np.linalg.svd(Q[: B.shape[0]], full_matrices=False)
-    sigma = float(svals[-1])
-    if not want_vector:
-        return sigma, None, math.nan
+    return Q[: B.shape[0]], R, norms, keep
+
+
+def _subspace_sigma(B: np.ndarray, M: np.ndarray) -> float:
+    """Smallest angle between the trial space and boundary-vanishing fields:
+    the smallest singular value of the orthonormalized boundary block, small
+    iff some trial combination nearly vanishes on the boundary while staying
+    of unit size inside.  The lam search reads only this value."""
+    return float(np.linalg.svd(_orthonormal_rows(B, M)[0], compute_uv=False)[-1])
+
+
+def _subspace_vector(B: np.ndarray, M: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(sigma, coefficients, condition estimate) at the located lam."""
+    Qb, R, norms, keep = _orthonormal_rows(B, M)
+    _, svals, vt = np.linalg.svd(Qb, full_matrices=False)
     diag = np.abs(np.diagonal(R))
     condition = float(diag.max() / max(diag.min(), 1e-300))
     y = np.linalg.solve(R, vt[-1])
     coeffs = np.zeros(norms.shape[0])
     coeffs[keep] = y / norms[keep]
-    return sigma, coeffs, condition
+    return float(svals[-1]), coeffs, condition
 
 
 def _grid_bracket(f, grid: np.ndarray, start: int) -> int | None:
@@ -580,7 +585,7 @@ def solve_perturbed_eigen(
 
     @functools.lru_cache(maxsize=None)
     def sigma_at(lam: float) -> float:
-        return _subspace_sigma(*matrices(lam))[0]
+        return _subspace_sigma(*matrices(lam))
 
     grid = lam0 * np.linspace(0.6, 1.5, 37)
     best = _grid_bracket(sigma_at, grid, 16)  # grid[16] is lam0 itself
@@ -595,7 +600,7 @@ def solve_perturbed_eigen(
         sigma_at, grid[best - 1], grid[best], grid[best + 1], 1e-8 * lam0
     )
     B, M = matrices(lam)
-    sigma_min, coeffs, condition = _subspace_sigma(B, M, want_vector=True)
+    sigma_min, coeffs, condition = _subspace_vector(B, M)
     if condition > CONDITION_LIMIT:
         raise ArithmeticError(
             f"degenerate collocation basis near lam = {lam:.6g} "

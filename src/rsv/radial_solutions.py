@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .special_functions import bessel_j, bessel_j_derivative, bessel_j_zeros
+from .special_functions import bessel_j, bessel_j_zeros
 from .sphere_geometry import sphere_measure
 
 TORSION = "torsion"
@@ -148,8 +148,8 @@ def _bessel_profile(n: int, k: float, r: np.ndarray) -> np.ndarray:
 def _lommel_integral(nu: float, k: float, R: float) -> float:
     """int_0^R J_nu(k r)^2 r dr."""
     z = k * R
-    jp = bessel_j_derivative(nu, z)
     j = bessel_j(nu, z)
+    jp = (nu / z) * j - bessel_j(nu + 1.0, z)
     return 0.5 * R * R * (jp * jp + (1.0 - nu * nu / (z * z)) * j * j)
 
 

@@ -9,9 +9,9 @@ Conventions used by every downstream module:
   (index i=0 cosine branch, i=1 sine branch);
 * n=3 basis: real associated-Legendre harmonics, index i = m + s with
   order m in [-s, s];
-* Bessel J is evaluated in-repo (backward recurrence for integer orders,
-  spherical Bessel recurrence for half-integer orders); scipy's Bessel J
-  is only a test cross-check.  n=3 harmonics use scipy.special.lpmv.
+* Bessel J is evaluated in-repo: integer and half-integer orders share one
+  downward recurrence and differ only in how it is normalized; scipy's
+  Bessel J is only a test cross-check.  n=3 harmonics use scipy.special.lpmv.
 """
 
 from __future__ import annotations
@@ -27,115 +27,83 @@ from scipy.special import lpmv
 _HALF_INT_TOL = 1e-12
 
 
-def _is_integer(order: float) -> bool:
-    return abs(order - round(order)) < _HALF_INT_TOL
-
-
-def _is_half_integer(order: float) -> bool:
-    return abs(order - math.floor(order) - 0.5) < _HALF_INT_TOL
-
-
-def _besselj_int_miller(nu: int, x: float) -> float:
-    # Backward (Miller) recurrence normalized by J0 + 2*sum J_{2k} = 1.
-    # Stable for every x > 0; rescaling guards against overflow.
-    m = int(max(nu, x)) + 60
-    if m % 2:
-        m += 1
-    jp = 0.0
-    j = 1e-30
-    norm = 0.0
-    out = 0.0
-    have = False
-    for k in range(m, 0, -1):
-        jm = (2.0 * k / x) * j - jp
-        jp = j
-        j = jm
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            out *= 1e-250
-        kk = k - 1
-        if kk == nu:
-            out = j
-            have = True
-        if kk > 0 and kk % 2 == 0:
-            norm += 2.0 * j
-    norm += j  # j now holds the unnormalized J_0
-    if not have:
-        out = j if nu == 0 else 0.0
-    return out / norm
-
-
-def _spherical_jl(ell: int, x: float) -> float:
-    # Spherical Bessel j_l by downward recurrence; normalization picks
-    # whichever of j_0, j_1 is farther from a zero.
-    if x < 1e-5:
-        # j_l(x) ~ x^l/(2l+1)!! * (1 - x^2/(2(2l+3)))
-        dfact = 1.0
-        for i in range(1, 2 * ell + 2, 2):
-            dfact *= i
-        return (x**ell / dfact) * (1.0 - x * x / (2.0 * (2 * ell + 3)))
-    j0 = math.sin(x) / x
-    j1 = math.sin(x) / (x * x) - math.cos(x) / x
-    if ell == 0:
-        return j0
-    if ell == 1:
-        return j1
-    m = int(max(ell, x)) + 60
+def _miller(nu: int, f: float, x: float) -> tuple[float, float, float, float]:
+    """(c_nu, c_1, c_0, S) of the unnormalized downward (Miller) recurrence
+    c_{k-1} = (2(k + f)/x) c_k - c_{k+1} for J_{k+f}, f in {0, 1/2} (DLMF
+    10.6.1), from c_{m+1} = 0, c_m = 1e-30 at m = int(max(nu + f, x)) + 60,
+    made even for integer orders.  Stable for every x > 0; a value past
+    1e250 rescales everything kept by 1e-250.  Only integer orders sum
+    S = 2 sum_{k>=1} c_{2k}: J_0 + 2 sum J_{2k} = 1 normalizes by c_0 + S."""
+    m = int(max(nu + f, x)) + 60
+    integer = f == 0.0
+    if integer:
+        m += m % 2
+    t = 2.0 * (m + f)  # 2(k + f) for the running k
     jp = 0.0
     j = 1e-30
     out = 0.0
-    u0 = 0.0
-    u1 = 0.0
+    even_sum = 0.0
+    top = nu + 1
     for k in range(m, 0, -1):
-        jm = ((2.0 * k + 1.0) / x) * j - jp
+        jm = (t / x) * j - jp
+        t -= 2.0
         jp = j
-        j = jm
+        j = jm  # c_{k-1}
         if abs(j) > 1e250:
             j *= 1e-250
             jp *= 1e-250
             out *= 1e-250
-            u1 *= 1e-250
-        kk = k - 1
-        if kk == ell:
+            even_sum *= 1e-250
+        if k == top:
             out = j
-        if kk == 1:
-            u1 = j
-        if kk == 0:
-            u0 = j
-    if abs(j0) >= abs(j1):
-        scale = j0 / u0
-    else:
-        scale = j1 / u1
-    return out * scale
+        if integer and k & 1 and k > 1:
+            even_sum += 2.0 * j
+    return out, jp, j, even_sum
 
 
 def bessel_j(order: float, x: float) -> float:
     """Bessel function of the first kind J_order(x).
 
     Supported orders are the nonnegative integers and half-integers (the
-    orders arising for n in {2, 3}).  Integer orders take the backward
-    recurrence at every x > 0 (no ascending series), half-integer orders
-    the spherical Bessel recurrence.  Absolute accuracy is ~1e-14 for
-    x in [0, 60]; for integer orders up to 30 and x <= 0.5 the error is
-    also ~1e-13 relative.
+    orders arising for n in {2, 3}).  Both take one downward recurrence
+    (`_miller`) at every x > 0, with no ascending series for integer
+    orders.  Integer orders are normalized by J_0 + 2 sum J_{2k} = 1,
+    half-integer orders by the closed-form J_{1/2} or J_{3/2}, whichever
+    is farther from a zero, and below x = 1e-5 take the leading series
+    terms.  Absolute accuracy is ~1e-14 for x in [0, 60]; for integer
+    orders up to 30 and x <= 0.5 the error is also ~1e-13 relative.
     """
     if order < 0:
         raise ValueError("negative orders not supported")
     if x < 0:
         raise ValueError("negative argument not supported")
-    if _is_integer(order):
-        nu = int(round(order))
-        if x == 0.0:
-            return 1.0 if nu == 0 else 0.0
-        return _besselj_int_miller(nu, x)
-    if _is_half_integer(order):
-        ell = int(math.floor(order))
-        if x == 0.0:
-            return 0.0
-        return _spherical_jl(ell, x) * math.sqrt(2.0 * x / math.pi)
-    raise ValueError(f"order {order} is neither integer nor half-integer")
+    doubled = round(2.0 * order)
+    if abs(order - 0.5 * doubled) >= _HALF_INT_TOL:
+        raise ValueError(f"order {order} is neither integer nor half-integer")
+    nu = doubled // 2
+    if x == 0.0:
+        return 1.0 if doubled == 0 else 0.0
+    if doubled % 2 == 0:
+        c_nu, _, c_0, even_sum = _miller(nu, 0.0, x)
+        return c_nu / (even_sum + c_0)
+    # J_{nu+1/2}(x) = sqrt(2x/pi) j_nu(x), the spherical Bessel function
+    root = math.sqrt(2.0 * x / math.pi)
+    if x < 1e-5:
+        # j_nu(x) ~ x^nu/(2nu+1)!! * (1 - x^2/(2(2nu+3)))
+        dfact = 1.0
+        for i in range(1, 2 * nu + 2, 2):
+            dfact *= i
+        return (x**nu / dfact) * (1.0 - x * x / (2.0 * (2 * nu + 3))) * root
+    j0 = math.sin(x) / x
+    j1 = math.sin(x) / (x * x) - math.cos(x) / x
+    if nu == 0:
+        return j0 * root
+    if nu == 1:
+        return j1 * root
+    c_nu, c_1, c_0, _ = _miller(nu, 0.5, x)
+    if abs(j0) >= abs(j1):
+        return c_nu * (j0 / c_0) * root
+    return c_nu * (j1 / c_1) * root
 
 
 def bessel_j_derivative(order: float, x: float) -> float:

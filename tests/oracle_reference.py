@@ -9,7 +9,10 @@ tables.  The oracle now evaluates the angular factors once per distinct
 angle and broadcasts them along each ray; the tests check that both give
 the same bits.  For a torsion state, whose integrals the oracle now takes in
 closed form along each ray, `node_by_node_integrals` is the Gauss-rule
-reference, and `node_by_node_fields` the one evaluation of its fields.
+reference, and `node_by_node_fields` the one evaluation of its fields;
+`torsion_gauss_integrals` is the same Gauss rule taking the angular factors
+once per ray and the radial powers once per degree, for surveys of many
+solves.
 
 Its radial tables are the oracle's former ones too (`basis_row_harmonic`,
 `basis_row_wave`): one row per basis element, so cos and sin rows of one
@@ -103,3 +106,33 @@ def node_by_node_integrals(sol, n_theta: int, n_rho: int):
     bvals = node_by_node_fields(sol, bd.r, bd.theta)[0]
     bd_u_sq = float(bd.dS @ (bvals * bvals))
     return int_u, int_grad_sq, int_u_sq, bd_u_sq, vals
+
+
+def torsion_gauss_integrals(sol, n_theta: int, n_rho: int):
+    """(int u dx, int |grad u|^2 dx, boundary int u^2 dS) of a torsion state
+    by the Gauss rules of `node_by_node_integrals`.  On each ray the
+    coefficients are summed by degree against the angular factors of that
+    ray, so u is a polynomial in s = rho/scale: the powers s^k are taken
+    once per degree and summed by one matrix product per ray, and
+    du/drho = sum_k k a_k s^(k-1) / scale reuses them."""
+    n = sol.n
+    bd = _boundary(sol.domain, n_theta)
+    rho, w = _interior(bd, n, n_rho)
+    degrees, T, dT = _angular_parts(n, sol.modes, bd.theta)
+    top = int(degrees.max())
+    by_degree = np.zeros((top + 1, degrees.size))
+    by_degree[degrees, np.arange(degrees.size)] = sol.coefficients
+    # (rays, degree, 1): the coefficient of s^k on each ray
+    a = (by_degree @ T).T[:, :, None]
+    b = (by_degree @ dT).T[:, :, None]
+    slope = np.arange(1.0, top + 1.0)[:, None] * a[:, 1:] / sol._scale
+    k = np.arange(top + 1.0)
+    z = (rho / sol._scale)[..., None] ** k  # (rays, nodes, degree)
+    u = (z @ a)[..., 0] - rho**2 / (2.0 * n)
+    u_rho = (z[..., :top] @ slope)[..., 0] - rho / n
+    u_ang = (z @ b)[..., 0] / rho
+    z_bd = (bd.r / sol._scale)[:, None] ** k
+    u_bd = np.sum(z_bd * a[..., 0], axis=1) - bd.r**2 / (2.0 * n)
+    int_u = float(np.sum(w * u))
+    int_grad_sq = float(np.sum(w * (u_rho * u_rho + u_ang * u_ang)))
+    return int_u, int_grad_sq, float(bd.dS @ (u_bd * u_bd))

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import rsv.cli as cli
+import rsv.oracle_solver as oracle_solver
 from rsv.cli import main
 from rsv.oracle_solver import solve_perturbed_torsion
 from rsv.radial_solutions import solve_torsion_ball
@@ -417,6 +418,33 @@ def test_first_variation_dilation_matches_oracle(tmp_path):
     assert "check_series_vs_oracle = true" in kv
     # dilation data is not volume preserving, so no criticality claim
     assert "check_critical_at_ball" not in kv
+
+
+@pytest.mark.parametrize("kind, alpha", [("robin-eigen", "1.0"), ("dirichlet-eigen", "0.0")])
+def test_first_variation_walks_downhill_on_strong_dilation(kind, alpha, tmp_path, monkeypatch):
+    # a dilation of 3 moves lam(t) so far at t = +-2h that the sigma minimum
+    # is no longer on the grid point lam0 the walk starts from: the walk
+    # steps, and the report must still pass
+    real = oracle_solver._grid_bracket
+    found = []
+
+    def recorded(f, grid, start):
+        found.append(real(f, grid, start))
+        return found[-1]
+
+    monkeypatch.setattr(oracle_solver, "_grid_bracket", recorded)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        config_text(tmp_path / "reports", kind=kind, alpha=alpha)
+        .replace(f"modes: [[2, 0, {SQRT_PI!r}]]", "modes: [[0, 0, 3.0]]")
+        .replace("oracle:\n", "oracle:\n  modes: 20\n")
+        .replace("richardson_levels: 2", "richardson_levels: 1")
+    )
+    assert main(["first-variation", "--config", str(path)]) == 0
+    kv = (tmp_path / "reports" / "first-variation.kv").read_text()
+    assert "check_series_vs_oracle = true" in kv
+    assert None not in found
+    assert set(found) - {16}, found
 
 
 def test_eigen_second_variation_report(tmp_path):

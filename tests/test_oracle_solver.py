@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from golden_section import full_scan_bracket, golden_min
-from oracle_reference import fields, node_by_node_fields, node_by_node_integrals
+from oracle_reference import (
+    fields,
+    node_by_node_fields,
+    node_by_node_integrals,
+    torsion_gauss_integrals,
+)
 from scipy.special import jv, jvp, spherical_jn
 
 import rsv.oracle_solver as oracle_solver
@@ -601,9 +606,9 @@ def test_grid_walk_stops_at_a_tie(values):
 def test_flat_sigma_raises_after_at_most_one_grid_of_evaluations(monkeypatch):
     calls = []
 
-    def flat(B, M, want_vector=False):
-        calls.append(want_vector)
-        return 1.0, None, math.nan
+    def flat(B, M):
+        calls.append(B.shape)
+        return 1.0
 
     monkeypatch.setattr(oracle_solver, "_subspace_sigma", flat)
     with pytest.raises(ArithmeticError, match="root isolation failed"):
@@ -950,11 +955,23 @@ def torsion_survey():
                 yield n, alpha, modes, t, N
 
 
+@pytest.mark.parametrize("n, N", [(2, {(2, 0): 0.4, (3, 1): -0.3}), (3, {(2, 2): 0.5, (4, 4): 0.3})])
+@pytest.mark.parametrize("modes", [16, 32])
+def test_per_ray_torsion_gauss_rule_matches_the_node_by_node_one(n, N, modes):
+    # the survey's Gauss reference against the node-by-node one, on the
+    # sizes the survey uses
+    sol = solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), 0.04), 1.0, modes)
+    for sizes in ((oracle_solver._angle_count(modes), modes + 40), oracle_solver._quad_sizes(modes)):
+        int_u, int_grad_sq, _, bd_u_sq, _ = node_by_node_integrals(sol, *sizes)
+        fast = torsion_gauss_integrals(sol, *sizes)
+        assert np.allclose(fast, (int_u, int_grad_sq, bd_u_sq), rtol=1e-14, atol=0.0)
+
+
 def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatch):
-    # the closed form against node-by-node Gauss rules with modes + 40
-    # nodes per ray, which are exact for these polynomials up to rounding;
-    # and the weak-form check against the one the Gauss rules of
-    # `_quad_sizes` gave on the same coefficients
+    # the closed form against Gauss rules with modes + 40 nodes per ray,
+    # which are exact for these polynomials up to rounding; and the
+    # weak-form check against the one the Gauss rules of `_quad_sizes` gave
+    # on the same coefficients
     real = oracle_solver._torsion_integrals
     calls = []
 
@@ -981,10 +998,10 @@ def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatc
             raised = True
         (sol, n_theta, (int_u, int_grad_sq, bd_u_sq)), = calls
         energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
-        g_u, g_grad_sq, _, g_bd_u_sq, _ = node_by_node_integrals(sol, n_theta, modes + 40)
+        g_u, g_grad_sq, g_bd_u_sq = torsion_gauss_integrals(sol, n_theta, modes + 40)
         gauss = g_grad_sq - 2.0 * g_u + alpha * g_bd_u_sq
         worst = max(worst, abs(energy - gauss) / abs(gauss))
-        p_u, p_grad_sq, _, p_bd_u_sq, _ = node_by_node_integrals(
+        p_u, p_grad_sq, p_bd_u_sq = torsion_gauss_integrals(
             sol, *oracle_solver._quad_sizes(modes)
         )
         former = p_grad_sq - 2.0 * p_u + alpha * p_bd_u_sq

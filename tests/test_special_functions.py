@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.special
+from bessel_reference import bessel_j_reference
 from geometry_reference import (
     pointwise_lpmv_harmonic,
     pointwise_synthesis,
@@ -60,6 +61,27 @@ def test_bessel_at_zero():
     assert bessel_j(0.0, 0.0) == 1.0
     assert bessel_j(1.0, 0.0) == 0.0
     assert bessel_j(2.5, 0.0) == 0.0
+
+
+def test_one_recurrence_keeps_the_bits_of_the_two_it_replaced():
+    # orders 0, 1/2, ..., 39 1/2, and four within the order tolerance of
+    # their family, at x = 0, log-spaced x in [1e-9, 1) (the x < 1e-5
+    # series and the 1e-250 rescaling of tiny x) and x in (0, 60]; the
+    # uint64 view tells signed zeros apart
+    xs = np.concatenate(
+        [[0.0], np.logspace(-9.0, 0.0, 160, endpoint=False), np.linspace(0.25, 60.0, 240)]
+    )
+    near = [3.0 - 1e-13, 3.0 + 1e-13, 2.5 - 1e-13, 2.5 + 1e-13]
+    for order in [*np.arange(80) / 2.0, *near]:
+        ours = np.array([bessel_j(float(order), float(x)) for x in xs])
+        ref = np.array([bessel_j_reference(float(order), float(x)) for x in xs])
+        assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), order
+
+
+@pytest.mark.parametrize("order", [0.25, 1.3, 2.5 + 1e-9, 4.0 - 1e-9])
+def test_orders_off_both_families_rejected(order):
+    with pytest.raises(ValueError, match="neither integer nor half-integer"):
+        bessel_j(order, 1.0)
 
 
 @given(
