@@ -344,9 +344,10 @@ class Report:
     def check_close(
         self, name: str, got: float, want: float, tol: float, scale: float
     ) -> bool:
+        # every caller floors its own scale: max(1, |reference value|)
         got, want = float(got), float(want)
         dev = abs(got - want)
-        limit = tol * max(1.0, abs(scale))
+        limit = tol * scale
         self.check(
             name,
             dev <= limit,

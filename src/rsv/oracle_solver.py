@@ -321,17 +321,24 @@ def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     rules in rho on the rays of the boundary angles.
 
     One boundary on n_theta angles gives the boundary quadrature and the
-    n_theta rays of the interior nodes, so one angular table serves both."""
+    n_theta rays of the interior nodes, so one angular table serves both.
+    The boundary point r_i ends ray i as one more node, so one radial table
+    serves both too; every node keeps the bits of a table of its own."""
     bd = _boundary(sol.domain, n_theta)
     rho, w = _interior(bd, sol.n, n_rho)
+    nodes = np.hstack([rho, bd.r[:, None]])
     angular = _grid_angular_parts(sol.n, sol.modes, n_theta)
-    vals, g_rho, g_ang = sol._fields(rho, angular)
+    vals, g_rho, g_ang = (
+        field.reshape(nodes.shape) for field in sol._fields(nodes, angular)
+    )
+    inside = (slice(None), slice(n_rho))
+    u_in = vals[inside].ravel()
     wf = w.ravel()
-    int_grad_sq = float(wf @ (g_rho * g_rho + g_ang * g_ang))
-    int_u_sq = float(wf @ (vals * vals))
-    bvals = sol._fields(bd.r[:, None], angular)[0]
+    int_grad_sq = float(wf @ (g_rho * g_rho + g_ang * g_ang)[inside].ravel())
+    int_u_sq = float(wf @ (u_in * u_in))
+    bvals = vals[:, n_rho]
     bd_u_sq = float(bd.dS @ (bvals * bvals))
-    return int_grad_sq, int_u_sq, bd_u_sq, vals
+    return int_grad_sq, int_u_sq, bd_u_sq, u_in
 
 
 def _angle_count(modes: int) -> int:
@@ -341,7 +348,7 @@ def _angle_count(modes: int) -> int:
 
 def _quad_sizes(modes: int) -> tuple[int, int]:
     """Angles and Gauss nodes per ray of the eigen `_integrals`."""
-    return _angle_count(modes), max(48, modes + 8)
+    return _angle_count(modes), 16
 
 
 def _torsion_integrals(sol: OracleSolution, n_theta: int):

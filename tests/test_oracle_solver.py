@@ -241,10 +241,10 @@ def test_a_solve_samples_the_domain_on_two_grids(monkeypatch, kind, modes):
     else:
         solve_perturbed_eigen(d, 1.0, modes)
     assert len(radius) == 4
-    # eigen: the interior nodes and the boundary of one integral pass; the
+    # eigen: one integral pass, whose rays end at their boundary points; the
     # sign of the eigenfunction comes from the interior nodes already in
     # hand.  Torsion integrates its polynomials in closed form: no fields.
-    assert len(fields) == (0 if kind == TORSION else 2)
+    assert len(fields) == (0 if kind == TORSION else 1)
 
 
 def test_zero_alpha_rejected():
