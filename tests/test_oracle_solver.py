@@ -1,5 +1,7 @@
 import ast
+import itertools
 import math
+import re
 import tracemalloc
 import types
 from pathlib import Path
@@ -13,6 +15,7 @@ from oracle_reference import (
     node_by_node_integrals,
     torsion_gauss_integrals,
 )
+from scipy.optimize import brentq
 from scipy.special import jv, jvp, spherical_jn
 
 import rsv.oracle_solver as oracle_solver
@@ -57,6 +60,7 @@ from rsv.variations import (
 PI = math.pi
 COS2T = {(2, 0): math.sqrt(PI)}
 COS3T = {(3, 0): math.sqrt(PI)}
+ZONAL = {(2, 2): 1.0}
 
 
 def pfield(n, R, N):
@@ -355,15 +359,32 @@ def test_readme_family_sigma_evaluations(t, evals, alpha, kind):
     assert sol.sigma_evals <= evals
 
 
-def test_second_mode_fails_the_ground_state_check(monkeypatch):
-    # centre the scan on j_{1,1}^2, the disk's second Dirichlet eigenvalue:
-    # the solver locks onto J_1(k r) cos(theta + c), which changes sign
-    second = types.SimpleNamespace(lam=3.831705970207512**2)
+def second_ball_eigenvalue(n, alpha):
+    """The ball's second eigenvalue at R = 1: the first root k^2 of degree
+    one, J_1 (n = 2) or j_1 (n = 3), under Dirichlet (alpha None) or Robin
+    conditions."""
+    if n == 2:
+        f, df = (lambda k: jv(1, k)), (lambda k: jvp(1, k))
+    else:
+        f, df = (lambda k: spherical_jn(1, k)), (lambda k: spherical_jn(1, k, derivative=True))
+    if alpha is None:
+        return brentq(f, 2.5, 4.6) ** 2
+    return brentq(lambda k: k * df(k) + alpha * f(k), 1.5, 4.6) ** 2
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
+def test_second_mode_fails_the_ground_state_check(monkeypatch, n, N, alpha, kind):
+    # centre the scan on the ball's second eigenvalue: the solver locks onto
+    # a degree-one mode, which changes sign on the interior nodes
+    second = types.SimpleNamespace(lam=second_ball_eigenvalue(n, alpha))
+    monkeypatch.setattr(oracle_solver, "solve_robin_eigen_ball", lambda n, R, alpha: second)
     monkeypatch.setattr(oracle_solver, "solve_dirichlet_eigen_ball", lambda n, R: second)
-    with pytest.raises(ArithmeticError, match="min u = -"):
-        solve_perturbed_eigen(
-            readme_eigen_domain(0.01), None, modes=12, kind=DIRICHLET_EIGEN
-        )
+    with pytest.raises(ArithmeticError, match="min u = -") as error:
+        solve_perturbed_eigen(perturbed_domain(pfield(n, 1.0, N), 0.01), alpha, 12, kind)
+    # a whole lobe of the normalized mode is negative, far from rounding
+    u_min = float(re.search(r"min u = (\S+) on", str(error.value)).group(1))
+    assert u_min <= -0.5
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +542,6 @@ def lam_both_refines(monkeypatch, d, alpha, modes, kind):
     with monkeypatch.context() as patch:
         patch.setattr(oracle_solver, "_sigma_sq_min", golden_refine)
         return lam, solve_perturbed_eigen(d, alpha, modes, kind).lam
-
-
-ZONAL = {(2, 2): 1.0}
 
 
 @pytest.mark.parametrize("t", [0.0, 0.01, -0.01])
@@ -938,21 +956,33 @@ def test_integrals_hold_one_basis_by_nodes_buffer(n, N, kind, modes):
     assert peak <= 2.5 * sol.coefficients.size * n_theta * n_rho * 8
 
 
+def former_quad_sizes(modes):
+    """The Gauss rule of the eigen integrals before 16 nodes per ray, which
+    the torsion integrals also took before their closed form."""
+    return oracle_solver._angle_count(modes), max(48, modes + 8)
+
+
+def survey_draw(rng, n):
+    """(modes, t, N): modes in 8..40, |t| <= 0.1 and N(0, 0.6) data on
+    degrees 2..4 (zonal for n = 3)."""
+    modes = int(rng.integers(8, 41))
+    t = float(rng.uniform(-0.1, 0.1))
+    c = rng.normal(0.0, 0.6, 6)
+    if n == 2:
+        N = {(s, i): float(c[2 * j + i]) for j, s in enumerate((2, 3, 4)) for i in (0, 1)}
+    else:
+        N = {(s, s): float(c[j]) for j, s in enumerate((2, 3, 4))}
+    return modes, t, N
+
+
 def torsion_survey():
     """480 seeded torsion cases: n in {2, 3}, five alphas, 48 draws each of
-    modes in 8..40, |t| <= 0.1 and data on degrees 2..4 (zonal for n = 3)."""
+    `survey_draw`."""
     rng = np.random.default_rng(2101)
     for n in (2, 3):
         for alpha in (0.25, 1.0, 3.0, -0.7, -2.5):
             for _ in range(48):
-                modes = int(rng.integers(8, 41))
-                t = float(rng.uniform(-0.1, 0.1))
-                c = rng.normal(0.0, 0.6, 6)
-                if n == 2:
-                    N = {(s, i): float(c[2 * j + i]) for j, s in enumerate((2, 3, 4)) for i in (0, 1)}
-                else:
-                    N = {(s, s): float(c[j]) for j, s in enumerate((2, 3, 4))}
-                yield n, alpha, modes, t, N
+                yield (n, alpha, *survey_draw(rng, n))
 
 
 @pytest.mark.parametrize("n, N", [(2, {(2, 0): 0.4, (3, 1): -0.3}), (3, {(2, 2): 0.5, (4, 4): 0.3})])
@@ -961,7 +991,7 @@ def test_per_ray_torsion_gauss_rule_matches_the_node_by_node_one(n, N, modes):
     # the survey's Gauss reference against the node-by-node one, on the
     # sizes the survey uses
     sol = solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), 0.04), 1.0, modes)
-    for sizes in ((oracle_solver._angle_count(modes), modes + 40), oracle_solver._quad_sizes(modes)):
+    for sizes in ((oracle_solver._angle_count(modes), modes + 40), former_quad_sizes(modes)):
         int_u, int_grad_sq, _, bd_u_sq, _ = node_by_node_integrals(sol, *sizes)
         fast = torsion_gauss_integrals(sol, *sizes)
         assert np.allclose(fast, (int_u, int_grad_sq, bd_u_sq), rtol=1e-14, atol=0.0)
@@ -970,7 +1000,7 @@ def test_per_ray_torsion_gauss_rule_matches_the_node_by_node_one(n, N, modes):
 def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatch):
     # the closed form against Gauss rules with modes + 40 nodes per ray,
     # which are exact for these polynomials up to rounding; and the
-    # weak-form check against the one the Gauss rules of `_quad_sizes` gave
+    # weak-form check against the one the former Gauss rules gave
     # on the same coefficients
     real = oracle_solver._torsion_integrals
     calls = []
@@ -1001,9 +1031,7 @@ def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatc
         g_u, g_grad_sq, g_bd_u_sq = torsion_gauss_integrals(sol, n_theta, modes + 40)
         gauss = g_grad_sq - 2.0 * g_u + alpha * g_bd_u_sq
         worst = max(worst, abs(energy - gauss) / abs(gauss))
-        p_u, p_grad_sq, p_bd_u_sq = torsion_gauss_integrals(
-            sol, *oracle_solver._quad_sizes(modes)
-        )
+        p_u, p_grad_sq, p_bd_u_sq = torsion_gauss_integrals(sol, *former_quad_sizes(modes))
         former = p_grad_sq - 2.0 * p_u + alpha * p_bd_u_sq
         if (abs(former + p_u) > 1e-9 * max(1.0, abs(former))) != raised:
             moved.append(case)
@@ -1011,6 +1039,63 @@ def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatc
     assert worst <= 2e-13
     assert moved == []
     # every outcome occurs, so the comparison has cases of each kind
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def eigen_survey(rng):
+    """Seeded eigen cases (n, N, alpha, kind, modes, t), one per dimension
+    and kind in turn, with the data of `survey_draw` (alpha = 1 for Robin)."""
+    while True:
+        for n in (2, 3):
+            for alpha, kind in ((1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)):
+                modes, t, N = survey_draw(rng, n)
+                yield n, N, alpha, kind, modes, t
+
+
+# README-family cases that the former rule solves: at t = 0.1 it solves
+# from 20 modes on, at t = 0.2 from 44 (36 for Dirichlet)
+README_SURVEY = [
+    (2, COS2T, alpha, kind, modes, t)
+    for t, modes in ((0.1, 20), (0.2, 44))
+    for alpha, kind in ((1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN))
+]
+NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)(e[-+]?\d+)?")
+
+
+def test_eigen_integrals_at_16_nodes_match_finer_rules_and_end_as_before(monkeypatch):
+    # each case solved at 16 nodes per ray and at the former rule: the
+    # integrals match modes + 40 nodes, and the case ends the same way, with
+    # lam to the bit or the same failure up to its numbers
+    rule, real = oracle_solver._quad_sizes, oracle_solver._integrals
+    gaps = []
+
+    def compared(sol, n_theta, n_rho):
+        out = real(sol, n_theta, n_rho)
+        fine = real(sol, n_theta, sol.modes + 40)
+        gaps.append(max(abs(a - b) / abs(b) for a, b in zip(out[:3], fine[:3])))
+        return out
+
+    def ending(case, quad_sizes, integrals):
+        n, N, alpha, kind, modes, t = case
+        monkeypatch.setattr(oracle_solver, "_quad_sizes", quad_sizes)
+        monkeypatch.setattr(oracle_solver, "_integrals", integrals)
+        try:
+            sol = solve_perturbed_eigen(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes, kind)
+        except ArithmeticError as error:
+            return NUMBER.sub("#", str(error))
+        return float(sol.lam).hex()
+
+    outcomes = {"solved": 0, "failed": 0}
+    for case in [*itertools.islice(eigen_survey(np.random.default_rng(2501)), 32), *README_SURVEY]:
+        now, before = ending(case, rule, compared), ending(case, former_quad_sizes, real)
+        if now != before:
+            # n = 2 or 3 Dirichlet at few modes: the fitted u dips below zero
+            # within 0.1% of the boundary, which the former outermost node
+            # (rho/r = 0.9994) sees and the 16-node one (0.9947) does not;
+            # the Rayleigh check rejects the same solve
+            assert "changes sign" in before and now.startswith("Rayleigh quotient"), case
+        outcomes["solved" if now.startswith("0x") else "failed"] += 1
+    assert max(gaps) <= 1e-13
     assert min(outcomes.values()) > 0, outcomes
 
 
