@@ -60,7 +60,7 @@ from .sphere_geometry import (
 OVERSAMPLE = 4
 RESIDUAL_LIMIT = 1e-6
 CONDITION_LIMIT = 1e14
-_PARABOLA_STEPS = 8  # sigma^2 refine steps before `_sigma_sq_min` gives up
+_SECANT_STEPS = 8  # secant steps before `_slope_root` gives up
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ class OracleSolution:
     condition: float
     energy: float
     _scale: float
-    sigma_evals: int = 0  # sigma(lam) evaluations: grid walk plus refine
+    sigma_evals: int = 0  # slope evaluations of the secant search, each one SVD
     sigma_min: float = math.nan  # sigma at the located lam
 
     @property
@@ -455,100 +455,64 @@ def solve_perturbed_torsion(
     return sol
 
 
-def _orthonormal_rows(B: np.ndarray, M: np.ndarray):
-    """(boundary block of Q, R, column norms, kept columns) of the QR of the
-    stacked (boundary; interior) samples.  Columns are rescaled to unit norm,
-    so tiny natural scales cost nothing; only underflowed (exactly zero)
-    columns are dropped."""
+def _subspace_vector(B: np.ndarray, M: np.ndarray):
+    """(sigma, coefficients c, condition estimate, Bc, Mc) of the stacked
+    (boundary; interior) samples.
+
+    Columns are rescaled to unit norm before the QR, so tiny natural scales
+    cost nothing; only underflowed (exactly zero) columns are dropped.  sigma
+    is the smallest singular value of the orthonormalized boundary block:
+    the smallest angle between the trial space and boundary-vanishing
+    fields, small iff some trial combination nearly vanishes on the boundary
+    while staying of unit size inside.  c is its right singular vector taken
+    back through R, so that |Bc|^2 + |Mc|^2 = 1 and |Bc| = sigma; Bc and Mc
+    come from the orthonormal factor, not from B @ c."""
     S = np.vstack([B, M])
     norms = np.linalg.norm(S, axis=0)
     keep = norms > 0.0
     Q, R = np.linalg.qr(S[:, keep] / norms[keep])
-    return Q[: B.shape[0]], R, norms, keep
-
-
-def _subspace_sigma(B: np.ndarray, M: np.ndarray) -> float:
-    """Smallest angle between the trial space and boundary-vanishing fields:
-    the smallest singular value of the orthonormalized boundary block, small
-    iff some trial combination nearly vanishes on the boundary while staying
-    of unit size inside.  The lam search reads only this value."""
-    return float(np.linalg.svd(_orthonormal_rows(B, M)[0], compute_uv=False)[-1])
-
-
-def _subspace_vector(B: np.ndarray, M: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(sigma, coefficients, condition estimate) at the located lam."""
-    Qb, R, norms, keep = _orthonormal_rows(B, M)
-    _, svals, vt = np.linalg.svd(Qb, full_matrices=False)
+    rows = B.shape[0]
+    _, svals, vt = np.linalg.svd(Q[:rows], full_matrices=False)
     diag = np.abs(np.diagonal(R))
     condition = float(diag.max() / max(diag.min(), 1e-300))
     y = np.linalg.solve(R, vt[-1])
     coeffs = np.zeros(norms.shape[0])
     coeffs[keep] = y / norms[keep]
-    return float(svals[-1]), coeffs, condition
+    Sc = Q @ vt[-1]
+    return float(svals[-1]), coeffs, condition, Sc[:rows], Sc[rows:]
 
 
-def _grid_bracket(f, grid: np.ndarray, start: int) -> int | None:
-    """Index of the first grid point below both neighbours on a walk that
-    steps strictly downhill in f from the interior point grid[start], one
-    point at a time.
-
-    The first step goes to the lower neighbour; every later step only needs
-    the next point ahead, because the one behind is higher.  Returns None
-    when the walk reaches either end of the grid, or when a tie (two equal
-    neighbouring values) leaves no strictly lower way on.  Calls f at most
-    len(grid) times."""
-    last = len(grid) - 1
-    here, below, above = f(grid[start]), f(grid[start - 1]), f(grid[start + 1])
-    if here < below and here < above:
-        return start
-    if below < here and below < above:
-        step, here = -1, below
-    elif above < here and above < below:
-        step, here = 1, above
-    else:
-        return None
-    i = start + step
-    while 0 < i < last:
-        ahead = f(grid[i + step])
-        if ahead > here:
-            return i
-        if not ahead < here:
-            return None
-        i, here = i + step, ahead
-    return None
-
-
-def _sigma_sq_min(f, a: float, m: float, b: float, spacing: float) -> float:
-    """Minimiser of sigma = f on [a, b], given f(m) below f(a) and f(b).
+def _slope_root(slope, lam0: float) -> tuple[float, int]:
+    """(lam*, slope evaluations): the root of slope(lam) = d sigma^2 / d lam
+    by secant steps.
 
     Near a simple eigenvalue sigma^2 is the parabola
-    c^2 (lam - lam*)^2 + floor^2, so the refine interpolates sigma^2, not
-    sigma.  From x = m, each step moves x to the vertex of the parabola
-    through x, x + h and x + 2h, h = `spacing` towards the larger side of
-    [a, b]: samples on one side of lam* fit sigma^2 exactly even when the
-    slopes on the two sides differ.  The answer is the vertex of the first
-    step no longer than `spacing`, not the lowest sample, whose place among
-    samples that close rounding in sigma decides.
-    """
-
-    def g(x: float) -> float:
-        return f(x) ** 2
-
-    if not g(m) < min(g(a), g(b)):
-        raise ArithmeticError(f"sigma has no interior minimum in [{a!r}, {b!r}]")
-    x = m
-    for _ in range(_PARABOLA_STEPS):
-        h = spacing if b - x > x - a else -spacing
-        g0, g1, g2 = g(x), g(x + h), g(x + 2.0 * h)
-        second = g2 - 2.0 * g1 + g0
-        if not second > 0.0:
-            raise ArithmeticError(f"sigma^2 is not convex near lam = {x!r}")
-        last, x = x, x + h * (0.5 - (g1 - g0) / second)
-        if not a <= x <= b:
-            raise ArithmeticError(f"sigma^2 vertex {x!r} left [{a!r}, {b!r}]")
-        if abs(x - last) <= spacing:
-            return x
-    raise ArithmeticError(f"sigma^2 vertex did not settle near lam = {x!r}")
+    c^2 (lam - lam*)^2 + floor^2, so its slope is linear in lam and a secant
+    through two slopes lands on lam* in one step.  The first pair is lam0
+    and lam0 (1 -+ 0.02), downhill from lam0.  The answer is the next
+    iterate x once |x - b| <= 1e-8 lam0 for a pair (a, b) no wider than
+    1e-5 lam0: a secant through a far point can step that little and still
+    miss lam* by 1e-10 relative.  A step of at most 1e-13 lam0 ends the
+    search from any pair: then the slope of the last point is rounding, as
+    at t = 0, where lam* = lam0.  An iterate outside [0.6, 1.5] lam0, a
+    secant slope that is not positive (so not a minimum of sigma), or no
+    answer within _SECANT_STEPS steps raises."""
+    a, s_a = lam0, slope(lam0)
+    b = lam0 * (0.98 if s_a > 0.0 else 1.02)
+    s_b = slope(b)
+    for evals in range(2, 2 + _SECANT_STEPS):
+        rise = (s_b - s_a) / (b - a)
+        x = float(b - s_b / rise) if rise > 0.0 else math.nan
+        if not 0.6 * lam0 <= x <= 1.5 * lam0:
+            break
+        step = abs(x - b)
+        if step <= 1e-13 * lam0 or (step <= 1e-8 * lam0 and abs(b - a) <= 1e-5 * lam0):
+            return x, evals
+        a, s_a, b, s_b = b, s_b, x, slope(x)
+    raise ArithmeticError(
+        "root isolation failed: no interior singular-value minimum "
+        f"near lam = {lam0:.6g}"
+    )
 
 
 def solve_perturbed_eigen(
@@ -561,24 +525,23 @@ def solve_perturbed_eigen(
     the Robin (du/dnu + alpha u = 0) or Dirichlet (u = 0) condition.
 
     The boundary-condition collocation matrix B(lam) is built from wave
-    ansatz elements; lam is located by minimizing its smallest singular
-    value sigma(lam) near the ball value lam0.  A walk on the grid
-    lam0 * linspace(0.6, 1.5, 37) steps strictly downhill in sigma from
-    lam0 to the first point below both neighbours (`_grid_bracket`); that
-    point and its neighbours bracket the refine (`_sigma_sq_min`: sigma^2
-    parabolas at spacing 1e-8 lam0).  The ground-state check
+    ansatz elements, with interior samples M(lam) next to it; lam is the
+    minimum near the ball value lam0 of sigma(lam)^2, the minimum over c of
+    |Bc|^2 / (|Bc|^2 + |Mc|^2) (`_subspace_vector`).  At the minimizing c
+    the envelope theorem gives its slope exactly from the lam-derivatives
+    of the rows, and `_slope_root` takes secant steps on that slope from
+    lam0, inside the window [0.6, 1.5] lam0.  The ground-state check
     (u > 0 at every interior node) and the Rayleigh quotient of the
     reconstructed eigenfunction, which must reproduce lam to 1e-8, prove
-    that the minimum found is the first eigenvalue.  Both read
-    `_integrals` on the rule of `_quad_sizes`, 16 Gauss nodes on each ray:
-    a higher mode changes sign on whole lobes, which those nodes sample.
-    They reach rho/r = 0.9947, not 0.9994 as the former 48 did, so a
-    low-mode Dirichlet fit whose u dips below zero only closer to the
-    boundary fails the Rayleigh check instead (7 of 92 Dirichlet
-    solves in the survey of `_quad_sizes`; the same solves pass, with the
-    same lam).  The coefficients c are L2-normalized with the sign that
-    makes the sum of u over the interior nodes positive, and the residual
-    is max |B(lam) c|.
+    that the minimum found is the first eigenvalue; both run, and a failure
+    reports both outcomes.  Both read `_integrals` on the rule of
+    `_quad_sizes`, 16 Gauss nodes on each ray: a higher mode changes sign
+    on whole lobes, which those nodes sample.  They reach rho/r = 0.9947,
+    so a low-mode Dirichlet fit whose u dips below zero only closer to the
+    boundary passes the ground-state check and fails the Rayleigh check.
+    The coefficients c are L2-normalized with the sign that makes the sum
+    of u over the interior nodes positive, and the residual is
+    max |B(lam) c|.
     """
     bd, degrees, T, dT = _collocation(d, modes)
     if kind == ROBIN_EIGEN:
@@ -593,38 +556,41 @@ def solve_perturbed_eigen(
     # every other boundary angle
     int_r = bd.r[::2]
     T_in = np.hstack([T[:, ::2], T[:, ::2]])
-    # one radial table per sigma evaluation, boundary points first
+    # one radial table per evaluation, boundary points first
     rho = np.concatenate([bd.r, 0.45 * int_r, 0.8 * int_r])
     on_bd = slice(0, bd.r.size)
     inside = slice(bd.r.size, None)
+    orders = np.arange(modes + 1.0)[:, None]
 
-    def matrices(lam: float) -> tuple[np.ndarray, np.ndarray]:
-        # the Dirichlet rows need no derivative table
-        f, df = _radial_wave(d.n, modes, lam, rho, derivative=kind != DIRICHLET_EIGEN)
+    def rows(f, df) -> tuple[np.ndarray, np.ndarray]:
+        # (B, M) from the radial tables; the Dirichlet rows need no df
         Rf = f[degrees]
         M = (Rf[:, inside] * T_in).T
         if kind == DIRICHLET_EIGEN:
             return (Rf[:, on_bd] * T).T, M
         return _robin_rows(bd, alpha, Rf[:, on_bd], df[degrees][:, on_bd], T, dT), M
 
-    @functools.lru_cache(maxsize=None)
-    def sigma_at(lam: float) -> float:
-        return _subspace_sigma(*matrices(lam))
+    def slope(lam: float) -> float:
+        # the rows are linear in the radial tables, so B_lam and M_lam are
+        # rows() of df/dlam = (rho / 2 lam) df/drho and, by Bessel's
+        # equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
+        # - (n-2) (df/drho) / lam] / 2
+        f, df = _radial_wave(d.n, modes, lam, rho)
+        _, c, _, Bc, Mc = _subspace_vector(*rows(f, df))
+        df_lam = None
+        if kind != DIRICHLET_EIGEN:
+            k_term = orders * (orders + (d.n - 2)) / (lam * rho)
+            df_lam = ((k_term - rho) * f - ((d.n - 2) / lam) * df) / 2.0
+        dB, dM = rows(rho / (2.0 * lam) * df, df_lam)
+        b, m = Bc @ Bc, Mc @ Mc
+        # the envelope theorem: d/dlam of |Bc|^2 / (|Bc|^2 + |Mc|^2) at fixed c
+        return 2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2
 
-    grid = lam0 * np.linspace(0.6, 1.5, 37)
-    best = _grid_bracket(sigma_at, grid, 16)  # grid[16] is lam0 itself
-    if best is None:
-        raise ArithmeticError(
-            "root isolation failed: no interior singular-value minimum "
-            f"near lam = {lam0:.6g}"
-        )
-    # library minimizers stop at sqrt(eps)|x|, too coarse for clean second
-    # differences of lam(t); the parabola vertex settles to rounding
-    lam = _sigma_sq_min(
-        sigma_at, grid[best - 1], grid[best], grid[best + 1], 1e-8 * lam0
-    )
-    B, M = matrices(lam)
-    sigma_min, coeffs, condition = _subspace_vector(B, M)
+    # library minimizers of sigma stop at sqrt(eps)|x|, too coarse for clean
+    # second differences of lam(t); the root of the slope settles to rounding
+    lam, evals = _slope_root(slope, lam0)
+    B, M = rows(*_radial_wave(d.n, modes, lam, rho, derivative=kind != DIRICHLET_EIGEN))
+    sigma_min, coeffs, condition, _, _ = _subspace_vector(B, M)
     if condition > CONDITION_LIMIT:
         raise ArithmeticError(
             f"degenerate collocation basis near lam = {lam:.6g} "
@@ -642,7 +608,7 @@ def solve_perturbed_eigen(
         condition=condition,
         energy=lam,
         _scale=1.0,
-        sigma_evals=sigma_at.cache_info().misses,
+        sigma_evals=evals,
         sigma_min=sigma_min,
     )
     n_theta, n_rho = _quad_sizes(modes)
@@ -650,20 +616,20 @@ def solve_perturbed_eigen(
     # the ground state has one sign: make it positive on the interior nodes
     norm = math.copysign(math.sqrt(int_u_sq), float(np.sum(u_in)))
     sol.coefficients = coeffs / norm
-    # only the first eigenfunction keeps one sign: a higher mode found in
-    # the lam window changes sign somewhere on the interior grid
+    # only the first eigenfunction keeps one sign (a higher mode found in
+    # the lam window changes sign somewhere on the interior grid), and its
+    # Rayleigh quotient must reproduce lam; a failure reports both checks
     u_min = float(np.min(u_in / norm))
-    if not u_min > 0.0:
-        raise ArithmeticError(
-            f"eigenfunction at lam = {lam!r} changes sign inside the domain "
-            f"(min u = {u_min:.3e} on the interior quadrature nodes), so it "
-            "is not the first eigenvalue"
-        )
     rayleigh = (int_grad_sq + alpha * bd_u_sq) / int_u_sq
-    if abs(rayleigh - lam) > 1e-8 * max(1.0, abs(lam)):
+    one_sign = u_min > 0.0
+    matches = abs(rayleigh - lam) <= 1e-8 * max(1.0, abs(lam))
+    if not (one_sign and matches):
+        sign = "keeps one sign" if one_sign else "changes sign inside the domain"
         raise ArithmeticError(
-            f"Rayleigh quotient {rayleigh!r} disagrees with the located "
-            f"eigenvalue {lam!r}"
+            f"lam = {lam!r} is not shown to be the first eigenvalue: the "
+            f"eigenfunction {sign} (min u = {u_min:.3e} on the interior "
+            f"quadrature nodes) and its Rayleigh quotient {rayleigh!r} "
+            f"{'matches' if matches else 'disagrees with'} lam"
         )
 
     # the boundary-condition rows at lam* applied to the normalized u

@@ -440,10 +440,13 @@ def dirichlet_variations(n: int, R: float, N: BoundaryFunction) -> VariationRepo
 
     ur_eig, ur_tor = eig.boundary_slope(), -R / n
     modes: dict[int, float] = {}
+    beta: dict[int, float] = {}  # beta_s + (n-1)/R, one Bessel ratio per degree
     lam_ddot_half = Q_tor = eddot_tor = 0.0
     for (s, _i), bv in b.items():
+        if s not in beta:
+            beta[s] = spec.log_derivative(s) + (n - 1) / R
         c = -ur_eig * bv
-        term = c * c * (spec.log_derivative(s) + (n - 1) / R)
+        term = c * c * beta[s]
         lam_ddot_half += term
         modes[s] = modes.get(s, 0.0) + 2.0 * term
         cc = (ur_tor * bv) * (ur_tor * bv)

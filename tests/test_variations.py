@@ -493,6 +493,28 @@ def test_robin_eigenvalue_closed_forms_tend_to_dirichlet(n, R):
     assert np.all(fine <= coarse / 5.0)
 
 
+def test_dirichlet_takes_one_bessel_ratio_per_degree(monkeypatch):
+    # five terms on degrees 2, 3 and 4, plus the degree-1 ground-state
+    # coefficient: four ratios
+    real = SteklovSpectrum.log_derivative
+    calls = []
+
+    def counted(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(SteklovSpectrum, "log_derivative", counted)
+    N = {(2, 0): 0.7, (2, 1): -0.2, (3, 0): 0.4, (3, 1): 0.1, (4, 1): 0.05}
+    rep = dirichlet_variations(2, 1.0, N)
+    assert sorted(calls) == [1, 2, 3, 4]
+    monkeypatch.undo()
+    eig = solve_dirichlet_eigen_ball(2, 1.0)
+    spec = SteklovSpectrum(eig)
+    c2 = {si: (eig.boundary_slope() * b) ** 2 for si, b in N.items()}
+    want = 2.0 * sum(c * (spec.log_derivative(s) + 1.0) for (s, _), c in c2.items())
+    assert rep.Eddot0 == pytest.approx(want, rel=1e-13)
+
+
 def test_dirichlet_requires_mean_free():
     with pytest.raises(ValueError, match="mean-free"):
         dirichlet_variations(2, 1.0, {(0, 0): 1.0})
