@@ -33,7 +33,6 @@ from .special_functions import (
     HarmonicBasis,
     SphereQuadrature,
     bessel_j,
-    bessel_j_derivative,
     bessel_j_zeros,
     harmonic_indices,
     lb_eigen,
@@ -102,7 +101,6 @@ __all__ = [
     "TORSION",
     "VariationReport",
     "bessel_j",
-    "bessel_j_derivative",
     "bessel_j_zeros",
     "classify_torsion_sign",
     "dirichlet_eigenvalue",

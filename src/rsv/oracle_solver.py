@@ -11,11 +11,14 @@ independent of the in-repo special-function stack it is meant to check.
 Its Bessel tables take scipy's values at the two top orders and fill the
 lower orders by the standard downward recurrence (`_bessel_table`), not
 by the in-repo Miller code, so scipy stays the only source of values.
-Its Gauss rules (polar angles for n = 3, radii of the eigenfunction
-integrals) are numpy's `leggauss`, taken through the cached
-`special_functions.gauss_legendre`, which only stores numpy's arrays.
-A torsion state is a polynomial on each ray, so its radial integrals are
-taken in closed form (`_torsion_integrals`), with no radial nodes.
+Its Gauss rules are numpy's `leggauss`: the polar angles come from
+`special_functions.polar_rule`, the one rule that `SphereQuadrature` also
+takes (the trapezoid rule for n = 2, Gauss-Legendre in cos(theta) for
+n = 3, whose weights sum to 4 pi to rounding), and the radii of the
+eigenfunction integrals from the cached `special_functions.gauss_legendre`,
+which only stores numpy's arrays.  A torsion state is a polynomial on each
+ray, so its radial integrals are taken in closed form (`_torsion_integrals`)
+on the collocation boundary, with no radial nodes and no second grid.
 The domain itself (r and dr/dtheta on the boundary) comes from
 `StarDomain.radius`, which defines the perturbed domain and is not shape
 calculus.  The oracle uses neither `steklov` nor `variations`, and its
@@ -48,7 +51,7 @@ from .radial_solutions import (
     solve_dirichlet_eigen_ball,
     solve_robin_eigen_ball,
 )
-from .special_functions import gauss_legendre
+from .special_functions import gauss_legendre, polar_rule
 from .sphere_geometry import (
     PerturbationField,
     StarDomain,
@@ -74,23 +77,10 @@ def _directions_from_theta(n: int, theta: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
 
 
-def _theta_grid(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and weights so that sum w f(theta) integrates over the sphere
-    of directions (the 2 pi azimuthal factor is included for n = 3)."""
-    if n == 2:
-        theta = 2.0 * math.pi * np.arange(count) / count
-        w = np.full(count, 2.0 * math.pi / count)
-        return theta, w
-    x, wx = gauss_legendre(count)
-    theta = 0.5 * math.pi * (x + 1.0)
-    w = 2.0 * math.pi * 0.5 * math.pi * wx * np.sin(theta)
-    return theta, w
-
-
 @dataclass
 class _Boundary:
     theta: np.ndarray
-    w: np.ndarray  # angular weights of `_theta_grid`
+    w: np.ndarray  # angular weights of `polar_rule`
     r: np.ndarray
     nu_rho: np.ndarray  # radial component of the outward normal
     nu_theta: np.ndarray  # polar-tangent component
@@ -98,7 +88,7 @@ class _Boundary:
 
 
 def _boundary(d: StarDomain, count: int) -> _Boundary:
-    theta, w = _theta_grid(d.n, count)
+    theta, w = polar_rule(d.n, count)
     dirs = _directions_from_theta(d.n, theta)
     r = d.radius(dirs)
     rp = d.radius(dirs, "theta")
@@ -113,7 +103,7 @@ def _interior(bd: _Boundary, n: int, n_rho: int):
     xg, wg = gauss_legendre(n_rho)
     rho = 0.5 * bd.r[:, None] * (xg[None, :] + 1.0)
     weight = 0.5 * bd.r[:, None] * wg[None, :] * rho ** (n - 1) * bd.w[:, None]
-    # _theta_grid already carries sin(theta) and the azimuthal factor for n=3
+    # polar_rule's weights already carry the azimuthal factor for n=3
     return rho, weight
 
 
@@ -152,9 +142,9 @@ def _angular_parts(n: int, modes: int, theta: np.ndarray):
 
 @functools.lru_cache(maxsize=16)
 def _grid_angular_parts(n: int, modes: int, count: int):
-    """`_angular_parts` on the angles of `_theta_grid(n, count)`, which every
+    """`_angular_parts` on the angles of `polar_rule(n, count)`, which every
     boundary of that size shares; read-only, kept per grid."""
-    parts = _angular_parts(n, modes, _theta_grid(n, count)[0])
+    parts = _angular_parts(n, modes, polar_rule(n, count)[0])
     for table in parts:
         table.flags.writeable = False
     return parts
@@ -341,11 +331,6 @@ def _integrals(sol: OracleSolution, n_theta: int, n_rho: int):
     return int_grad_sq, int_u_sq, bd_u_sq, u_in
 
 
-def _angle_count(modes: int) -> int:
-    """Boundary angles (and rays) of the integrals of a solve."""
-    return max(64, 4 * modes + 16)
-
-
 def _quad_sizes(modes: int) -> tuple[int, int]:
     """Angles and Gauss nodes per ray of the eigen `_integrals`.
 
@@ -355,16 +340,17 @@ def _quad_sizes(modes: int) -> tuple[int, int]:
     every basis size: on a seeded survey (8 to 40 modes, |t| <= 0.1, and
     the README family at 20 to 60 modes) the three integrals agree with
     modes + 40 nodes to 1.02e-14 relative, as the former max(48, modes + 8)
-    nodes did (1.44e-14).  The angles are not cut: 32 polar nodes leave n = 3
-    integrals 4e-10 off.  The ground-state check of `solve_perturbed_eigen`
-    samples u on these interior nodes."""
-    return _angle_count(modes), 16
+    nodes did (1.44e-14).  The angles are not cut, although on `polar_rule`
+    32 polar nodes already leave n = 3 survey integrals 7e-15 off 800
+    angles (the former Gauss rule in theta: 3.8e-10).  The ground-state
+    check of `solve_perturbed_eigen` samples u on these interior nodes."""
+    return max(64, 4 * modes + 16), 16
 
 
-def _torsion_integrals(sol: OracleSolution, n_theta: int):
+def _torsion_integrals(sol: OracleSolution, bd: _Boundary):
     """(int u dx, int |grad u|^2 dx, boundary int u^2 dS) of a torsion
-    state, exact along each ray; only the angular rule of `_theta_grid`
-    remains.
+    state, exact along each ray; only the angular rule of `polar_rule`
+    remains, on the rays of `bd`, the boundary the collocation fitted.
 
     On the ray of angle theta_i, which meets the boundary at r_i, u is a
     polynomial in s = rho / r_i: u = sum_k a_ki s^k, with the harmonic terms
@@ -376,8 +362,7 @@ def _torsion_integrals(sol: OracleSolution, n_theta: int):
     where H_kl = 1 / (k + l + n - 2) for k, l >= 1 (v_0 = b_0 = 0), and u at
     the boundary point is sum_k a_ki."""
     n = sol.n
-    bd = _boundary(sol.domain, n_theta)
-    degrees, T, dT = _grid_angular_parts(n, sol.modes, n_theta)
+    degrees, T, dT = _grid_angular_parts(n, sol.modes, bd.theta.size)
     top = max(sol.modes, 2)
     # the coefficients summed by degree: row k holds those of degree k
     by_degree = np.zeros((top + 1, degrees.size))
@@ -445,7 +430,7 @@ def solve_perturbed_torsion(
         energy=math.nan,
         _scale=scale,
     )
-    int_u, int_grad_sq, bd_u_sq = _torsion_integrals(sol, _angle_count(modes))
+    int_u, int_grad_sq, bd_u_sq = _torsion_integrals(sol, bd)
     sol.energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
     # weak form: testing the PDE with u itself gives E = -int u
     if abs(sol.energy + int_u) > 1e-9 * max(1.0, abs(sol.energy)):
@@ -654,9 +639,6 @@ class Derivatives:
     d2: float
     d1_error: float
     d2_error: float
-
-    def __iter__(self):
-        return iter((self.d1, self.d2))
 
 
 def finite_difference_derivatives(

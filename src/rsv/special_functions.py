@@ -106,13 +106,6 @@ def bessel_j(order: float, x: float) -> float:
     return c_nu * (j1 / c_1) * root
 
 
-def bessel_j_derivative(order: float, x: float) -> float:
-    """d/dx J_order(x) via J'_nu = (nu/x) J_nu - J_{nu+1} (x > 0)."""
-    if x <= 0:
-        raise ValueError("derivative evaluated only for x > 0")
-    return (order / x) * bessel_j(order, x) - bessel_j(order + 1.0, x)
-
-
 def bessel_j_zeros(order: float, count: int) -> list[float]:
     """First `count` positive zeros of J_order, by sign-change scan + bisection."""
     step = 0.05  # sign-change scan step
@@ -411,13 +404,31 @@ def default_quad_order() -> int:
     return order
 
 
+def polar_rule(n: int, count: int, azimuths: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """`count` polar angles theta_k and weights w_k of the sphere rules.
+
+    n=2: the trapezoid rule theta_k = 2 pi k / count, w_k = 2 pi / count.
+    n=3: Gauss-Legendre in cos(theta), theta_k = arccos(x_k) for numpy's
+    `leggauss` nodes x_k, with w_k = 2 pi g_k / azimuths for its weights
+    g_k: over `azimuths` equispaced azimuths the sum of w_k f(theta_k, phi)
+    integrates f over S^2, and at the default of one azimuth
+    sum w_k f(theta_k) integrates a function of theta alone.  The rule is
+    exact for polynomials in cos(theta) of degree below 2 count, so the
+    weights sum to 4 pi to rounding.  SphereQuadrature and the oracle's
+    collocation and integrals take their polar angles from here."""
+    if n == 2:
+        return 2.0 * math.pi * np.arange(count) / count, np.full(count, 2.0 * math.pi / count)
+    x, g = gauss_legendre(count)
+    return np.arccos(x), g * (2.0 * math.pi / azimuths)
+
+
 class SphereQuadrature:
     """Quadrature nodes/weights on the unit sphere S^{n-1}.
 
     n=2: trapezoid rule on the circle (spectrally accurate for periodic
-    integrands).  n=3: Gauss-Legendre in cos(theta) x trapezoid in phi.
-    `weights` sum to the sphere measure (2 pi or 4 pi).  The order defaults
-    to `default_quad_order()`.
+    integrands).  n=3: Gauss-Legendre in cos(theta) x trapezoid in phi;
+    both factors are `polar_rule`'s.  `weights` sum to the sphere measure
+    (2 pi or 4 pi).  The order defaults to `default_quad_order()`.
     """
 
     def __init__(self, n: int, order: int | None = None):
@@ -427,15 +438,12 @@ class SphereQuadrature:
         self.n = n
         self.order = order
         if n == 2:
-            theta = 2.0 * math.pi * np.arange(order) / order
-            self.theta = theta
+            self.theta, self.weights = polar_rule(2, order)
             self.phi = None
-            self.directions = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            self.weights = np.full(order, 2.0 * math.pi / order)
+            self.directions = np.stack([np.cos(self.theta), np.sin(self.theta)], axis=-1)
         else:
-            x, w = gauss_legendre(order)
-            theta_1d = np.arccos(x)
-            phi_1d = 2.0 * math.pi * np.arange(order) / order
+            theta_1d, w = polar_rule(3, order, azimuths=order)
+            phi_1d = polar_rule(2, order)[0]
             theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")
             self.theta = theta.ravel()
             self.phi = phi.ravel()
@@ -444,8 +452,7 @@ class SphereQuadrature:
                 [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)],
                 axis=-1,
             )
-            wt = np.repeat(w, order) * (2.0 * math.pi / order)
-            self.weights = wt
+            self.weights = np.repeat(w, order)
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the unit sphere of a function sampled at the nodes."""

@@ -2,11 +2,15 @@
 integer and half-integer orders shared one downward recurrence, kept
 verbatim as the bit reference for that loop.
 
-`bessel_j_reference` dispatches between them exactly as `bessel_j` did."""
+`bessel_j_reference` dispatches between them exactly as `bessel_j` did.
+`bessel_j_derivative` is the derivative of the in-repo `bessel_j`, which
+only tests take."""
 
 from __future__ import annotations
 
 import math
+
+from rsv.special_functions import bessel_j
 
 _HALF_INT_TOL = 1e-12
 
@@ -111,3 +115,10 @@ def bessel_j_reference(order: float, x: float) -> float:
             return 0.0
         return _spherical_jl(ell, x) * math.sqrt(2.0 * x / math.pi)
     raise ValueError(f"order {order} is neither integer nor half-integer")
+
+
+def bessel_j_derivative(order: float, x: float) -> float:
+    """d/dx J_order(x) via J'_nu = (nu/x) J_nu - J_{nu+1} (x > 0)."""
+    if x <= 0:
+        raise ValueError("derivative evaluated only for x > 0")
+    return (order / x) * bessel_j(order, x) - bessel_j(order + 1.0, x)

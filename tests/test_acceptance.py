@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from bessel_reference import bessel_j_derivative
 
 from rsv.oracle_solver import (
     eigenvalue_curve,
@@ -28,7 +29,6 @@ from rsv.radial_solutions import (
 from rsv.special_functions import (
     HarmonicBasis,
     bessel_j,
-    bessel_j_derivative,
     spherical_harmonic,
 )
 from rsv.sphere_geometry import (

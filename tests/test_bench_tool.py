@@ -1,7 +1,8 @@
-"""`tools/bench.py` reads perfbench's final JSON line; nothing here runs
-the benchmark."""
+"""`tools/bench.py` reads perfbench's final JSON line and its result files;
+nothing here runs the benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,58 @@ def test_compare_keeps_workloads_apart_and_skips_unpaired_runs(bench):
 def test_end_to_end_metrics_come_from_the_benchmark_file(bench):
     names = {m["name"]: m["better"] for m in bench.end_to_end_metrics()}
     assert names["cases_per_ref_s"] == "higher" and names["peak_rss_mb"] == "lower"
+
+
+def write_result(root, workload, seed, cases):
+    """A perfbench result file under `root` holding `cases`, each given as
+    (case id, digits, cpu_s)."""
+    path = root / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    records = [{"case": c, "digits": d, "cpu_s": s, "ok": True} for c, d, s in cases]
+    env = {"pinned_env": {"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}}
+    path.write_text(json.dumps({"environment": env, "cases": records}))
+
+
+def test_compare_cases_pairs_case_ids_both_sides_ran(bench, tmp_path):
+    change, base = tmp_path / "change", tmp_path / "base"
+    # the change ran one round more on seed 1; seed 2 has no base file
+    write_result(change, "eigen-reports", 1, [
+        ("r0-00-n2-sweep", 9.5, 0.10), ("r0-01-n3-sweep", 10.0, 0.20),
+        ("r1-00-n2-sweep", 12.0, 0.30), ("r1-01-n3-steklov", None, 0.01),
+        ("r2-00-n2-sweep", 1.0, 0.50),
+    ])
+    write_result(base, "eigen-reports", 1, [
+        ("r0-00-n2-sweep", 9.0, 0.12), ("r0-01-n3-sweep", 10.0, 0.18),
+        ("r1-00-n2-sweep", 12.5, 0.34), ("r1-01-n3-steklov", None, 0.02),
+    ])
+    write_result(change, "eigen-reports", 2, [("r0-00-n2-sweep", 9.0, 0.1)])
+    runs = [{"workload": "eigen-reports", "seed": seed} for seed in (1, 2)]
+    got = bench.compare_cases(bench.case_records(change, runs), bench.case_records(base, runs))
+    w = got["eigen-reports"]
+    assert (w["common"], w["same"], w["rose"], w["fell"]) == (4, 2, 1, 1)
+    assert w["largest_fall"] == 0.5
+    # minima over the common cases only: the change's 1.0 of round 2 is not one
+    assert w["min_digits"] == {"1": [9.5, 9.0]}
+    assert w["cpu_s"] == {
+        "n2-sweep": [pytest.approx(0.2), pytest.approx(0.23)],
+        "n3-sweep": [0.2, 0.18],
+        "n3-steklov": [0.01, 0.02],
+    }
+    assert (w["cpu_s_won"], w["cpu_s_lost"]) == (2, 1)
+    text = bench.format_case_comparison(got).splitlines()[1].split()
+    assert text[:6] == ["eigen-reports", "4", "2", "1", "1", "0.5"]
+    assert text[-1] == "1:9.50/9.00"
+    assert bench.blas_threads(change, "eigen-reports", 1) == {"OPENBLAS_NUM_THREADS": "1"}
+    assert bench.blas_threads(base, "eigen-reports", 2) is None
+
+
+def test_a_value_lost_is_a_fall(bench, tmp_path):
+    change, base = tmp_path / "change", tmp_path / "base"
+    write_result(change, "torsion-reports", 3, [("r0-00-n2-surface", None, 0.1)])
+    write_result(base, "torsion-reports", 3, [("r0-00-n2-surface", 11.0, 0.1)])
+    runs = [{"workload": "torsion-reports", "seed": 3}]
+    w = bench.compare_cases(bench.case_records(change, runs), bench.case_records(base, runs))
+    w = w["torsion-reports"]
+    assert (w["same"], w["rose"], w["fell"], w["largest_fall"]) == (0, 0, 1, 0.0)
+    assert w["min_digits"] == {"3": [None, 11.0]}
+    assert (w["cpu_s_won"], w["cpu_s_lost"]) == (0, 0)

@@ -83,15 +83,14 @@ def test_fd_cosine_and_exponential():
     assert fd.d1 == pytest.approx(0.0, abs=1e-12)
     assert fd.d2 == pytest.approx(-1.0, abs=1e-10)
     assert fd.d2_error < 1e-8
-    d1, d2 = finite_difference_derivatives(math.exp, h=1e-2, richardson_levels=2)
-    assert (d1, d2) == (pytest.approx(1.0, abs=1e-10), pytest.approx(1.0, abs=1e-8))
+    fd = finite_difference_derivatives(math.exp, h=1e-2, richardson_levels=2)
+    assert (fd.d1, fd.d2) == (pytest.approx(1.0, abs=1e-10), pytest.approx(1.0, abs=1e-8))
 
 
-def test_fd_unpacks_as_pair():
+def test_fd_returns_a_derivatives_record():
     out = finite_difference_derivatives(math.exp, h=1e-2)
     assert isinstance(out, Derivatives)
-    d1, d2 = out
-    assert d1 == out.d1 and d2 == out.d2
+    assert (out.d1, out.d2) == (pytest.approx(1.0, abs=1e-4), pytest.approx(1.0, abs=1e-4))
 
 
 def test_fd_rejects_bad_arguments():
@@ -123,15 +122,27 @@ def test_unperturbed_disk_matches_ball():
     assert np.max(np.abs(node_by_node_fields(sol, rho, theta)[0] - ball.u(rho))) <= 1e-10
 
 
+@pytest.mark.parametrize("modes", [16, 24, 28])
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 3.0, -0.7])
 @pytest.mark.parametrize("R", [0.7, 1.0, 2.0])
 @pytest.mark.parametrize("n", [2, 3])
-def test_unperturbed_ball_energy_to_the_last_bits(n, R, alpha):
-    # the radial integrals are exact, so only rounding separates the
-    # oracle's energy from the closed form (Gauss rules in rho: 1.1e-14)
+def test_unperturbed_ball_energy_to_the_last_bits(n, R, alpha, modes):
+    # the radial integrals are exact and the polar weights sum to the
+    # sphere's measure, so only rounding separates the oracle's energy from
+    # the closed form (Gauss rules in rho: 1.1e-14; the former Gauss rule in
+    # theta, whose weights missed 4 pi by 6.3e-15 at 28 modes: 6.9e-15)
     sol = solve_torsion_ball(n, R, alpha)
-    oracle = solve_perturbed_torsion(StarDomain(n, R, {}, {}, 0.0), alpha, modes=16)
+    oracle = solve_perturbed_torsion(StarDomain(n, R, {}, {}, 0.0), alpha, modes=modes)
     assert oracle.energy == pytest.approx(sol.energy(), rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_weights_sum_to_the_sphere_measure(n):
+    measure = 2.0 * PI if n == 2 else 4.0 * PI
+    for count in range(8, 401):
+        theta, w = oracle_solver.polar_rule(n, count)
+        assert theta.shape == w.shape == (count,)
+        assert abs(w.sum() - measure) <= 1e-15 * measure, count
 
 
 def test_solves_build_no_sphere_quadrature(monkeypatch):
@@ -177,8 +188,8 @@ def test_torsion_weak_form_disagreement_raises(monkeypatch):
     # must stop the solve instead of returning an energy
     real = oracle_solver._torsion_integrals
 
-    def skewed(sol, n_theta):
-        int_u, *rest = real(sol, n_theta)
+    def skewed(sol, bd):
+        int_u, *rest = real(sol, bd)
         return (int_u * (1.0 + 1e-6), *rest)
 
     monkeypatch.setattr(oracle_solver, "_torsion_integrals", skewed)
@@ -234,9 +245,10 @@ def method_calls(monkeypatch, cls, name):
 
 
 @pytest.mark.parametrize("kind, modes", [(TORSION, 28), (ROBIN_EIGEN, 20)])
-def test_a_solve_samples_the_domain_on_two_grids(monkeypatch, kind, modes):
-    # r and dr/dtheta on the collocation grid and on the quadrature grid,
-    # whose rays also carry the interior nodes
+def test_torsion_samples_the_domain_on_one_grid_and_eigen_on_two(monkeypatch, kind, modes):
+    # r and dr/dtheta on the collocation grid; eigen takes them once more on
+    # its quadrature grid, whose rays also carry the interior nodes, while
+    # torsion integrates on the collocation grid
     radius = method_calls(monkeypatch, StarDomain, "radius")
     fields = method_calls(monkeypatch, oracle_solver.OracleSolution, "_fields")
     d = readme_eigen_domain(0.05)
@@ -244,7 +256,7 @@ def test_a_solve_samples_the_domain_on_two_grids(monkeypatch, kind, modes):
         solve_perturbed_torsion(d, 1.0, modes)
     else:
         solve_perturbed_eigen(d, 1.0, modes)
-    assert len(radius) == 4
+    assert len(radius) == (2 if kind == TORSION else 4)
     # eigen: one integral pass, whose rays end at their boundary points; the
     # sign of the eigenfunction comes from the interior nodes already in
     # hand.  Torsion integrates its polynomials in closed form: no fields.
@@ -644,16 +656,32 @@ TRAP = {
 }
 
 
-@pytest.mark.parametrize(
-    "t, lam_before", [(0.005, 9.869607485628004), (-0.005, 9.869607486382993)]
-)
-def test_secant_lands_where_the_former_search_did_on_n3_dirichlet(t, lam_before):
+def step_only_root(slope, lam0):
+    """`_slope_root` stopping on the first secant step below 1e-8 lam0,
+    however wide the pair it came from."""
+    a, s_a = lam0, slope(lam0)
+    b = lam0 * (0.98 if s_a > 0.0 else 1.02)
+    s_b = slope(b)
+    for evals in range(2, 2 + oracle_solver._SECANT_STEPS):
+        x = b - s_b * (b - a) / (s_b - s_a)
+        if abs(x - b) <= 1e-8 * lam0:
+            return float(x), evals
+        a, s_a, b, s_b = b, s_b, x, slope(x)
+    raise ArithmeticError("no short step")
+
+
+@pytest.mark.parametrize("t", [0.005, -0.005])
+def test_secant_lands_where_the_former_search_did_on_n3_dirichlet(monkeypatch, t):
     # n = 3 Dirichlet, 8 modes: here a secant through lam0 (1 - 0.02) steps
-    # less than 1e-8 lam0 while still 1.5e-10 relative off lam*; lam_before
-    # is the former grid walk and parabola refine
+    # less than 1e-8 lam0 while still 7.7e-11 relative off lam*, so a
+    # step-only stop rule ends too early; the secant lands where the former
+    # full scan and parabola refine, swapped in, do
     d = perturbed_domain(pfield(3, 1.0, TRAP), t)
-    lam = solve_perturbed_eigen(d, None, 8, DIRICHLET_EIGEN).lam
+    lam, lam_before = lam_with(monkeypatch, parabola_refine, d, None, 8, DIRICHLET_EIGEN)
     assert abs(lam - lam_before) <= 1e-14 * lam_before
+    monkeypatch.setattr(oracle_solver, "_slope_root", step_only_root)
+    early = solve_perturbed_eigen(d, None, 8, DIRICHLET_EIGEN).lam
+    assert abs(early - lam_before) >= 1e-11 * lam_before
 
 
 GRID = np.linspace(0.6, 1.5, 37)
@@ -1051,10 +1079,13 @@ def test_integrals_hold_one_basis_by_nodes_buffer(n, N, kind, modes):
     assert peak <= 2.5 * sol.coefficients.size * n_theta * n_rho * 8
 
 
+QUAD_SIZES = oracle_solver._quad_sizes  # kept apart from the tests' swaps
+
+
 def former_quad_sizes(modes):
     """The Gauss rule of the eigen integrals before 16 nodes per ray, which
     the torsion integrals also took before their closed form."""
-    return oracle_solver._angle_count(modes), max(48, modes + 8)
+    return QUAD_SIZES(modes)[0], max(48, modes + 8)
 
 
 def survey_draw(rng, n):
@@ -1086,23 +1117,23 @@ def test_per_ray_torsion_gauss_rule_matches_the_node_by_node_one(n, N, modes):
     # the survey's Gauss reference against the node-by-node one, on the
     # sizes the survey uses
     sol = solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), 0.04), 1.0, modes)
-    for sizes in ((oracle_solver._angle_count(modes), modes + 40), former_quad_sizes(modes)):
+    for sizes in ((QUAD_SIZES(modes)[0], modes + 40), former_quad_sizes(modes)):
         int_u, int_grad_sq, _, bd_u_sq, _ = node_by_node_integrals(sol, *sizes)
         fast = torsion_gauss_integrals(sol, *sizes)
         assert np.allclose(fast, (int_u, int_grad_sq, bd_u_sq), rtol=1e-14, atol=0.0)
 
 
 def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatch):
-    # the closed form against Gauss rules with modes + 40 nodes per ray,
-    # which are exact for these polynomials up to rounding; and the
-    # weak-form check against the one the former Gauss rules gave
-    # on the same coefficients
+    # the closed form against Gauss rules with modes + 40 nodes per ray on
+    # the collocation angles it integrates on, which are exact for these
+    # polynomials up to rounding; and the weak-form check against the one
+    # the former Gauss rules gave on the same coefficients
     real = oracle_solver._torsion_integrals
     calls = []
 
-    def recorded(sol, n_theta):
-        out = real(sol, n_theta)
-        calls.append((sol, n_theta, out))
+    def recorded(sol, bd):
+        out = real(sol, bd)
+        calls.append((sol, bd.theta.size, out))
         return out
 
     monkeypatch.setattr(oracle_solver, "_torsion_integrals", recorded)
@@ -1226,7 +1257,7 @@ def test_eigen_solution_lam_is_a_python_float():
 def test_grid_angular_tables_are_kept_read_only():
     parts = oracle_solver._grid_angular_parts(2, 12, 100)
     assert parts is oracle_solver._grid_angular_parts(2, 12, 100)
-    theta = oracle_solver._theta_grid(2, 100)[0]
+    theta = oracle_solver.polar_rule(2, 100)[0]
     for table, fresh in zip(parts, oracle_solver._angular_parts(2, 12, theta)):
         assert not table.flags.writeable
         assert np.array_equal(table, fresh)
@@ -1250,15 +1281,16 @@ def _rsv_imports(source: str):
 
 # every in-repo name the oracle may import: the kind constants and the two
 # ball solvers that centre the eigenvalue search, numpy's Gauss rule as
-# cached by `special_functions`, and the perturbed domain with its exact
-# volume and area
+# cached by `special_functions` and the polar rule built on it (shared with
+# `SphereQuadrature`), and the perturbed domain with its exact volume and
+# area
 ORACLE_IMPORTS = {
     ("radial_solutions", name)
     for name in (
         "TORSION", "ROBIN_EIGEN", "DIRICHLET_EIGEN",
         "solve_robin_eigen_ball", "solve_dirichlet_eigen_ball",
     )
-} | {("special_functions", "gauss_legendre")} | {
+} | {("special_functions", name) for name in ("gauss_legendre", "polar_rule")} | {
     ("sphere_geometry", name)
     for name in (
         "PerturbationField", "StarDomain", "perturbed_domain",

@@ -97,3 +97,16 @@ def test_an_exit_code_change_fails(tool, tmp_path, capsys):
     edits = {"status.tsv": ("second-variation\t0", "second-variation\t2")}
     assert compare_with(tool, tmp_path, edits) == 1
     assert "FAIL status.tsv: differs" in capsys.readouterr().out
+
+
+def test_subcommands_follow_the_cli_runners_and_their_kinds(tool):
+    # derived from rsv.cli, and in the order that keeps status.tsv's bytes
+    assert tool.SUBCOMMANDS == {
+        "torsion": (
+            "first-variation", "second-variation", "steklov", "surface", "classify", "sweep",
+        ),
+        "robin-eigen": ("first-variation", "second-variation", "steklov", "surface", "sweep"),
+        "dirichlet-eigen": (
+            "first-variation", "second-variation", "surface", "dirichlet", "sweep",
+        ),
+    }

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.special
-from bessel_reference import bessel_j_reference
+from bessel_reference import bessel_j_derivative, bessel_j_reference
 from geometry_reference import (
     pointwise_lpmv_harmonic,
     pointwise_synthesis,
@@ -21,7 +21,6 @@ from rsv.special_functions import (
     SphereQuadrature,
     _tangential_gradient,
     bessel_j,
-    bessel_j_derivative,
     bessel_j_zeros,
     gauss_legendre,
     harmonic_indices,

@@ -22,7 +22,16 @@ direction), how many seed pairs the change won, lost and tied, the median
 of each side, and the base's quartiles.
 
 Each perfbench run also writes its full result file under the checkout's
-`perfbench/results/`; the BLAS threads are read from there.
+`perfbench/results/`; the BLAS threads are read from there.  With --base,
+the per-case records of those files (`<workload>-seed<N>-trace0.json`) are
+compared too, and the change's record gets a `case_comparison` per
+workload: over the cases both sides ran (same seed and case id), how many
+kept their match digits, rose or fell, the largest fall and each side's
+minimum digits per seed; and each side's median raw `cpu_s` per case name
+(the case id without its `r<round>-<index>-` prefix) with the names the
+change won and lost.  Unlike the end-to-end metrics, these compare like
+with like: a faster side runs more rounds, so its minimum over all cases
+covers more cases, and `case_ref_s` carries the speed gauge's spread.
 """
 from __future__ import annotations
 
@@ -30,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -69,14 +79,93 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     return result
 
 
-def blas_threads(root: Path, workload: str, seed: int) -> dict | None:
-    """The thread variables pinned by a run, from its perfbench result file."""
+def result_file(root: Path, workload: str, seed: int) -> dict:
+    """The perfbench result file of a `--trace 0` run, {} when unreadable."""
     path = root / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     try:
-        env = json.loads(path.read_text())["environment"]["pinned_env"]
-    except (OSError, KeyError, ValueError):
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return {}
+
+
+def blas_threads(root: Path, workload: str, seed: int) -> dict | None:
+    """The thread variables pinned by a run, from its perfbench result file."""
+    env = result_file(root, workload, seed).get("environment", {}).get("pinned_env")
+    if env is None:
         return None
     return {k: v for k, v in env.items() if k.endswith("_THREADS")}
+
+
+def case_records(root: Path, runs: list[dict]) -> dict:
+    """(workload, seed) -> the per-case records of that run's result file."""
+    return {
+        (r["workload"], r["seed"]): result_file(root, r["workload"], r["seed"]).get("cases", [])
+        for r in runs
+    }
+
+
+def case_name(case_id: str) -> str:
+    """A case id without its `r<round>-<index>-` prefix."""
+    return re.sub(r"^r\d+-\d+-", "", case_id)
+
+
+def compare_cases(cases: dict, base_cases: dict) -> dict:
+    """Per workload, over the cases both sides ran (equal workload, seed and
+    case id): `common`, how many kept their digits (`same`, a missing value
+    on both sides included), `rose` and `fell` (a value lost counts as a
+    fall), the `largest_fall` in digits, `min_digits` per seed as [change,
+    base], and `cpu_s`, the median raw CPU seconds per case name as
+    [change, base], with the names the change won and lost."""
+    out: dict = {}
+    for (workload, seed), records in cases.items():
+        base = {c["case"]: c for c in base_cases.get((workload, seed), [])}
+        common = [(c, base[c["case"]]) for c in records if c["case"] in base]
+        if not common:
+            continue
+        w = out.setdefault(workload, {
+            "common": 0, "same": 0, "rose": 0, "fell": 0, "largest_fall": 0.0,
+            "min_digits": {}, "cpu_s": {},
+        })
+        w["common"] += len(common)
+        for new, old in common:
+            a, b = new["digits"], old["digits"]
+            if a == b:
+                w["same"] += 1
+            elif a is not None and b is not None and a > b:
+                w["rose"] += 1
+            else:
+                w["fell"] += 1
+                if a is not None and b is not None:
+                    w["largest_fall"] = max(w["largest_fall"], b - a)
+            times = w["cpu_s"].setdefault(case_name(new["case"]), ([], []))
+            times[0].append(new["cpu_s"])
+            times[1].append(old["cpu_s"])
+        w["min_digits"][str(seed)] = [
+            min((c["digits"] for c in side if c["digits"] is not None), default=None)
+            for side in zip(*common)
+        ]
+    for w in out.values():
+        w["cpu_s"] = {
+            name: [statistics.median(new), statistics.median(old)]
+            for name, (new, old) in w["cpu_s"].items()
+        }
+        w["cpu_s_won"] = sum(new < old for new, old in w["cpu_s"].values())
+        w["cpu_s_lost"] = sum(new > old for new, old in w["cpu_s"].values())
+    return out
+
+
+def format_case_comparison(cases: dict) -> str:
+    lines = [f"{'workload':16s} common same rose fell largest_fall cpu_s won/lost  "
+             "min digits per seed (change/base)"]
+    for workload, w in cases.items():
+        minima = " ".join(
+            f"{seed}:{'/'.join('-' if m is None else f'{m:.2f}' for m in pair)}"
+            for seed, pair in w["min_digits"].items()
+        )
+        lines.append(f"{workload:16s} {w['common']:6d} {w['same']:4d} {w['rose']:4d} "
+                     f"{w['fell']:4d} {w['largest_fall']:12.3g} "
+                     f"{w['cpu_s_won']:5d}/{w['cpu_s_lost']:<4d}  {minima}")
+    return "\n".join(lines)
 
 
 def git(root: Path, *args: str) -> str:
@@ -197,13 +286,20 @@ def main(argv=None) -> int:
                       f"cases_per_ref_s {result['metrics'].get('cases_per_ref_s')}", flush=True)
         for tag, root in sides:
             traced[tag].append(run_perfbench(root, workload, args.seeds[0], args.seconds, 1))
-    for tag, root in sides:
+    records = {tag: record(tag, root, args, runs[tag], traced[tag]) for tag, root in sides}
+    if args.base is not None:
+        cases = compare_cases(
+            case_records(ROOT, runs[args.tag]), case_records(sides[1][1], runs[args.base_tag])
+        )
+        records[args.tag]["case_comparison"] = cases
+    for tag, doc in records.items():
         path = ROOT / f"BENCH_{tag}.json"
-        path.write_text(json.dumps(record(tag, root, args, runs[tag], traced[tag]), indent=1) + "\n")
+        path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path}")
     if args.base is not None:
         rows = compare(runs[args.tag], runs[args.base_tag], end_to_end_metrics())
         print(format_comparison(rows))
+        print(format_case_comparison(cases))
     return 0
 
 

@@ -47,16 +47,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rsv.cli import main  # noqa: E402
+from rsv.cli import KINDS, ONLY_KINDS, RUNNERS, main  # noqa: E402
 
+# kind -> the subcommands that apply to it, in the CLI's order
 SUBCOMMANDS = {
-    "torsion": (
-        "first-variation", "second-variation", "steklov", "surface", "classify", "sweep",
-    ),
-    "robin-eigen": ("first-variation", "second-variation", "steklov", "surface", "sweep"),
-    "dirichlet-eigen": (
-        "first-variation", "second-variation", "surface", "dirichlet", "sweep",
-    ),
+    kind: tuple(sub for sub in RUNNERS if kind in ONLY_KINDS.get(sub, KINDS)) for kind in KINDS
 }
 
 README_MODES = [[2, 0, 1.7724538509055159]]  # cos 2 theta, unit boundary norm
