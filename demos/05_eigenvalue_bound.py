@@ -47,6 +47,7 @@ print()
 print("oracle cross-check for N = cos 2 theta (reference configuration):")
 N = {(2, 0): math.sqrt(math.pi)}
 p = PerturbationField(2, 1.0, N, {}).with_volume_correction()
+# the curve is asked for its five t values at once and solves them as one family
 fd = finite_difference_derivatives(eigenvalue_curve(p, 1.0), h=5e-3, richardson_levels=1)
 closed = second_variation_eigenvalue_ball(sol, N).Eddot0
 print(f"  closed form {closed!r}")

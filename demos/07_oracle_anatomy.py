@@ -17,6 +17,7 @@ from rsv import (
     finite_difference_derivatives,
     perturbed_domain,
     solve_perturbed_eigen,
+    solve_perturbed_eigens,
     solve_perturbed_torsion,
     sweep_rows,
 )
@@ -44,10 +45,13 @@ print("difference quotients with error estimates (energy curve):")
 cache = {}
 
 
-def E(t):
-    if t not in cache:
-        cache[t] = solve_perturbed_torsion(perturbed_domain(p, t), 1.0, modes=28).energy
-    return cache[t]
+def E(ts):
+    # a curve maps the whole stencil of t values to their values at once;
+    # the levels below share their t values, so each is solved once
+    for t in ts:
+        if t not in cache:
+            cache[t] = solve_perturbed_torsion(perturbed_domain(p, t), 1.0, modes=28).energy
+    return [cache[t] for t in ts]
 
 
 for levels in (0, 1, 2):
@@ -55,6 +59,16 @@ for levels in (0, 1, 2):
     err = "n/a" if math.isnan(fd.d2_error) else f"{fd.d2_error:.1e}"
     print(f"  richardson {levels}: d2 = {fd.d2!r}  (err est {err})")
 print(f"  target 13 pi/12 = {13 * math.pi / 12!r}")
+
+print()
+print("an eigen stencil solved as one family: the lam searches of its five")
+print("domains share one Bessel table per round, each result bit for bit its own:")
+ts = [0.0, 0.01, -0.01, 0.005, -0.005]
+family = solve_perturbed_eigens([perturbed_domain(p, t) for t in ts], 1.0, modes=20)
+for t, sol in zip(ts, family):
+    alone = solve_perturbed_eigen(perturbed_domain(p, t), 1.0, modes=20)
+    assert sol.lam == alone.lam and np.array_equal(sol.coefficients, alone.coefficients)
+    print(f"  t = {t:>6.3f}: lam = {sol.lam!r}  ({sol.sigma_evals} slope evaluations)")
 
 print()
 print("sweep of the family (t, E, lam, S, V); volume is pinned to O(t^4):")

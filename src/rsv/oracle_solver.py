@@ -30,6 +30,17 @@ are cached inside `radial_solutions`; the oracle still calls
 here on every solve, so replacing those names moves the window.
 Keeping the oracle apart from the formulas it checks is the one
 duplication kept on purpose.
+
+The eigen solves of one finite-difference stencil or sweep form a family:
+the domains of one PerturbationField at the same modes, with the same
+basis, boundary angle count and matrix shapes (`solve_perturbed_eigens`).
+Their lam searches run in lockstep and share one Bessel table per secant
+round, over the points of every member still searching; the table works
+element by element, so each member keeps the bits of a solve of its own.
+The linear algebra stays per member: a stacked QR of the family's matrices
+keeps the bits too, but on one BLAS thread it ran no faster than one call
+per matrix at 12 modes and slower at 20 (n = 2), and one member's rows at
+a time stay small enough for the cache.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
 """
@@ -181,29 +192,34 @@ def _bessel_table(n: int, top: int, z: np.ndarray) -> np.ndarray:
     return table
 
 
-def _radial_wave(n: int, top: int, lam: float, rho: np.ndarray, derivative: bool = True):
+def _radial_wave(n: int, top: int, lam, rho: np.ndarray, derivative: bool = True):
     """Radial factors solving the Helmholtz equation for the orders
     k = 0..top, shaped (top + 1, points), and their rho-derivatives (None
-    when `derivative` is false).
+    when `derivative` is false).  `lam` is one value, or one per point, as
+    when a family of solves shares one table; every column depends only on
+    its own point and lam.
 
     The values are a view of one table over the orders 0..top+2
     (`_bessel_table`, seeded at the two top orders whether or not the
-    derivative is asked for, so the values are the same either way).  The
-    derivatives come from the neighbouring orders:
+    derivative is asked for, so the values are the same either way); the
+    derivatives come from its neighbouring orders (`_wave_slopes`)."""
+    k = np.sqrt(lam)
+    z = k * rho
+    table = _bessel_table(n, top + 2, z)
+    return table[: top + 1], _wave_slopes(n, table, k, z) if derivative else None
+
+
+def _wave_slopes(n: int, table: np.ndarray, k, z: np.ndarray) -> np.ndarray:
+    """rho-derivatives of the orders 0..top of a `_bessel_table` over the
+    orders 0..top+2 at z = k rho, shaped (top + 1, points):
     2 J_k' = J_{k-1} - J_{k+1} and J_0' = -J_1 (DLMF 10.6.1);
     j_l' = j_{l-1} - (l+1) j_l / z and j_0' = -j_1 (DLMF 10.51.2), which is
     0/0 at z = 0, where j_1'(0) = 1/3 and j_l'(0) = 0 for l >= 2.  So the
     values no longer equal scipy's direct jv / jvp /
     spherical_jn(derivative=True) bit for bit: at z in {0, 1e-3, 0.5, 3, 12}
     and orders up to 21 they agree to 4.3e-15 (n = 2) and 2.2e-14 (n = 3)
-    of each column's largest entry, and at z = 0 they are exact.
-    """
-    k = math.sqrt(lam)
-    z = k * rho
-    table = _bessel_table(n, top + 2, z)
-    f = table[: top + 1]
-    if not derivative:
-        return f, None
+    of each column's largest entry, and at z = 0 they are exact."""
+    top = table.shape[0] - 3
     # formed in place, operation by operation, without order-sized temporaries
     d = np.empty((top + 1, z.size))
     np.negative(table[1], out=d[0])
@@ -220,7 +236,7 @@ def _radial_wave(n: int, top: int, lam: float, rho: np.ndarray, derivative: bool
         d[1:, on_axis] = 0.0
         d[1:2, on_axis] = 1.0 / 3.0
     d *= k
-    return f, d
+    return d
 
 
 def _robin_rows(bd: _Boundary, alpha: float, Rf, dRf, T, dT) -> np.ndarray:
@@ -288,20 +304,26 @@ class OracleSolution:
         degrees, T, dT = angular
         rays = rho.shape
         rho = rho.ravel()
-        values, slopes = _radial_wave(self.n, self.modes, self.lam, rho)
+        k = np.sqrt(self.lam)
+        z = k * rho
+        table = _bessel_table(self.n, self.modes + 2, z)  # as in `_radial_wave`
         buf = np.empty((degrees.size, rho.size))
         rows = buf.reshape(-1, *rays)
 
-        def summed(table, factor):
+        def summed(radial, factor):
             # mode="clip" lets take write into `out` directly; the default
             # "raise" goes through a hidden temporary of the same size
-            np.take(table, degrees, axis=0, out=buf, mode="clip")
+            np.take(radial, degrees, axis=0, out=buf, mode="clip")
             np.multiply(rows, factor[:, :, None], out=rows)
             return self.coefficients @ buf
 
-        u = summed(values, T)
+        u = summed(table, T)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_ang = summed(values, dT) / rho
+            u_ang = summed(table, dT) / rho
+        # the slopes only now, and without the table: the two order-sized
+        # tables and the buffer are never held at once
+        slopes = _wave_slopes(self.n, table, k, z)
+        del table
         return u, summed(slopes, T), u_ang
 
 
@@ -340,11 +362,15 @@ def _quad_sizes(modes: int) -> tuple[int, int]:
     every basis size: on a seeded survey (8 to 40 modes, |t| <= 0.1, and
     the README family at 20 to 60 modes) the three integrals agree with
     modes + 40 nodes to 1.02e-14 relative, as the former max(48, modes + 8)
-    nodes did (1.44e-14).  The angles are not cut, although on `polar_rule`
-    32 polar nodes already leave n = 3 survey integrals 7e-15 off 800
-    angles (the former Gauss rule in theta: 3.8e-10).  The ground-state
+    nodes did (1.44e-14).  In angle the integrands are trigonometric or
+    Legendre sums of degree about 2 modes, so the angles grow with the
+    basis: max(32, 2 modes + 8) of `polar_rule` keep the Rayleigh quotient
+    and int u^2 of every solved survey case within 2.9e-14 of 1000 angles
+    (the former max(64, 4 modes + 16) angles: 3.0e-14) and move no case's
+    outcome, while a flat 32 angles leave 4.5e-8 in the Dirichlet Rayleigh
+    quotient of the README family at t = 0.2, 44 modes.  The ground-state
     check of `solve_perturbed_eigen` samples u on these interior nodes."""
-    return max(64, 4 * modes + 16), 16
+    return max(32, 2 * modes + 8), 16
 
 
 def _torsion_integrals(sol: OracleSolution, bd: _Boundary):
@@ -467,9 +493,11 @@ def _subspace_vector(B: np.ndarray, M: np.ndarray):
     return float(svals[-1]), coeffs, condition, Sc[:rows], Sc[rows:]
 
 
-def _slope_root(slope, lam0: float) -> tuple[float, int]:
-    """(lam*, slope evaluations): the root of slope(lam) = d sigma^2 / d lam
-    by secant steps.
+def _slope_root(lam0: float):
+    """The secant search for lam*, the root of slope(lam) = d sigma^2 / d lam,
+    as a generator: it yields each lam whose slope it needs, is sent that
+    slope, and returns (lam*, slope evaluations).  A family of solves runs
+    one search per member in lockstep (`_solve_family`).
 
     Near a simple eigenvalue sigma^2 is the parabola
     c^2 (lam - lam*)^2 + floor^2, so its slope is linear in lam and a secant
@@ -482,9 +510,9 @@ def _slope_root(slope, lam0: float) -> tuple[float, int]:
     at t = 0, where lam* = lam0.  An iterate outside [0.6, 1.5] lam0, a
     secant slope that is not positive (so not a minimum of sigma), or no
     answer within _SECANT_STEPS steps raises."""
-    a, s_a = lam0, slope(lam0)
+    a, s_a = lam0, (yield lam0)
     b = lam0 * (0.98 if s_a > 0.0 else 1.02)
-    s_b = slope(b)
+    s_b = yield b
     for evals in range(2, 2 + _SECANT_STEPS):
         rise = (s_b - s_a) / (b - a)
         x = float(b - s_b / rise) if rise > 0.0 else math.nan
@@ -493,11 +521,194 @@ def _slope_root(slope, lam0: float) -> tuple[float, int]:
         step = abs(x - b)
         if step <= 1e-13 * lam0 or (step <= 1e-8 * lam0 and abs(b - a) <= 1e-5 * lam0):
             return x, evals
-        a, s_a, b, s_b = b, s_b, x, slope(x)
+        a, s_a, b, s_b = b, s_b, x, (yield x)
     raise ArithmeticError(
         "root isolation failed: no interior singular-value minimum "
         f"near lam = {lam0:.6g}"
     )
+
+
+class _EigenSolve:
+    """One eigen solve, split where a family shares work: the set-up, the
+    slope of sigma^2 at lam from radial tables on the points `rho`, and the
+    solution at the located lam (see `solve_perturbed_eigen`)."""
+
+    def __init__(self, d: StarDomain, alpha: float | None, modes: int, kind: str):
+        bd, self.degrees, self.T, self.dT = _collocation(d, modes)
+        if kind == ROBIN_EIGEN:
+            lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
+        elif kind == DIRICHLET_EIGEN:
+            alpha = 0.0
+            lam0 = solve_dirichlet_eigen_ball(d.n, d.R).lam
+        else:
+            raise ValueError(f"unsupported kind {kind!r}")
+        self.d, self.alpha, self.modes, self.kind, self.bd = d, alpha, modes, kind, bd
+        # interior sample rings normalizing the trial functions' bulk size, on
+        # every other boundary angle
+        int_r = bd.r[::2]
+        self.T_in = np.hstack([self.T[:, ::2], self.T[:, ::2]])
+        # one radial table per evaluation, boundary points first
+        self.rho = np.concatenate([bd.r, 0.45 * int_r, 0.8 * int_r])
+        self.orders = np.arange(modes + 1.0)[:, None]
+        self.search = _slope_root(lam0)
+
+    def rows(self, f, df) -> tuple[np.ndarray, np.ndarray]:
+        """(B, M) from the radial tables; the Dirichlet rows need no df."""
+        on_bd = self.bd.r.size
+        Rf = f[self.degrees]
+        M = (Rf[:, on_bd:] * self.T_in).T
+        if self.kind == DIRICHLET_EIGEN:
+            return (Rf[:, :on_bd] * self.T).T, M
+        dRf = df[self.degrees][:, :on_bd]
+        return _robin_rows(self.bd, self.alpha, Rf[:, :on_bd], dRf, self.T, self.dT), M
+
+    def slope(self, lam: float, f, df) -> float:
+        """d sigma^2 / d lam at lam, from the radial tables f, df on `rho`.
+
+        The rows are linear in the radial tables, so B_lam and M_lam are
+        rows() of df/dlam = (rho / 2 lam) df/drho and, by Bessel's
+        equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
+        - (n-2) (df/drho) / lam] / 2."""
+        n, rho = self.d.n, self.rho
+        _, c, _, Bc, Mc = _subspace_vector(*self.rows(f, df))
+        df_lam = None
+        if self.kind != DIRICHLET_EIGEN:
+            k_term = self.orders * (self.orders + (n - 2)) / (lam * rho)
+            df_lam = ((k_term - rho) * f - ((n - 2) / lam) * df) / 2.0
+        dB, dM = self.rows(rho / (2.0 * lam) * df, df_lam)
+        b, m = Bc @ Bc, Mc @ Mc
+        # the envelope theorem: d/dlam of |Bc|^2 / (|Bc|^2 + |Mc|^2) at fixed c
+        return 2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2
+
+    def solution(self, lam: float, evals: int) -> OracleSolution:
+        """The normalized eigenfunction at the located lam, checked."""
+        d, alpha, modes, kind = self.d, self.alpha, self.modes, self.kind
+        tables = _radial_wave(d.n, modes, lam, self.rho, derivative=kind != DIRICHLET_EIGEN)
+        B, M = self.rows(*tables)
+        sigma_min, coeffs, condition, _, _ = _subspace_vector(B, M)
+        if condition > CONDITION_LIMIT:
+            raise ArithmeticError(
+                f"degenerate collocation basis near lam = {lam:.6g} "
+                f"(condition estimate {condition:.2e})"
+            )
+
+        sol = OracleSolution(
+            kind=kind,
+            domain=d,
+            alpha=alpha,
+            modes=modes,
+            coefficients=coeffs,
+            lam=lam,
+            residual=math.nan,
+            condition=condition,
+            energy=lam,
+            _scale=1.0,
+            sigma_evals=evals,
+            sigma_min=sigma_min,
+        )
+        n_theta, n_rho = _quad_sizes(modes)
+        int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
+        # the ground state has one sign: make it positive on the interior nodes
+        norm = math.copysign(math.sqrt(int_u_sq), float(np.sum(u_in)))
+        sol.coefficients = coeffs / norm
+        # only the first eigenfunction keeps one sign (a higher mode found in
+        # the lam window changes sign somewhere on the interior grid), and its
+        # Rayleigh quotient must reproduce lam; a failure reports both checks
+        u_min = float(np.min(u_in / norm))
+        rayleigh = (int_grad_sq + alpha * bd_u_sq) / int_u_sq
+        one_sign = u_min > 0.0
+        matches = abs(rayleigh - lam) <= 1e-8 * max(1.0, abs(lam))
+        if not (one_sign and matches):
+            sign = "keeps one sign" if one_sign else "changes sign inside the domain"
+            raise ArithmeticError(
+                f"lam = {lam!r} is not shown to be the first eigenvalue: the "
+                f"eigenfunction {sign} (min u = {u_min:.3e} on the interior "
+                f"quadrature nodes) and its Rayleigh quotient {rayleigh!r} "
+                f"{'matches' if matches else 'disagrees with'} lam"
+            )
+
+        # the boundary-condition rows at lam* applied to the normalized u
+        sol.residual = float(np.max(np.abs(B @ sol.coefficients)))
+        if sol.residual > RESIDUAL_LIMIT:
+            raise ArithmeticError(
+                f"boundary residual {sol.residual:.2e} exceeds {RESIDUAL_LIMIT:.0e}"
+            )
+        return sol
+
+
+def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> list:
+    """The outcome of each domain's eigen solve, in order: its
+    OracleSolution, or the exception the solve raised.  After the first
+    failing member the outcomes are None: a caller that goes through the
+    members in order stops at that failure, as a run of one solve after the
+    other would.  So a later member's error (a boundary that is not star
+    shaped, say) never stands in for an earlier member's.
+
+    The members' searches run in lockstep: each round serves the pending
+    lam requests of every member with one radial table over all their
+    points, lam taken per point.  The table is element-wise, so every
+    member's columns keep the bits of a table of its own; its slope, rows
+    and factorizations, the solution at lam* and its checks stay per
+    member."""
+    outcomes: list = [None] * len(domains)
+    solves: dict[int, _EigenSolve] = {}
+    pending: dict[int, float] = {}  # member -> the lam its search waits on
+    found: dict[int, tuple[float, int]] = {}
+    for i, d in enumerate(domains):
+        try:
+            solves[i] = _EigenSolve(d, alpha, modes, kind)
+            pending[i] = next(solves[i].search)
+        except (ArithmeticError, ValueError) as error:
+            outcomes[i] = error
+            break
+    while pending:
+        members = list(pending)
+        sizes = [solves[i].rho.size for i in members]
+        lam = np.repeat([pending[i] for i in members], sizes)
+        rho = np.concatenate([solves[i].rho for i in members])
+        f, df = _radial_wave(domains[members[0]].n, modes, lam, rho)
+        end = 0
+        for i, size in zip(members, sizes):
+            cols = slice(end, end + size)
+            end += size
+            if i not in pending:  # after a failure earlier in this round
+                continue
+            solve = solves[i]
+            try:
+                pending[i] = solve.search.send(solve.slope(pending[i], f[:, cols], df[:, cols]))
+            except StopIteration as stop:
+                del pending[i]
+                found[i] = stop.value
+            except (ArithmeticError, ValueError) as error:
+                outcomes[i] = error
+                for later in [j for j in (*pending, *found) if j >= i]:
+                    pending.pop(later, None)
+                    found.pop(later, None)
+    for i in sorted(found):
+        try:
+            outcomes[i] = solves[i].solution(*found[i])
+        except (ArithmeticError, ValueError) as error:
+            outcomes[i] = error
+            break
+    return outcomes
+
+
+def solve_perturbed_eigens(
+    domains,
+    alpha: float | None,
+    modes: int = 20,
+    kind: str = ROBIN_EIGEN,
+) -> list[OracleSolution]:
+    """`solve_perturbed_eigen` on each of `domains`, the domains of one
+    PerturbationField (a finite-difference stencil or a sweep), solved as
+    one family: the lam searches share one radial table per round
+    (`_solve_family`), and each result keeps the bits of a solve of its
+    own.  The first failing member, in the order given, raises its error."""
+    outcomes = _solve_family(list(domains), alpha, modes, kind)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def solve_perturbed_eigen(
@@ -507,7 +718,8 @@ def solve_perturbed_eigen(
     kind: str = ROBIN_EIGEN,
 ) -> OracleSolution:
     """First eigenvalue lam(t) of -Lap u = lam u on the perturbed domain with
-    the Robin (du/dnu + alpha u = 0) or Dirichlet (u = 0) condition.
+    the Robin (du/dnu + alpha u = 0) or Dirichlet (u = 0) condition; the
+    family of `solve_perturbed_eigens` with one member.
 
     The boundary-condition collocation matrix B(lam) is built from wave
     ansatz elements, with interior samples M(lam) next to it; lam is the
@@ -515,115 +727,22 @@ def solve_perturbed_eigen(
     |Bc|^2 / (|Bc|^2 + |Mc|^2) (`_subspace_vector`).  At the minimizing c
     the envelope theorem gives its slope exactly from the lam-derivatives
     of the rows, and `_slope_root` takes secant steps on that slope from
-    lam0, inside the window [0.6, 1.5] lam0.  The ground-state check
-    (u > 0 at every interior node) and the Rayleigh quotient of the
-    reconstructed eigenfunction, which must reproduce lam to 1e-8, prove
-    that the minimum found is the first eigenvalue; both run, and a failure
-    reports both outcomes.  Both read `_integrals` on the rule of
-    `_quad_sizes`, 16 Gauss nodes on each ray: a higher mode changes sign
-    on whole lobes, which those nodes sample.  They reach rho/r = 0.9947,
-    so a low-mode Dirichlet fit whose u dips below zero only closer to the
-    boundary passes the ground-state check and fails the Rayleigh check.
-    The coefficients c are L2-normalized with the sign that makes the sum
-    of u over the interior nodes positive, and the residual is
+    lam0, inside the window [0.6, 1.5] lam0; library minimizers of sigma
+    stop at sqrt(eps)|x|, too coarse for clean second differences of
+    lam(t), while the root of the slope settles to rounding.  The
+    ground-state check (u > 0 at every interior node) and the Rayleigh
+    quotient of the reconstructed eigenfunction, which must reproduce lam
+    to 1e-8, prove that the minimum found is the first eigenvalue; both
+    run, and a failure reports both outcomes.  Both read `_integrals` on
+    the rule of `_quad_sizes`, 16 Gauss nodes on each ray: a higher mode
+    changes sign on whole lobes, which those nodes sample.  They reach
+    rho/r = 0.9947, so a low-mode Dirichlet fit whose u dips below zero
+    only closer to the boundary passes the ground-state check and fails the
+    Rayleigh check.  The coefficients c are L2-normalized with the sign that
+    makes the sum of u over the interior nodes positive, and the residual is
     max |B(lam) c|.
     """
-    bd, degrees, T, dT = _collocation(d, modes)
-    if kind == ROBIN_EIGEN:
-        lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
-    elif kind == DIRICHLET_EIGEN:
-        alpha = 0.0
-        lam0 = solve_dirichlet_eigen_ball(d.n, d.R).lam
-    else:
-        raise ValueError(f"unsupported kind {kind!r}")
-
-    # interior sample rings normalizing the trial functions' bulk size, on
-    # every other boundary angle
-    int_r = bd.r[::2]
-    T_in = np.hstack([T[:, ::2], T[:, ::2]])
-    # one radial table per evaluation, boundary points first
-    rho = np.concatenate([bd.r, 0.45 * int_r, 0.8 * int_r])
-    on_bd = slice(0, bd.r.size)
-    inside = slice(bd.r.size, None)
-    orders = np.arange(modes + 1.0)[:, None]
-
-    def rows(f, df) -> tuple[np.ndarray, np.ndarray]:
-        # (B, M) from the radial tables; the Dirichlet rows need no df
-        Rf = f[degrees]
-        M = (Rf[:, inside] * T_in).T
-        if kind == DIRICHLET_EIGEN:
-            return (Rf[:, on_bd] * T).T, M
-        return _robin_rows(bd, alpha, Rf[:, on_bd], df[degrees][:, on_bd], T, dT), M
-
-    def slope(lam: float) -> float:
-        # the rows are linear in the radial tables, so B_lam and M_lam are
-        # rows() of df/dlam = (rho / 2 lam) df/drho and, by Bessel's
-        # equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
-        # - (n-2) (df/drho) / lam] / 2
-        f, df = _radial_wave(d.n, modes, lam, rho)
-        _, c, _, Bc, Mc = _subspace_vector(*rows(f, df))
-        df_lam = None
-        if kind != DIRICHLET_EIGEN:
-            k_term = orders * (orders + (d.n - 2)) / (lam * rho)
-            df_lam = ((k_term - rho) * f - ((d.n - 2) / lam) * df) / 2.0
-        dB, dM = rows(rho / (2.0 * lam) * df, df_lam)
-        b, m = Bc @ Bc, Mc @ Mc
-        # the envelope theorem: d/dlam of |Bc|^2 / (|Bc|^2 + |Mc|^2) at fixed c
-        return 2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2
-
-    # library minimizers of sigma stop at sqrt(eps)|x|, too coarse for clean
-    # second differences of lam(t); the root of the slope settles to rounding
-    lam, evals = _slope_root(slope, lam0)
-    B, M = rows(*_radial_wave(d.n, modes, lam, rho, derivative=kind != DIRICHLET_EIGEN))
-    sigma_min, coeffs, condition, _, _ = _subspace_vector(B, M)
-    if condition > CONDITION_LIMIT:
-        raise ArithmeticError(
-            f"degenerate collocation basis near lam = {lam:.6g} "
-            f"(condition estimate {condition:.2e})"
-        )
-
-    sol = OracleSolution(
-        kind=kind,
-        domain=d,
-        alpha=alpha,
-        modes=modes,
-        coefficients=coeffs,
-        lam=lam,
-        residual=math.nan,
-        condition=condition,
-        energy=lam,
-        _scale=1.0,
-        sigma_evals=evals,
-        sigma_min=sigma_min,
-    )
-    n_theta, n_rho = _quad_sizes(modes)
-    int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
-    # the ground state has one sign: make it positive on the interior nodes
-    norm = math.copysign(math.sqrt(int_u_sq), float(np.sum(u_in)))
-    sol.coefficients = coeffs / norm
-    # only the first eigenfunction keeps one sign (a higher mode found in
-    # the lam window changes sign somewhere on the interior grid), and its
-    # Rayleigh quotient must reproduce lam; a failure reports both checks
-    u_min = float(np.min(u_in / norm))
-    rayleigh = (int_grad_sq + alpha * bd_u_sq) / int_u_sq
-    one_sign = u_min > 0.0
-    matches = abs(rayleigh - lam) <= 1e-8 * max(1.0, abs(lam))
-    if not (one_sign and matches):
-        sign = "keeps one sign" if one_sign else "changes sign inside the domain"
-        raise ArithmeticError(
-            f"lam = {lam!r} is not shown to be the first eigenvalue: the "
-            f"eigenfunction {sign} (min u = {u_min:.3e} on the interior "
-            f"quadrature nodes) and its Rayleigh quotient {rayleigh!r} "
-            f"{'matches' if matches else 'disagrees with'} lam"
-        )
-
-    # the boundary-condition rows at lam* applied to the normalized u
-    sol.residual = float(np.max(np.abs(B @ sol.coefficients)))
-    if sol.residual > RESIDUAL_LIMIT:
-        raise ArithmeticError(
-            f"boundary residual {sol.residual:.2e} exceeds {RESIDUAL_LIMIT:.0e}"
-        )
-    return sol
+    return solve_perturbed_eigens([d], alpha, modes, kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +765,9 @@ def finite_difference_derivatives(
 ) -> Derivatives:
     """Central differences of f at 0 over steps h 2^m, extrapolated.
 
-    Evaluates f at 0 and +-(h, 2h, ..., 2^levels h); the error estimate is
+    f maps a sequence of t to the sequence of its values, and is asked for
+    the whole stencil in one call, in the order 0, +-2^levels h, ..., +-h
+    (so an eigen curve solves it as one family).  The error estimate is
     the difference between the last two Richardson diagonals.  Raises when
     refinement makes the estimates worse (step too small, cancellation).
     """
@@ -655,12 +776,11 @@ def finite_difference_derivatives(
     if richardson_levels < 0:
         raise ValueError("richardson_levels must be >= 0")
     levels = richardson_levels
-    f0 = f(0.0)
     steps = [h * 2.0 ** (levels - m) for m in range(levels + 1)]
+    f0, *values = f([0.0, *(t for s in steps for t in (s, -s))])
     d1 = []
     d2 = []
-    for s in steps:
-        fp, fm = f(s), f(-s)
+    for s, fp, fm in zip(steps, values[::2], values[1::2]):
         d1.append([(fp - fm) / (2.0 * s)])
         d2.append([(fp - 2.0 * f0 + fm) / (s * s)])
     for m in range(1, levels + 1):
@@ -698,10 +818,12 @@ def finite_difference_derivatives(
 
 
 def torsion_energy_curve(p: PerturbationField, alpha: float, modes: int = 28):
-    """t -> E(t) for the torsion energy on the perturbed family."""
+    """ts -> E(t) for each t, the torsion energy on the perturbed family."""
 
-    def f(t: float) -> float:
-        return solve_perturbed_torsion(perturbed_domain(p, t), alpha, modes).energy
+    def f(ts) -> list[float]:
+        return [
+            solve_perturbed_torsion(perturbed_domain(p, t), alpha, modes).energy for t in ts
+        ]
 
     return f
 
@@ -712,17 +834,19 @@ def eigenvalue_curve(
     modes: int = 20,
     kind: str = ROBIN_EIGEN,
 ):
-    """t -> lam(t) for the first Robin or Dirichlet eigenvalue."""
+    """ts -> lam(t) for each t, the first Robin or Dirichlet eigenvalue,
+    with the ts solved as one family (`solve_perturbed_eigens`)."""
 
-    def f(t: float) -> float:
-        return solve_perturbed_eigen(perturbed_domain(p, t), alpha, modes, kind).lam
+    def f(ts) -> list[float]:
+        domains = [perturbed_domain(p, t) for t in ts]
+        return [sol.lam for sol in solve_perturbed_eigens(domains, alpha, modes, kind)]
 
     return f
 
 
 def surface_curve(p: PerturbationField):
-    def f(t: float) -> float:
-        return exact_surface_area(perturbed_domain(p, t))
+    def f(ts) -> list[float]:
+        return [exact_surface_area(perturbed_domain(p, t)) for t in ts]
 
     return f
 
@@ -734,17 +858,20 @@ def sweep_rows(
     ts,
     modes: int = 20,
 ) -> list[tuple[float, float, float, float, float]]:
-    """Rows (t, E, lam, S, V) along the family; lam is NaN for torsion."""
+    """Rows (t, E, lam, S, V) along the family; lam is NaN for torsion.  The
+    eigen kinds solve all ts as one family; the first row whose solve, area
+    or volume fails raises, in t order."""
+    domains = [perturbed_domain(p, float(t)) for t in ts]
+    if kind != TORSION:
+        eigens = _solve_family(domains, alpha, modes, kind)
     rows = []
-    for t in ts:
-        d = perturbed_domain(p, float(t))
+    for i, d in enumerate(domains):
         if kind == TORSION:
             sol = solve_perturbed_torsion(d, alpha, modes=modes)
-            lam = math.nan
+        elif isinstance(eigens[i], Exception):
+            raise eigens[i]
         else:
-            sol = solve_perturbed_eigen(d, alpha, modes=modes, kind=kind)
-            lam = sol.lam
-        rows.append(
-            (float(t), float(sol.energy), float(lam), exact_surface_area(d), exact_volume(d))
-        )
+            sol = eigens[i]
+        lam = math.nan if kind == TORSION else sol.lam
+        rows.append((d.t, float(sol.energy), float(lam), exact_surface_area(d), exact_volume(d)))
     return rows

@@ -162,7 +162,9 @@ def test_compare_cases_pairs_case_ids_both_sides_ran(bench, tmp_path):
         "n3-sweep": [0.2, 0.18],
         "n3-steklov": [0.01, 0.02],
     }
-    assert (w["cpu_s_won"], w["cpu_s_lost"]) == (2, 1)
+    # one seed has no seed-to-seed spread, so every difference counts
+    assert w["cpu_s_noise"] == {"n2-sweep": 0.0, "n3-sweep": 0.0, "n3-steklov": 0.0}
+    assert (w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"]) == (2, 1, 0)
     text = bench.format_case_comparison(got).splitlines()[1].split()
     assert text[:6] == ["eigen-reports", "4", "2", "1", "1", "0.5"]
     assert text[-1] == "1:9.50/9.00"
@@ -179,4 +181,35 @@ def test_a_value_lost_is_a_fall(bench, tmp_path):
     w = w["torsion-reports"]
     assert (w["same"], w["rose"], w["fell"], w["largest_fall"]) == (0, 0, 1, 0.0)
     assert w["min_digits"] == {"3": [None, 11.0]}
-    assert (w["cpu_s_won"], w["cpu_s_lost"]) == (0, 0)
+    assert (w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"]) == (0, 0, 1)
+
+
+# per-seed cpu_s of one case name, spread about +-8% from seed to seed
+SEED_CPU = [0.100, 0.104, 0.097, 0.110, 0.093, 0.101, 0.106, 0.095, 0.099, 0.103]
+
+
+def compared_case(bench, tmp_path, change_cpu):
+    """compare_cases on one case name over ten seeds, base `SEED_CPU`."""
+    change, base = tmp_path / "change", tmp_path / "base"
+    for seed, (new, old) in enumerate(zip(change_cpu, SEED_CPU), 1):
+        write_result(change, "eigen-reports", seed, [("r0-00-n2-sweep", 9.0, new)])
+        write_result(base, "eigen-reports", seed, [("r0-00-n2-sweep", 9.0, old)])
+    runs = [{"workload": "eigen-reports", "seed": seed} for seed in range(1, 11)]
+    got = bench.compare_cases(bench.case_records(change, runs), bench.case_records(base, runs))
+    return got
+
+
+def test_a_case_name_inside_the_seed_noise_reads_tied(bench, tmp_path):
+    # the same spread in another seed order, 2% slower: not a move
+    got = compared_case(bench, tmp_path, [1.02 * t for t in SEED_CPU[::-1]])
+    w = got["eigen-reports"]
+    assert w["cpu_s_noise"] == {"n2-sweep": pytest.approx(1.02 * (0.10375 - 0.0975))}
+    assert (w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"]) == (0, 0, 1)
+    assert bench.format_case_comparison(got).splitlines()[1].split()[6] == "0/0/1"
+
+
+def test_a_case_name_20_percent_faster_reads_won(bench, tmp_path):
+    w = compared_case(bench, tmp_path, [0.8 * t for t in SEED_CPU])["eigen-reports"]
+    assert (w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"]) == (1, 0, 0)
+    w = compared_case(bench, tmp_path, [1.2 * t for t in SEED_CPU])["eigen-reports"]
+    assert (w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"]) == (0, 1, 0)

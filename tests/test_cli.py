@@ -432,8 +432,8 @@ def test_first_variation_walks_downhill_on_strong_dilation(
     real = oracle_solver._slope_root
     found = []
 
-    def recorded(slope, lam0):
-        lam, evals = real(slope, lam0)
+    def recorded(lam0):
+        lam, evals = yield from real(lam0)
         found.append(abs(lam - lam0) / lam0)
         return lam, evals
 

@@ -29,7 +29,9 @@ workload: over the cases both sides ran (same seed and case id), how many
 kept their match digits, rose or fell, the largest fall and each side's
 minimum digits per seed; and each side's median raw `cpu_s` per case name
 (the case id without its `r<round>-<index>-` prefix) with the names the
-change won and lost.  Unlike the end-to-end metrics, these compare like
+change won, lost and tied: a name counts as won or lost only when the two
+medians differ by more than the larger interquartile range of the two
+sides' per-seed medians, the seed-to-seed noise of that case.  Unlike the end-to-end metrics, these compare like
 with like: a faster side runs more rounds, so its minimum over all cases
 covers more cases, and `case_ref_s` carries the speed gauge's spread.
 """
@@ -109,13 +111,22 @@ def case_name(case_id: str) -> str:
     return re.sub(r"^r\d+-\d+-", "", case_id)
 
 
+def seed_spread(per_seed: dict) -> float:
+    """The interquartile range of the per-seed medians of {seed: [cpu_s]}."""
+    q1, q3 = quartiles([statistics.median(ts) for ts in per_seed.values()])
+    return q3 - q1
+
+
 def compare_cases(cases: dict, base_cases: dict) -> dict:
     """Per workload, over the cases both sides ran (equal workload, seed and
     case id): `common`, how many kept their digits (`same`, a missing value
     on both sides included), `rose` and `fell` (a value lost counts as a
     fall), the `largest_fall` in digits, `min_digits` per seed as [change,
     base], and `cpu_s`, the median raw CPU seconds per case name as
-    [change, base], with the names the change won and lost."""
+    [change, base].  `cpu_s_noise` holds, per name, the larger interquartile
+    range of the two sides' per-seed medians; the change won or lost a name
+    only when its median is lower or higher by more than that, and tied it
+    otherwise."""
     out: dict = {}
     for (workload, seed), records in cases.items():
         base = {c["case"]: c for c in base_cases.get((workload, seed), [])}
@@ -137,25 +148,32 @@ def compare_cases(cases: dict, base_cases: dict) -> dict:
                 w["fell"] += 1
                 if a is not None and b is not None:
                     w["largest_fall"] = max(w["largest_fall"], b - a)
-            times = w["cpu_s"].setdefault(case_name(new["case"]), ([], []))
-            times[0].append(new["cpu_s"])
-            times[1].append(old["cpu_s"])
+            times = w["cpu_s"].setdefault(case_name(new["case"]), ({}, {}))
+            times[0].setdefault(seed, []).append(new["cpu_s"])
+            times[1].setdefault(seed, []).append(old["cpu_s"])
         w["min_digits"][str(seed)] = [
             min((c["digits"] for c in side if c["digits"] is not None), default=None)
             for side in zip(*common)
         ]
     for w in out.values():
+        per_seed = w["cpu_s"]
         w["cpu_s"] = {
-            name: [statistics.median(new), statistics.median(old)]
-            for name, (new, old) in w["cpu_s"].items()
+            name: [statistics.median(t for ts in side.values() for t in ts) for side in sides]
+            for name, sides in per_seed.items()
         }
-        w["cpu_s_won"] = sum(new < old for new, old in w["cpu_s"].values())
-        w["cpu_s_lost"] = sum(new > old for new, old in w["cpu_s"].values())
+        w["cpu_s_noise"] = {
+            name: max(seed_spread(side) for side in sides) for name, sides in per_seed.items()
+        }
+        won = lost = 0
+        for name, (new, old) in w["cpu_s"].items():
+            won += old - new > w["cpu_s_noise"][name]
+            lost += new - old > w["cpu_s_noise"][name]
+        w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"] = won, lost, len(w["cpu_s"]) - won - lost
     return out
 
 
 def format_case_comparison(cases: dict) -> str:
-    lines = [f"{'workload':16s} common same rose fell largest_fall cpu_s won/lost  "
+    lines = [f"{'workload':16s} common same rose fell largest_fall cpu_s won/lost/tied  "
              "min digits per seed (change/base)"]
     for workload, w in cases.items():
         minima = " ".join(
@@ -164,7 +182,7 @@ def format_case_comparison(cases: dict) -> str:
         )
         lines.append(f"{workload:16s} {w['common']:6d} {w['same']:4d} {w['rose']:4d} "
                      f"{w['fell']:4d} {w['largest_fall']:12.3g} "
-                     f"{w['cpu_s_won']:5d}/{w['cpu_s_lost']:<4d}  {minima}")
+                     f"{w['cpu_s_won']:5d}/{w['cpu_s_lost']}/{w['cpu_s_tied']:<4d}  {minima}")
     return "\n".join(lines)
 
 
