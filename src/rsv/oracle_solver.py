@@ -638,11 +638,11 @@ class _EigenSolve:
 
 def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> list:
     """The outcome of each domain's eigen solve, in order: its
-    OracleSolution, or the exception the solve raised.  After the first
-    failing member the outcomes are None: a caller that goes through the
-    members in order stops at that failure, as a run of one solve after the
-    other would.  So a later member's error (a boundary that is not star
-    shaped, say) never stands in for an earlier member's.
+    OracleSolution, or the exception the solve raised.  A caller that
+    raises the first exception in this order ends as a run of one solve
+    after the other would, whatever stage each member failed at: a later
+    member's error (a boundary that is not star-shaped, say) never stands
+    in for an earlier member's.
 
     The members' searches run in lockstep: each round serves the pending
     lam requests of every member with one radial table over all their
@@ -660,7 +660,6 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
             pending[i] = next(solves[i].search)
         except (ArithmeticError, ValueError) as error:
             outcomes[i] = error
-            break
     while pending:
         members = list(pending)
         sizes = [solves[i].rho.size for i in members]
@@ -671,8 +670,6 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
         for i, size in zip(members, sizes):
             cols = slice(end, end + size)
             end += size
-            if i not in pending:  # after a failure earlier in this round
-                continue
             solve = solves[i]
             try:
                 pending[i] = solve.search.send(solve.slope(pending[i], f[:, cols], df[:, cols]))
@@ -680,16 +677,13 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
                 del pending[i]
                 found[i] = stop.value
             except (ArithmeticError, ValueError) as error:
+                del pending[i]
                 outcomes[i] = error
-                for later in [j for j in (*pending, *found) if j >= i]:
-                    pending.pop(later, None)
-                    found.pop(later, None)
-    for i in sorted(found):
+    for i, (lam_star, evals) in found.items():
         try:
-            outcomes[i] = solves[i].solution(*found[i])
+            outcomes[i] = solves[i].solution(lam_star, evals)
         except (ArithmeticError, ValueError) as error:
             outcomes[i] = error
-            break
     return outcomes
 
 
