@@ -664,7 +664,7 @@ def recorded_sigmas(monkeypatch):
 
 def member_slope(d, alpha, modes, kind):
     """(slope, lam0) of one solve's search: slope(lam) builds its own radial
-    table, as the family driver does for a family of one."""
+    table, as `_solve_family` does for a family of one."""
     solve = oracle_solver._EigenSolve(d, alpha, modes, kind)
     lam0 = next(solve.search)
 
