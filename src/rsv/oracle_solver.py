@@ -34,13 +34,18 @@ duplication kept on purpose.
 The eigen solves of one finite-difference stencil or sweep form a family:
 the domains of one PerturbationField at the same modes, with the same
 basis, boundary angle count and matrix shapes (`solve_perturbed_eigens`).
-Their lam searches run in lockstep and share one Bessel table per secant
-round, over the points of every member still searching; the table works
-element by element, so each member keeps the bits of a solve of its own.
-The linear algebra stays per member: a stacked QR of the family's matrices
-keeps the bits too, but on one BLAS thread it ran no faster than one call
-per matrix at 12 modes and slower at 20 (n = 2), and one member's rows at
-a time stay small enough for the cache.
+Each solve is one generator (`_eigen_solve`) that asks for the radial
+tables it needs: one per secant slope of its lam search, then one for the
+rows at the located lam.  The family runs its members in lockstep and
+serves each round's requests, searches and rows at lam* alike, with one
+Bessel table over the points of every member still running; the table
+works element by element, so each member keeps the bits of a solve of its
+own.  The linear algebra stays per member: a stacked QR of the family's
+matrices keeps the bits too, but on one BLAS thread it ran no faster than
+one call per matrix at 12 modes and slower at 20 (n = 2), and one member's
+rows at a time stay small enough for the cache.  The eigenfunction
+integrals stay per member too, so that only one member's basis x nodes
+table is held at a time.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
 """
@@ -192,21 +197,19 @@ def _bessel_table(n: int, top: int, z: np.ndarray) -> np.ndarray:
     return table
 
 
-def _radial_wave(n: int, top: int, lam, rho: np.ndarray, derivative: bool = True):
+def _radial_wave(n: int, top: int, lam, rho: np.ndarray):
     """Radial factors solving the Helmholtz equation for the orders
-    k = 0..top, shaped (top + 1, points), and their rho-derivatives (None
-    when `derivative` is false).  `lam` is one value, or one per point, as
-    when a family of solves shares one table; every column depends only on
-    its own point and lam.
+    k = 0..top, shaped (top + 1, points), and their rho-derivatives.  `lam`
+    is one value, or one per point, as when a family of solves shares one
+    table; every column depends only on its own point and lam.
 
     The values are a view of one table over the orders 0..top+2
-    (`_bessel_table`, seeded at the two top orders whether or not the
-    derivative is asked for, so the values are the same either way); the
-    derivatives come from its neighbouring orders (`_wave_slopes`)."""
+    (`_bessel_table`); the derivatives come from its neighbouring orders
+    (`_wave_slopes`)."""
     k = np.sqrt(lam)
     z = k * rho
     table = _bessel_table(n, top + 2, z)
-    return table[: top + 1], _wave_slopes(n, table, k, z) if derivative else None
+    return table[: top + 1], _wave_slopes(n, table, k, z)
 
 
 def _wave_slopes(n: int, table: np.ndarray, k, z: np.ndarray) -> np.ndarray:
@@ -528,112 +531,111 @@ def _slope_root(lam0: float):
     )
 
 
-class _EigenSolve:
-    """One eigen solve, split where a family shares work: the set-up, the
-    slope of sigma^2 at lam from radial tables on the points `rho`, and the
-    solution at the located lam (see `solve_perturbed_eigen`)."""
+def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str):
+    """One eigen solve as a generator (see `solve_perturbed_eigen`): after
+    the set-up it yields (rho, lam) for each radial table it needs, is sent
+    `_radial_wave(d.n, modes, lam, rho)`, and returns the checked
+    OracleSolution.  It needs one table for each slope of sigma^2 that
+    `_slope_root` asks for, then one at the located lam for the rows of the
+    solution; a family serves the requests of all its members at once
+    (`_solve_family`)."""
+    bd, degrees, T, dT = _collocation(d, modes)
+    if kind == ROBIN_EIGEN:
+        lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
+    elif kind == DIRICHLET_EIGEN:
+        alpha = 0.0
+        lam0 = solve_dirichlet_eigen_ball(d.n, d.R).lam
+    else:
+        raise ValueError(f"unsupported kind {kind!r}")
+    # interior sample rings normalizing the trial functions' bulk size, on
+    # every other boundary angle
+    on_bd, int_r = bd.r.size, bd.r[::2]
+    T_in = np.hstack([T[:, ::2], T[:, ::2]])
+    # one radial table per evaluation, boundary points first
+    rho = np.concatenate([bd.r, 0.45 * int_r, 0.8 * int_r])
+    orders = np.arange(modes + 1.0)[:, None]
 
-    def __init__(self, d: StarDomain, alpha: float | None, modes: int, kind: str):
-        bd, self.degrees, self.T, self.dT = _collocation(d, modes)
-        if kind == ROBIN_EIGEN:
-            lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
-        elif kind == DIRICHLET_EIGEN:
-            alpha = 0.0
-            lam0 = solve_dirichlet_eigen_ball(d.n, d.R).lam
-        else:
-            raise ValueError(f"unsupported kind {kind!r}")
-        self.d, self.alpha, self.modes, self.kind, self.bd = d, alpha, modes, kind, bd
-        # interior sample rings normalizing the trial functions' bulk size, on
-        # every other boundary angle
-        int_r = bd.r[::2]
-        self.T_in = np.hstack([self.T[:, ::2], self.T[:, ::2]])
-        # one radial table per evaluation, boundary points first
-        self.rho = np.concatenate([bd.r, 0.45 * int_r, 0.8 * int_r])
-        self.orders = np.arange(modes + 1.0)[:, None]
-        self.search = _slope_root(lam0)
-
-    def rows(self, f, df) -> tuple[np.ndarray, np.ndarray]:
+    def rows(f, df) -> tuple[np.ndarray, np.ndarray]:
         """(B, M) from the radial tables; the Dirichlet rows need no df."""
-        on_bd = self.bd.r.size
-        Rf = f[self.degrees]
-        M = (Rf[:, on_bd:] * self.T_in).T
-        if self.kind == DIRICHLET_EIGEN:
-            return (Rf[:, :on_bd] * self.T).T, M
-        dRf = df[self.degrees][:, :on_bd]
-        return _robin_rows(self.bd, self.alpha, Rf[:, :on_bd], dRf, self.T, self.dT), M
+        Rf = f[degrees]
+        M = (Rf[:, on_bd:] * T_in).T
+        if kind == DIRICHLET_EIGEN:
+            return (Rf[:, :on_bd] * T).T, M
+        return _robin_rows(bd, alpha, Rf[:, :on_bd], df[degrees][:, :on_bd], T, dT), M
 
-    def slope(self, lam: float, f, df) -> float:
-        """d sigma^2 / d lam at lam, from the radial tables f, df on `rho`.
-
-        The rows are linear in the radial tables, so B_lam and M_lam are
-        rows() of df/dlam = (rho / 2 lam) df/drho and, by Bessel's
-        equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
-        - (n-2) (df/drho) / lam] / 2."""
-        n, rho = self.d.n, self.rho
-        _, c, _, Bc, Mc = _subspace_vector(*self.rows(f, df))
+    # The slope d sigma^2 / d lam: the rows are linear in the radial tables,
+    # so B_lam and M_lam are rows() of df/dlam = (rho / 2 lam) df/drho and,
+    # by Bessel's equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
+    # - (n-2) (df/drho) / lam] / 2.
+    search = _slope_root(lam0)
+    lam = next(search)
+    while True:
+        f, df = yield rho, lam
+        _, c, _, Bc, Mc = _subspace_vector(*rows(f, df))
         df_lam = None
-        if self.kind != DIRICHLET_EIGEN:
-            k_term = self.orders * (self.orders + (n - 2)) / (lam * rho)
-            df_lam = ((k_term - rho) * f - ((n - 2) / lam) * df) / 2.0
-        dB, dM = self.rows(rho / (2.0 * lam) * df, df_lam)
+        if kind != DIRICHLET_EIGEN:
+            k_term = orders * (orders + (d.n - 2)) / (lam * rho)
+            df_lam = ((k_term - rho) * f - ((d.n - 2) / lam) * df) / 2.0
+        dB, dM = rows(rho / (2.0 * lam) * df, df_lam)
         b, m = Bc @ Bc, Mc @ Mc
         # the envelope theorem: d/dlam of |Bc|^2 / (|Bc|^2 + |Mc|^2) at fixed c
-        return 2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2
+        try:
+            lam = search.send(2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2)
+        except StopIteration as stop:
+            lam, evals = stop.value
+            break
 
-    def solution(self, lam: float, evals: int) -> OracleSolution:
-        """The normalized eigenfunction at the located lam, checked."""
-        d, alpha, modes, kind = self.d, self.alpha, self.modes, self.kind
-        tables = _radial_wave(d.n, modes, lam, self.rho, derivative=kind != DIRICHLET_EIGEN)
-        B, M = self.rows(*tables)
-        sigma_min, coeffs, condition, _, _ = _subspace_vector(B, M)
-        if condition > CONDITION_LIMIT:
-            raise ArithmeticError(
-                f"degenerate collocation basis near lam = {lam:.6g} "
-                f"(condition estimate {condition:.2e})"
-            )
-
-        sol = OracleSolution(
-            kind=kind,
-            domain=d,
-            alpha=alpha,
-            modes=modes,
-            coefficients=coeffs,
-            lam=lam,
-            residual=math.nan,
-            condition=condition,
-            energy=lam,
-            _scale=1.0,
-            sigma_evals=evals,
-            sigma_min=sigma_min,
+    # the normalized eigenfunction at the located lam, checked
+    B, M = rows(*(yield rho, lam))
+    sigma_min, coeffs, condition, _, _ = _subspace_vector(B, M)
+    if condition > CONDITION_LIMIT:
+        raise ArithmeticError(
+            f"degenerate collocation basis near lam = {lam:.6g} "
+            f"(condition estimate {condition:.2e})"
         )
-        n_theta, n_rho = _quad_sizes(modes)
-        int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
-        # the ground state has one sign: make it positive on the interior nodes
-        norm = math.copysign(math.sqrt(int_u_sq), float(np.sum(u_in)))
-        sol.coefficients = coeffs / norm
-        # only the first eigenfunction keeps one sign (a higher mode found in
-        # the lam window changes sign somewhere on the interior grid), and its
-        # Rayleigh quotient must reproduce lam; a failure reports both checks
-        u_min = float(np.min(u_in / norm))
-        rayleigh = (int_grad_sq + alpha * bd_u_sq) / int_u_sq
-        one_sign = u_min > 0.0
-        matches = abs(rayleigh - lam) <= 1e-8 * max(1.0, abs(lam))
-        if not (one_sign and matches):
-            sign = "keeps one sign" if one_sign else "changes sign inside the domain"
-            raise ArithmeticError(
-                f"lam = {lam!r} is not shown to be the first eigenvalue: the "
-                f"eigenfunction {sign} (min u = {u_min:.3e} on the interior "
-                f"quadrature nodes) and its Rayleigh quotient {rayleigh!r} "
-                f"{'matches' if matches else 'disagrees with'} lam"
-            )
 
-        # the boundary-condition rows at lam* applied to the normalized u
-        sol.residual = float(np.max(np.abs(B @ sol.coefficients)))
-        if sol.residual > RESIDUAL_LIMIT:
-            raise ArithmeticError(
-                f"boundary residual {sol.residual:.2e} exceeds {RESIDUAL_LIMIT:.0e}"
-            )
-        return sol
+    sol = OracleSolution(
+        kind=kind,
+        domain=d,
+        alpha=alpha,
+        modes=modes,
+        coefficients=coeffs,
+        lam=lam,
+        residual=math.nan,
+        condition=condition,
+        energy=lam,
+        _scale=1.0,
+        sigma_evals=evals,
+        sigma_min=sigma_min,
+    )
+    n_theta, n_rho = _quad_sizes(modes)
+    int_grad_sq, int_u_sq, bd_u_sq, u_in = _integrals(sol, n_theta, n_rho)
+    # the ground state has one sign: make it positive on the interior nodes
+    norm = math.copysign(math.sqrt(int_u_sq), float(np.sum(u_in)))
+    sol.coefficients = coeffs / norm
+    # only the first eigenfunction keeps one sign (a higher mode found in
+    # the lam window changes sign somewhere on the interior grid), and its
+    # Rayleigh quotient must reproduce lam; a failure reports both checks
+    u_min = float(np.min(u_in / norm))
+    rayleigh = (int_grad_sq + alpha * bd_u_sq) / int_u_sq
+    one_sign = u_min > 0.0
+    matches = abs(rayleigh - lam) <= 1e-8 * max(1.0, abs(lam))
+    if not (one_sign and matches):
+        sign = "keeps one sign" if one_sign else "changes sign inside the domain"
+        raise ArithmeticError(
+            f"lam = {lam!r} is not shown to be the first eigenvalue: the "
+            f"eigenfunction {sign} (min u = {u_min:.3e} on the interior "
+            f"quadrature nodes) and its Rayleigh quotient {rayleigh!r} "
+            f"{'matches' if matches else 'disagrees with'} lam"
+        )
+
+    # the boundary-condition rows at lam* applied to the normalized u
+    sol.residual = float(np.max(np.abs(B @ sol.coefficients)))
+    if sol.residual > RESIDUAL_LIMIT:
+        raise ArithmeticError(
+            f"boundary residual {sol.residual:.2e} exceeds {RESIDUAL_LIMIT:.0e}"
+        )
+    return sol
 
 
 def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> list:
@@ -642,49 +644,42 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
     raises the first exception in this order ends as a run of one solve
     after the other would, whatever stage each member failed at: a later
     member's error (a boundary that is not star-shaped, say) never stands
-    in for an earlier member's.
+    in for an earlier member's.  Domains of different dimensions are
+    rejected before any solve.
 
-    The members' searches run in lockstep: each round serves the pending
-    lam requests of every member with one radial table over all their
+    Each member is one `_eigen_solve` generator, and the family runs them in
+    lockstep: each round serves the pending request of every member, a
+    secant slope or the rows at lam*, with one radial table over all their
     points, lam taken per point.  The table is element-wise, so every
-    member's columns keep the bits of a table of its own; its slope, rows
-    and factorizations, the solution at lam* and its checks stay per
-    member."""
+    member's columns keep the bits of a table of its own; its rows,
+    factorizations, integrals and checks stay per member."""
+    mixed = [d.n for d in domains if d.n != domains[0].n]
+    if mixed:
+        raise ValueError(
+            "a family's domains must share one dimension, "
+            f"got n = {domains[0].n} and n = {mixed[0]}"
+        )
     outcomes: list = [None] * len(domains)
-    solves: dict[int, _EigenSolve] = {}
-    pending: dict[int, float] = {}  # member -> the lam its search waits on
-    found: dict[int, tuple[float, int]] = {}
-    for i, d in enumerate(domains):
-        try:
-            solves[i] = _EigenSolve(d, alpha, modes, kind)
-            pending[i] = next(solves[i].search)
-        except (ArithmeticError, ValueError) as error:
-            outcomes[i] = error
-    while pending:
-        members = list(pending)
-        sizes = [solves[i].rho.size for i in members]
-        lam = np.repeat([pending[i] for i in members], sizes)
-        rho = np.concatenate([solves[i].rho for i in members])
-        f, df = _radial_wave(domains[members[0]].n, modes, lam, rho)
-        end = 0
-        for i, size in zip(members, sizes):
-            cols = slice(end, end + size)
-            end += size
-            solve = solves[i]
+    solves = {i: _eigen_solve(d, alpha, modes, kind) for i, d in enumerate(domains)}
+    sent = dict.fromkeys(solves)  # member -> its tables; None starts the solve
+    while True:
+        requests = {}  # member -> (rho, lam) of the table it waits on
+        for i, solve in solves.items():
             try:
-                pending[i] = solve.search.send(solve.slope(pending[i], f[:, cols], df[:, cols]))
+                requests[i] = solve.send(sent[i])
             except StopIteration as stop:
-                del pending[i]
-                found[i] = stop.value
+                outcomes[i] = stop.value
             except (ArithmeticError, ValueError) as error:
-                del pending[i]
                 outcomes[i] = error
-    for i, (lam_star, evals) in found.items():
-        try:
-            outcomes[i] = solves[i].solution(lam_star, evals)
-        except (ArithmeticError, ValueError) as error:
-            outcomes[i] = error
-    return outcomes
+        if not requests:
+            return outcomes
+        solves = {i: solves[i] for i in requests}
+        sizes = [rho.size for rho, _ in requests.values()]
+        lam = np.repeat([lam for _, lam in requests.values()], sizes)
+        rho = np.concatenate([rho for rho, _ in requests.values()])
+        f, df = _radial_wave(domains[0].n, modes, lam, rho)
+        starts = np.cumsum([0, *sizes])
+        sent = {i: (f[:, a:b], df[:, a:b]) for i, a, b in zip(requests, starts, starts[1:])}
 
 
 def solve_perturbed_eigens(
@@ -713,7 +708,9 @@ def solve_perturbed_eigen(
 ) -> OracleSolution:
     """First eigenvalue lam(t) of -Lap u = lam u on the perturbed domain with
     the Robin (du/dnu + alpha u = 0) or Dirichlet (u = 0) condition; the
-    family of `solve_perturbed_eigens` with one member.
+    family of `solve_perturbed_eigens` with one member.  The solve is one
+    generator (`_eigen_solve`); `_solve_family` builds each radial table it
+    asks for, those of the lam search and the one for the rows at lam*.
 
     The boundary-condition collocation matrix B(lam) is built from wave
     ansatz elements, with interior samples M(lam) next to it; lam is the

@@ -458,8 +458,6 @@ def test_radial_wave_n2_equals_scipy(lam):
     assert_columns_close(df / k, slopes)
     assert np.array_equal(f[:, 0], (degrees == 0).astype(float))  # J_k(0) = delta_k0
     assert df[1, 0] == 0.5 * k  # J_1'(0) = 1/2
-    values, none = _radial_wave(2, TOP_ORDER, lam, Z_SAMPLES / k, derivative=False)
-    assert none is None and np.array_equal(values, f)
 
 
 @pytest.mark.parametrize("lam", [1.0, 4.0])
@@ -472,8 +470,6 @@ def test_radial_wave_n3_equals_scipy(lam):
     assert_columns_close(df / k, slopes)
     assert np.array_equal(f[:, 0], (degrees == 0).astype(float))  # j_l(0) = delta_l0
     assert df[1, 0] == k / 3.0  # j_1'(0) = 1/3
-    values, none = _radial_wave(3, TOP_ORDER, lam, Z_SAMPLES / k, derivative=False)
-    assert none is None and np.array_equal(values, f)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -492,19 +488,6 @@ def test_radial_wave_falls_back_to_scipy_where_the_top_seed_underflows(n, top):
     for table in (f, df):
         assert np.all(np.any(table[:3] != 0.0, axis=1))
         assert np.all(np.any(table[:3] != 0.0, axis=0))
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_radial_wave_values_keep_their_bits_without_the_derivative_table(n):
-    # the sigma search builds its interior rings (and Dirichlet rows) with
-    # derivative=False; scipy works element by element, so the one order less
-    # in the table leaves every value's bit pattern as it was
-    rho = np.concatenate([[0.0], np.linspace(1e-3, 1.3, 97)])
-    for lam in (5.783185962946785, 14.681970642123893, 31.0):
-        with_table, _ = _radial_wave(n, 20, lam, rho)
-        values, none = _radial_wave(n, 20, lam, rho, derivative=False)
-        assert none is None and values.shape == with_table.shape
-        assert np.array_equal(values.view(np.int64), with_table.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -662,16 +645,31 @@ def recorded_sigmas(monkeypatch):
     return sigmas
 
 
-def member_slope(d, alpha, modes, kind):
-    """(slope, lam0) of one solve's search: slope(lam) builds its own radial
-    table, as `_solve_family` does for a family of one."""
-    solve = oracle_solver._EigenSolve(d, alpha, modes, kind)
-    lam0 = next(solve.search)
+def member_slope(monkeypatch, d, alpha, modes, kind):
+    """(slope, lam0) of one solve's search.  `_slope_root` is patched to ask
+    for the lam given to slope(lam) (lam0 for None) and to record the slope
+    it is sent; slope(lam) runs the member generator to that request and
+    sends it a radial table of its own, as `_solve_family` does for a family
+    of one."""
+    lam0s, asked, slopes = [], [], []
+
+    def search(lam0):
+        lam0s.append(lam0)
+        slopes.append((yield lam0 if asked[-1] is None else asked[-1]))
+        yield lam0  # the solve is closed at this request
+
+    monkeypatch.setattr(oracle_solver, "_slope_root", search)
 
     def slope(lam):
-        return solve.slope(lam, *_radial_wave(d.n, modes, lam, solve.rho))
+        asked.append(lam)
+        solve = oracle_solver._eigen_solve(d, alpha, modes, kind)
+        rho, at = next(solve)
+        solve.send(_radial_wave(d.n, modes, at, rho))
+        solve.close()
+        return slopes[-1]
 
-    return slope, lam0
+    slope(None)
+    return slope, lam0s[0]
 
 
 @pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
@@ -681,7 +679,7 @@ def test_slope_matches_a_centred_difference_of_sigma_sq(monkeypatch, n, N, alpha
     d = perturbed_domain(pfield(n, 1.0, N), 0.02)
     lam_star = solve_perturbed_eigen(d, alpha, 20, kind).lam
     sigmas = recorded_sigmas(monkeypatch)
-    slope, lam0 = member_slope(d, alpha, 20, kind)
+    slope, lam0 = member_slope(monkeypatch, d, alpha, 20, kind)
     lam = lam0 if where == "lam0" else lam_star * (1.0 + 1e-4)
     assert abs(lam - lam_star) >= 1e-5 * lam_star  # a slope well above rounding
 
@@ -1099,6 +1097,46 @@ def test_a_family_keeps_the_bits_of_one_solve_per_member(n, N, alpha, kind, fami
     if family == "9-point sweep":
         lams = [row[2] for row in sweep_rows(p, alpha, kind, ts, modes)]
         assert np.array_equal(bits(lams), bits([sol.lam for sol in together]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
+def test_a_family_builds_one_radial_table_per_round(monkeypatch, n, N, alpha, kind, family):
+    # each round serves the pending request of every member, the rows at
+    # lam* included: one table per slope of the longest search, and one
+    # more for the rows of its solution
+    real, calls = oracle_solver._radial_wave, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle_solver, "_radial_wave", counted)
+    modes, ts = FAMILIES[family]
+    p = pfield(n, 1.0, N)
+    sols = solve_perturbed_eigens([perturbed_domain(p, t) for t in ts], alpha, modes, kind)
+    assert len(calls) == max(sol.sigma_evals for sol in sols) + 1
+
+
+def test_a_family_rejects_domains_of_different_dimensions(monkeypatch):
+    # every round's table is built for one dimension, so a mixed family is
+    # refused before any member's set-up; each member solves on its own
+    d2 = perturbed_domain(pfield(2, 1.0, COS2T), 0.01)
+    d3 = perturbed_domain(pfield(3, 1.0, ZONAL), 0.01)
+    alone = [solve_perturbed_eigen(d, 1.0, 8).lam for d in (d2, d3)]
+    set_ups = []
+    monkeypatch.setattr(oracle_solver, "_collocation", lambda *args: set_ups.append(args))
+    for domains, dims in (([d2, d2, d3], "n = 2 and n = 3"), ([d3, d2], "n = 3 and n = 2")):
+        with pytest.raises(ValueError, match=f"share one dimension, got {dims}$"):
+            solve_perturbed_eigens(domains, 1.0, 8)
+    assert set_ups == []
+    monkeypatch.undo()
+    # a family of mixed R shares one dimension and solves as its members do
+    d2_wide = perturbed_domain(pfield(2, 2.0, COS2T), 0.01)
+    together = solve_perturbed_eigens([d2, d2_wide], 1.0, 8)
+    assert together[0].lam == alone[0]
+    assert together[1].lam == solve_perturbed_eigen(d2_wide, 1.0, 8).lam
 
 
 DILATION = PerturbationField(2, 1.0, {(0, 0): math.sqrt(2.0 * PI)}, {})  # r = 1 + t
