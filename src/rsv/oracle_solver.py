@@ -563,14 +563,15 @@ def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str):
             return (Rf[:, :on_bd] * T).T, M
         return _robin_rows(bd, alpha, Rf[:, :on_bd], df[degrees][:, :on_bd], T, dT), M
 
-    # The slope d sigma^2 / d lam: the rows are linear in the radial tables,
-    # so B_lam and M_lam are rows() of df/dlam = (rho / 2 lam) df/drho and,
-    # by Bessel's equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
-    # - (n-2) (df/drho) / lam] / 2.
-    search = _slope_root(lam0)
-    lam = next(search)
-    while True:
-        f, df = yield rho, lam
+    def slope(lam: float, f, df) -> float:
+        """d sigma^2 / d lam at lam, from the radial tables f, df on `rho`.
+
+        The rows are linear in the radial tables, so B_lam and M_lam are
+        rows() of df/dlam = (rho / 2 lam) df/drho and, by Bessel's
+        equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
+        - (n-2) (df/drho) / lam] / 2.  Its arrays, and its hold on the
+        round's table, end when it returns, before the solve waits on the
+        next table."""
         _, c, _, Bc, Mc = _subspace_vector(*rows(f, df))
         df_lam = None
         if kind != DIRICHLET_EIGEN:
@@ -579,8 +580,13 @@ def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str):
         dB, dM = rows(rho / (2.0 * lam) * df, df_lam)
         b, m = Bc @ Bc, Mc @ Mc
         # the envelope theorem: d/dlam of |Bc|^2 / (|Bc|^2 + |Mc|^2) at fixed c
+        return 2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2
+
+    search = _slope_root(lam0)
+    lam = next(search)
+    while True:
         try:
-            lam = search.send(2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2)
+            lam = search.send(slope(lam, *(yield rho, lam)))
         except StopIteration as stop:
             lam, evals = stop.value
             break

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1117,6 +1118,28 @@ def test_a_family_builds_one_radial_table_per_round(monkeypatch, n, N, alpha, ki
     p = pfield(n, 1.0, N)
     sols = solve_perturbed_eigens([perturbed_domain(p, t) for t in ts], alpha, modes, kind)
     assert len(calls) == max(sol.sigma_evals for sol in sols) + 1
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
+def test_a_waiting_member_holds_no_table_of_an_earlier_round(n, N, alpha, kind):
+    # a family keeps every member suspended between rounds, so a member that
+    # kept its last table, or the arrays of its slope, would hold one more
+    # order-sized table per member at the family's peak
+    d = perturbed_domain(pfield(n, 1.0, N), 0.01)
+    solve = oracle_solver._eigen_solve(d, alpha, 12, kind)
+    request, rounds = next(solve), 0
+    while request is not None:
+        f, df = _radial_wave(n, 12, request[1], request[0])
+        held = [weakref.ref(f.base), weakref.ref(df)]
+        try:
+            request = solve.send((f, df))
+        except StopIteration as stop:
+            request, sol = None, stop.value
+        del f, df
+        assert [ref() for ref in held] == [None, None]
+        rounds += 1
+    assert rounds == sol.sigma_evals + 1
 
 
 def test_a_family_rejects_domains_of_different_dimensions(monkeypatch):
