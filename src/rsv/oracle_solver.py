@@ -34,18 +34,15 @@ duplication kept on purpose.
 The eigen solves of one finite-difference stencil or sweep form a family:
 the domains of one PerturbationField at the same modes, with the same
 basis, boundary angle count and matrix shapes (`solve_perturbed_eigens`).
-Each solve is one generator (`_eigen_solve`) that asks for the radial
-tables it needs: one per secant slope of its lam search, then one for the
-rows at the located lam.  The family runs its members in lockstep and
-serves each round's requests, searches and rows at lam* alike, with one
-Bessel table over the points of every member still running; the table
+Each solve is one generator (`_eigen_solve`) of radial table requests,
+one per secant slope and one for the rows at lam*; each round serves those
+of every member with one Bessel table over all their points.  The table
 works element by element, so each member keeps the bits of a solve of its
 own.  The linear algebra stays per member: a stacked QR of the family's
 matrices keeps the bits too, but on one BLAS thread it ran no faster than
 one call per matrix at 12 modes and slower at 20 (n = 2), and one member's
-rows at a time stay small enough for the cache.  The eigenfunction
-integrals stay per member too, so that only one member's basis x nodes
-table is held at a time.
+rows at a time stay small enough for the cache.  The integrals stay per
+member too, so one member's basis x nodes table is held at a time.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
 """
@@ -532,13 +529,11 @@ def _slope_root(lam0: float):
 
 
 def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str):
-    """One eigen solve as a generator (see `solve_perturbed_eigen`): after
-    the set-up it yields (rho, lam) for each radial table it needs, is sent
+    """One eigen solve (see `solve_perturbed_eigen`) as a generator: after
+    the set-up it yields (rho, lam) for each radial table it needs, one per
+    slope that `_slope_root` asks for and one for the rows at lam*, is sent
     `_radial_wave(d.n, modes, lam, rho)`, and returns the checked
-    OracleSolution.  It needs one table for each slope of sigma^2 that
-    `_slope_root` asks for, then one at the located lam for the rows of the
-    solution; a family serves the requests of all its members at once
-    (`_solve_family`)."""
+    OracleSolution."""
     bd, degrees, T, dT = _collocation(d, modes)
     if kind == ROBIN_EIGEN:
         lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
@@ -569,9 +564,8 @@ def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str):
         The rows are linear in the radial tables, so B_lam and M_lam are
         rows() of df/dlam = (rho / 2 lam) df/drho and, by Bessel's
         equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
-        - (n-2) (df/drho) / lam] / 2.  Its arrays, and its hold on the
-        round's table, end when it returns, before the solve waits on the
-        next table."""
+        - (n-2) (df/drho) / lam] / 2.  Its arrays and views of the round's
+        table end with it, before the solve waits on the next table."""
         _, c, _, Bc, Mc = _subspace_vector(*rows(f, df))
         df_lam = None
         if kind != DIRICHLET_EIGEN:
@@ -650,20 +644,19 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
     raises the first exception in this order ends as a run of one solve
     after the other would, whatever stage each member failed at: a later
     member's error (a boundary that is not star-shaped, say) never stands
-    in for an earlier member's.  Domains of different dimensions are
-    rejected before any solve.
+    in for an earlier member's.  Mixed dimensions are refused before any
+    solve.
 
-    Each member is one `_eigen_solve` generator, and the family runs them in
-    lockstep: each round serves the pending request of every member, a
-    secant slope or the rows at lam*, with one radial table over all their
-    points, lam taken per point.  The table is element-wise, so every
-    member's columns keep the bits of a table of its own; its rows,
-    factorizations, integrals and checks stay per member."""
+    The members' `_eigen_solve` generators run in lockstep: each round
+    serves the pending request of every member, a secant slope or the rows
+    at lam*, with one radial table over all their points, lam per point.
+    The table is element-wise, so every member's columns keep the bits of a
+    table of its own; its rows, factorizations, integrals and checks stay
+    per member."""
     mixed = [d.n for d in domains if d.n != domains[0].n]
     if mixed:
         raise ValueError(
-            "a family's domains must share one dimension, "
-            f"got n = {domains[0].n} and n = {mixed[0]}"
+            f"a family's domains differ in dimension: n = {domains[0].n} and n = {mixed[0]}"
         )
     outcomes: list = [None] * len(domains)
     solves = {i: _eigen_solve(d, alpha, modes, kind) for i, d in enumerate(domains)}

@@ -1109,9 +1109,9 @@ def test_a_family_builds_one_radial_table_per_round(monkeypatch, n, N, alpha, ki
     # more for the rows of its solution
     real, calls = oracle_solver._radial_wave, []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle_solver, "_radial_wave", counted)
     modes, ts = FAMILIES[family]
@@ -1151,7 +1151,7 @@ def test_a_family_rejects_domains_of_different_dimensions(monkeypatch):
     set_ups = []
     monkeypatch.setattr(oracle_solver, "_collocation", lambda *args: set_ups.append(args))
     for domains, dims in (([d2, d2, d3], "n = 2 and n = 3"), ([d3, d2], "n = 3 and n = 2")):
-        with pytest.raises(ValueError, match=f"share one dimension, got {dims}$"):
+        with pytest.raises(ValueError, match=f"differ in dimension: {dims}$"):
             solve_perturbed_eigens(domains, 1.0, 8)
     assert set_ups == []
     monkeypatch.undo()
