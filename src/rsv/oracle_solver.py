@@ -660,12 +660,15 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
         )
     outcomes: list = [None] * len(domains)
     solves = {i: _eigen_solve(d, alpha, modes, kind) for i, d in enumerate(domains)}
-    sent = dict.fromkeys(solves)  # member -> its tables; None starts the solve
+    # member -> its views of the round's table, None to start the solve;
+    # each member's entry goes as it is served, and the table itself with
+    # the last of them, before the next round's table is built
+    sent = dict.fromkeys(solves)
     while True:
         requests = {}  # member -> (rho, lam) of the table it waits on
         for i, solve in solves.items():
             try:
-                requests[i] = solve.send(sent[i])
+                requests[i] = solve.send(sent.pop(i))
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except (ArithmeticError, ValueError) as error:
@@ -679,6 +682,7 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
         f, df = _radial_wave(domains[0].n, modes, lam, rho)
         starts = np.cumsum([0, *sizes])
         sent = {i: (f[:, a:b], df[:, a:b]) for i, a, b in zip(requests, starts, starts[1:])}
+        del f, df
 
 
 def solve_perturbed_eigens(

@@ -21,6 +21,8 @@ import numpy as np
 from .special_functions import (
     HarmonicBasis,
     SphereQuadrature,
+    _angles,
+    _synthesize_at,
     _tangential_gradient,
     lb_eigen,
     synthesize,
@@ -258,20 +260,29 @@ def _radial_fields(n: int, R: float, items, x: np.ndarray) -> tuple[np.ndarray, 
 
         D v = (d_r g) xhat xhat^T + xhat (grad_S g)^T / r + (g / r)(I - xhat xhat^T),
 
-    with g, d_r g and the angular derivatives of g each one `synthesize`
-    sum in the mapping order of the terms (grad_S g from
-    `_tangential_gradient`), and the three products formed once."""
+    with g, d_r g and the angular derivatives of g each one harmonic sum
+    (`synthesize`) in the mapping order of the terms (grad_S g from
+    `_tangential_gradient`), all at one `_angles` lookup of xhat, and the
+    three products formed once.  The radial factors (r/R)^s and
+    s r^(s-1) / R^s are formed once per degree and scaled by each term's
+    coefficient."""
     r = np.linalg.norm(x, axis=-1)
     xhat = x / r[..., None]
+    ang = _angles(n, xhat)
+    degrees = {s for s, _, _ in items}
     # the per-point coefficients hold one array per term (1.5 MB for 45
     # terms on an n = 3 order-64 grid): one dict at a time, none kept
     # through the products
-    slope = {(s, i): c * (s * r ** (s - 1) / R**s) for s, i, c in items if s > 0}
-    dg = synthesize(n, slope, xhat)
+    rise = {s: s * r ** (s - 1) / R**s for s in degrees if s > 0}
+    slope = {(s, i): c * rise[s] for s, i, c in items if s > 0}
+    del rise
+    dg = _synthesize_at(ang, slope, 0)
     del slope
-    radial = {(s, i): c * (r / R) ** s for s, i, c in items}
-    g = synthesize(n, radial, xhat)
-    grad = _tangential_gradient(n, radial, xhat)
+    power = {s: (r / R) ** s for s in degrees}
+    radial = {(s, i): c * power[s] for s, i, c in items}
+    del power
+    g = _synthesize_at(ang, radial, 0)
+    grad = _tangential_gradient(ang, radial)
     del radial
     xx = xhat[..., :, None] * xhat[..., None, :]
     jac = dg[..., None, None] * xx
@@ -334,15 +345,39 @@ def surface_element_m2(v: AmbientField, w: AmbientField, R: float, quad: SphereQ
 
 
 def _surface_element_m2(Dv: np.ndarray, Dw: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """`surface_element_m2` from the Jacobians Dv, Dw at the points R nu."""
-    eye = np.eye(nu.shape[-1])
-    P = eye - nu[..., :, None] * nu[..., None, :]
-    DvP = Dv @ P
-    sigma_A = 2.0 * np.trace(DvP, axis1=-2, axis2=-1)
-    sigma_B = 2.0 * np.trace(P @ np.swapaxes(Dv, -1, -2) @ Dv, axis1=-2, axis2=-1)
-    sigma_B = sigma_B + 2.0 * np.trace(P @ Dw, axis1=-2, axis2=-1)
-    Asym = P @ (Dv + np.swapaxes(Dv, -1, -2)) @ P
-    sigma_A2 = np.sum(Asym * np.swapaxes(Asym, -1, -2), axis=(-2, -1))
+    """`surface_element_m2` from the Jacobians Dv, Dw at the points R nu:
+
+        m''(0) = sigma_B / 2 - sigma_A2 / 2 + sigma_A^2 / 4,
+        sigma_A = 2 tr(Dv P),  sigma_B = 2 tr(P Dv^T Dv) + 2 tr(P Dw),
+        sigma_A2 = |P A P|_F^2,  A = Dv + Dv^T,
+
+    with P = I - nu nu^T the tangential projection.  Each contraction is
+    expanded from P and taken point by point, with no 3 x 3 product per
+    point (|nu| = 1):
+
+        tr(Dv P)       = tr Dv - nu.Dv nu
+        tr(P Dv^T Dv)  = |Dv|_F^2 - |Dv nu|^2
+        tr(P Dw)       = tr Dw - nu.Dw nu
+        |P A P|_F^2    = |A|_F^2 - 2 |A nu|^2 + (nu.A nu)^2
+
+    The tests check this against the Taylor coefficients of the deformation
+    map's det(M) |M^{-T} nu| (`surface_element_m2_from_map` in the test
+    references); the library keeps the tangential form so that the two
+    stay independent routes."""
+    Dv_nu = np.einsum("...ij,...j->...i", Dv, nu)
+    A = Dv + np.swapaxes(Dv, -1, -2)
+    A_nu = np.einsum("...ij,...j->...i", A, nu)
+    nDvn = np.einsum("...i,...i->...", nu, Dv_nu)
+    nDwn = np.einsum("...i,...ij,...j->...", nu, Dw, nu)
+    sigma_A = 2.0 * (np.trace(Dv, axis1=-2, axis2=-1) - nDvn)
+    sigma_B = 2.0 * (np.einsum("...ij,...ij->...", Dv, Dv) - np.einsum("...i,...i->...", Dv_nu, Dv_nu))
+    sigma_B = sigma_B + 2.0 * (np.trace(Dw, axis1=-2, axis2=-1) - nDwn)
+    nAn = np.einsum("...i,...i->...", nu, A_nu)
+    sigma_A2 = (
+        np.einsum("...ij,...ij->...", A, A)
+        - 2.0 * np.einsum("...i,...i->...", A_nu, A_nu)
+        + nAn**2
+    )
     return 0.5 * sigma_B - 0.5 * sigma_A2 + 0.25 * sigma_A**2
 
 

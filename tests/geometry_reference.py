@@ -6,6 +6,9 @@
 * `surface_element_m2_from_map`: second t-derivative of the surface element
   from the Taylor coefficients of det(M) |M^{-T} nu|, against
   `sphere_geometry.surface_element_m2`;
+* `surface_element_m2_matmul`: the same tangential-contraction formula as
+  `sphere_geometry._surface_element_m2`, with P = I - nu nu^T formed and
+  every trace taken of batched 3 x 3 (2 x 2) matrix products;
 * `project_zero_mean`: N without its constant mode;
 * `surface_divergence`: the tangential divergence of an AmbientField, for
   the divergence theorem on the sphere;
@@ -151,6 +154,20 @@ def surface_element_m2_from_map(v, w, R: float, quad) -> np.ndarray:
     s2 = beta2 - 0.25 * beta1**2
     J2 = div_v**2 - dv_dv + div_w
     return J2 + 2.0 * div_v * s1 + s2
+
+
+def surface_element_m2_matmul(Dv, Dw, nu) -> np.ndarray:
+    """m''(0) = sigma_B / 2 - sigma_A2 / 2 + sigma_A^2 / 4 at the points R nu
+    from the Jacobians Dv, Dw there, with the projection P = I - nu nu^T and
+    the products P Dv^T Dv, P Dw and P (Dv + Dv^T) P formed point by point."""
+    eye = np.eye(nu.shape[-1])
+    P = eye - nu[..., :, None] * nu[..., None, :]
+    sigma_A = 2.0 * np.trace(Dv @ P, axis1=-2, axis2=-1)
+    sigma_B = 2.0 * np.trace(P @ np.swapaxes(Dv, -1, -2) @ Dv, axis1=-2, axis2=-1)
+    sigma_B = sigma_B + 2.0 * np.trace(P @ Dw, axis1=-2, axis2=-1)
+    Asym = P @ (Dv + np.swapaxes(Dv, -1, -2)) @ P
+    sigma_A2 = np.sum(Asym * np.swapaxes(Asym, -1, -2), axis=(-2, -1))
+    return 0.5 * sigma_B - 0.5 * sigma_A2 + 0.25 * sigma_A**2
 
 
 def radial_harmonic_values(n: int, R: float, coeffs, x) -> np.ndarray:

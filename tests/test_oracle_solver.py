@@ -421,6 +421,15 @@ def test_second_mode_fails_the_ground_state_check(monkeypatch, n, N, alpha, kind
     u_min = float(re.search(r"min u = (\S+) on", str(error.value)).group(1))
     assert u_min <= -0.5
     assert str(error.value).endswith("matches lam")
+    # lam is a Python float, so the text reads plain numbers
+    assert "np.float64" not in str(error.value)
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
+def test_solution_lam_and_sigma_min_are_python_floats(n, N, alpha, kind):
+    sol = solve_perturbed_eigen(perturbed_domain(pfield(n, 1.0, N), 0.01), alpha, 8, kind)
+    assert type(sol.lam) is float and type(sol.sigma_min) is float
 
 
 # ---------------------------------------------------------------------------
@@ -1140,6 +1149,29 @@ def test_a_waiting_member_holds_no_table_of_an_earlier_round(n, N, alpha, kind):
         assert [ref() for ref in held] == [None, None]
         rounds += 1
     assert rounds == sol.sigma_evals + 1
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
+def test_a_family_drops_each_round_table_before_the_next(monkeypatch, n, N, alpha, kind):
+    # the driver serves every member its views and then lets go of the
+    # round's table, so no two round tables over the family's points are
+    # alive at once
+    real, held, alive = oracle_solver._radial_wave, [], []
+
+    def watched(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in held))
+        f, df = real(*args, **kwargs)
+        held.extend([weakref.ref(f.base), weakref.ref(df)])
+        return f, df
+
+    monkeypatch.setattr(oracle_solver, "_radial_wave", watched)
+    modes, ts = FAMILIES["7-point stencil"]
+    p = pfield(n, 1.0, N)
+    sols = solve_perturbed_eigens([perturbed_domain(p, t) for t in ts], alpha, modes, kind)
+    assert len(alive) == max(sol.sigma_evals for sol in sols) + 1 > 2
+    assert alive == [0] * len(alive)
+    assert [ref() for ref in held] == [None] * len(held)
 
 
 def test_a_family_rejects_domains_of_different_dimensions(monkeypatch):

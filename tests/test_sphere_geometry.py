@@ -11,6 +11,7 @@ from geometry_reference import (
     radial_harmonic_values,
     surface_divergence,
     surface_element_m2_from_map,
+    surface_element_m2_matmul,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -301,6 +302,30 @@ def test_m2_two_routes_agree(n):
     a = surface_element_m2(v, w, 1.0, quad)
     b = surface_element_m2_from_map(v, w, 1.0, quad)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def m2_fields(n):
+    """(v, w, R) pairs for the m''(0) checks: the messy fields of seeds
+    0-9, a rotation, and the radial-harmonic fields of a volume-corrected
+    Hadamard family at R = 2."""
+    for seed in range(10):
+        yield (*messy_fields(n, seed), 1.0)
+    yield rotation_field(n, 0.7), zero_field(n), 1.0
+    N = {(2, 1): 0.3, (3, 0): -0.2, (4, 1): 0.15}
+    p = PerturbationField(n, 2.0, N).with_volume_correction()
+    yield radial_harmonic_field(n, p.R, p.N), radial_harmonic_field(n, p.R, p.W), p.R
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_m2_contractions_match_the_matmul_form(n):
+    # the per-point contractions expand the same formula as the batched
+    # products with P = I - nu nu^T: they differ by rounding only
+    quad = SphereQuadrature(n, 64)
+    x_unit = quad.directions
+    for v, w, R in m2_fields(n):
+        got = surface_element_m2(v, w, R, quad)
+        want = surface_element_m2_matmul(v.jacobian(R * x_unit), w.jacobian(R * x_unit), x_unit)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 def test_metric_expansion_first_order_jacobian():
