@@ -344,40 +344,36 @@ def synthesize(n: int, coeffs, directions, derivative: str | None = None) -> np.
     part = _PARTS.get(derivative)
     if part is None:
         raise ValueError(f"derivative must be None, 'theta' or 'phi'; got {derivative!r}")
-    return _synthesize_at(_angles(n, directions), coeffs, part)
-
-
-def _synthesize_at(ang: _Angles, coeffs, part: int) -> np.ndarray:
-    """`synthesize` at the angles of a grid from `_angles`, so that the
-    sums of one build share one lookup."""
-    out = np.zeros(ang.theta.shape)
+    d = np.asarray(directions, dtype=float)
+    ang = _angles(n, d)
+    out = np.zeros(d.shape[:-1])
     for (s, i), c in coeffs.items():
         if np.any(c != 0.0):
             out = out + c * _harmonic_part(s, i, ang, part)
     return out
 
 
-def _tangential_gradient(ang: _Angles, coeffs) -> np.ndarray:
-    """Tangential gradient of the harmonic sum of c * Y_{s,i}, shape (..., n),
-    at the angles of unit directions of shape (..., n) from `_angles`: the
-    theta (and, for n=3, phi) derivative of `synthesize` times the unit
-    frame vectors,
+def _tangential_gradient(n: int, coeffs, directions) -> np.ndarray:
+    """Tangential gradient of the harmonic sum of c * Y_{s,i}, shape (..., n)
+    for unit directions of shape (..., n): the theta (and, for n=3, phi)
+    derivative of `synthesize` times the unit frame vectors,
 
         d/dtheta theta_hat + (1 / sin theta) d/dphi phi_hat
 
     (theta_hat = (-sin theta, cos theta) for n=2).  Orthogonal to the
     direction; the poles are excluded for n=3."""
-    if ang.n == 2:
+    ang = _angles(n, directions)
+    if n == 2:
         frame = np.stack([-ang.sin_theta, ang.cos_theta], axis=-1)
-        return _synthesize_at(ang, coeffs, 1)[..., None] * frame
+        return synthesize(n, coeffs, directions, "theta")[..., None] * frame
     cos_phi = np.cos(ang.phi_unique)[ang.phi_inverse]
     sin_phi = np.sin(ang.phi_unique)[ang.phi_inverse]
     theta_hat = np.stack(
         [ang.cos_theta * cos_phi, ang.cos_theta * sin_phi, -ang.sin_theta], axis=-1
     )
     phi_hat = np.stack([-sin_phi, cos_phi, np.zeros_like(ang.phi)], axis=-1)
-    grad = _synthesize_at(ang, coeffs, 1)[..., None] * theta_hat
-    grad += (_synthesize_at(ang, coeffs, 2) / ang.sin_theta)[..., None] * phi_hat
+    grad = synthesize(n, coeffs, directions, "theta")[..., None] * theta_hat
+    grad += (synthesize(n, coeffs, directions, "phi") / ang.sin_theta)[..., None] * phi_hat
     return grad
 
 

@@ -21,8 +21,6 @@ import numpy as np
 from .special_functions import (
     HarmonicBasis,
     SphereQuadrature,
-    _angles,
-    _synthesize_at,
     _tangential_gradient,
     lb_eigen,
     synthesize,
@@ -260,15 +258,13 @@ def _radial_fields(n: int, R: float, items, x: np.ndarray) -> tuple[np.ndarray, 
 
         D v = (d_r g) xhat xhat^T + xhat (grad_S g)^T / r + (g / r)(I - xhat xhat^T),
 
-    with g, d_r g and the angular derivatives of g each one harmonic sum
-    (`synthesize`) in the mapping order of the terms (grad_S g from
-    `_tangential_gradient`), all at one `_angles` lookup of xhat, and the
-    three products formed once.  The radial factors (r/R)^s and
-    s r^(s-1) / R^s are formed once per degree and scaled by each term's
-    coefficient."""
+    with g, d_r g and the angular derivatives of g each one `synthesize`
+    sum in the mapping order of the terms (grad_S g from
+    `_tangential_gradient`), and the three products formed once.  The
+    radial factors (r/R)^s and s r^(s-1) / R^s are formed once per degree
+    and scaled by each term's coefficient."""
     r = np.linalg.norm(x, axis=-1)
     xhat = x / r[..., None]
-    ang = _angles(n, xhat)
     degrees = {s for s, _, _ in items}
     # the per-point coefficients hold one array per term (1.5 MB for 45
     # terms on an n = 3 order-64 grid): one dict at a time, none kept
@@ -276,13 +272,13 @@ def _radial_fields(n: int, R: float, items, x: np.ndarray) -> tuple[np.ndarray, 
     rise = {s: s * r ** (s - 1) / R**s for s in degrees if s > 0}
     slope = {(s, i): c * rise[s] for s, i, c in items if s > 0}
     del rise
-    dg = _synthesize_at(ang, slope, 0)
+    dg = synthesize(n, slope, xhat)
     del slope
     power = {s: (r / R) ** s for s in degrees}
     radial = {(s, i): c * power[s] for s, i, c in items}
     del power
-    g = _synthesize_at(ang, radial, 0)
-    grad = _tangential_gradient(ang, radial)
+    g = synthesize(n, radial, xhat)
+    grad = _tangential_gradient(n, radial, xhat)
     del radial
     xx = xhat[..., :, None] * xhat[..., None, :]
     jac = dg[..., None, None] * xx

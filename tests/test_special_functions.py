@@ -211,7 +211,7 @@ def test_tangential_gradient_dirichlet_energy(n, coeffs):
     # int |grad_tan sum c Y|^2 = sum c^2 s(s+n-2) on the unit sphere, the
     # harmonics being orthonormal eigenfunctions of the Laplace-Beltrami
     quad = SphereQuadrature(n, 48)
-    g = _tangential_gradient(special_functions._angles(n, quad.directions), coeffs)
+    g = _tangential_gradient(n, coeffs, quad.directions)
     assert g.shape == (quad.weights.size, n)
     energy = quad.integrate(np.einsum("qi,qi->q", g, g))
     want = sum(c * c * lb_eigen(s, n)[0] for (s, _i), c in coeffs.items())
@@ -316,9 +316,7 @@ _EVALUATORS = {
     "value": spherical_harmonic,
     "theta": _one_harmonic("theta"),
     "phi": _one_harmonic("phi"),
-    "gradient": lambda n, s, i, d: _tangential_gradient(
-        special_functions._angles(n, d), {(s, i): 1.0}
-    ),
+    "gradient": lambda n, s, i, d: _tangential_gradient(n, {(s, i): 1.0}, d),
 }
 
 
@@ -470,7 +468,7 @@ def test_directions_of_the_wrong_dimension_rejected():
     with pytest.raises(ValueError, match=r"shape \(1, 2\) are not 3-vectors \(n=3\)"):
         synthesize(3, {(2, 1): 1.0}, [[1.0, 0.0]])
     with pytest.raises(ValueError, match=r"shape \(\) are not 3-vectors"):
-        special_functions._angles(3, 1.0)
+        _tangential_gradient(3, {(2, 1): 1.0}, 1.0)
     # the shape is checked before the grid memo is consulted
     d = _random_directions(3, 6, 4)
     special_functions._angles(3, d)
@@ -598,7 +596,7 @@ def test_derivatives_and_gradients_evaluate_each_part_once_per_grid(monkeypatch,
     sums, gradients = [], []
     for d in grids:
         sums.append([synthesize(n, coeffs, d, dv) for dv in derivatives])
-        gradients.append(_tangential_gradient(special_functions._angles(n, d), coeffs))
+        gradients.append(_tangential_gradient(n, coeffs, d))
     calls = [_calls_of_one_part(n, s, i, part) for s, i in indices for part in range(n)]
     # the n=3 frame takes one cos and one sin of the distinct phi per call
     frame = 2 * len(grids) if n == 3 else 0
