@@ -321,10 +321,10 @@ def test_m2_contractions_match_the_matmul_form(n):
     # the per-point contractions expand the same formula as the batched
     # products with P = I - nu nu^T: they differ by rounding only
     quad = SphereQuadrature(n, 64)
-    x_unit = quad.directions
+    nu = quad.directions
     for v, w, R in m2_fields(n):
         got = surface_element_m2(v, w, R, quad)
-        want = surface_element_m2_matmul(v.jacobian(R * x_unit), w.jacobian(R * x_unit), x_unit)
+        want = surface_element_m2_matmul(v.jacobian(R * nu), w.jacobian(R * nu), nu)
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
