@@ -422,13 +422,41 @@ def polar_rule(n: int, count: int, azimuths: int = 1) -> tuple[np.ndarray, np.nd
     return np.arccos(x), g * (2.0 * math.pi / azimuths)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _sphere_nodes(n: int, order: int):
+    """theta, phi (None for n=2), directions and weights of
+    SphereQuadrature(n, order), built once per rule and shared read-only by
+    every quadrature of it; the 8 rules used last are kept.  An n = 3 entry
+    holds 6 * 8 bytes per node, about 200 KB at order 64, so the memo holds
+    at most about 1.6 MB of order-64 rules."""
+    if n == 2:
+        theta, weights = polar_rule(2, order)
+        phi = None
+        directions = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    else:
+        theta_1d, w = polar_rule(3, order, azimuths=order)
+        phi_1d = polar_rule(2, order)[0]
+        theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")
+        theta = theta.ravel()
+        phi = phi.ravel()
+        st = np.sin(theta)
+        directions = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+        weights = np.repeat(w, order)
+    for a in (theta, phi, directions, weights):
+        if a is not None:
+            a.flags.writeable = False
+    return theta, phi, directions, weights
+
+
 class SphereQuadrature:
     """Quadrature nodes/weights on the unit sphere S^{n-1}.
 
     n=2: trapezoid rule on the circle (spectrally accurate for periodic
     integrands).  n=3: Gauss-Legendre in cos(theta) x trapezoid in phi;
     both factors are `polar_rule`'s.  `weights` sum to the sphere measure
-    (2 pi or 4 pi).  The order defaults to `default_quad_order()`.
+    (2 pi or 4 pi).  The order defaults to `default_quad_order()`.  The
+    node arrays are shared by every quadrature of the rule (`_sphere_nodes`)
+    and are read-only.
     """
 
     def __init__(self, n: int, order: int | None = None):
@@ -437,22 +465,7 @@ class SphereQuadrature:
         order = default_quad_order() if order is None else order
         self.n = n
         self.order = order
-        if n == 2:
-            self.theta, self.weights = polar_rule(2, order)
-            self.phi = None
-            self.directions = np.stack([np.cos(self.theta), np.sin(self.theta)], axis=-1)
-        else:
-            theta_1d, w = polar_rule(3, order, azimuths=order)
-            phi_1d = polar_rule(2, order)[0]
-            theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")
-            self.theta = theta.ravel()
-            self.phi = phi.ravel()
-            st = np.sin(self.theta)
-            self.directions = np.stack(
-                [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)],
-                axis=-1,
-            )
-            self.weights = np.repeat(w, order)
+        self.theta, self.phi, self.directions, self.weights = _sphere_nodes(n, order)
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the unit sphere of a function sampled at the nodes."""

@@ -119,13 +119,35 @@ class StarDomain:
         if self.t == 0.0:
             r = np.full(d.shape[:-1], 0.0 if derivative else self.R)
         else:
-            r = self.t * synthesize(self.n, self.N, d, derivative)
+            key = (derivative, d.shape, d.tobytes())
+            r = self.t * _harmonic_sum(self.n, tuple(self.N.items()), *key)
             if derivative is None:
                 r = self.R + r
-            r = r + 0.5 * self.t**2 * synthesize(self.n, self.W, d, derivative)
+            r = r + 0.5 * self.t**2 * _harmonic_sum(self.n, tuple(self.W.items()), *key)
         if derivative is None and not np.all(r > 0.0):
             raise ValueError("domain is not star-shaped: r is not > 0 at some direction")
         return r
+
+
+@functools.lru_cache(maxsize=18, typed=True)
+def _harmonic_sum(n: int, items, derivative, shape, dbytes) -> np.ndarray:
+    """`synthesize(n, dict(items), directions, derivative)`, evaluated once
+    per key and shared read-only: the sums of N and W behind
+    `StarDomain.radius`.  They do not depend on t, so every t of a stencil
+    or sweep on one grid reads the same entry.
+
+    The key holds every input bit, as `_radial_table`'s does: n; the
+    (degree, index) -> coefficient items in mapping order, which sets the
+    order of the sum; the part; and the shape and bytes of the directions,
+    so that +0.0 and -0.0 stay apart.  One report touches N and W, in two
+    or three parts, on at most three grids (collocation, integrals,
+    SphereQuadrature): the 18 entries used last are kept.  An entry holds
+    8 (n + 1) bytes per direction with its key, about 130 KB on an n = 3
+    order-64 grid, so the memo holds at most about 2.4 MB."""
+    d = np.frombuffer(dbytes).reshape(shape)
+    out = synthesize(n, dict(items), d, derivative)
+    out.flags.writeable = False
+    return out
 
 
 def perturbed_domain(p: PerturbationField, t: float) -> StarDomain:
@@ -139,6 +161,12 @@ def exact_volume(d: StarDomain) -> float:
 
 
 def exact_surface_area(d: StarDomain) -> float:
+    """Area of the star domain by quadrature of r^(n-2) sqrt(r^2 + |grad r|^2).
+
+    `oracle_solver._boundary` forms the same sqrt(r^2 + |grad r|^2) for its
+    surface weights.  The repetition is deliberate: the oracle stays
+    independent of the library geometry, so the two are not to be merged.
+    `StarDomain.radius`, which defines the domain, is all they share."""
     quad = SphereQuadrature(d.n)
     r = d.radius(quad.directions)
     r_th = d.radius(quad.directions, "theta")

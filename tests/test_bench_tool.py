@@ -213,3 +213,20 @@ def test_a_case_name_20_percent_faster_reads_won(bench, tmp_path):
     assert (w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"]) == (1, 0, 0)
     w = compared_case(bench, tmp_path, [1.2 * t for t in SEED_CPU])["eigen-reports"]
     assert (w["cpu_s_won"], w["cpu_s_lost"], w["cpu_s_tied"]) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("where", ["plain directory", "inside a checkout"])
+def test_a_base_that_is_not_a_checkout_is_refused_before_any_run(bench, tmp_path, monkeypatch, capsys, where):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a perfbench run started")
+
+    monkeypatch.setattr(bench, "run_perfbench", no_run)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)  # any BENCH file would land here
+    base = tmp_path / "base" if where == "plain directory" else BENCH.parent
+    base.mkdir(exist_ok=True)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["change", "--base", str(base), "--base-tag", "parent"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--base {base}" in err and "not the root of a git checkout" in err
+    assert not list(tmp_path.glob("BENCH_*.json"))

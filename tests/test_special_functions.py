@@ -167,6 +167,64 @@ def test_quadrature_measures_sphere(n):
     assert abs(total - (2 * math.pi if n == 2 else 4 * math.pi)) < 1e-12
 
 
+def fresh_sphere_nodes(n, order):
+    """theta, phi, directions and weights of the sphere rule, built anew
+    in the operations `SphereQuadrature` has always used."""
+    if n == 2:
+        theta, weights = special_functions.polar_rule(2, order)
+        return theta, None, np.stack([np.cos(theta), np.sin(theta)], axis=-1), weights
+    theta_1d, w = special_functions.polar_rule(3, order, azimuths=order)
+    theta, phi = np.meshgrid(theta_1d, special_functions.polar_rule(2, order)[0], indexing="ij")
+    theta, phi = theta.ravel(), phi.ravel()
+    sin_t = np.sin(theta)
+    directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
+    return theta, phi, directions, np.repeat(w, order)
+
+
+NODE_ARRAYS = ("theta", "phi", "directions", "weights")
+
+
+@pytest.mark.parametrize("n, order", [(2, 16), (2, 64), (3, 16), (3, 64)])
+def test_quadrature_nodes_are_shared_read_only_and_keep_their_bits(n, order):
+    quad = SphereQuadrature(n, order)
+    for name, want in zip(NODE_ARRAYS, fresh_sphere_nodes(n, order)):
+        got = getattr(quad, name)
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and same_bits(got, want), name
+        assert getattr(SphereQuadrature(n, order), name) is got
+        with pytest.raises(ValueError):
+            got[0] = 0.5
+    assert quad.n == n and quad.order == order
+    maxsize = special_functions._sphere_nodes.cache_info().maxsize
+    assert f"the {maxsize} rules used last" in special_functions._sphere_nodes.__doc__
+
+
+def test_quadrature_nodes_follow_the_order_variable(monkeypatch):
+    SphereQuadrature(2, 64), SphereQuadrature(3, 64)
+    monkeypatch.setenv("RSV_QUAD_ORDER", "16")
+    two, three = SphereQuadrature(2), SphereQuadrature(3)
+    assert two.order == three.order == 16
+    assert two.directions.shape == (16, 2) and two.weights.shape == (16,)
+    assert three.directions.shape == (256, 3) and three.weights.shape == (256,)
+    assert three.theta.shape == three.phi.shape == (256,)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_harmonic_basis_keeps_its_bits_on_shared_nodes(n):
+    # the table of the pre-sharing nodes, from the uncached evaluator
+    _theta, _phi, directions, weights = fresh_sphere_nodes(n, 32)
+    ang = special_functions._angles(n, directions)
+    indices = harmonic_indices(n, 6)
+    want = np.stack([special_functions._harmonic(s, i, ang) for s, i in indices]) * weights
+    basis = HarmonicBasis(n, 6, SphereQuadrature(n, 32))
+    assert basis.indices == indices and same_bits(basis.weighted, want)
+    assert special_functions._projection_table(n, 6, 32)[1] is basis.weighted
+    values = np.random.default_rng(6).normal(size=weights.shape)
+    assert list(basis.project(values).values()) == [float(c) for c in want @ values]
+
+
 def harmonic_table(basis):
     """Y_{s,i} at the basis's nodes, one harmonic at a time, in its order."""
     directions = basis.quad.directions

@@ -423,6 +423,110 @@ def test_star_radius_at_t_zero_is_the_ball(n):
         assert r_d.shape == quad.weights.shape and not np.any(r_d)
 
 
+# ---------------------------------------------------------------------------
+# memoised sums of N and W behind StarDomain.radius: bits, never tolerances
+# ---------------------------------------------------------------------------
+
+
+def unit_directions(n, count, seed):
+    x = np.random.default_rng(seed).normal(size=(count, n))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def uncached_radius(d: StarDomain, directions, derivative=None):
+    """r = R + t N + (t^2/2) W from fresh `synthesize` sums, in the
+    operation order of `StarDomain.radius`."""
+    r = d.t * synthesize(d.n, d.N, directions, derivative)
+    if derivative is None:
+        r = d.R + r
+    return r + 0.5 * d.t**2 * synthesize(d.n, d.W, directions, derivative)
+
+
+STAR_DATA = {
+    2: ({(1, 1): 0.3, (2, 0): -0.2, (3, 1): 0.15, (5, 0): 0.05}, {(0, 0): -0.1, (4, 1): 0.07}),
+    3: ({(1, 0): 0.3, (2, 3): -0.2, (3, 1): 0.15, (4, 8): 0.05}, {(0, 0): -0.1, (2, 4): 0.07}),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("grid", ["hand-built", "quadrature"])
+def test_star_radius_keeps_the_bits_of_the_uncached_sums(n, grid):
+    sphere_geometry._harmonic_sum.cache_clear()
+    directions = unit_directions(n, 40, 41) if grid == "hand-built" else SphereQuadrature(n, 16).directions
+    N, W = STAR_DATA[n]
+    for derivative in [None, "theta", "phi"][:n]:
+        for t in (0.01, -0.01, 0.3):
+            d = StarDomain(n, 1.2, N, W, t)
+            want = uncached_radius(d, directions, derivative)
+            for _ in range(2):  # the second call reads the memo
+                assert same_bits(d.radius(directions, derivative), want), (derivative, t)
+    # one entry per field and part, shared by every t
+    info = sphere_geometry._harmonic_sum.cache_info()
+    assert info.currsize == 2 * n and info.misses == 2 * n
+
+
+@pytest.mark.parametrize(
+    "n, signed, N, derivative",
+    [
+        (2, [-1.0, 0.0], {(1, 0): 0.3, (2, 1): 0.2}, "theta"),
+        (3, [-0.6, 0.0, 0.8], {(1, 2): 0.3, (2, 1): 0.2}, "phi"),
+    ],
+)
+def test_star_radius_keeps_signed_zero_directions_apart(n, signed, N, derivative):
+    plus = np.vstack([signed, unit_directions(n, 3, 42)])
+    minus = plus.copy()
+    minus[0, 1] = -0.0
+    d = StarDomain(n, 1.0, N, {(0, 0): -0.1}, 0.2)
+    sphere_geometry._harmonic_sum.cache_clear()
+    got = [d.radius(x, derivative) for x in (plus, minus)]
+    assert sphere_geometry._harmonic_sum.cache_info().currsize == 4
+    for x, r in zip((plus, minus), got):
+        assert same_bits(r, uncached_radius(d, x, derivative))
+        assert same_bits(d.radius(x, derivative), r)
+    # the azimuth of the signed zero is +pi or -pi, and the derivative
+    # follows it: an entry keyed on the directions by value would hand one
+    # grid the other's bits
+    assert not same_bits(got[0], got[1])
+
+
+def test_star_radius_returns_a_fresh_writable_array():
+    d = StarDomain(3, 1.0, *STAR_DATA[3], 0.1)
+    x = unit_directions(3, 8, 43)
+    for derivative in (None, "theta", "phi"):
+        r = d.radius(x, derivative)
+        want = r.copy()
+        assert r.flags.writeable
+        r[:] = 7.0
+        assert same_bits(d.radius(x, derivative), want)
+
+
+def test_cached_sums_are_read_only_and_bounded():
+    x = unit_directions(2, 8, 44)
+    d = StarDomain(2, 1.0, *STAR_DATA[2], 0.1)
+    d.radius(x)
+    total = sphere_geometry._harmonic_sum(2, tuple(d.N.items()), None, x.shape, x.tobytes())
+    assert same_bits(total, synthesize(2, d.N, x))
+    with pytest.raises(ValueError):
+        total[0] = 1.0
+    info = sphere_geometry._harmonic_sum.cache_info()
+    assert f"the {info.maxsize} entries used last" in sphere_geometry._harmonic_sum.__doc__
+    for k in range(info.maxsize + 3):
+        StarDomain(2, 1.0, {(2, 0): 0.01 * (k + 1)}, {}, 0.1).radius(x)
+    assert sphere_geometry._harmonic_sum.cache_info().currsize == info.maxsize
+
+
+def test_star_shape_errors_raise_on_memoised_sums():
+    x = SphereQuadrature(2, 16).directions
+    for d in (
+        StarDomain(2, 1.0, {(2, 0): math.nan}, {}, 0.1),
+        StarDomain(2, 1.0, COS2T, {}, 1.5),
+        StarDomain(2, 1.0, {}, {(0, 0): -8.0}, 1.0),
+    ):
+        for _ in range(2):  # the second call reads the memo
+            with pytest.raises(ValueError, match="not star-shaped"):
+                d.radius(x)
+
+
 def test_perturbation_field_normal_traces():
     p = PerturbationField(n=3, R=1.3, N={(2, 1): 0.9}, W={(0, 0): -0.2})
     quad = SphereQuadrature(3, 16)

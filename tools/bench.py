@@ -13,13 +13,15 @@ solves per derivative, Bessel calls, quadrature builds, ...) go into
 metric over the seeds, the commit, the host, the BLAS threads the runs
 pinned, and the Python, numpy and scipy versions.
 
-With --base, a second checkout (the base of a change) is run on the same
-workloads and seeds, alternating per seed which side goes first, and its
-record is written as `BENCH_<BASE_TAG>.json`: a before/after pair from one
-session on one machine.  It then prints, for each workload and each
-end-to-end metric of `BENCHMARK.json` (whose `better` field gives the
-direction), how many seed pairs the change won, lost and tied, the median
-of each side, and the base's quartiles.
+With --base, a second git checkout (the base of a change) is run on the
+same workloads and seeds, alternating per seed which side goes first; a
+directory that is not the root of a checkout with a commit is refused
+before any run, exit code 2.  The base's record is written as
+`BENCH_<BASE_TAG>.json`: a before/after pair from one session on one
+machine.  It then prints, for each workload and each end-to-end metric of
+`BENCHMARK.json` (whose `better` field gives the direction), how many seed
+pairs the change won, lost and tied, the median of each side, and the
+base's quartiles.
 
 Each perfbench run also writes its full result file under the checkout's
 `perfbench/results/`; the BLAS threads are read from there.  With --base,
@@ -191,6 +193,13 @@ def git(root: Path, *args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
+def is_checkout(root: Path) -> bool:
+    """Whether root is the top of a git work tree whose HEAD is a commit,
+    so that its record can name the commit it ran."""
+    top = git(root, "rev-parse", "--show-toplevel")
+    return bool(top) and Path(top).resolve() == root and bool(git(root, "rev-parse", "HEAD"))
+
+
 def medians(runs: list[dict]) -> dict:
     """Median of every metric over the runs of each workload."""
     out: dict = {}
@@ -292,7 +301,10 @@ def main(argv=None) -> int:
 
     sides = [(args.tag, ROOT)]
     if args.base is not None:
-        sides.append((args.base_tag, args.base.resolve()))
+        base = args.base.resolve()
+        if not is_checkout(base):
+            parser.error(f"--base {args.base}: not the root of a git checkout with a commit")
+        sides.append((args.base_tag, base))
     runs = {tag: [] for tag, _ in sides}
     traced = {tag: [] for tag, _ in sides}
     for workload in args.workloads:
