@@ -104,7 +104,8 @@ def _boundary(d: StarDomain, count: int) -> _Boundary:
     # sqrt(r^2 + r_theta^2) repeats the integrand of
     # `sphere_geometry.exact_surface_area` on purpose: the oracle stays
     # independent of the library geometry, so the two are not to be merged;
-    # `StarDomain.radius`, which defines the domain, is all they share
+    # `StarDomain.radius`, which defines the domain, is all they share (the
+    # memo of its sums sits below it)
     theta, w = polar_rule(d.n, count)
     dirs = _directions_from_theta(d.n, theta)
     r = d.radius(dirs)

@@ -112,9 +112,10 @@ class StarDomain:
 
     def radius(self, directions, derivative: str | None = None) -> np.ndarray:
         """r at unit directions, or its "theta" / "phi" derivative
-        (see `synthesize`); at t = 0 exactly R, or zeros.  Raises when a
-        value of r is not > 0 (<= 0 or NaN): the domain is not star-shaped
-        there."""
+        (see `synthesize`); at t = 0 exactly R, or zeros.  The sums of N and
+        W come from `_harmonic_sum`, shared by every t; the result is a new
+        array.  Raises when a value of r is not > 0 (<= 0 or NaN): the
+        domain is not star-shaped there."""
         d = np.asarray(directions, dtype=float)
         if self.t == 0.0:
             r = np.full(d.shape[:-1], 0.0 if derivative else self.R)
@@ -166,7 +167,8 @@ def exact_surface_area(d: StarDomain) -> float:
     `oracle_solver._boundary` forms the same sqrt(r^2 + |grad r|^2) for its
     surface weights.  The repetition is deliberate: the oracle stays
     independent of the library geometry, so the two are not to be merged.
-    `StarDomain.radius`, which defines the domain, is all they share."""
+    `StarDomain.radius`, which defines the domain, is all they share; the
+    memo of its sums sits below it."""
     quad = SphereQuadrature(d.n)
     r = d.radius(quad.directions)
     r_th = d.radius(quad.directions, "theta")

@@ -202,7 +202,8 @@ def test_quadrature_nodes_are_shared_read_only_and_keep_their_bits(n, order):
 
 
 def test_quadrature_nodes_follow_the_order_variable(monkeypatch):
-    SphereQuadrature(2, 64), SphereQuadrature(3, 64)
+    for n in (2, 3):
+        SphereQuadrature(n, 64)
     monkeypatch.setenv("RSV_QUAD_ORDER", "16")
     two, three = SphereQuadrature(2), SphereQuadrature(3)
     assert two.order == three.order == 16
