@@ -216,10 +216,10 @@ def _angles(n: int, direction) -> _Angles:
     return _grid_angles(n, d.shape, d.tobytes())
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=18)
 def _grid_angles(n: int, shape, dbytes) -> _Angles:
     """Angles and harmonic rows of one grid of directions, kept for the
-    four grids used last.
+    18 grids used last.
 
     The key is n and the shape and bytes of the directions, so +0.0 and
     -0.0 stay apart, and a miss rebuilds the directions from those bytes.
@@ -227,7 +227,12 @@ def _grid_angles(n: int, shape, dbytes) -> _Angles:
     <= _MEMO_DEGREE asked of it, values and angular derivatives: at most
     3 * 81 rows (n=3) or 2 * 17 (n=2), so 243 * 8 bytes per direction, and
     9 * 8 more for the angles and the key: at most 8.3 MB for a
-    SphereQuadrature(3, 64) grid and about 33 MB for four.
+    SphereQuadrature(3, 64) grid, and at most about 150 MB if all 18 were
+    such grids.  The oracle's grids (collocation, midway between its
+    angles, integrals) hold at most a few hundred directions, under 0.3 MB
+    each.  Replaying the memo's keys over three rounds of the eigen and
+    torsion CLI reports, 18 entries hit as often as an unbounded memo (4
+    missed 157 more calls of 732 in the eigen rounds).
     """
     d = np.frombuffer(dbytes).reshape(shape)
     if n == 2:

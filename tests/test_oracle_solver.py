@@ -266,10 +266,11 @@ def method_calls(monkeypatch, cls, name):
 
 
 @pytest.mark.parametrize("kind, modes", [(TORSION, 28), (ROBIN_EIGEN, 20)])
-def test_torsion_samples_the_domain_on_one_grid_and_eigen_on_two(monkeypatch, kind, modes):
-    # r and dr/dtheta on the collocation grid; eigen takes them once more on
-    # its quadrature grid, whose rays also carry the interior nodes, while
-    # torsion integrates on the collocation grid
+def test_torsion_samples_the_domain_on_two_grids_and_eigen_on_three(monkeypatch, kind, modes):
+    # r and dr/dtheta on the collocation grid and on the angles midway
+    # between its angles; eigen takes them once more on its quadrature grid,
+    # whose rays also carry the interior nodes, while torsion integrates on
+    # the collocation grid
     radius = method_calls(monkeypatch, StarDomain, "radius")
     fields = method_calls(monkeypatch, oracle_solver.OracleSolution, "_fields")
     d = readme_eigen_domain(0.05)
@@ -277,7 +278,7 @@ def test_torsion_samples_the_domain_on_one_grid_and_eigen_on_two(monkeypatch, ki
         solve_perturbed_torsion(d, 1.0, modes)
     else:
         solve_perturbed_eigen(d, 1.0, modes)
-    assert len(radius) == (2 if kind == TORSION else 4)
+    assert len(radius) == (4 if kind == TORSION else 6)
     # eigen: one integral pass, whose rays end at their boundary points; the
     # sign of the eigenfunction comes from the interior nodes already in
     # hand.  Torsion integrates its polynomials in closed form: no fields.
@@ -347,6 +348,84 @@ def test_eigen_residual_is_the_boundary_condition_of_u(n, N, kind):
     else:
         condition = bd.nu_rho * u_rho + bd.nu_theta * u_ang + sol.alpha * u
     assert sol.residual == pytest.approx(float(np.max(np.abs(condition))), abs=1e-12)
+
+
+def midway_theta(n, count):
+    """The angles midway between those of the collocation rule on `count`
+    angles, from numpy's Gauss nodes for n = 3."""
+    if n == 2:
+        return 2.0 * PI * (np.arange(count) + 0.5) / count
+    theta = np.arccos(np.polynomial.legendre.leggauss(count)[0])
+    return (theta[:-1] + theta[1:]) / 2.0
+
+
+@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
+@pytest.mark.parametrize("n, N", [(2, COS2T), (3, {(2, 2): 1.0})])
+def test_midway_residual_is_the_boundary_condition_between_the_collocation_angles(n, N, kind):
+    # the residual off the collocation set: max |condition| of the solved u
+    # midway between the collocation angles, where the fit was not made
+    modes = 12
+    d = perturbed_domain(pfield(n, 1.0, N), 0.05)
+    if kind == TORSION:
+        sol, field = solve_perturbed_torsion(d, 1.0, modes), node_by_node_fields
+    else:
+        sol, field = solve_perturbed_eigen(d, 1.0, modes, kind), fields
+    n_basis = 2 * modes + 1 if n == 2 else modes + 1
+    theta = midway_theta(n, oracle_solver.OVERSAMPLE * n_basis)
+    if n == 2:
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    else:
+        dirs = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    r, r_theta = d.radius(dirs), d.radius(dirs, "theta")
+    u, u_rho, u_ang = field(sol, r, theta)
+    if kind == DIRICHLET_EIGEN:
+        condition = u
+    else:
+        condition = (r * u_rho - r_theta * u_ang) / np.hypot(r, r_theta) + sol.alpha * u
+    midway = float(np.max(np.abs(condition)))
+    assert sol.midway_residual == pytest.approx(midway, abs=1e-12)
+    # a residual of its own, of the same size as the fitted one
+    assert sol.midway_residual != sol.residual
+    assert 0.1 < sol.midway_residual / sol.residual < 10.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("count", [5, 26, 75, 135])
+def test_midway_angles_lie_strictly_between_the_collocation_angles(n, count):
+    theta = oracle_solver.polar_rule(n, count)[0]
+    midway = oracle_solver._midway_angles(n, count)
+    assert np.intersect1d(theta, midway).size == 0
+    assert np.allclose(midway, midway_theta(n, count), rtol=0.0, atol=1e-14)
+    if n == 2:
+        # one after each angle, the last one before 2 pi
+        assert midway.size == count
+        assert np.all(theta < midway) and np.all(midway < np.append(theta[1:], 2.0 * PI))
+    else:
+        # the Gauss angles fall from near pi to near 0: one between each pair
+        assert midway.size == count - 1
+        assert np.all(theta[1:] < midway) and np.all(midway < theta[:-1])
+
+
+RESIDUALS = re.compile(
+    r"boundary residual (\S+) on the collocation angles, (\S+) midway between them"
+)
+
+
+@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN])
+def test_the_midway_check_catches_what_square_collocation_hides(monkeypatch, kind):
+    # one angle per basis element interpolates the boundary condition: the
+    # fitted residual is rounding, while the condition is far from met
+    # between the angles, and only the midway sample sees it
+    monkeypatch.setattr(oracle_solver, "OVERSAMPLE", 1)
+    d = readme_eigen_domain(0.1)
+    with pytest.raises(ArithmeticError, match="boundary residual") as error:
+        if kind == TORSION:
+            solve_perturbed_torsion(d, 1.0, 8)
+        else:
+            solve_perturbed_eigen(d, 1.0, 8)
+    fitted, midway = map(float, RESIDUALS.search(str(error.value)).groups())
+    assert fitted <= 1e-13
+    assert midway > 10.0 * oracle_solver.RESIDUAL_LIMIT
 
 
 def test_eigen_kind_validation():
@@ -1090,7 +1169,7 @@ def test_a_family_keeps_the_bits_of_one_solve_per_member(n, N, alpha, kind, fami
     p = pfield(n, 1.0, N)
     domains = [perturbed_domain(p, t) for t in ts]
     together = solve_perturbed_eigens(domains, alpha, modes, kind)
-    scalars = ("lam", "sigma_min", "condition", "residual")
+    scalars = ("lam", "sigma_min", "condition", "residual", "midway_residual")
     evals = set()
     for d, sol in zip(domains, together, strict=True):
         alone = solve_perturbed_eigen(d, alpha, modes, kind)
@@ -1206,10 +1285,18 @@ def raised(call):
 @pytest.mark.parametrize(
     "p, ts, first, text",
     [
-        # one later member fails
-        (pfield(2, 1.0, COS2T), [0.0, 0.01, 0.05], 0.05, "boundary residual 3.35e-06"),
-        # two fail: the earlier one's text, not the later one's 3.35e-06
-        (pfield(2, 1.0, COS2T), [0.0, 0.08, 0.05], 0.08, "boundary residual 3.59e-05"),
+        # one later member fails; midway between the collocation angles,
+        # the odd angles of the former 4x rule, it reads what that rule's
+        # residual read
+        (
+            pfield(2, 1.0, COS2T), [0.0, 0.01, 0.05], 0.05,
+            "boundary residual 3.15e-06 on the collocation angles, 3.35e-06 midway between them",
+        ),
+        # two fail: the earlier one's text, not the later one's
+        (
+            pfield(2, 1.0, COS2T), [0.0, 0.08, 0.05], 0.08,
+            "boundary residual 3.15e-05 on the collocation angles, 3.59e-05 midway between them",
+        ),
         # the earlier member fails its checks at lam*, after the later one's
         # search has already failed
         (DILATION, [0.0, 0.6, 0.3], 0.6, "is not shown to be the first eigenvalue"),
@@ -1531,16 +1618,71 @@ def test_a_failed_first_eigenvalue_check_reports_both_checks(index, sign, quotie
     assert re.match(r"lam = \d+\.\d+ is not", text), text
 
 
+# a boundary condition of unit size: residuals below this are rounding,
+# and the ratio of two of them is noise (2.1e-14 against 1.7e-15 in one
+# torsion case, where every residual above it moves by at most 5%)
+RESIDUAL_FLOOR = 1e-13
+
+
+def test_the_collocation_rule_keeps_every_survey_outcome_of_four_angles_per_element(monkeypatch):
+    # the rule against the former 4 angles per basis element on the seeded
+    # torsion survey and 40 eigen draws: every case ends the same way,
+    # solved or raised, and a solved case's midway residual, and its E or
+    # lam (relative to the 4x midway residual), stay within 2x of the 4x ones
+    def torsion(case):
+        n, alpha, modes, t, N = case
+        return solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes)
+
+    def eigen(case):
+        n, N, alpha, kind, modes, t = case
+        return solve_perturbed_eigen(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes, kind)
+
+    def ends(solve, cases, factor):
+        monkeypatch.setattr(oracle_solver, "OVERSAMPLE", factor)
+        out = []
+        for case in cases:
+            try:
+                sol = solve(case)
+            except ArithmeticError:
+                out.append(None)
+            else:
+                out.append((sol.midway_residual, sol.energy))
+        return out
+
+    rule = oracle_solver.OVERSAMPLE
+    assert rule < 4
+    eigen_cases = list(itertools.islice(eigen_survey(np.random.default_rng(2501)), 40))
+    solved = {}
+    for solve, cases in ((torsion, list(torsion_survey())), (eigen, eigen_cases)):
+        solved[solve.__name__] = 0
+        for case, now, before in zip(cases, ends(solve, cases, rule), ends(solve, cases, 4)):
+            assert (now is None) == (before is None), case
+            if now is None:
+                continue
+            solved[solve.__name__] += 1
+            (midway, value), (midway4, value4) = now, before
+            bound = 2.0 * max(midway4, RESIDUAL_FLOOR)
+            assert max(midway, RESIDUAL_FLOOR) <= bound, case
+            assert abs(value - value4) <= bound * max(1.0, abs(value4)), case
+    # both kinds of outcome occur, so the comparison has cases of each
+    assert solved == {"torsion": 310, "eigen": 24}
+
+
 def test_eigen_solution_lam_is_a_python_float():
     sol = solve_perturbed_eigen(readme_eigen_domain(0.01), 1.0, 12)
     assert type(sol.lam) is float and type(sol.energy) is float
 
 
-def test_grid_angular_tables_are_kept_read_only():
-    parts = oracle_solver._grid_angular_parts(2, 12, 100)
-    assert parts is oracle_solver._grid_angular_parts(2, 12, 100)
-    theta = oracle_solver.polar_rule(2, 100)[0]
-    for table, fresh in zip(parts, oracle_solver._angular_parts(2, 12, theta)):
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("midway", [False, True])
+def test_grid_angular_tables_are_kept_read_only(n, midway):
+    parts = oracle_solver._grid_angular_parts(n, 12, 100, midway)
+    assert parts is oracle_solver._grid_angular_parts(n, 12, 100, midway)
+    if midway:
+        theta = oracle_solver._midway_angles(n, 100)
+    else:
+        theta = oracle_solver.polar_rule(n, 100)[0]
+    for table, fresh in zip(parts, oracle_solver._angular_parts(n, 12, theta)):
         assert not table.flags.writeable
         assert np.array_equal(table, fresh)
 
