@@ -289,9 +289,10 @@ def _collocation(d: StarDomain, modes: int):
     2 angles per element keep the outcome (solved or raised) of 4 on the
     seeded torsion survey (480 cases) and on 80 eigen draws, with every
     midway residual above rounding within 1.07x of its 4x value and lam
-    within 3.6e-10 relative.  On larger surveys (1,280 more cases, |t| up
-    to 0.2) four cases change outcome, each with a check value within 15%
-    of its limit; 3 angles change one."""
+    within 3.6e-10 relative.  On 1,200 more cases (320 more draws, and 880
+    at up to 44 modes and |t| <= 0.2) four cases change outcome: each
+    raises at 4 with a check value within 15% of its limit and solves at
+    2 (at 3, one does)."""
     if d.n not in (2, 3):
         raise ValueError("n must be 2 or 3")
     if d.n == 3 and any(i != s for coeffs in (d.N, d.W) for s, i in coeffs):

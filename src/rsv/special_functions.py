@@ -229,8 +229,9 @@ def _grid_angles(n: int, shape, dbytes) -> _Angles:
     9 * 8 more for the angles and the key: at most 8.3 MB for a
     SphereQuadrature(3, 64) grid, and at most about 150 MB if all 18 were
     such grids.  The oracle's grids (collocation, midway between its
-    angles, integrals) hold at most a few hundred directions, under 0.3 MB
-    each.  Replaying the memo's keys over three rounds of the eigen and
+    angles, integrals) hold at most max(32, 4 modes + 2) directions for
+    n = 2 and max(32, 2 modes + 8) for n = 3, under 0.3 MB each up to 64
+    modes.  Replaying the memo's keys over three rounds of the eigen and
     torsion CLI reports, 18 entries hit as often as an unbounded memo (4
     missed 157 more calls of 732 in the eigen rounds).
     """

@@ -1627,8 +1627,9 @@ RESIDUAL_FLOOR = 1e-13
 def test_the_collocation_rule_keeps_every_survey_outcome_of_four_angles_per_element(monkeypatch):
     # the rule against the former 4 angles per basis element on the seeded
     # torsion survey and 40 eigen draws: every case ends the same way,
-    # solved or raised, and a solved case's midway residual, and its E or
-    # lam (relative to the 4x midway residual), stay within 2x of the 4x ones
+    # solved or raised; a solved case's midway residual stays within 2x of
+    # its 4x value, and its E or lam moves by at most twice that 4x value,
+    # relative
     def torsion(case):
         n, alpha, modes, t, N = case
         return solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes)
