@@ -231,9 +231,11 @@ def _grid_angles(n: int, shape, dbytes) -> _Angles:
     such grids.  The oracle's grids (collocation, midway between its
     angles, integrals) hold at most max(32, 4 modes + 2) directions for
     n = 2 and max(32, 2 modes + 8) for n = 3, under 0.3 MB each up to 64
-    modes.  Replaying the memo's keys over three rounds of the eigen and
-    torsion CLI reports, 18 entries hit as often as an unbounded memo (4
-    missed 157 more calls of 732 in the eigen rounds).
+    modes.  Replaying the memo's keys over three rounds of each benchmark
+    workload, 18 entries hit as often as an unbounded memo on the eigen CLI
+    reports (17 grids; 12 entries miss 57 more of 732 calls, 4 miss 157),
+    12 do on the torsion reports (12 grids), and the series scan asks for
+    4 grids, so it never holds more than those.
     """
     d = np.frombuffer(dbytes).reshape(shape)
     if n == 2:

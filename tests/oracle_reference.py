@@ -26,6 +26,7 @@ import numpy as np
 
 from rsv.oracle_solver import _angular_parts, _bessel_table, _boundary, _interior
 from rsv.radial_solutions import TORSION
+from rsv.special_functions import polar_rule
 
 
 def basis_row_harmonic(degrees, rho, scale):
@@ -95,7 +96,7 @@ def node_by_node_fields(sol, rho, theta):
 def node_by_node_integrals(sol, n_theta: int, n_rho: int):
     """(int u dx, int |grad u|^2 dx, int u^2 dx, boundary int u^2 dS,
     u at the interior quadrature nodes)."""
-    bd = _boundary(sol.domain, n_theta)
+    bd = _boundary(sol.domain, *polar_rule(sol.n, n_theta))
     rho, w = _interior(bd, sol.n, n_rho)
     th_flat = np.broadcast_to(bd.theta[:, None], rho.shape).ravel()
     vals, g_rho, g_ang = node_by_node_fields(sol, rho.ravel(), th_flat)
@@ -116,7 +117,7 @@ def torsion_gauss_integrals(sol, n_theta: int, n_rho: int):
     once per degree and summed by one matrix product per ray, and
     du/drho = sum_k k a_k s^(k-1) / scale reuses them."""
     n = sol.n
-    bd = _boundary(sol.domain, n_theta)
+    bd = _boundary(sol.domain, *polar_rule(sol.n, n_theta))
     rho, w = _interior(bd, n, n_rho)
     degrees, T, dT = _angular_parts(n, sol.modes, bd.theta)
     top = int(degrees.max())

@@ -341,7 +341,7 @@ def test_eigen_residual_is_the_boundary_condition_of_u(n, N, kind):
     d = perturbed_domain(pfield(n, 1.0, N), 0.05)
     sol = solve_perturbed_eigen(d, 1.0, modes=modes, kind=kind)
     n_basis = 2 * modes + 1 if n == 2 else modes + 1
-    bd = oracle_solver._boundary(d, oracle_solver.OVERSAMPLE * n_basis)
+    bd = oracle_solver._boundary(d, *oracle_solver.polar_rule(n, oracle_solver.OVERSAMPLE * n_basis))
     u, u_rho, u_ang = fields(sol, bd.r, bd.theta)
     if kind == DIRICHLET_EIGEN:
         condition = u
@@ -415,8 +415,10 @@ RESIDUALS = re.compile(
 def test_the_midway_check_catches_what_square_collocation_hides(monkeypatch, kind):
     # one angle per basis element interpolates the boundary condition: the
     # fitted residual is rounding, while the condition is far from met
-    # between the angles, and only the midway sample sees it
+    # between the angles, and only the midway sample sees it (one rule, so
+    # no solve at more angles decides in its place)
     monkeypatch.setattr(oracle_solver, "OVERSAMPLE", 1)
+    monkeypatch.setattr(oracle_solver, "DECIDING_OVERSAMPLE", 1)
     d = readme_eigen_domain(0.1)
     with pytest.raises(ArithmeticError, match="boundary residual") as error:
         if kind == TORSION:
@@ -751,7 +753,7 @@ def member_slope(monkeypatch, d, alpha, modes, kind):
 
     def slope(lam):
         asked.append(lam)
-        solve = oracle_solver._eigen_solve(d, alpha, modes, kind)
+        solve = oracle_solver._eigen_solve(d, alpha, modes, kind, oracle_solver.OVERSAMPLE)
         rho, at = next(solve)
         solve.send(_radial_wave(d.n, modes, at, rho))
         solve.close()
@@ -931,7 +933,13 @@ def test_flat_slope_raises_after_two_evaluations(monkeypatch):
     monkeypatch.setattr(oracle_solver, "_subspace_vector", flat)
     with pytest.raises(ArithmeticError, match="root isolation failed"):
         solve_perturbed_eigen(readme_eigen_domain(0.01), 1.0, modes=8)
-    assert len(calls) == 2
+    # two at each rule: the solve at OVERSAMPLE raises, and so does the
+    # deciding rule, on 17 basis elements
+    assert calls == [
+        (per_element * 17, 17)
+        for per_element in (oracle_solver.OVERSAMPLE, oracle_solver.DECIDING_OVERSAMPLE)
+        for _ in range(2)
+    ]
 
 
 @pytest.mark.parametrize("modes", [8, 20])
@@ -1215,7 +1223,7 @@ def test_a_waiting_member_holds_no_table_of_an_earlier_round(n, N, alpha, kind):
     # kept its last table, or the arrays of its slope, would hold one more
     # order-sized table per member at the family's peak
     d = perturbed_domain(pfield(n, 1.0, N), 0.01)
-    solve = oracle_solver._eigen_solve(d, alpha, 12, kind)
+    solve = oracle_solver._eigen_solve(d, alpha, 12, kind, oracle_solver.OVERSAMPLE)
     request, rounds = next(solve), 0
     while request is not None:
         f, df = _radial_wave(n, 12, request[1], request[0])
@@ -1285,17 +1293,17 @@ def raised(call):
 @pytest.mark.parametrize(
     "p, ts, first, text",
     [
-        # one later member fails; midway between the collocation angles,
-        # the odd angles of the former 4x rule, it reads what that rule's
-        # residual read
+        # one later member fails; the deciding rule, which gives the error
+        # of a failed solve, fits on the angles of the former 4x rule and
+        # reads that rule's residual there
         (
             pfield(2, 1.0, COS2T), [0.0, 0.01, 0.05], 0.05,
-            "boundary residual 3.15e-06 on the collocation angles, 3.35e-06 midway between them",
+            "boundary residual 3.35e-06 on the collocation angles, 3.28e-06 midway between them",
         ),
         # two fail: the earlier one's text, not the later one's
         (
             pfield(2, 1.0, COS2T), [0.0, 0.08, 0.05], 0.08,
-            "boundary residual 3.15e-05 on the collocation angles, 3.59e-05 midway between them",
+            "boundary residual 3.59e-05 on the collocation angles, 3.43e-05 midway between them",
         ),
         # the earlier member fails its checks at lam*, after the later one's
         # search has already failed
@@ -1379,13 +1387,16 @@ def test_integrals_keep_the_bits_of_the_node_by_node_tables(monkeypatch, modes, 
     d = perturbed_domain(pfield(n, 1.0, N), t)
     try:
         solve_perturbed_eigen(d, 1.0, modes, kind)
+        raised = False
     except ArithmeticError as error:
         # 8 modes cannot fit this boundary to the residual limit
         assert (n, kind, modes, abs(t)) == (2, DIRICHLET_EIGEN, 8, 0.05), str(error)
-    assert len(calls) == 1
-    (*sums, u_in), (_int_u, *sums_ref, u_in_ref) = calls[0]
-    assert sums == sums_ref
-    assert np.array_equal(u_in, u_in_ref)
+        raised = True
+    # a solve that raises integrates once more, at the deciding rule
+    assert len(calls) == (2 if raised else 1)
+    for (*sums, u_in), (_int_u, *sums_ref, u_in_ref) in calls:
+        assert sums == sums_ref
+        assert np.array_equal(u_in, u_in_ref)
 
 
 @pytest.mark.parametrize("kind", [ROBIN_EIGEN, DIRICHLET_EIGEN])
@@ -1395,7 +1406,7 @@ def test_fields_keep_the_bits_of_the_basis_row_tables(kind, n, N):
     # boundary points and on scattered interior points (the axis included)
     d = perturbed_domain(pfield(n, 1.0, N), 0.05)
     sol = solve_perturbed_eigen(d, 1.0, 16, kind)
-    bd = oracle_solver._boundary(d, 53)
+    bd = oracle_solver._boundary(d, *oracle_solver.polar_rule(n, 53))
     rng = np.random.default_rng(19)
     theta = rng.uniform(0.0, 2.0 * PI if n == 2 else PI, 300)
     dirs = oracle_solver._directions_from_theta(n, theta)
@@ -1448,14 +1459,22 @@ def survey_draw(rng, n):
     return modes, t, N
 
 
-def torsion_survey():
+def wide_draw(rng, n):
+    """(modes, t, N): modes in 8..44, |t| <= 0.2 and the data of
+    `survey_draw`, whose own modes and t are drawn and dropped."""
+    modes = int(rng.integers(8, 45))
+    t = float(rng.uniform(-0.2, 0.2))
+    return modes, t, survey_draw(rng, n)[2]
+
+
+def torsion_survey(seed=2101, draw=survey_draw):
     """480 seeded torsion cases: n in {2, 3}, five alphas, 48 draws each of
-    `survey_draw`."""
-    rng = np.random.default_rng(2101)
+    `draw`."""
+    rng = np.random.default_rng(seed)
     for n in (2, 3):
         for alpha in (0.25, 1.0, 3.0, -0.7, -2.5):
             for _ in range(48):
-                yield (n, alpha, *survey_draw(rng, n))
+                yield (n, alpha, *draw(rng, n))
 
 
 @pytest.mark.parametrize("n, N", [(2, {(2, 0): 0.4, (3, 1): -0.3}), (3, {(2, 2): 0.5, (4, 4): 0.3})])
@@ -1490,38 +1509,44 @@ def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatc
         calls.clear()
         try:
             solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes)
-            raised = False
+            ending = "ok"
         except ArithmeticError as error:
-            if not calls:
-                # the collocation limits, checked before any integral
+            if "energy forms disagree" in str(error):
+                ending = "weak form"
+            else:
+                # the deciding rule's collocation limits, checked before its
+                # integrals
                 assert "residual" in str(error) or "ill-conditioned" in str(error)
-                outcomes["before"] += 1
-                continue
-            assert "energy forms disagree" in str(error)
-            raised = True
-        (sol, n_theta, (int_u, int_grad_sq, bd_u_sq)), = calls
-        energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
-        g_u, g_grad_sq, g_bd_u_sq = torsion_gauss_integrals(sol, n_theta, modes + 40)
-        gauss = g_grad_sq - 2.0 * g_u + alpha * g_bd_u_sq
-        worst = max(worst, abs(energy - gauss) / abs(gauss))
-        p_u, p_grad_sq, p_bd_u_sq = torsion_gauss_integrals(sol, *former_quad_sizes(modes))
-        former = p_grad_sq - 2.0 * p_u + alpha * p_bd_u_sq
-        if (abs(former + p_u) > 1e-9 * max(1.0, abs(former))) != raised:
-            moved.append(case)
-        outcomes["weak form" if raised else "ok"] += 1
+                ending = "before"
+        outcomes[ending] += 1
+        n_basis = 2 * modes + 1 if n == 2 else modes + 1
+        # one pass per rule that reached the integrals; each but the last
+        # of a solved case failed the weak-form check, held to its rule's
+        # share of the limit
+        for j, (sol, n_theta, (int_u, int_grad_sq, bd_u_sq)) in enumerate(calls):
+            raised = not (ending == "ok" and j == len(calls) - 1)
+            share = oracle_solver._limit_share(n_theta // n_basis)
+            energy = int_grad_sq - 2.0 * int_u + alpha * bd_u_sq
+            g_u, g_grad_sq, g_bd_u_sq = torsion_gauss_integrals(sol, n_theta, modes + 40)
+            gauss = g_grad_sq - 2.0 * g_u + alpha * g_bd_u_sq
+            worst = max(worst, abs(energy - gauss) / abs(gauss))
+            p_u, p_grad_sq, p_bd_u_sq = torsion_gauss_integrals(sol, *former_quad_sizes(modes))
+            former = p_grad_sq - 2.0 * p_u + alpha * p_bd_u_sq
+            if (abs(former + p_u) > share * 1e-9 * max(1.0, abs(former))) != raised:
+                moved.append(case)
     assert worst <= 2e-13
     assert moved == []
     # every outcome occurs, so the comparison has cases of each kind
     assert min(outcomes.values()) > 0, outcomes
 
 
-def eigen_survey(rng):
+def eigen_survey(rng, draw=survey_draw):
     """Seeded eigen cases (n, N, alpha, kind, modes, t), one per dimension
-    and kind in turn, with the data of `survey_draw` (alpha = 1 for Robin)."""
+    and kind in turn, with the data of `draw` (alpha = 1 for Robin)."""
     while True:
         for n in (2, 3):
             for alpha, kind in ((1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)):
-                modes, t, N = survey_draw(rng, n)
+                modes, t, N = draw(rng, n)
                 yield n, N, alpha, kind, modes, t
 
 
@@ -1669,20 +1694,61 @@ def test_the_collocation_rule_keeps_every_survey_outcome_of_four_angles_per_elem
     assert solved == {"torsion": 310, "eigen": 24}
 
 
+@pytest.mark.parametrize(
+    "survey, seed, index, factor",
+    [
+        # a plain rule of 2 angles per element solves each of these, and the
+        # rule of 4 raises: the fitted and midway residuals at 2 sit just
+        # under the limit (9.83e-07 and 9.69e-07; 9.96e-07 and 9.69e-07),
+        # while 4 reads 1.046e-06 fitted, and 1.021e-06 midway
+        ("eigen wide", 3201, 18, 2),
+        ("eigen", 2501, 133, 2),
+        # the weak-form defect at 4 is 1.09e-9 and 1.15e-9; the plain rules
+        # of 3 (the first) and 2 pass it
+        ("torsion wide", 3301, 307, 3),
+        ("torsion wide", 3301, 307, 2),
+        ("torsion wide", 3301, 349, 2),
+    ],
+)
+def test_a_case_near_a_limit_ends_as_at_the_deciding_rule(monkeypatch, survey, seed, index, factor):
+    # the cases of the wider surveys (8-44 modes, |t| <= 0.2) that a rule
+    # cheaper than 4 angles per element, alone, ends otherwise than 4 does;
+    # with the margin of the checks the deciding rule ends them
+    if survey.startswith("torsion"):
+        n, alpha, modes, t, N = next(itertools.islice(torsion_survey(seed, wide_draw), index, None))
+        kind = TORSION
+    else:
+        draw = wide_draw if survey.endswith("wide") else survey_draw
+        cases = eigen_survey(np.random.default_rng(seed), draw)
+        n, N, alpha, kind, modes, t = next(itertools.islice(cases, index, None))
+    d = perturbed_domain(pfield(n, 1.0, N), t)
+
+    def solve():
+        if kind == TORSION:
+            return solve_perturbed_torsion(d, alpha, modes)
+        return solve_perturbed_eigen(d, alpha, modes, kind)
+
+    monkeypatch.setattr(oracle_solver, "OVERSAMPLE", factor)
+    with pytest.raises(ArithmeticError) as error:
+        solve()
+    assert ("energy forms disagree" if kind == TORSION else "boundary residual") in str(error.value)
+    monkeypatch.setattr(oracle_solver, "DECIDING_OVERSAMPLE", factor)
+    sol = solve()
+    assert max(sol.residual, sol.midway_residual) <= oracle_solver.RESIDUAL_LIMIT
+
+
 def test_eigen_solution_lam_is_a_python_float():
     sol = solve_perturbed_eigen(readme_eigen_domain(0.01), 1.0, 12)
     assert type(sol.lam) is float and type(sol.energy) is float
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("midway", [False, True])
-def test_grid_angular_tables_are_kept_read_only(n, midway):
-    parts = oracle_solver._grid_angular_parts(n, 12, 100, midway)
-    assert parts is oracle_solver._grid_angular_parts(n, 12, 100, midway)
-    if midway:
-        theta = oracle_solver._midway_angles(n, 100)
-    else:
-        theta = oracle_solver.polar_rule(n, 100)[0]
+@pytest.mark.parametrize("angles", ["_rule_angles", "_midway_angles"])
+def test_grid_angular_tables_are_kept_read_only(n, angles):
+    angles = getattr(oracle_solver, angles)
+    parts = oracle_solver._grid_angular_parts(n, 12, angles, 100)
+    assert parts is oracle_solver._grid_angular_parts(n, 12, angles, 100)
+    theta = angles(n, 100)
     for table, fresh in zip(parts, oracle_solver._angular_parts(n, 12, theta)):
         assert not table.flags.writeable
         assert np.array_equal(table, fresh)
