@@ -309,8 +309,8 @@ def _collocation(d: StarDomain, modes: int, per_element: int):
 def _limit_share(per_element: int) -> float:
     """The share of each limit that a solve on `per_element` angles per
     basis element must stay under: all of it on the deciding rule, and
-    1/CHECK_MARGIN on fewer angles, whose result stands only if the
-    deciding rule would pass it too."""
+    1/CHECK_MARGIN on fewer angles, so that a result kept there leaves
+    room under every limit for the spread between the two rules."""
     return 1.0 if per_element >= DECIDING_OVERSAMPLE else 1.0 / CHECK_MARGIN
 
 

@@ -1663,25 +1663,47 @@ def test_the_collocation_rule_keeps_every_survey_outcome_of_four_angles_per_elem
         n, N, alpha, kind, modes, t = case
         return solve_perturbed_eigen(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes, kind)
 
-    def ends(solve, cases, factor):
+    real_collocation, rules = oracle_solver._collocation, []
+
+    def collocation(d, modes, per_element):
+        rules.append(per_element)
+        return real_collocation(d, modes, per_element)
+
+    monkeypatch.setattr(oracle_solver, "_collocation", collocation)
+
+    def ends(solve, cases, factor, decided):
+        # each case's (midway residual, E or lam), None where it raised; a
+        # case in `decided` keeps its end there, and a case that the
+        # deciding rule ends joins it: that solve is the one the rule of 4
+        # makes, so the rule of 4 need not make it again
         monkeypatch.setattr(oracle_solver, "OVERSAMPLE", factor)
         out = []
-        for case in cases:
+        for i, case in enumerate(cases):
+            if i in decided:
+                out.append(decided[i])
+                continue
+            rules.clear()
             try:
                 sol = solve(case)
             except ArithmeticError:
                 out.append(None)
             else:
                 out.append((sol.midway_residual, sol.energy))
+            if rules[-1] == oracle_solver.DECIDING_OVERSAMPLE:
+                decided[i] = out[-1]
         return out
 
     rule = oracle_solver.OVERSAMPLE
-    assert rule < 4
+    assert rule < oracle_solver.DECIDING_OVERSAMPLE == 4
     eigen_cases = list(itertools.islice(eigen_survey(np.random.default_rng(2501)), 40))
     solved = {}
     for solve, cases in ((torsion, list(torsion_survey())), (eigen, eigen_cases)):
         solved[solve.__name__] = 0
-        for case, now, before in zip(cases, ends(solve, cases, rule), ends(solve, cases, 4)):
+        decided = {}
+        now_ends = ends(solve, cases, rule, decided)
+        # most repeated cases raise at 4, and some solve there
+        assert 0 < len(decided) < len(cases)
+        for case, now, before in zip(cases, now_ends, ends(solve, cases, 4, decided)):
             assert (now is None) == (before is None), case
             if now is None:
                 continue
