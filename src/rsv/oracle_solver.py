@@ -860,7 +860,9 @@ def solve_perturbed_eigen(
     makes the sum of u over the interior nodes positive, and the residual is
     max |B(lam) c|; the midway residual applies the boundary-condition rows
     at the angles midway between the collocation angles, whose radial
-    table the round at lam* builds with the collocation one.
+    table the round at lam* builds with the collocation one.  A solve at
+    OVERSAMPLE that raises, or passes a check by less than CHECK_MARGIN,
+    is repeated at DECIDING_OVERSAMPLE angles per element, which decides.
     """
     return solve_perturbed_eigens([d], alpha, modes, kind)[0]
 

@@ -341,7 +341,8 @@ def test_eigen_residual_is_the_boundary_condition_of_u(n, N, kind):
     d = perturbed_domain(pfield(n, 1.0, N), 0.05)
     sol = solve_perturbed_eigen(d, 1.0, modes=modes, kind=kind)
     n_basis = 2 * modes + 1 if n == 2 else modes + 1
-    bd = oracle_solver._boundary(d, *oracle_solver.polar_rule(n, oracle_solver.OVERSAMPLE * n_basis))
+    count = oracle_solver.OVERSAMPLE * n_basis
+    bd = oracle_solver._boundary(d, *oracle_solver.polar_rule(n, count))
     u, u_rho, u_ang = fields(sol, bd.r, bd.theta)
     if kind == DIRICHLET_EIGEN:
         condition = u
