@@ -12,12 +12,13 @@ second derivative of the energy in t comes out three independent ways:
 import math
 
 from rsv import (
+    TORSION,
     PerturbationField,
+    curve,
     finite_difference_derivatives,
     second_variation_energy_ball,
     solve_torsion_ball,
     theorem_bounds,
-    torsion_energy_curve,
 )
 
 WANT = 13.0 * math.pi / 12.0
@@ -30,9 +31,7 @@ print("route 1, mode series:        ", repr(report.Eddot0))
 print("route 2, boundary functional:", repr(report.extras["Eddot0_quadrature"]))
 
 p = PerturbationField(2, 1.0, N, {}).with_volume_correction()
-fd = finite_difference_derivatives(
-    torsion_energy_curve(p, 1.0), h=5e-3, richardson_levels=2
-)
+fd = finite_difference_derivatives(curve(p, 1.0, 28, TORSION), h=5e-3, richardson_levels=2)
 print("route 3, PDE oracle d2E/dt2: ", repr(fd.d2), f"(error est {fd.d2_error:.1e})")
 print("target 13 pi / 12 =          ", repr(WANT))
 

@@ -17,12 +17,13 @@ differences of the actual energy on perturbed domains.
 import math
 
 from rsv import (
+    TORSION,
     PerturbationField,
     classify_torsion_sign,
+    curve,
     finite_difference_derivatives,
     second_variation_energy_ball,
     solve_torsion_ball,
-    torsion_energy_curve,
 )
 
 print(f"  {'alpha':>7}   {'e_2':>9} {'e_3':>9} {'e_4':>9}   classification")
@@ -45,7 +46,7 @@ N = {(2, 0): math.sqrt(math.pi)}
 p = PerturbationField(2, 1.0, N, {}).with_volume_correction()
 for alpha, label in ((-1.5, "-pi expected"), (-2.5, "+1.2 pi expected")):
     fd = finite_difference_derivatives(
-        torsion_energy_curve(p, alpha), h=5e-3, richardson_levels=1
+        curve(p, alpha, 28, TORSION), h=5e-3, richardson_levels=1
     )
     closed = second_variation_energy_ball(solve_torsion_ball(2, 1.0, alpha), N).Eddot0
     print(f"  alpha = {alpha}: series {closed!r}, oracle {fd.d2!r}  ({label})")

@@ -13,8 +13,9 @@ strictly positive amount.
 import math
 
 from rsv import (
+    ROBIN_EIGEN,
     PerturbationField,
-    eigenvalue_curve,
+    curve,
     finite_difference_derivatives,
     second_variation_eigenvalue_ball,
     solve_robin_eigen_ball,
@@ -48,7 +49,7 @@ print("oracle cross-check for N = cos 2 theta (reference configuration):")
 N = {(2, 0): math.sqrt(math.pi)}
 p = PerturbationField(2, 1.0, N, {}).with_volume_correction()
 # the curve is asked for its five t values at once and solves them as one family
-fd = finite_difference_derivatives(eigenvalue_curve(p, 1.0), h=5e-3, richardson_levels=1)
+fd = finite_difference_derivatives(curve(p, 1.0, 20, ROBIN_EIGEN), h=5e-3, richardson_levels=1)
 closed = second_variation_eigenvalue_ball(sol, N).Eddot0
 print(f"  closed form {closed!r}")
 print(f"  oracle      {fd.d2!r}")

@@ -13,15 +13,17 @@ import math
 import numpy as np
 
 from rsv import (
+    ROBIN_EIGEN,
+    TORSION,
     PerturbationField,
+    curve,
     finite_difference_derivatives,
     perturbed_domain,
     solve_perturbed_eigen,
-    solve_perturbed_eigens,
+    solve_perturbed_family,
     solve_perturbed_torsion,
     sweep_rows,
 )
-from rsv.radial_solutions import TORSION
 
 N = {(2, 0): math.sqrt(math.pi)}
 p = PerturbationField(2, 1.0, N, {}).with_volume_correction()
@@ -45,17 +47,9 @@ print(f"   boundary-condition block over lam, then Rayleigh-checked)")
 
 print()
 print("difference quotients with error estimates (energy curve):")
-cache = {}
-
-
-def E(ts):
-    # a curve maps the whole stencil of t values to their values at once;
-    # the levels below share their t values, so each is solved once
-    for t in ts:
-        if t not in cache:
-            cache[t] = solve_perturbed_torsion(perturbed_domain(p, t), 1.0, modes=28).energy
-    return [cache[t] for t in ts]
-
+# a curve maps the whole stencil of t values to their energies at once,
+# solving them as one family
+E = curve(p, 1.0, 28, TORSION)
 
 for levels in (0, 1, 2):
     fd = finite_difference_derivatives(E, h=5e-3, richardson_levels=levels)
@@ -64,14 +58,21 @@ for levels in (0, 1, 2):
 print(f"  target 13 pi/12 = {13 * math.pi / 12!r}")
 
 print()
-print("an eigen stencil solved as one family: the lam searches of its five")
-print("domains share one Bessel table per round, each result bit for bit its own:")
+print("a stencil solved as one family, of either kind: the lam searches of")
+print("its five domains share one Bessel table per round, and a torsion member")
+print("asks for none; each result is bit for bit its own:")
 ts = [0.0, 0.01, -0.01, 0.005, -0.005]
-family = solve_perturbed_eigens([perturbed_domain(p, t) for t in ts], 1.0, modes=20)
-for t, sol in zip(ts, family):
-    alone = solve_perturbed_eigen(perturbed_domain(p, t), 1.0, modes=20)
+domains = [perturbed_domain(p, t) for t in ts]
+family = solve_perturbed_family(domains, 1.0, 20, ROBIN_EIGEN)
+torsion = solve_perturbed_family(domains, 1.0, 28, TORSION)
+for d, sol, tsol in zip(domains, family, torsion):
+    alone = solve_perturbed_eigen(d, 1.0, modes=20)
     assert sol.lam == alone.lam and np.array_equal(sol.coefficients, alone.coefficients)
-    print(f"  t = {t:>6.3f}: lam = {sol.lam!r}  ({sol.sigma_evals} slope evaluations)")
+    assert tsol.energy == solve_perturbed_torsion(d, 1.0, modes=28).energy
+    print(
+        f"  t = {d.t:>6.3f}: lam = {sol.lam!r}  ({sol.sigma_evals} slope evaluations),"
+        f" E = {tsol.energy!r}"
+    )
 
 print()
 print("sweep of the family (t, E, lam, S, V); volume is pinned to O(t^4):")

@@ -11,14 +11,13 @@ perturbed domains themselves.
 from .oracle_solver import (
     Derivatives,
     OracleSolution,
-    eigenvalue_curve,
+    curve,
     finite_difference_derivatives,
     solve_perturbed_eigen,
-    solve_perturbed_eigens,
+    solve_perturbed_family,
     solve_perturbed_torsion,
     surface_curve,
     sweep_rows,
-    torsion_energy_curve,
 )
 from .radial_solutions import (
     DIRICHLET_EIGEN,
@@ -104,9 +103,9 @@ __all__ = [
     "bessel_j",
     "bessel_j_zeros",
     "classify_torsion_sign",
+    "curve",
     "dirichlet_eigenvalue",
     "dirichlet_variations",
-    "eigenvalue_curve",
     "exact_surface_area",
     "exact_volume",
     "finite_difference_derivatives",
@@ -125,7 +124,7 @@ __all__ = [
     "shape_derivative_uprime",
     "solve_dirichlet_eigen_ball",
     "solve_perturbed_eigen",
-    "solve_perturbed_eigens",
+    "solve_perturbed_family",
     "solve_perturbed_torsion",
     "solve_robin_eigen_ball",
     "solve_torsion_ball",
@@ -135,7 +134,6 @@ __all__ = [
     "surface_second_variation_general",
     "sweep_rows",
     "theorem_bounds",
-    "torsion_energy_curve",
     "volume_completion_field",
     "zero_field",
 ]

@@ -32,11 +32,10 @@ from pathlib import Path
 import yaml
 
 from .oracle_solver import (
-    eigenvalue_curve,
+    curve,
     finite_difference_derivatives,
     surface_curve,
     sweep_rows,
-    torsion_energy_curve,
 )
 from .radial_solutions import (
     DIRICHLET_EIGEN,
@@ -410,16 +409,13 @@ def _ball_state(cfg: ExperimentConfig) -> RadialSolution:
         raise ConfigError(f"problem.alpha: {exc}")
 
 
-def _oracle(cfg: ExperimentConfig, curve=None):
-    """Oracle derivatives at t = 0 of `curve`; by default the torsion energy
-    or first eigenvalue along the config's family."""
-    if curve is None and cfg.kind == TORSION:
-        curve = torsion_energy_curve(cfg.perturbation, cfg.alpha, cfg.oracle_modes or 28)
-    elif curve is None:
-        curve = eigenvalue_curve(cfg.perturbation, cfg.alpha, cfg.oracle_modes or 20, cfg.kind)
-    return finite_difference_derivatives(
-        curve, h=cfg.h, richardson_levels=cfg.richardson_levels
-    )
+def _oracle(cfg: ExperimentConfig, f=None):
+    """Oracle derivatives at t = 0 of the curve `f`; by default the torsion
+    energy or first eigenvalue along the config's family."""
+    if f is None:
+        modes = cfg.oracle_modes or (28 if cfg.kind == TORSION else 20)
+        f = curve(cfg.perturbation, cfg.alpha, modes, cfg.kind)
+    return finite_difference_derivatives(f, h=cfg.h, richardson_levels=cfg.richardson_levels)
 
 
 def _second_variation(cfg: ExperimentConfig, sol: RadialSolution):

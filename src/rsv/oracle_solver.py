@@ -31,18 +31,22 @@ here on every solve, so replacing those names moves the window.
 Keeping the oracle apart from the formulas it checks is the one
 duplication kept on purpose.
 
-The eigen solves of one finite-difference stencil or sweep form a family:
-the domains of one PerturbationField at the same modes, with the same
-basis, boundary angle count and matrix shapes (`solve_perturbed_eigens`).
-Each solve is one generator (`_eigen_solve`) of radial table requests,
-one per secant slope and one for the rows at lam*; each round serves those
-of every member with one Bessel table over all their points.  The table
-works element by element, so each member keeps the bits of a solve of its
-own.  The linear algebra stays per member: a stacked QR of the family's
-matrices keeps the bits too, but on one BLAS thread it ran no faster than
-one call per matrix at 12 modes and slower at 20 (n = 2), and one member's
-rows at a time stay small enough for the cache.  The integrals stay per
-member too, so one member's basis x nodes table is held at a time.
+The solves of one finite-difference stencil or sweep form a family: the
+domains of one PerturbationField at the same modes and kind, with the same
+basis, boundary angle count and matrix shapes (`solve_perturbed_family`).
+Every solve is one generator, driven by `_solve_family` for every kind, so
+the trial on OVERSAMPLE angles per element and the repeat on
+DECIDING_OVERSAMPLE are written once.  A torsion solve (`_torsion_solve`)
+asks for nothing and ends on its first step.  An eigen solve
+(`_eigen_solve`) asks for radial tables, one per secant slope and one for
+the rows at lam*; each round serves those of every member with one Bessel
+table over all their points.  The table works element by element, so each
+member keeps the bits of a solve of its own.  The linear algebra stays per
+member: a stacked QR of the family's matrices keeps the bits too, but on
+one BLAS thread it ran no faster than one call per matrix at 12 modes and
+slower at 20 (n = 2), and one member's rows at a time stay small enough
+for the cache.  The integrals stay per member too, so one member's basis x
+nodes table is held at a time.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
 """
@@ -479,30 +483,12 @@ def _torsion_integrals(sol: OracleSolution, bd: _Boundary):
     return int_u, int_grad_sq, bd_u_sq
 
 
-def solve_perturbed_torsion(
-    d: StarDomain, alpha: float, modes: int = 32
-) -> OracleSolution:
-    """Torsion state on the perturbed domain: -Lap u = 1 inside,
-    du/dnu + alpha u = 0 on the boundary.
-
-    Ansatz: u = -|y|^2/(2n) + harmonic expansion up to degree `modes`; the
-    Robin condition is fitted at OVERSAMPLE times as many equispaced
-    collocation angles as there are basis functions, and its residual is
-    checked there and at the angles midway between them.  A solve that
-    raises, or passes a check by less than CHECK_MARGIN, is repeated at
-    DECIDING_OVERSAMPLE angles per element, which decides (`_collocation`).
-    """
-    try:
-        return _torsion_solve(d, alpha, modes, OVERSAMPLE)
-    except (ArithmeticError, ValueError):
-        if OVERSAMPLE >= DECIDING_OVERSAMPLE:
-            raise
-    return _torsion_solve(d, alpha, modes, DECIDING_OVERSAMPLE)
-
-
-def _torsion_solve(d: StarDomain, alpha: float, modes: int, per_element: int) -> OracleSolution:
-    """The torsion solve on `per_element` angles per basis element, its
-    checks held to `_limit_share` of their limits."""
+def _torsion_solve(d: StarDomain, alpha: float, modes: int, per_element: int):
+    """One torsion solve (see `solve_perturbed_torsion`) on `per_element`
+    angles per basis element as a family member (`_lockstep`): a generator
+    that asks for no radial table, solves on its first step and returns the
+    OracleSolution, its checks held to `_limit_share` of their limits."""
+    yield from ()
     degrees, fitted, midway = _collocation(d, modes, per_element)
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
@@ -633,11 +619,9 @@ def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str, per_
     share = _limit_share(per_element)
     if kind == ROBIN_EIGEN:
         lam0 = solve_robin_eigen_ball(d.n, d.R, alpha).lam
-    elif kind == DIRICHLET_EIGEN:
+    else:
         alpha = 0.0
         lam0 = solve_dirichlet_eigen_ball(d.n, d.R).lam
-    else:
-        raise ValueError(f"unsupported kind {kind!r}")
     # interior sample rings normalizing the trial functions' bulk size, on
     # every other boundary angle
     on_bd, int_r = bd.r.size, bd.r[::2]
@@ -746,18 +730,20 @@ def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str, per_
 
 
 def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> list:
-    """The outcome of each domain's eigen solve, in order: its
+    """The outcome of each domain's solve of `kind`, in order: its
     OracleSolution, or the exception the solve raised.  A caller that
     raises the first exception in this order ends as a run of one solve
     after the other would, whatever stage each member failed at: a later
     member's error (a boundary that is not star-shaped, say) never stands
-    in for an earlier member's.  Mixed dimensions are refused before any
-    solve.
+    in for an earlier member's.  An unknown kind and mixed dimensions are
+    refused before any solve.
 
     The family solves at OVERSAMPLE angles per basis element; the members
     whose solve raised, or passed a check by less than CHECK_MARGIN, then
     solve as a family of their own at DECIDING_OVERSAMPLE, which decides
     their outcomes (`_collocation`)."""
+    if kind not in (TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN):
+        raise ValueError(f"unsupported kind {kind!r}")
     mixed = [d.n for d in domains if d.n != domains[0].n]
     if mixed:
         raise ValueError(
@@ -773,16 +759,20 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
 
 
 def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_element: int) -> list:
-    """The outcome of each domain's `_eigen_solve` on `per_element` angles
-    per basis element, in order, with the solves run in lockstep: each
-    round serves the pending request of every member, a secant slope or the
-    rows at lam*, with one radial table over all their points, lam per
-    point.  The table is element-wise, so every member's columns keep the
-    bits of a table of its own; its rows, factorizations, integrals and
-    checks stay per member."""
+    """The outcome of each domain's solve on `per_element` angles per basis
+    element, in order, with the solves run in lockstep: each member is a
+    generator (`_torsion_solve` or `_eigen_solve`), and each round serves
+    the pending request of every member, a secant slope or the rows at
+    lam*, with one radial table over all their points, lam per point.  A
+    torsion member asks for none and ends in the first round.  The table is
+    element-wise, so every member's columns keep the bits of a table of its
+    own; its rows, factorizations, integrals and checks stay per member."""
     outcomes: list = [None] * len(domains)
     solves = {
-        i: _eigen_solve(d, alpha, modes, kind, per_element) for i, d in enumerate(domains)
+        i: _torsion_solve(d, alpha, modes, per_element)
+        if kind == TORSION
+        else _eigen_solve(d, alpha, modes, kind, per_element)
+        for i, d in enumerate(domains)
     }
     # member -> its views of the round's table, None to start the solve;
     # each member's entry goes as it is served, and the table itself with
@@ -809,22 +799,37 @@ def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_eleme
         del f, df
 
 
-def solve_perturbed_eigens(
-    domains,
-    alpha: float | None,
-    modes: int = 20,
-    kind: str = ROBIN_EIGEN,
+def solve_perturbed_family(
+    domains, alpha: float | None, modes: int, kind: str
 ) -> list[OracleSolution]:
-    """`solve_perturbed_eigen` on each of `domains`, the domains of one
+    """The solve of `kind` on each of `domains`, the domains of one
     PerturbationField (a finite-difference stencil or a sweep), solved as
-    one family: the lam searches share one radial table per round
-    (`_solve_family`), and each result keeps the bits of a solve of its
-    own.  The first failing member, in the order given, raises its error."""
+    one family (`_solve_family`): the eigen kinds' lam searches share one
+    radial table per round, and each result keeps the bits of a solve of
+    its own.  An unknown kind raises before any solve; then the first
+    failing member, in the order given, raises its error."""
     outcomes = _solve_family(list(domains), alpha, modes, kind)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes
+
+
+def solve_perturbed_torsion(
+    d: StarDomain, alpha: float, modes: int = 32
+) -> OracleSolution:
+    """Torsion state on the perturbed domain: -Lap u = 1 inside,
+    du/dnu + alpha u = 0 on the boundary; the family of
+    `solve_perturbed_family` with one member.
+
+    Ansatz: u = -|y|^2/(2n) + harmonic expansion up to degree `modes`; the
+    Robin condition is fitted at OVERSAMPLE times as many equispaced
+    collocation angles as there are basis functions, and its residual is
+    checked there and at the angles midway between them.  A solve that
+    raises, or passes a check by less than CHECK_MARGIN, is repeated at
+    DECIDING_OVERSAMPLE angles per element, which decides (`_solve_family`).
+    """
+    return solve_perturbed_family([d], alpha, modes, TORSION)[0]
 
 
 def solve_perturbed_eigen(
@@ -835,8 +840,8 @@ def solve_perturbed_eigen(
 ) -> OracleSolution:
     """First eigenvalue lam(t) of -Lap u = lam u on the perturbed domain with
     the Robin (du/dnu + alpha u = 0) or Dirichlet (u = 0) condition; the
-    family of `solve_perturbed_eigens` with one member.  The solve is one
-    generator (`_eigen_solve`); `_solve_family` builds each radial table it
+    family of `solve_perturbed_family` with one member.  The solve is one
+    generator (`_eigen_solve`); `_lockstep` builds each radial table it
     asks for, those of the lam search and the one for the rows at lam*.
 
     The boundary-condition collocation matrix B(lam) is built from wave
@@ -864,7 +869,7 @@ def solve_perturbed_eigen(
     OVERSAMPLE that raises, or passes a check by less than CHECK_MARGIN,
     is repeated at DECIDING_OVERSAMPLE angles per element, which decides.
     """
-    return solve_perturbed_eigens([d], alpha, modes, kind)[0]
+    return solve_perturbed_family([d], alpha, modes, kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +894,7 @@ def finite_difference_derivatives(
 
     f maps a sequence of t to the sequence of its values, and is asked for
     the whole stencil in one call, in the order 0, +-2^levels h, ..., +-h
-    (so an eigen curve solves it as one family).  The error estimate is
+    (so `curve` solves it as one family).  The error estimate is
     the difference between the last two Richardson diagonals.  Raises when
     refinement makes the estimates worse (step too small, cancellation).
     """
@@ -939,29 +944,14 @@ def finite_difference_derivatives(
 # ---------------------------------------------------------------------------
 
 
-def torsion_energy_curve(p: PerturbationField, alpha: float, modes: int = 28):
-    """ts -> E(t) for each t, the torsion energy on the perturbed family."""
-
-    def f(ts) -> list[float]:
-        return [
-            solve_perturbed_torsion(perturbed_domain(p, t), alpha, modes).energy for t in ts
-        ]
-
-    return f
-
-
-def eigenvalue_curve(
-    p: PerturbationField,
-    alpha: float | None,
-    modes: int = 20,
-    kind: str = ROBIN_EIGEN,
-):
-    """ts -> lam(t) for each t, the first Robin or Dirichlet eigenvalue,
-    with the ts solved as one family (`solve_perturbed_eigens`)."""
+def curve(p: PerturbationField, alpha: float | None, modes: int, kind: str):
+    """ts -> E(t) for each t: the torsion energy or, for the eigen kinds,
+    the first eigenvalue lam(t) on the perturbed family, with the ts solved
+    as one family (`solve_perturbed_family`)."""
 
     def f(ts) -> list[float]:
         domains = [perturbed_domain(p, t) for t in ts]
-        return [sol.lam for sol in solve_perturbed_eigens(domains, alpha, modes, kind)]
+        return [sol.energy for sol in solve_perturbed_family(domains, alpha, modes, kind)]
 
     return f
 
@@ -980,20 +970,14 @@ def sweep_rows(
     ts,
     modes: int = 20,
 ) -> list[tuple[float, float, float, float, float]]:
-    """Rows (t, E, lam, S, V) along the family; lam is NaN for torsion.  The
-    eigen kinds solve all ts as one family; the first row whose solve, area
-    or volume fails raises, in t order."""
+    """Rows (t, E, lam, S, V) along the family; lam is NaN for torsion.  All
+    ts solve as one family (`_solve_family`); the first row whose solve,
+    area or volume fails raises, in t order."""
     domains = [perturbed_domain(p, float(t)) for t in ts]
-    if kind != TORSION:
-        eigens = _solve_family(domains, alpha, modes, kind)
     rows = []
-    for i, d in enumerate(domains):
-        if kind == TORSION:
-            sol = solve_perturbed_torsion(d, alpha, modes=modes)
-        elif isinstance(eigens[i], Exception):
-            raise eigens[i]
-        else:
-            sol = eigens[i]
-        lam = math.nan if kind == TORSION else sol.lam
+    for d, sol in zip(domains, _solve_family(domains, alpha, modes, kind)):
+        if isinstance(sol, Exception):
+            raise sol
+        lam = math.nan if sol.lam is None else sol.lam
         rows.append((d.t, float(sol.energy), float(lam), exact_surface_area(d), exact_volume(d)))
     return rows

@@ -15,14 +15,15 @@ import pytest
 from bessel_reference import bessel_j_derivative
 
 from rsv.oracle_solver import (
-    eigenvalue_curve,
+    curve,
     finite_difference_derivatives,
     solve_perturbed_torsion,
     surface_curve,
-    torsion_energy_curve,
 )
 from rsv.radial_solutions import (
     DIRICHLET_EIGEN,
+    ROBIN_EIGEN,
+    TORSION,
     solve_robin_eigen_ball,
     solve_torsion_ball,
 )
@@ -107,7 +108,7 @@ def test_03_torsion_second_variation_three_ways():
     series = report.Eddot0
     functional = report.extras["Eddot0_quadrature"]
     oracle = finite_difference_derivatives(
-        torsion_energy_curve(field(2, 1.0, COS2T), 1.0), h=5e-3, richardson_levels=2
+        curve(field(2, 1.0, COS2T), 1.0, 28, TORSION), h=5e-3, richardson_levels=2
     ).d2
     for value in (series, functional, oracle):
         assert value == pytest.approx(want, rel=1e-3)
@@ -117,12 +118,12 @@ def test_03_torsion_second_variation_three_ways():
 def test_04_ball_is_critical_for_volume_preserving_data():
     p = field(2, 1.0, COS2T)
     dE = finite_difference_derivatives(
-        torsion_energy_curve(p, 1.0), h=5e-3, richardson_levels=1
+        curve(p, 1.0, 28, TORSION), h=5e-3, richardson_levels=1
     ).d1
     assert abs(dE) <= 1e-6 * max(1.0, abs(solve_torsion_ball(2, 1.0, 1.0).energy()))
     lam0 = solve_robin_eigen_ball(2, 1.0, 1.0).lam
     dlam = finite_difference_derivatives(
-        eigenvalue_curve(p, 1.0), h=5e-3, richardson_levels=1
+        curve(p, 1.0, 20, ROBIN_EIGEN), h=5e-3, richardson_levels=1
     ).d1
     assert abs(dlam) <= 1e-6 * max(1.0, lam0)
 
@@ -167,7 +168,7 @@ def test_05_torsion_sign_classification_sweep():
     # the oracle confirms the per-degree value on both sides of the boundary
     for alpha in (-1.5, -2.5):
         oracle = finite_difference_derivatives(
-            torsion_energy_curve(field(2, 1.0, COS2T), alpha),
+            curve(field(2, 1.0, COS2T), alpha, 28, TORSION),
             h=5e-3,
             richardson_levels=1,
         ).d2
@@ -197,7 +198,7 @@ def test_07_eigenvalue_second_variation_lower_bound():
         assert report.Eddot0 >= floor - 1e-10 * max(1.0, abs(floor))
     # the oracle confirms the formula value in the reference configuration
     fd = finite_difference_derivatives(
-        eigenvalue_curve(field(2, 1.0, COS2T), 1.0), h=5e-3, richardson_levels=2
+        curve(field(2, 1.0, COS2T), 1.0, 20, ROBIN_EIGEN), h=5e-3, richardson_levels=2
     )
     formula = second_variation_eigenvalue_ball(
         solve_robin_eigen_ball(2, 1.0, 1.0), COS2T
@@ -212,7 +213,7 @@ def test_08_dirichlet_bound_coefficient_and_concavity():
             assert abs(report.extras["gs_coefficient"]) <= 1e-10
     for n, N in ((2, COS2T), (2, COS3T), (3, ZONAL2)):
         fd = finite_difference_derivatives(
-            eigenvalue_curve(field(n, 1.0, N), None, kind=DIRICHLET_EIGEN),
+            curve(field(n, 1.0, N), None, 20, DIRICHLET_EIGEN),
             h=5e-3,
             richardson_levels=1,
         )

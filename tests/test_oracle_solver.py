@@ -25,14 +25,13 @@ from rsv.oracle_solver import (
     _bessel_table,
     _radial_wave,
     _slope_root,
-    eigenvalue_curve,
+    curve,
     finite_difference_derivatives,
     solve_perturbed_eigen,
-    solve_perturbed_eigens,
+    solve_perturbed_family,
     solve_perturbed_torsion,
     surface_curve,
     sweep_rows,
-    torsion_energy_curve,
 )
 from rsv.radial_solutions import (
     DIRICHLET_EIGEN,
@@ -114,16 +113,16 @@ def test_fd_detects_cancellation():
 
 
 def test_fd_asks_for_the_whole_stencil_in_one_call():
-    # t = 0, then +s and -s from the largest step down: an eigen curve solves
-    # the stencil as one family, and its first failing member in this order
-    # is the one a solve-by-solve run would have met first
+    # t = 0, then +s and -s from the largest step down: an oracle curve
+    # solves the stencil as one family, and its first failing member in this
+    # order is the one a solve-by-solve run would have met first
     calls = []
 
-    def curve(ts):
+    def f(ts):
         calls.append(list(ts))
         return [math.exp(t) for t in ts]
 
-    finite_difference_derivatives(curve, h=1e-2, richardson_levels=2)
+    finite_difference_derivatives(f, h=1e-2, richardson_levels=2)
     assert calls == [[0.0, 0.04, -0.04, 0.02, -0.02, 0.01, -0.01]]
 
 
@@ -431,14 +430,28 @@ def test_the_midway_check_catches_what_square_collocation_hides(monkeypatch, kin
     assert midway > 10.0 * oracle_solver.RESIDUAL_LIMIT
 
 
-def test_eigen_kind_validation():
+def test_eigen_kind_validation(monkeypatch):
     d0 = StarDomain(2, 1.0, {}, {}, 0.0)
     with pytest.raises(ValueError):
         solve_perturbed_eigen(d0, None, kind=ROBIN_EIGEN)
     with pytest.raises(ValueError):
         solve_perturbed_eigen(d0, -1.0, kind=ROBIN_EIGEN)
-    with pytest.raises(ValueError):
+    # an unknown kind is refused once, before any member's set-up, at the
+    # sizes of a torsion call and of an eigen one
+    set_ups = []
+    monkeypatch.setattr(oracle_solver, "_collocation", lambda *args: set_ups.append(args))
+    p, ts = pfield(2, 1.0, COS2T), [0.0, 0.01, -0.01]
+    unknown = "^unsupported kind 'sloshing'$"
+    with pytest.raises(ValueError, match=unknown):
         solve_perturbed_eigen(d0, 1.0, kind="sloshing")
+    for modes in (32, 20):
+        with pytest.raises(ValueError, match=unknown):
+            solve_perturbed_family([perturbed_domain(p, t) for t in ts], 1.0, modes, "sloshing")
+        with pytest.raises(ValueError, match=unknown):
+            curve(p, 1.0, modes, "sloshing")(ts)
+        with pytest.raises(ValueError, match=unknown):
+            sweep_rows(p, 1.0, "sloshing", ts, modes)
+    assert set_ups == []
 
 
 def test_eigenvalue_even_in_t_for_mean_free_data():
@@ -446,7 +459,7 @@ def test_eigenvalue_even_in_t_for_mean_free_data():
     # mixed data breaks the accidental t -> -t congruence of single modes
     N = {(2, 0): 0.8, (3, 0): 0.5}
     p = pfield(2, 1.0, N)
-    lam0, *lams = eigenvalue_curve(p, 1.0, modes=16)([0.0, 0.04, -0.04, 0.02, -0.02])
+    lam0, *lams = curve(p, 1.0, 16, ROBIN_EIGEN)([0.0, 0.04, -0.04, 0.02, -0.02])
     C = 50.0 * max(1.0, abs(lam0))
     for h, g_plus, g_minus in zip((0.04, 0.02), lams[::2], lams[1::2]):
         assert abs(g_plus - g_minus) <= C * h**3
@@ -1051,7 +1064,7 @@ def test_volume_stationary_to_second_order():
 
 def test_torsion_first_derivative_vanishes():
     p = pfield(2, 1.0, COS2T)
-    f = torsion_energy_curve(p, 1.0, modes=28)
+    f = curve(p, 1.0, 28, TORSION)
     fd = finite_difference_derivatives(f, h=5e-3, richardson_levels=1)
     assert abs(fd.d1) <= 1e-6 * abs(f([0.0])[0])
 
@@ -1059,7 +1072,7 @@ def test_torsion_first_derivative_vanishes():
 @pytest.mark.parametrize("h", [1e-3, 5e-3, 1e-2])
 def test_torsion_second_derivative_matches_series(h):
     p = pfield(2, 1.0, COS2T)
-    f = torsion_energy_curve(p, 1.0, modes=28)
+    f = curve(p, 1.0, 28, TORSION)
     fd = finite_difference_derivatives(f, h=h, richardson_levels=2)
     want = second_variation_energy_ball(solve_torsion_ball(2, 1.0, 1.0), COS2T).Eddot0
     assert fd.d2 == pytest.approx(want, rel=1e-3)
@@ -1069,7 +1082,7 @@ def test_torsion_second_derivative_matches_series(h):
 def test_torsion_second_derivative_n3_zonal():
     N = {(2, 2): 1.0}
     p = pfield(3, 1.0, N)
-    f = torsion_energy_curve(p, 1.0, modes=20)
+    f = curve(p, 1.0, 20, TORSION)
     fd = finite_difference_derivatives(f, h=5e-3, richardson_levels=1)
     want = second_variation_energy_ball(solve_torsion_ball(3, 1.0, 1.0), N).Eddot0
     assert fd.d2 == pytest.approx(want, rel=1e-3)
@@ -1077,7 +1090,7 @@ def test_torsion_second_derivative_n3_zonal():
 
 def test_eigen_second_derivative_matches_series():
     p = pfield(2, 1.0, COS2T)
-    g = eigenvalue_curve(p, 1.0, modes=16)
+    g = curve(p, 1.0, 16, ROBIN_EIGEN)
     fd = finite_difference_derivatives(g, h=5e-3, richardson_levels=1)
     want = second_variation_eigenvalue_ball(
         solve_robin_eigen_ball(2, 1.0, 1.0), COS2T
@@ -1089,7 +1102,7 @@ def test_eigen_first_derivative_dilation():
     # N = 1 shrinks/grows the disk; lam'(0) = A u(R)^2 |boundary| < 0
     UNIT = {(0, 0): math.sqrt(2.0 * PI)}
     p = PerturbationField(2, 1.0, UNIT, {})
-    g = eigenvalue_curve(p, 1.0, modes=16)
+    g = curve(p, 1.0, 16, ROBIN_EIGEN)
     fd = finite_difference_derivatives(g, h=5e-3, richardson_levels=1)
     want = first_variation(solve_robin_eigen_ball(2, 1.0, 1.0), UNIT)
     assert fd.d1 < 0
@@ -1104,21 +1117,21 @@ def test_first_derivative_of_data_with_a_mean(n, N, kind):
     # one Hadamard integrand for all three kinds: the constant
     # -u_r^2 - 2G(u) + alpha (n-1) u^2/R times int N dS, so only the mean counts
     p = PerturbationField(n, 1.0, N, {})
+    alpha = None if kind == DIRICHLET_EIGEN else 1.0
     if kind == TORSION:
         sol = solve_torsion_ball(n, 1.0, 1.0)
-        curve = torsion_energy_curve(p, 1.0, modes=28 if n == 2 else 20)
+        modes = 28 if n == 2 else 20
     else:
-        alpha = 1.0 if kind == ROBIN_EIGEN else None
         sol = (solve_robin_eigen_ball(n, 1.0, 1.0) if alpha
                else solve_dirichlet_eigen_ball(n, 1.0))
-        curve = eigenvalue_curve(p, alpha, modes=16 if n == 2 else 12, kind=kind)
-    fd = finite_difference_derivatives(curve, h=5e-3, richardson_levels=2)
+        modes = 16 if n == 2 else 12
+    fd = finite_difference_derivatives(curve(p, alpha, modes, kind), h=5e-3, richardson_levels=2)
     assert fd.d1 == pytest.approx(first_variation(sol, N), rel=1e-8)
 
 
 def test_dirichlet_second_derivative_matches_series():
     p = pfield(2, 1.0, COS2T)
-    g = eigenvalue_curve(p, None, modes=16, kind=DIRICHLET_EIGEN)
+    g = curve(p, None, 16, DIRICHLET_EIGEN)
     fd = finite_difference_derivatives(g, h=5e-3, richardson_levels=1)
     want = dirichlet_variations(2, 1.0, COS2T).Eddot0
     assert fd.d2 == pytest.approx(want, rel=1e-3)
@@ -1128,7 +1141,7 @@ def test_dirichlet_second_derivative_matches_series():
 def test_ball_is_local_minimum_for_positive_alpha():
     for N in (COS2T, COS3T):
         p = pfield(2, 1.0, N)
-        E0, E_plus, E_minus = torsion_energy_curve(p, 1.0, modes=28)([0.0, 0.05, -0.05])
+        E0, E_plus, E_minus = curve(p, 1.0, 28, TORSION)([0.0, 0.05, -0.05])
         assert E_plus > E0
         assert E_minus > E0
 
@@ -1138,16 +1151,16 @@ def test_sign_change_region_oracle():
     # below -2/R the degree-2 mode raises it while degree 3 lowers it
     p2 = pfield(2, 1.0, COS2T)
     fd = finite_difference_derivatives(
-        torsion_energy_curve(p2, -1.5, modes=28), h=5e-3, richardson_levels=2
+        curve(p2, -1.5, 28, TORSION), h=5e-3, richardson_levels=2
     )
     assert fd.d2 == pytest.approx(-PI, rel=1e-6)
     fd2 = finite_difference_derivatives(
-        torsion_energy_curve(p2, -2.5, modes=28), h=5e-3, richardson_levels=2
+        curve(p2, -2.5, 28, TORSION), h=5e-3, richardson_levels=2
     )
     assert fd2.d2 == pytest.approx(1.2 * PI, rel=1e-6)
     p3 = pfield(2, 1.0, COS3T)
     fd3 = finite_difference_derivatives(
-        torsion_energy_curve(p3, -2.5, modes=28), h=5e-3, richardson_levels=2
+        curve(p3, -2.5, 28, TORSION), h=5e-3, richardson_levels=2
     )
     assert fd3.d2 == pytest.approx(-3.8 * PI, rel=1e-6)
 
@@ -1170,19 +1183,30 @@ FAMILIES = {
 }
 
 
+def solve_one(d, alpha, modes, kind):
+    """The public single solve of `kind`."""
+    if kind == TORSION:
+        return solve_perturbed_torsion(d, alpha, modes)
+    return solve_perturbed_eigen(d, alpha, modes, kind)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("alpha, kind", [(1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)])
+@pytest.mark.parametrize(
+    "alpha, kind", [(1.0, TORSION), (1.0, ROBIN_EIGEN), (None, DIRICHLET_EIGEN)]
+)
 @pytest.mark.parametrize("n, N", [(2, COS2T), (3, ZONAL)])
 def test_a_family_keeps_the_bits_of_one_solve_per_member(n, N, alpha, kind, family):
     modes, ts = FAMILIES[family]
     p = pfield(n, 1.0, N)
     domains = [perturbed_domain(p, t) for t in ts]
-    together = solve_perturbed_eigens(domains, alpha, modes, kind)
-    scalars = ("lam", "sigma_min", "condition", "residual", "midway_residual")
+    together = solve_perturbed_family(domains, alpha, modes, kind)
+    scalars = ("energy", "condition", "residual", "midway_residual")
+    if kind != TORSION:
+        scalars += ("lam", "sigma_min")
     evals = set()
     for d, sol in zip(domains, together, strict=True):
-        alone = solve_perturbed_eigen(d, alpha, modes, kind)
-        assert sol.domain is d
+        alone = solve_one(d, alpha, modes, kind)
+        assert sol.domain is d and sol.kind == kind
         assert np.array_equal(bits(sol.coefficients), bits(alone.coefficients))
         assert np.array_equal(
             bits([getattr(sol, name) for name in scalars]),
@@ -1190,11 +1214,20 @@ def test_a_family_keeps_the_bits_of_one_solve_per_member(n, N, alpha, kind, fami
         )
         assert sol.sigma_evals == alone.sigma_evals
         evals.add(sol.sigma_evals)
-    # members leave the lockstep rounds at different times
-    assert len(evals) > 1
+    if kind == TORSION:
+        # a torsion member asks for no table: every one ends in the first round
+        assert evals == {0}
+    else:
+        # members leave the lockstep rounds at different times
+        assert len(evals) > 1
     if family == "9-point sweep":
-        lams = [row[2] for row in sweep_rows(p, alpha, kind, ts, modes)]
-        assert np.array_equal(bits(lams), bits([sol.lam for sol in together]))
+        energies = [sol.energy for sol in together]
+        rows = sweep_rows(p, alpha, kind, ts, modes)
+        assert np.array_equal(bits([row[1] for row in rows]), bits(energies))
+        if kind != TORSION:
+            lams = [row[2] for row in rows]
+            assert np.array_equal(bits(lams), bits([sol.lam for sol in together]))
+        assert np.array_equal(bits(curve(p, alpha, modes, kind)(ts)), bits(energies))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -1213,7 +1246,7 @@ def test_a_family_builds_one_radial_table_per_round(monkeypatch, n, N, alpha, ki
     monkeypatch.setattr(oracle_solver, "_radial_wave", counted)
     modes, ts = FAMILIES[family]
     p = pfield(n, 1.0, N)
-    sols = solve_perturbed_eigens([perturbed_domain(p, t) for t in ts], alpha, modes, kind)
+    sols = solve_perturbed_family([perturbed_domain(p, t) for t in ts], alpha, modes, kind)
     assert len(calls) == max(sol.sigma_evals for sol in sols) + 1
 
 
@@ -1256,7 +1289,7 @@ def test_a_family_drops_each_round_table_before_the_next(monkeypatch, n, N, alph
     monkeypatch.setattr(oracle_solver, "_radial_wave", watched)
     modes, ts = FAMILIES["7-point stencil"]
     p = pfield(n, 1.0, N)
-    sols = solve_perturbed_eigens([perturbed_domain(p, t) for t in ts], alpha, modes, kind)
+    sols = solve_perturbed_family([perturbed_domain(p, t) for t in ts], alpha, modes, kind)
     assert len(alive) == max(sol.sigma_evals for sol in sols) + 1 > 2
     assert alive == [0] * len(alive)
     assert [ref() for ref in held] == [None] * len(held)
@@ -1272,12 +1305,12 @@ def test_a_family_rejects_domains_of_different_dimensions(monkeypatch):
     monkeypatch.setattr(oracle_solver, "_collocation", lambda *args: set_ups.append(args))
     for domains, dims in (([d2, d2, d3], "n = 2 and n = 3"), ([d3, d2], "n = 3 and n = 2")):
         with pytest.raises(ValueError, match=f"differ in dimension: {dims}$"):
-            solve_perturbed_eigens(domains, 1.0, 8)
+            solve_perturbed_family(domains, 1.0, 8, ROBIN_EIGEN)
     assert set_ups == []
     monkeypatch.undo()
     # a family of mixed R shares one dimension and solves as its members do
     d2_wide = perturbed_domain(pfield(2, 2.0, COS2T), 0.01)
-    together = solve_perturbed_eigens([d2, d2_wide], 1.0, 8)
+    together = solve_perturbed_family([d2, d2_wide], 1.0, 8, ROBIN_EIGEN)
     assert together[0].lam == alone[0]
     assert together[1].lam == solve_perturbed_eigen(d2_wide, 1.0, 8).lam
 
@@ -1292,45 +1325,62 @@ def raised(call):
 
 
 @pytest.mark.parametrize(
-    "p, ts, first, text",
+    "kind, p, ts, first, text",
     [
         # one later member fails; the deciding rule, which gives the error
         # of a failed solve, fits on the angles of the former 4x rule and
         # reads that rule's residual there
         (
-            pfield(2, 1.0, COS2T), [0.0, 0.01, 0.05], 0.05,
+            DIRICHLET_EIGEN, pfield(2, 1.0, COS2T), [0.0, 0.01, 0.05], 0.05,
             "boundary residual 3.35e-06 on the collocation angles, 3.28e-06 midway between them",
         ),
         # two fail: the earlier one's text, not the later one's
         (
-            pfield(2, 1.0, COS2T), [0.0, 0.08, 0.05], 0.08,
+            DIRICHLET_EIGEN, pfield(2, 1.0, COS2T), [0.0, 0.08, 0.05], 0.08,
             "boundary residual 3.59e-05 on the collocation angles, 3.43e-05 midway between them",
         ),
         # the earlier member fails its checks at lam*, after the later one's
         # search has already failed
-        (DILATION, [0.0, 0.6, 0.3], 0.6, "is not shown to be the first eigenvalue"),
+        (
+            DIRICHLET_EIGEN, DILATION, [0.0, 0.6, 0.3], 0.6,
+            "is not shown to be the first eigenvalue",
+        ),
         # a later member is not star-shaped: its ValueError, raised as its
         # boundary is built, does not pre-empt the earlier member's error
-        (DILATION, [0.0, 0.3, -1.5], 0.3, "root isolation failed"),
+        (DIRICHLET_EIGEN, DILATION, [0.0, 0.3, -1.5], 0.3, "root isolation failed"),
+        # the same two rules for a torsion family, whose members end in the
+        # first round: the earlier of two failing members, and an early
+        # failing member ahead of a later one that is not star-shaped
+        (
+            TORSION, pfield(2, 1.0, COS2T), [0.0, 0.1, 0.08], 0.1,
+            "boundary residual 3.05e-05 on the collocation angles, 3.02e-05 midway between them",
+        ),
+        (
+            TORSION, pfield(2, 1.0, COS2T), [0.0, 0.08, -1.0], 0.08,
+            "boundary residual 9.65e-06 on the collocation angles, 9.72e-06 midway between them",
+        ),
     ],
 )
-def test_a_family_raises_the_error_of_its_first_failing_member(p, ts, first, text):
+def test_a_family_raises_the_error_of_its_first_failing_member(kind, p, ts, first, text):
+    alpha = None if kind == DIRICHLET_EIGEN else 1.0
+
     def alone(t):
-        return raised(lambda: solve_perturbed_eigen(perturbed_domain(p, t), None, 8, DIRICHLET_EIGEN))
+        return raised(lambda: solve_one(perturbed_domain(p, t), alpha, 8, kind))
 
     domains = [perturbed_domain(p, t) for t in ts]
-    family = raised(lambda: solve_perturbed_eigens(domains, None, 8, DIRICHLET_EIGEN))
+    family = raised(lambda: solve_perturbed_family(domains, alpha, 8, kind))
     assert family == alone(first) and family[0] is ArithmeticError and text in family[1]
     if ts[-1] != first:  # the other failing member fails otherwise
         assert alone(ts[-1]) != family
     # the sweep and the finite-difference curve end the same way
-    assert raised(lambda: sweep_rows(p, None, DIRICHLET_EIGEN, ts, 8)) == family
-    curve = eigenvalue_curve(p, None, 8, DIRICHLET_EIGEN)
-    assert raised(lambda: curve(ts)) == family
+    assert raised(lambda: sweep_rows(p, alpha, kind, ts, 8)) == family
+    f = curve(p, alpha, 8, kind)
+    assert raised(lambda: f(ts)) == family
 
 
-def test_a_family_of_no_domains_solves_nothing():
-    assert solve_perturbed_eigens([], 1.0) == []
+@pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
+def test_a_family_of_no_domains_solves_nothing(kind):
+    assert solve_perturbed_family([], 1.0, 8, kind) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1478,6 +1528,41 @@ def torsion_survey(seed=2101, draw=survey_draw):
                 yield (n, alpha, *draw(rng, n))
 
 
+@pytest.fixture(scope="module")
+def solved_torsion_survey():
+    """The torsion survey solved once at the collocation rule, for every
+    test that reads it: per case (case, outcome, integrals, rules), the
+    outcome being the OracleSolution or the ArithmeticError raised, the
+    integrals each `_torsion_integrals` call's (sol, angle count, result)
+    and the rules the angles per basis element of each `_collocation`."""
+    real_integrals, real_collocation = oracle_solver._torsion_integrals, oracle_solver._collocation
+    integrals, rules, solved = [], [], []
+
+    def recorded(sol, bd):
+        out = real_integrals(sol, bd)
+        integrals.append((sol, bd.theta.size, out))
+        return out
+
+    def collocation(d, modes, per_element):
+        rules.append(per_element)
+        return real_collocation(d, modes, per_element)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_solver, "_torsion_integrals", recorded)
+        patch.setattr(oracle_solver, "_collocation", collocation)
+        for case in torsion_survey():
+            n, alpha, modes, t, N = case
+            d = perturbed_domain(pfield(n, 1.0, N), t)
+            integrals.clear()
+            rules.clear()
+            try:
+                outcome = solve_perturbed_torsion(d, alpha, modes)
+            except ArithmeticError as error:
+                outcome = error
+            solved.append((case, outcome, list(integrals), list(rules)))
+    return solved
+
+
 @pytest.mark.parametrize("n, N", [(2, {(2, 0): 0.4, (3, 1): -0.3}), (3, {(2, 2): 0.5, (4, 4): 0.3})])
 @pytest.mark.parametrize("modes", [16, 32])
 def test_per_ray_torsion_gauss_rule_matches_the_node_by_node_one(n, N, modes):
@@ -1490,35 +1575,23 @@ def test_per_ray_torsion_gauss_rule_matches_the_node_by_node_one(n, N, modes):
         assert np.allclose(fast, (int_u, int_grad_sq, bd_u_sq), rtol=1e-14, atol=0.0)
 
 
-def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(monkeypatch):
+def test_torsion_integrals_match_gauss_rules_and_raise_where_they_did(solved_torsion_survey):
     # the closed form against Gauss rules with modes + 40 nodes per ray on
     # the collocation angles it integrates on, which are exact for these
     # polynomials up to rounding; and the weak-form check against the one
     # the former Gauss rules gave on the same coefficients
-    real = oracle_solver._torsion_integrals
-    calls = []
-
-    def recorded(sol, bd):
-        out = real(sol, bd)
-        calls.append((sol, bd.theta.size, out))
-        return out
-
-    monkeypatch.setattr(oracle_solver, "_torsion_integrals", recorded)
     worst, moved, outcomes = 0.0, [], {"ok": 0, "weak form": 0, "before": 0}
-    for case in torsion_survey():
+    for case, outcome, calls, _ in solved_torsion_survey:
         n, alpha, modes, t, N = case
-        calls.clear()
-        try:
-            solve_perturbed_torsion(perturbed_domain(pfield(n, 1.0, N), t), alpha, modes)
+        if not isinstance(outcome, ArithmeticError):
             ending = "ok"
-        except ArithmeticError as error:
-            if "energy forms disagree" in str(error):
-                ending = "weak form"
-            else:
-                # the deciding rule's collocation limits, checked before its
-                # integrals
-                assert "residual" in str(error) or "ill-conditioned" in str(error)
-                ending = "before"
+        elif "energy forms disagree" in str(outcome):
+            ending = "weak form"
+        else:
+            # the deciding rule's collocation limits, checked before its
+            # integrals
+            assert "residual" in str(outcome) or "ill-conditioned" in str(outcome)
+            ending = "before"
         outcomes[ending] += 1
         n_basis = 2 * modes + 1 if n == 2 else modes + 1
         # one pass per rule that reached the integrals; each but the last
@@ -1650,7 +1723,9 @@ def test_a_failed_first_eigenvalue_check_reports_both_checks(index, sign, quotie
 RESIDUAL_FLOOR = 1e-13
 
 
-def test_the_collocation_rule_keeps_every_survey_outcome_of_four_angles_per_element(monkeypatch):
+def test_the_collocation_rule_keeps_every_survey_outcome_of_four_angles_per_element(
+    monkeypatch, solved_torsion_survey
+):
     # the rule against the former 4 angles per basis element on the seeded
     # torsion survey and 40 eigen draws: every case ends the same way,
     # solved or raised; a solved case's midway residual stays within 2x of
@@ -1696,12 +1771,25 @@ def test_the_collocation_rule_keeps_every_survey_outcome_of_four_angles_per_elem
 
     rule = oracle_solver.OVERSAMPLE
     assert rule < oracle_solver.DECIDING_OVERSAMPLE == 4
+    # the torsion survey at the rule, as `ends` would give it
+    torsion_cases, torsion_ends, torsion_decided = [], [], {}
+    for i, (case, outcome, _, rules_of_case) in enumerate(solved_torsion_survey):
+        torsion_cases.append(case)
+        if isinstance(outcome, ArithmeticError):
+            torsion_ends.append(None)
+        else:
+            torsion_ends.append((outcome.midway_residual, outcome.energy))
+        if rules_of_case[-1] == oracle_solver.DECIDING_OVERSAMPLE:
+            torsion_decided[i] = torsion_ends[-1]
     eigen_cases = list(itertools.islice(eigen_survey(np.random.default_rng(2501)), 40))
     solved = {}
-    for solve, cases in ((torsion, list(torsion_survey())), (eigen, eigen_cases)):
+    for solve, cases in ((torsion, torsion_cases), (eigen, eigen_cases)):
         solved[solve.__name__] = 0
-        decided = {}
-        now_ends = ends(solve, cases, rule, decided)
+        if solve is torsion:
+            decided, now_ends = torsion_decided, torsion_ends
+        else:
+            decided = {}
+            now_ends = ends(solve, cases, rule, decided)
         # most repeated cases raise at 4, and some solve there
         assert 0 < len(decided) < len(cases)
         for case, now, before in zip(cases, now_ends, ends(solve, cases, 4, decided)):
