@@ -41,12 +41,15 @@ asks for nothing and ends on its first step.  An eigen solve
 (`_eigen_solve`) asks for radial tables, one per secant slope and one for
 the rows at lam*; each round serves those of every member with one Bessel
 table over all their points.  The table works element by element, so each
-member keeps the bits of a solve of its own.  The linear algebra stays per
-member: a stacked QR of the family's matrices keeps the bits too, but on
-one BLAS thread it ran no faster than one call per matrix at 12 modes and
-slower at 20 (n = 2), and one member's rows at a time stay small enough
-for the cache.  The integrals stay per member too, so one member's basis x
-nodes table is held at a time.
+member keeps the bits of a solve of its own.  Each sigma(lam) takes one QR
+of the member's rows and the smallest singular pair of their boundary
+block by inverse iteration on its triangular factor, not a full SVD
+(`_subspace_vector`).  The linear algebra stays per member: a stacked
+QR of the family's matrices keeps the bits too, but on one BLAS thread it
+ran no faster than one call per matrix at 12 modes and slower at 20
+(n = 2), and one member's rows at a time stay small enough for the cache.
+The integrals stay per member too, so one member's basis x nodes table is
+held at a time.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
 """
@@ -87,6 +90,10 @@ CHECK_MARGIN = 2.0
 RESIDUAL_LIMIT = 1e-6
 CONDITION_LIMIT = 1e14
 _SECANT_STEPS = 8  # secant steps before `_slope_root` gives up
+# inverse-iteration steps before `_smallest_right_vector` gives up, and the
+# largest entry change of a step that moves its unit vector by rounding only
+_INVERSE_STEPS = 39
+_SETTLED_STEP = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,8 @@ class OracleSolution:
     condition: float
     energy: float
     _scale: float
-    sigma_evals: int = 0  # slope evaluations of the secant search, each one SVD
+    # slope evaluations of the secant search, each one smallest singular pair
+    sigma_evals: int = 0
     sigma_min: float = math.nan  # sigma at the located lam
 
     @property
@@ -555,22 +563,87 @@ def _subspace_vector(B: np.ndarray, M: np.ndarray):
     is the smallest singular value of the orthonormalized boundary block:
     the smallest angle between the trial space and boundary-vanishing
     fields, small iff some trial combination nearly vanishes on the boundary
-    while staying of unit size inside.  c is its right singular vector taken
-    back through R, so that |Bc|^2 + |Mc|^2 = 1 and |Bc| = sigma; Bc and Mc
-    come from the orthonormal factor, not from B @ c."""
+    while staying of unit size inside.  Only its smallest singular pair is
+    needed, so the block is reduced to its triangular factor R_B (a QR
+    without Q) and the right singular vector x found by inverse iteration
+    on R_B (`_smallest_right_vector`) rather than by a full SVD.  c is x
+    taken back through R, so that |Bc|^2 + |Mc|^2 = 1; Bc and Mc come from
+    the orthonormal factor, not from B @ c, and sigma = |Bc|."""
     S = np.vstack([B, M])
     norms = np.linalg.norm(S, axis=0)
     keep = norms > 0.0
     Q, R = np.linalg.qr(S[:, keep] / norms[keep])
     rows = B.shape[0]
-    _, svals, vt = np.linalg.svd(Q[:rows], full_matrices=False)
+    x = _smallest_right_vector(np.linalg.qr(Q[:rows], mode="r"))
     diag = np.abs(np.diagonal(R))
     condition = float(diag.max() / max(diag.min(), 1e-300))
-    y = np.linalg.solve(R, vt[-1])
+    y = np.linalg.solve(R, x)
     coeffs = np.zeros(norms.shape[0])
     coeffs[keep] = y / norms[keep]
-    Sc = Q @ vt[-1]
-    return float(svals[-1]), coeffs, condition, Sc[:rows], Sc[rows:]
+    Sc = Q @ x
+    Bc = Sc[:rows]
+    return float(np.linalg.norm(Bc)), coeffs, condition, Bc, Sc[rows:]
+
+
+def _smallest_right_vector(R_B: np.ndarray) -> np.ndarray:
+    """The unit right singular vector of the smallest singular value of the
+    square upper-triangular R_B, by inverse iteration with the positive
+    definite P = (R_B^T R_B)^-1 = R_B^-1 R_B^-T: x <- P x / |P x| from
+    x = 1/sqrt(k), until a step moves x by rounding only (no entry by more
+    than _SETTLED_STEP).  As x . P x > 0, no step flips the sign of x.
+
+    Pivots below eps max|pivot| are lifted to that floor, as LAPACK's
+    inverse iteration does, so an exactly singular R_B (the Dirichlet ball
+    at its own eigenvalue) still has an inverse, whose largest direction
+    is the null vector.
+
+    A step that shrinks the move by less than 4x means a second singular
+    value close to the smallest, and x alone would crawl toward its answer
+    (far from an eigenvalue of the domain, or at the near pair of one
+    degree's cos and sin on a perturbed disk) or drift by rounding inside
+    an equal pair (on the disk itself).  From that step on, a block of two
+    rows X, at first the last two iterates, is iterated with P squared at
+    every step (scaled to entries of at most 1) and orthonormalized, and x
+    is its Rayleigh-Ritz vector for P: the eigenvector of the larger
+    eigenvalue of X P X^T.  The step of x under P itself still decides, so
+    any x in an equal pair settles.  No settled x within _INVERSE_STEPS
+    steps raises."""
+    pivots = np.abs(np.diagonal(R_B))
+    floor = np.finfo(float).eps * pivots.max()
+    low = pivots < floor
+    if low.any():
+        R_B = R_B.copy()
+        R_B[low, low] = np.copysign(floor, np.diagonal(R_B)[low])
+    inverse = np.linalg.inv(R_B)
+    P = power = inverse @ inverse.T
+    x = np.full(R_B.shape[0], 1.0 / math.sqrt(R_B.shape[0]))
+    X = None  # the block, once a step is slow
+    last = math.inf
+    for _ in range(_INVERSE_STEPS):
+        y = P @ x
+        y /= np.linalg.norm(y)
+        step = float(np.max(np.abs(y - x)))
+        if step <= _SETTLED_STEP:
+            return y
+        if X is None and step <= last / 4.0:
+            x, last = y, step
+            continue
+        X = np.array((y, x)) if X is None else X @ power
+        X[0] /= np.linalg.norm(X[0])
+        # Gram-Schmidt twice: the rows are nearly parallel, and one pass
+        # leaves X[1] off orthogonal by rounding / their small angle
+        X[1] -= (X[1] @ X[0]) * X[0]
+        X[1] -= (X[1] @ X[0]) * X[0]
+        X[1] /= np.linalg.norm(X[1])
+        power = power @ power
+        power /= np.max(np.abs(power))
+        (a, b), (_, c) = (X @ P @ X.T).tolist()
+        turn = 0.5 * math.atan2(2.0 * b, a - c)
+        x = math.cos(turn) * X[0] + math.sin(turn) * X[1]
+    raise ArithmeticError(
+        "inverse iteration for the smallest singular value did not settle "
+        f"in {_INVERSE_STEPS} steps"
+    )
 
 
 def _slope_root(lam0: float):
@@ -741,7 +814,9 @@ def _solve_family(domains: list[StarDomain], alpha, modes: int, kind: str) -> li
     The family solves at OVERSAMPLE angles per basis element; the members
     whose solve raised, or passed a check by less than CHECK_MARGIN, then
     solve as a family of their own at DECIDING_OVERSAMPLE, which decides
-    their outcomes (`_collocation`)."""
+    their outcomes (`_collocation`).  Once a member's solve has raised
+    there, the outcomes after it cannot change the first exception, so
+    the members after it are no longer served and their outcome is None."""
     if kind not in (TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN):
         raise ValueError(f"unsupported kind {kind!r}")
     mixed = [d.n for d in domains if d.n != domains[0].n]
@@ -766,7 +841,10 @@ def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_eleme
     lam*, with one radial table over all their points, lam per point.  A
     torsion member asks for none and ends in the first round.  The table is
     element-wise, so every member's columns keep the bits of a table of its
-    own; its rows, factorizations, integrals and checks stay per member."""
+    own; its rows, factorizations, integrals and checks stay per member.
+    At DECIDING_OVERSAMPLE or more angles per element a raised error is the
+    member's outcome for good, so from then on the members after it are
+    dropped unserved, their outcome left None."""
     outcomes: list = [None] * len(domains)
     solves = {
         i: _torsion_solve(d, alpha, modes, per_element)
@@ -778,15 +856,21 @@ def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_eleme
     # each member's entry goes as it is served, and the table itself with
     # the last of them, before the next round's table is built
     sent = dict.fromkeys(solves)
+    served = len(domains)  # the members before this one are served
     while True:
         requests = {}  # member -> (rho, lam) of the table it waits on
         for i, solve in solves.items():
+            if i >= served:
+                del sent[i]
+                continue
             try:
                 requests[i] = solve.send(sent.pop(i))
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except (ArithmeticError, ValueError) as error:
                 outcomes[i] = error
+                if per_element >= DECIDING_OVERSAMPLE:
+                    served = i + 1
         if not requests:
             return outcomes
         solves = {i: solves[i] for i in requests}

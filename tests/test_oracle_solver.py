@@ -1,7 +1,10 @@
 import ast
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
@@ -610,6 +613,123 @@ def test_bessel_table_columns_do_not_depend_on_the_other_points(n):
             together = _bessel_table(n, top, np.concatenate(parts))
             apart = np.hstack([_bessel_table(n, top, z) for z in parts])
             assert np.array_equal(together.view(np.uint64), apart.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the smallest singular pair: inverse iteration against the full SVD
+# ---------------------------------------------------------------------------
+
+
+def svd_subspace_vector(B, M):
+    """(sigma, c, Bc, Mc) of `_subspace_vector` taken from a full SVD of the
+    orthonormalized boundary block, as the oracle once did."""
+    S = np.vstack([B, M])
+    norms = np.linalg.norm(S, axis=0)
+    keep = norms > 0.0
+    Q, R = np.linalg.qr(S[:, keep] / norms[keep])
+    _, svals, vt = np.linalg.svd(Q[: B.shape[0]], full_matrices=False)
+    c = np.zeros(norms.size)
+    c[keep] = np.linalg.solve(R, vt[-1]) / norms[keep]
+    Sc = Q @ vt[-1]
+    return svals[-1], c, Sc[: B.shape[0]], Sc[B.shape[0] :]
+
+
+def assert_matches_the_svd(B, M, c_tol=1e-12, vector_tol=1e-14):
+    """sigma to the rounding of a k-column SVD (sigma <= 1); c, Bc and Mc up
+    to sign, Bc and Mc within `vector_tol` (which a near pair of singular
+    values widens)."""
+    sigma, c, _, Bc, Mc = oracle_solver._subspace_vector(B, M)
+    sigma_svd, c_svd, Bc_svd, Mc_svd = svd_subspace_vector(B, M)
+    assert type(sigma) is float and abs(sigma - sigma_svd) <= B.shape[1] * 2e-16
+    sign = math.copysign(1.0, c @ c_svd)
+    assert np.max(np.abs(sign * c - c_svd)) <= c_tol * np.max(np.abs(c_svd))
+    moved = sign * np.concatenate([Bc, Mc]) - np.concatenate([Bc_svd, Mc_svd])
+    assert np.max(np.abs(moved)) <= vector_tol
+    return sigma
+
+
+def cs_block(rng, rows, cosines):
+    """(B, M) with orthonormal columns whose boundary block B has exactly the
+    singular values `cosines` (a CS decomposition), columns scaled apart."""
+    k = len(cosines)
+    U_B = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+    U_M = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+    V = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    c = np.asarray(cosines, dtype=float)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, k)
+    return (U_B * c) @ V.T * scales, (U_M * np.sqrt(1.0 - c * c)) @ V.T * scales
+
+
+@pytest.mark.parametrize("k", [5, 17, 41])
+def test_subspace_vector_matches_the_svd_on_random_blocks(k):
+    rng = np.random.default_rng(3400 + k)
+    for _ in range(20):
+        B, M = rng.normal(size=(2 * k, k)), rng.normal(size=(2 * k, k))
+        assert_matches_the_svd(B, M)
+
+
+@pytest.mark.parametrize("smallest", [1e-2, 1e-5, 1e-9, 1e-13, 0.0])
+@pytest.mark.parametrize("k", [9, 25])
+def test_subspace_vector_matches_the_svd_down_to_a_singular_boundary_block(k, smallest):
+    rng = np.random.default_rng(3500 + k)
+    cosines = [*rng.uniform(0.2, 0.99, k - 1), smallest]
+    sigma = assert_matches_the_svd(*cs_block(rng, 2 * k, cosines))
+    assert sigma <= smallest + 1e-15
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (0.3, 0.3001),  # a near pair, which one vector alone would crawl through
+        (0.3, 0.3),  # an equal pair, inside which one vector drifts by rounding
+        (0.42, 0.6),  # far from an eigenvalue: sigma_1 / sigma_2 = 0.7
+    ],
+)
+def test_subspace_vector_resolves_a_close_second_singular_value(pair):
+    rng = np.random.default_rng(3600)
+    k = 21
+    B, M = cs_block(rng, 2 * k, [*rng.uniform(0.7, 0.99, k - 2), pair[1], pair[0]])
+    if pair[0] < pair[1]:
+        # the pair's vectors are fixed to rounding / (1 - (sigma_1 / sigma_2)^2)
+        assert_matches_the_svd(B, M, vector_tol=1e-15 / (1.0 - (pair[0] / pair[1]) ** 2))
+    else:
+        # any unit vector of the pair is an answer: sigma and |Bc| hold it
+        sigma, c, _, Bc, Mc = oracle_solver._subspace_vector(B, M)
+        assert abs(sigma - 0.3) <= 1e-15 and abs(np.linalg.norm(B @ c) - 0.3) <= 1e-13
+        assert abs(Bc @ Bc + Mc @ Mc - 1.0) <= 1e-14
+
+
+def test_subspace_vector_matches_the_svd_on_the_dirichlet_ball_at_its_eigenvalue(monkeypatch):
+    # at t = 0 the boundary rows at lam* have an exactly singular triangular
+    # factor; without the pivot floor its inverse does not exist, and the
+    # eigen-reports then failed on "changes sign inside the domain"
+    blocks, real = [], oracle_solver._subspace_vector
+    monkeypatch.setattr(
+        oracle_solver, "_subspace_vector", lambda B, M: blocks.append((B, M)) or real(B, M)
+    )
+    for n, N in ((2, COS2T), (3, ZONAL)):
+        solve_perturbed_eigen(perturbed_domain(pfield(n, 1.0, N), 0.0), None, 8, DIRICHLET_EIGEN)
+    monkeypatch.undo()
+    floored = 0
+    for B, M in blocks:
+        S = np.vstack([B, M])
+        Q = np.linalg.qr(S / np.linalg.norm(S, axis=0))[0]
+        pivots = np.abs(np.diagonal(np.linalg.qr(Q[: B.shape[0]], mode="r")))
+        floored += bool(np.any(pivots < np.finfo(float).eps * pivots.max()))
+        assert_matches_the_svd(B, M)
+    assert floored > 0
+
+
+def test_inverse_iteration_raises_past_its_step_cap(monkeypatch):
+    rng = np.random.default_rng(3700)
+    B, M = rng.normal(size=(34, 17)), rng.normal(size=(34, 17))
+    oracle_solver._subspace_vector(B, M)
+    monkeypatch.setattr(oracle_solver, "_INVERSE_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not settle in 1 steps$"):
+        oracle_solver._subspace_vector(B, M)
+    # a solve reports it as its error
+    with pytest.raises(ArithmeticError, match="inverse iteration"):
+        solve_perturbed_eigen(perturbed_domain(pfield(2, 1.0, COS2T), 0.01), 1.0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -1378,6 +1498,61 @@ def test_a_family_raises_the_error_of_its_first_failing_member(kind, p, ts, firs
     assert raised(lambda: f(ts)) == family
 
 
+def recorded_solves(monkeypatch):
+    """Patch both solve generators to log ("served", t, per_element) as
+    each member is sent its start or a table, and ("raised", t,
+    per_element) as its solve raises."""
+    events = []
+
+    def recorded(generator):
+        def solve(d, *args):
+            inner, table = generator(d, *args), None
+            while True:
+                events.append(("served", d.t, args[-1]))
+                try:
+                    request = inner.send(table)
+                except StopIteration as stop:
+                    return stop.value
+                except (ArithmeticError, ValueError):
+                    events.append(("raised", d.t, args[-1]))
+                    raise
+                table = yield request
+
+        return solve
+
+    for name in ("_torsion_solve", "_eigen_solve"):
+        monkeypatch.setattr(oracle_solver, name, recorded(getattr(oracle_solver, name)))
+    return events
+
+
+@pytest.mark.parametrize(
+    "kind, p, ts, first",
+    [
+        # 0.1 and 0.08 both fail at 2x; once 0.1 has failed at 4x, 0.08
+        # cannot change the error and is not solved there at all
+        (TORSION, pfield(2, 1.0, COS2T), [0.0, 0.1, 0.08], 0.1),
+        # 0.3's search fails at 4x while 0.6's is still running: 0.6 gets
+        # no table after that round
+        (DIRICHLET_EIGEN, DILATION, [0.0, 0.3, 0.6], 0.3),
+    ],
+)
+def test_a_family_serves_no_member_after_a_decided_failure(monkeypatch, kind, p, ts, first):
+    alpha = None if kind == DIRICHLET_EIGEN else 1.0
+    domains = [perturbed_domain(p, t) for t in ts]
+    events = recorded_solves(monkeypatch)
+    family = raised(lambda: solve_perturbed_family(domains, alpha, 8, kind))
+    decided = events.index(("raised", first, 4))
+    assert ("served", ts[-1], 4) not in events[decided:]
+    assert events[-1] == ("raised", first, 4)
+    if kind == TORSION:
+        assert ("served", 0.08, 4) not in events
+    else:
+        assert ("served", ts[-1], 4) in events[:decided]
+    # the error is the one of the first failing member alone
+    monkeypatch.undo()
+    assert family == raised(lambda: solve_one(perturbed_domain(p, first), alpha, 8, kind))
+
+
 @pytest.mark.parametrize("kind", [TORSION, ROBIN_EIGEN, DIRICHLET_EIGEN])
 def test_a_family_of_no_domains_solves_nothing(kind):
     assert solve_perturbed_family([], 1.0, 8, kind) == []
@@ -1909,3 +2084,23 @@ def test_oracle_imports_stay_apart_from_the_formulas_it_checks():
     imports = set(_rsv_imports(Path(oracle_solver.__file__).read_text()))
     assert imports <= ORACLE_IMPORTS, sorted(imports - ORACLE_IMPORTS)
     assert ("special_functions", "gauss_legendre") in imports
+
+
+def test_an_eigen_solve_imports_no_scipy_linalg():
+    # the oracle's linear algebra is numpy's: scipy.linalg alone adds about
+    # 6 MB to a process, so a fresh one that imports rsv and runs an eigen
+    # solve must not have loaded it
+    code = (
+        "import math, sys, rsv; "
+        "from rsv.oracle_solver import solve_perturbed_eigen; "
+        "from rsv.sphere_geometry import PerturbationField, perturbed_domain; "
+        "p = PerturbationField(2, 1.0, {(2, 0): math.sqrt(math.pi)}, {}); "
+        "solve_perturbed_eigen(perturbed_domain(p, 0.05), 1.0, 8); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    src = str(Path(oracle_solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
