@@ -52,7 +52,6 @@ from .sphere_geometry import (
     rotation_field,
     second_order_volume_correction,
     surface_second_variation,
-    surface_second_variation_general,
     volume_completion_field,
     zero_field,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "spherical_harmonic",
     "surface_curve",
     "surface_second_variation",
-    "surface_second_variation_general",
     "sweep_rows",
     "theorem_bounds",
     "volume_completion_field",

@@ -43,11 +43,13 @@ the rows at lam*; each round serves those of every member with one Bessel
 table over all their points.  The table works element by element, so each
 member keeps the bits of a solve of its own.  Each sigma(lam) takes one QR
 of the member's rows and the smallest singular pair of their boundary
-block by inverse iteration on its triangular factor, not a full SVD
-(`_subspace_vector`).  The linear algebra stays per member: a stacked
-QR of the family's matrices keeps the bits too, but on one BLAS thread it
-ran no faster than one call per matrix at 12 modes and slower at 20
-(n = 2), and one member's rows at a time stay small enough for the cache.
+block by inverse iteration on its triangular factor, not a full SVD; only
+a close second singular value, which the iteration would crawl through,
+sends the pair to LAPACK's SVD of that factor (`_subspace_vector`).  The
+linear algebra stays per member: a stacked QR of the family's matrices
+keeps the bits too, but on one BLAS thread it ran no faster than one call
+per matrix at 12 modes and slower at 20 (n = 2), and one member's rows at
+a time stay small enough for the cache.
 The integrals stay per member too, so one member's basis x nodes table is
 held at a time.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
@@ -90,9 +92,8 @@ CHECK_MARGIN = 2.0
 RESIDUAL_LIMIT = 1e-6
 CONDITION_LIMIT = 1e14
 _SECANT_STEPS = 8  # secant steps before `_slope_root` gives up
-# inverse-iteration steps before `_smallest_right_vector` gives up, and the
-# largest entry change of a step that moves its unit vector by rounding only
-_INVERSE_STEPS = 39
+# the largest entry change of an inverse-iteration step that moves its unit
+# vector by rounding only (`_smallest_right_vector`)
 _SETTLED_STEP = 1e-15
 
 
@@ -566,9 +567,10 @@ def _subspace_vector(B: np.ndarray, M: np.ndarray):
     while staying of unit size inside.  Only its smallest singular pair is
     needed, so the block is reduced to its triangular factor R_B (a QR
     without Q) and the right singular vector x found by inverse iteration
-    on R_B (`_smallest_right_vector`) rather than by a full SVD.  c is x
-    taken back through R, so that |Bc|^2 + |Mc|^2 = 1; Bc and Mc come from
-    the orthonormal factor, not from B @ c, and sigma = |Bc|."""
+    on R_B (`_smallest_right_vector`), which leaves for an SVD of R_B only
+    at a close second singular value.  c is x taken back through R, so
+    that |Bc|^2 + |Mc|^2 = 1; Bc and Mc come from the orthonormal factor,
+    not from B @ c, and sigma = |Bc|."""
     S = np.vstack([B, M])
     norms = np.linalg.norm(S, axis=0)
     keep = norms > 0.0
@@ -597,17 +599,15 @@ def _smallest_right_vector(R_B: np.ndarray) -> np.ndarray:
     at its own eigenvalue) still has an inverse, whose largest direction
     is the null vector.
 
-    A step that shrinks the move by less than 4x means a second singular
-    value close to the smallest, and x alone would crawl toward its answer
-    (far from an eigenvalue of the domain, or at the near pair of one
-    degree's cos and sin on a perturbed disk) or drift by rounding inside
-    an equal pair (on the disk itself).  From that step on, a block of two
-    rows X, at first the last two iterates, is iterated with P squared at
-    every step (scaled to entries of at most 1) and orthonormalized, and x
-    is its Rayleigh-Ritz vector for P: the eigenvector of the larger
-    eigenvalue of X P X^T.  The step of x under P itself still decides, so
-    any x in an equal pair settles.  No settled x within _INVERSE_STEPS
-    steps raises."""
+    A step that shrinks the move by less than 4x (or is NaN) means a
+    second singular value close to the smallest, and x alone would crawl
+    toward its answer (far from an eigenvalue of the domain, or at the
+    near pair of one degree's cos and sin on a perturbed disk) or drift by
+    rounding inside an equal pair (on the disk itself).  There the vector
+    comes from LAPACK's SVD of R_B instead, which raises LinAlgError on a
+    NaN R_B.  Every other step shrinks the move by 4x, and the first moves
+    an entry of a unit vector by at most 2, so the iteration settles or
+    leaves for the SVD within 27 steps."""
     pivots = np.abs(np.diagonal(R_B))
     floor = np.finfo(float).eps * pivots.max()
     low = pivots < floor
@@ -615,35 +615,18 @@ def _smallest_right_vector(R_B: np.ndarray) -> np.ndarray:
         R_B = R_B.copy()
         R_B[low, low] = np.copysign(floor, np.diagonal(R_B)[low])
     inverse = np.linalg.inv(R_B)
-    P = power = inverse @ inverse.T
+    P = inverse @ inverse.T
     x = np.full(R_B.shape[0], 1.0 / math.sqrt(R_B.shape[0]))
-    X = None  # the block, once a step is slow
     last = math.inf
-    for _ in range(_INVERSE_STEPS):
+    while True:
         y = P @ x
         y /= np.linalg.norm(y)
         step = float(np.max(np.abs(y - x)))
         if step <= _SETTLED_STEP:
             return y
-        if X is None and step <= last / 4.0:
-            x, last = y, step
-            continue
-        X = np.array((y, x)) if X is None else X @ power
-        X[0] /= np.linalg.norm(X[0])
-        # Gram-Schmidt twice: the rows are nearly parallel, and one pass
-        # leaves X[1] off orthogonal by rounding / their small angle
-        X[1] -= (X[1] @ X[0]) * X[0]
-        X[1] -= (X[1] @ X[0]) * X[0]
-        X[1] /= np.linalg.norm(X[1])
-        power = power @ power
-        power /= np.max(np.abs(power))
-        (a, b), (_, c) = (X @ P @ X.T).tolist()
-        turn = 0.5 * math.atan2(2.0 * b, a - c)
-        x = math.cos(turn) * X[0] + math.sin(turn) * X[1]
-    raise ArithmeticError(
-        "inverse iteration for the smallest singular value did not settle "
-        f"in {_INVERSE_STEPS} steps"
-    )
+        if not step <= last / 4.0:
+            return np.linalg.svd(R_B)[2][-1]
+        x, last = y, step
 
 
 def _slope_root(lam0: float):

@@ -429,15 +429,3 @@ def surface_second_variation(N: BoundaryFunction, n: int, R: float) -> float:
     b = trace_coefficients(N, n, R)
     return sum((_surface_term(s, bv, n, R) for (s, _i), bv in b.items()), 0.0)
 
-
-def surface_second_variation_general(
-    v: AmbientField, w: AmbientField, n: int, R: float
-) -> float:
-    """Area second variation for arbitrary ambient (v, w) by quadrature of
-    the surface-element acceleration: S''(0) = int_{dB_R} m''(0) dS.
-
-    Reduces to `surface_second_variation` when (v, w) is volume preserving
-    of second order.
-    """
-    quad = SphereQuadrature(n)
-    return R ** (n - 1) * quad.integrate(surface_element_m2(v, w, R, quad))

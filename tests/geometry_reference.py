@@ -9,6 +9,8 @@
 * `surface_element_m2_matmul`: the same tangential-contraction formula as
   `sphere_geometry._surface_element_m2`, with P = I - nu nu^T formed and
   every trace taken of batched 3 x 3 (2 x 2) matrix products;
+* `surface_second_variation_general`: the area second variation for any
+  ambient (v, w), by quadrature of `sphere_geometry.surface_element_m2`;
 * `project_zero_mean`: N without its constant mode;
 * `surface_divergence`: the tangential divergence of an AmbientField, for
   the divergence theorem on the sphere;
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lpmv
 
-from rsv.special_functions import _angles, _harmonic, _legendre_norm
+from rsv.special_functions import SphereQuadrature, _angles, _harmonic, _legendre_norm
+from rsv.sphere_geometry import surface_element_m2
 
 
 def jacobian_fd_error(field, points, h: float = 1e-6) -> float:
@@ -53,6 +56,17 @@ def jacobian_fd_error(field, points, h: float = 1e-6) -> float:
             fd = (field(x + e) - field(x - e)) / (2.0 * h)
             worst = max(worst, float(np.max(np.abs(jac[:, j] - fd))) / scale)
     return worst
+
+
+def surface_second_variation_general(v, w, n: int, R: float) -> float:
+    """Area second variation for arbitrary ambient (v, w) by quadrature of
+    the surface-element acceleration: S''(0) = int_{dB_R} m''(0) dS.
+
+    Reduces to `surface_second_variation` when (v, w) is volume preserving
+    of second order.
+    """
+    quad = SphereQuadrature(n)
+    return R ** (n - 1) * quad.integrate(surface_element_m2(v, w, R, quad))
 
 
 def project_zero_mean(N):

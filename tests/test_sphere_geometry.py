@@ -12,6 +12,7 @@ from geometry_reference import (
     surface_divergence,
     surface_element_m2_from_map,
     surface_element_m2_matmul,
+    surface_second_variation_general,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -34,7 +35,6 @@ from rsv.sphere_geometry import (
     sphere_measure,
     surface_element_m2,
     surface_second_variation,
-    surface_second_variation_general,
     volume_completion_field,
     zero_field,
 )
