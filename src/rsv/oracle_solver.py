@@ -39,18 +39,19 @@ the trial on OVERSAMPLE angles per element and the repeat on
 DECIDING_OVERSAMPLE are written once.  A torsion solve (`_torsion_solve`)
 asks for nothing and ends on its first step.  An eigen solve
 (`_eigen_solve`) asks for radial tables, one per secant slope and one for
-the rows at lam*; each round serves those of every member with one Bessel
-table over all their points.  The table works element by element, so each
-member keeps the bits of a solve of its own.  Each sigma(lam) takes one QR
-of the member's rows and the smallest singular pair of their boundary
-block by inverse iteration on its triangular factor, not a full SVD; only
-a close second singular value, which the iteration would crawl through,
-sends the pair to LAPACK's SVD of that factor (`_subspace_vector`).  The
-linear algebra stays per member: a stacked QR of the family's matrices
-keeps the bits too, but on one BLAS thread it ran no faster than one call
-per matrix at 12 modes and slower at 20 (n = 2), and one member's rows at
-a time stay small enough for the cache.
-The integrals stay per member too, so one member's basis x nodes table is
+the rows at lam*, and for the sigma kernel of the rows it builds from each
+table; each round serves the tables of every member with one Bessel table
+over all their points, and then their kernels with one stacked call.  The
+table works element by element, so each member keeps the bits of a solve
+of its own.  Each sigma(lam) takes one QR of the member's rows and the
+smallest singular pair of their boundary block by inverse iteration on its
+triangular factor, not a full SVD; only a close second singular value,
+which the iteration would crawl through, sends the pair to LAPACK's SVD of
+that factor (`_subspace_vectors`).  That linear algebra runs on the
+stack of the round's blocks: numpy factors a stack matrix by matrix, so
+each member keeps its bits too, and one call per round saves most of the
+per-call cost that dominates at the small bases of the eigen reports.
+The integrals stay per member, so one member's basis x nodes table is
 held at a time.
 Supported geometry: n = 2 with arbitrary band-limited boundary data, n = 3
 restricted to zonal (axisymmetric) data.
@@ -93,7 +94,7 @@ RESIDUAL_LIMIT = 1e-6
 CONDITION_LIMIT = 1e14
 _SECANT_STEPS = 8  # secant steps before `_slope_root` gives up
 # the largest entry change of an inverse-iteration step that moves its unit
-# vector by rounding only (`_smallest_right_vector`)
+# vector by rounding only (`_smallest_right_vectors`)
 _SETTLED_STEP = 1e-15
 
 
@@ -555,9 +556,11 @@ def _torsion_solve(d: StarDomain, alpha: float, modes: int, per_element: int):
     return sol
 
 
-def _subspace_vector(B: np.ndarray, M: np.ndarray):
-    """(sigma, coefficients c, condition estimate, Bc, Mc) of the stacked
-    (boundary; interior) samples.
+def _subspace_vectors(B: np.ndarray, M: np.ndarray) -> list:
+    """For each member g of the stacked (boundary; interior) samples B[g],
+    M[g], shaped (G, rows, k) and (G, interior, k): (sigma, coefficients c,
+    condition estimate, Bc, Mc), or the LinAlgError that its own call
+    (G = 1) raises.
 
     Columns are rescaled to unit norm before the QR, so tiny natural scales
     cost nothing; only underflowed (exactly zero) columns are dropped.  sigma
@@ -567,32 +570,79 @@ def _subspace_vector(B: np.ndarray, M: np.ndarray):
     while staying of unit size inside.  Only its smallest singular pair is
     needed, so the block is reduced to its triangular factor R_B (a QR
     without Q) and the right singular vector x found by inverse iteration
-    on R_B (`_smallest_right_vector`), which leaves for an SVD of R_B only
+    on R_B (`_smallest_right_vectors`), which leaves for an SVD of R_B only
     at a close second singular value.  c is x taken back through R, so
     that |Bc|^2 + |Mc|^2 = 1; Bc and Mc come from the orthonormal factor,
-    not from B @ c, and sigma = |Bc|."""
-    S = np.vstack([B, M])
-    norms = np.linalg.norm(S, axis=0)
+    not from B @ c, and sigma = |Bc|.
+
+    The members run as one stack through every call: numpy's linalg and
+    matmul take a stack matrix by matrix, as they take one matrix (a
+    stacked A @ A^T too, and a stacked x^T x as the dot of one vector), so
+    each member keeps the bits of a call of its own, for a fraction of the
+    per-call cost at the small bases of a family.  Members whose zero
+    columns differ stack apart, each stack without its zero columns.  A
+    stacked inverse, solve or hand-off SVD raises for the whole stack when
+    one member is singular or not finite, so such a stack is redone member
+    by member."""
+    G, rows, k = B.shape
+    # each member column by column, as `_eigen_solve`'s rows are laid out:
+    # a column norm then sums along memory, and its bits follow the layout
+    S = np.empty((G, k, rows + M.shape[1])).transpose(0, 2, 1)
+    S[:, :rows] = B
+    S[:, rows:] = M
+    norms = np.linalg.norm(S, axis=1)
     keep = norms > 0.0
-    Q, R = np.linalg.qr(S[:, keep] / norms[keep])
-    rows = B.shape[0]
-    x = _smallest_right_vector(np.linalg.qr(Q[:rows], mode="r"))
-    diag = np.abs(np.diagonal(R))
-    condition = float(diag.max() / max(diag.min(), 1e-300))
-    y = np.linalg.solve(R, x)
-    coeffs = np.zeros(norms.shape[0])
-    coeffs[keep] = y / norms[keep]
+    if not keep.all():
+        return _without_zero_columns(B, M, keep)
+    try:
+        Q, R = np.linalg.qr(S / norms[:, None, :])
+        x = _smallest_right_vectors(np.linalg.qr(Q[:, :rows], mode="r"))
+        y = np.linalg.solve(R, x)[:, :, 0]
+    except np.linalg.LinAlgError as error:
+        if G == 1:
+            return [error]
+        return [_subspace_vectors(B[g : g + 1], M[g : g + 1])[0] for g in range(G)]
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    condition = diag.max(axis=1) / np.maximum(diag.min(axis=1), 1e-300)
+    coeffs = y / norms
     Sc = Q @ x
-    Bc = Sc[:rows]
-    return float(np.linalg.norm(Bc)), coeffs, condition, Bc, Sc[rows:]
+    Bc = Sc[:, :rows]
+    sigma = np.sqrt(Bc.transpose(0, 2, 1) @ Bc)
+    return [
+        (float(sigma[g, 0, 0]), coeffs[g], float(condition[g]), Bc[g, :, 0], Sc[g, rows:, 0])
+        for g in range(G)
+    ]
 
 
-def _smallest_right_vector(R_B: np.ndarray) -> np.ndarray:
-    """The unit right singular vector of the smallest singular value of the
-    square upper-triangular R_B, by inverse iteration with the positive
-    definite P = (R_B^T R_B)^-1 = R_B^-1 R_B^-T: x <- P x / |P x| from
+def _without_zero_columns(B: np.ndarray, M: np.ndarray, keep: np.ndarray) -> list:
+    """`_subspace_vectors` of members with exactly zero columns (`keep` is
+    False there): the members with the same zero columns stack together
+    without them, and their c is 0 on those columns."""
+    outcomes: list = [None] * len(keep)
+    stacks: dict = {}
+    for g, mask in enumerate(keep):
+        stacks.setdefault(mask.tobytes(), []).append(g)
+    for members in stacks.values():
+        mask = keep[members[0]]
+        part = _subspace_vectors(B[members][:, :, mask], M[members][:, :, mask])
+        for g, outcome in zip(members, part):
+            if not isinstance(outcome, Exception):
+                c = np.zeros(mask.size)
+                c[mask] = outcome[1]
+                outcome = (outcome[0], c, *outcome[2:])
+            outcomes[g] = outcome
+    return outcomes
+
+
+def _smallest_right_vectors(R_B: np.ndarray) -> np.ndarray:
+    """For each square upper-triangular R_B[g] of the stack, the unit right
+    singular vector x[g] of its smallest singular value, a (G, k, 1) stack
+    of columns, by inverse iteration with the positive definite
+    P = (R_B^T R_B)^-1 = R_B^-1 R_B^-T: x <- P x / |P x| from
     x = 1/sqrt(k), until a step moves x by rounding only (no entry by more
     than _SETTLED_STEP).  As x . P x > 0, no step flips the sign of x.
+    Each member stops on its own, and its steps are those of a stack of
+    one.
 
     Pivots below eps max|pivot| are lifted to that floor, as LAPACK's
     inverse iteration does, so an exactly singular R_B (the Dirichlet ball
@@ -604,29 +654,38 @@ def _smallest_right_vector(R_B: np.ndarray) -> np.ndarray:
     toward its answer (far from an eigenvalue of the domain, or at the
     near pair of one degree's cos and sin on a perturbed disk) or drift by
     rounding inside an equal pair (on the disk itself).  There the vector
-    comes from LAPACK's SVD of R_B instead, which raises LinAlgError on a
-    NaN R_B.  Every other step shrinks the move by 4x, and the first moves
-    an entry of a unit vector by at most 2, so the iteration settles or
-    leaves for the SVD within 27 steps."""
-    pivots = np.abs(np.diagonal(R_B))
-    floor = np.finfo(float).eps * pivots.max()
+    comes from LAPACK's SVD of that member's R_B instead, which raises
+    LinAlgError on a NaN R_B.  Every other step shrinks the move by 4x, and
+    the first moves an entry of a unit vector by at most 2, so the
+    iteration settles or leaves for the SVD within 27 steps."""
+    pivots = np.abs(np.diagonal(R_B, axis1=1, axis2=2))
+    floor = np.finfo(float).eps * pivots.max(axis=1, keepdims=True)
     low = pivots < floor
     if low.any():
         R_B = R_B.copy()
-        R_B[low, low] = np.copysign(floor, np.diagonal(R_B)[low])
+        g, j = np.nonzero(low)
+        R_B[g, j, j] = np.copysign(floor[g, 0], R_B[g, j, j])
     inverse = np.linalg.inv(R_B)
-    P = inverse @ inverse.T
-    x = np.full(R_B.shape[0], 1.0 / math.sqrt(R_B.shape[0]))
-    last = math.inf
-    while True:
+    P = inverse @ inverse.transpose(0, 2, 1)
+    # each step is one stacked matrix-vector product and one stacked dot
+    # product x[g]^T x[g], which numpy takes as the dot of one vector: a
+    # norm along a stack axis sums in another order
+    x = np.full((*R_B.shape[:2], 1), 1.0 / math.sqrt(R_B.shape[1]))
+    out = np.empty_like(x)
+    last = np.full(len(x), math.inf)
+    pending = np.arange(len(x))  # the members still iterating
+    while pending.size:
         y = P @ x
-        y /= np.linalg.norm(y)
-        step = float(np.max(np.abs(y - x)))
-        if step <= _SETTLED_STEP:
-            return y
-        if not step <= last / 4.0:
-            return np.linalg.svd(R_B)[2][-1]
+        y /= np.sqrt(y.transpose(0, 2, 1) @ y)
+        step = np.abs(y - x).max(axis=(1, 2))
+        going = (step > _SETTLED_STEP) & (step <= last / 4.0)
+        if not going.all():
+            for j, g in zip(np.flatnonzero(~going), pending[~going]):
+                settled = step[j] <= _SETTLED_STEP
+                out[g, :, 0] = y[j, :, 0] if settled else np.linalg.svd(R_B[g])[2][-1]
+            P, y, step, pending = P[going], y[going], step[going], pending[going]
         x, last = y, step
+    return out
 
 
 def _slope_root(lam0: float):
@@ -666,11 +725,14 @@ def _slope_root(lam0: float):
 
 def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str, per_element: int):
     """One eigen solve (see `solve_perturbed_eigen`) on `per_element`
-    angles per basis element as a generator: after the set-up it yields
-    (rho, lam) for each radial table it needs, one per slope that
-    `_slope_root` asks for and one for the rows at lam*, is sent
-    `_radial_wave(d.n, modes, lam, rho)`, and returns the OracleSolution,
-    its checks held to `_limit_share` of their limits."""
+    angles per basis element as a generator, which returns the
+    OracleSolution, its checks held to `_limit_share` of their limits.
+    After the set-up it asks `_lockstep` for two things in turn, once per
+    slope that `_slope_root` asks for and once at lam*: it yields
+    ("table", rho, lam) and is sent `_radial_wave(d.n, modes, lam, rho)`,
+    then yields ("kernel", B, M) for the rows of that table and is sent
+    their (sigma, c, condition, Bc, Mc) of `_subspace_vectors`, or that
+    kernel's LinAlgError thrown in."""
     degrees, (bd, T, dT), (mid, T_mid, dT_mid) = _collocation(d, modes, per_element)
     share = _limit_share(per_element)
     if kind == ROBIN_EIGEN:
@@ -707,14 +769,18 @@ def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str, per_
         The rows are linear in the radial tables, so B_lam and M_lam are
         rows() of df/dlam = (rho / 2 lam) df/drho and, by Bessel's
         equation, d(df/drho)/dlam = [(k(k+n-2)/(lam rho) - rho) f
-        - (n-2) (df/drho) / lam] / 2.  Its arrays and views of the round's
-        table end with it, before the solve waits on the next table."""
-        _, c, _, Bc, Mc = _subspace_vector(*rows(f, df))
+        - (n-2) (df/drho) / lam] / 2.  A generator: it yields the kernel
+        request of the rows at lam and returns the slope.  Its views of
+        the round's table end before that request, and its arrays with it,
+        before the solve waits on the next table."""
+        B, M = rows(f, df)
         df_lam = None
         if kind != DIRICHLET_EIGEN:
             k_term = orders * (orders + (d.n - 2)) / (lam * rho)
             df_lam = ((k_term - rho) * f - ((d.n - 2) / lam) * df) / 2.0
         dB, dM = rows(rho / (2.0 * lam) * df, df_lam)
+        del f, df, df_lam
+        _, c, _, Bc, Mc = yield "kernel", B, M
         b, m = Bc @ Bc, Mc @ Mc
         # the envelope theorem: d/dlam of |Bc|^2 / (|Bc|^2 + |Mc|^2) at fixed c
         return 2.0 * ((Bc @ (dB @ c)) * m - b * (Mc @ (dM @ c))) / (b + m) ** 2
@@ -723,18 +789,18 @@ def _eigen_solve(d: StarDomain, alpha: float | None, modes: int, kind: str, per_
     lam = next(search)
     while True:
         try:
-            lam = search.send(slope(lam, *(yield rho, lam)))
+            lam = search.send((yield from slope(lam, *(yield "table", rho, lam))))
         except StopIteration as stop:
             lam, evals = stop.value
             break
 
     # the normalized eigenfunction at the located lam, checked; the table
     # of this round also covers the midway points, after those of `rho`
-    f, df = yield np.concatenate([rho, mid.r]), lam
+    f, df = yield "table", np.concatenate([rho, mid.r]), lam
     B, M = rows(f[:, : rho.size], df[:, : rho.size])
     B_mid = condition_rows(mid, f[degrees, rho.size :], df[:, rho.size :], T_mid, dT_mid)
     del f, df  # views of the round's table, which the integrals do not need
-    sigma_min, coeffs, condition, _, _ = _subspace_vector(B, M)
+    sigma_min, coeffs, condition, _, _ = yield "kernel", B, M
     if condition > share * CONDITION_LIMIT:
         raise ArithmeticError(
             f"degenerate collocation basis near lam = {lam:.6g} "
@@ -820,11 +886,13 @@ def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_eleme
     """The outcome of each domain's solve on `per_element` angles per basis
     element, in order, with the solves run in lockstep: each member is a
     generator (`_torsion_solve` or `_eigen_solve`), and each round serves
-    the pending request of every member, a secant slope or the rows at
-    lam*, with one radial table over all their points, lam per point.  A
-    torsion member asks for none and ends in the first round.  The table is
-    element-wise, so every member's columns keep the bits of a table of its
-    own; its rows, factorizations, integrals and checks stay per member.
+    the pending request of every member (`_serve`).  An eigen member asks
+    for a radial table, for a secant slope or the rows at lam*, and then for
+    the sigma kernel of the rows it built from it: the tables of a round are
+    one table over all their points, and its kernels one stacked call.  A
+    torsion member asks for nothing and ends in the first round.  The table
+    and the kernel keep every member's bits of a solve of its own; its
+    rows, integrals and checks stay per member.
     At DECIDING_OVERSAMPLE or more angles per element a raised error is the
     member's outcome for good, so from then on the members after it are
     dropped unserved, their outcome left None."""
@@ -835,19 +903,23 @@ def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_eleme
         else _eigen_solve(d, alpha, modes, kind, per_element)
         for i, d in enumerate(domains)
     }
-    # member -> its views of the round's table, None to start the solve;
-    # each member's entry goes as it is served, and the table itself with
-    # the last of them, before the next round's table is built
+    # member -> what it is sent, None to start the solve; each member's
+    # entry goes as it is served, so a round's table goes with the last of
+    # its views, before the next round's table is built
     sent = dict.fromkeys(solves)
     served = len(domains)  # the members before this one are served
     while True:
-        requests = {}  # member -> (rho, lam) of the table it waits on
+        requests = {}  # member -> its request of this round
         for i, solve in solves.items():
             if i >= served:
                 del sent[i]
                 continue
+            reply = sent.pop(i)
             try:
-                requests[i] = solve.send(sent.pop(i))
+                if isinstance(reply, Exception):
+                    requests[i] = solve.throw(reply)
+                else:
+                    requests[i] = solve.send(reply)
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except (ArithmeticError, ValueError) as error:
@@ -857,13 +929,33 @@ def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_eleme
         if not requests:
             return outcomes
         solves = {i: solves[i] for i in requests}
-        sizes = [rho.size for rho, _ in requests.values()]
-        lam = np.repeat([lam for _, lam in requests.values()], sizes)
-        rho = np.concatenate([rho for rho, _ in requests.values()])
-        f, df = _radial_wave(domains[0].n, modes, lam, rho)
+        sent = _serve(domains[0].n, modes, requests)
+
+
+def _serve(n: int, modes: int, requests: dict) -> dict:
+    """member -> its reply to `requests`, member -> ("table", rho, lam) or
+    ("kernel", B, M).  The tables are one radial table over all their
+    points, lam per point, each member sent its views of it; the kernels
+    of blocks of one shape are one `_subspace_vectors` call, each member
+    sent its outcome."""
+    sent = {}
+    tables = {i: request[1:] for i, request in requests.items() if request[0] == "table"}
+    if tables:
+        sizes = [rho.size for rho, _ in tables.values()]
+        lam = np.repeat([lam for _, lam in tables.values()], sizes)
+        rho = np.concatenate([rho for rho, _ in tables.values()])
+        f, df = _radial_wave(n, modes, lam, rho)
         starts = np.cumsum([0, *sizes])
-        sent = {i: (f[:, a:b], df[:, a:b]) for i, a, b in zip(requests, starts, starts[1:])}
-        del f, df
+        sent = {i: (f[:, a:b], df[:, a:b]) for i, a, b in zip(tables, starts, starts[1:])}
+    stacks: dict = {}  # (B shape, M shape) -> the members with blocks of it
+    for i, (what, B, M) in requests.items():
+        if what == "kernel":
+            stacks.setdefault((B.shape, M.shape), []).append(i)
+    for members in stacks.values():
+        B = np.stack([requests[i][1] for i in members])
+        M = np.stack([requests[i][2] for i in members])
+        sent.update(zip(members, _subspace_vectors(B, M)))
+    return sent
 
 
 def solve_perturbed_family(
@@ -909,12 +1001,14 @@ def solve_perturbed_eigen(
     the Robin (du/dnu + alpha u = 0) or Dirichlet (u = 0) condition; the
     family of `solve_perturbed_family` with one member.  The solve is one
     generator (`_eigen_solve`); `_lockstep` builds each radial table it
-    asks for, those of the lam search and the one for the rows at lam*.
+    asks for, those of the lam search and the one for the rows at lam*, and
+    runs the sigma kernel of the rows of each, one stacked call per round
+    for every member of a family.
 
     The boundary-condition collocation matrix B(lam) is built from wave
     ansatz elements, with interior samples M(lam) next to it; lam is the
     minimum near the ball value lam0 of sigma(lam)^2, the minimum over c of
-    |Bc|^2 / (|Bc|^2 + |Mc|^2) (`_subspace_vector`).  At the minimizing c
+    |Bc|^2 / (|Bc|^2 + |Mc|^2) (`_subspace_vectors`).  At the minimizing c
     the envelope theorem gives its slope exactly from the lam-derivatives
     of the rows, and `_slope_root` takes secant steps on that slope from
     lam0, inside the window [0.6, 1.5] lam0; library minimizers of sigma

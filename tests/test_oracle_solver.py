@@ -620,8 +620,17 @@ def test_bessel_table_columns_do_not_depend_on_the_other_points(n):
 # ---------------------------------------------------------------------------
 
 
+def subspace_vector(B, M):
+    """(sigma, c, condition, Bc, Mc) of the block (B, M) alone: the kernel
+    `_subspace_vectors` on a stack of one, raising the error it gives."""
+    (outcome,) = oracle_solver._subspace_vectors(B[None], M[None])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def svd_subspace_vector(B, M):
-    """(sigma, c, Bc, Mc) of `_subspace_vector` taken from a full SVD of the
+    """(sigma, c, Bc, Mc) of `subspace_vector` taken from a full SVD of the
     orthonormalized boundary block, as the oracle once did."""
     S = np.vstack([B, M])
     norms = np.linalg.norm(S, axis=0)
@@ -638,7 +647,7 @@ def assert_matches_the_svd(B, M, c_tol=1e-12, vector_tol=1e-14):
     """sigma to the rounding of a k-column SVD (sigma <= 1); c, Bc and Mc up
     to sign, Bc and Mc within `vector_tol` (which a near pair of singular
     values widens)."""
-    sigma, c, _, Bc, Mc = oracle_solver._subspace_vector(B, M)
+    sigma, c, _, Bc, Mc = subspace_vector(B, M)
     sigma_svd, c_svd, Bc_svd, Mc_svd = svd_subspace_vector(B, M)
     assert type(sigma) is float and abs(sigma - sigma_svd) <= B.shape[1] * 2e-16
     sign = math.copysign(1.0, c @ c_svd)
@@ -705,7 +714,7 @@ def test_subspace_vector_resolves_a_close_second_singular_value(monkeypatch, pai
         assert_matches_the_svd(B, M, vector_tol=1e-15 / (1.0 - (pair[0] / pair[1]) ** 2))
     else:
         # any unit vector of the pair is an answer: sigma and |Bc| hold it
-        sigma, c, _, Bc, Mc = oracle_solver._subspace_vector(B, M)
+        sigma, c, _, Bc, Mc = subspace_vector(B, M)
         assert abs(sigma - 0.3) <= 1e-15 and abs(np.linalg.norm(B @ c) - 0.3) <= 1e-13
         assert abs(Bc @ Bc + Mc @ Mc - 1.0) <= 1e-14
     assert (k, k) in calls
@@ -715,9 +724,9 @@ def test_subspace_vector_matches_the_svd_on_the_dirichlet_ball_at_its_eigenvalue
     # at t = 0 the boundary rows at lam* have an exactly singular triangular
     # factor; without the pivot floor its inverse does not exist, and the
     # eigen-reports then failed on "changes sign inside the domain"
-    blocks, real = [], oracle_solver._subspace_vector
+    blocks, real = [], oracle_solver._subspace_vectors
     monkeypatch.setattr(
-        oracle_solver, "_subspace_vector", lambda B, M: blocks.append((B, M)) or real(B, M)
+        oracle_solver, "_subspace_vectors", lambda B, M: blocks.extend(zip(B, M)) or real(B, M)
     )
     for n, N in ((2, COS2T), (3, ZONAL)):
         solve_perturbed_eigen(perturbed_domain(pfield(n, 1.0, N), 0.0), None, 8, DIRICHLET_EIGEN)
@@ -743,7 +752,7 @@ def test_a_nan_block_raises_linalg_error_instead_of_looping():
     R_B = np.triu(np.ones((5, 5)))
     R_B[2, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        oracle_solver._smallest_right_vector(R_B)
+        oracle_solver._smallest_right_vectors(R_B[None])
     # so a family records it as that member's outcome, as any ValueError
     assert issubclass(np.linalg.LinAlgError, ValueError)
 
@@ -767,6 +776,118 @@ def test_the_second_mode_of_a_perturbed_disk_takes_the_svd_and_ends_as_before(mo
         str(error.value),
     ), str(error.value)
 
+
+
+def kernel_bits(outcome):
+    """sigma, the condition estimate, c, Bc and Mc of a kernel outcome, as
+    one uint64 array."""
+    sigma, c, condition, Bc, Mc = outcome
+    return np.concatenate([[sigma, condition], c, Bc, Mc]).view(np.uint64)
+
+
+def floored(B, M):
+    """Whether the triangular factor of the block's orthonormalized
+    boundary rows has a pivot below eps times its largest."""
+    S = np.vstack([B, M])
+    Q = np.linalg.qr(S / np.linalg.norm(S, axis=0))[0]
+    pivots = np.abs(np.diagonal(np.linalg.qr(Q[: B.shape[0]], mode="r")))
+    return bool(np.any(pivots < np.finfo(float).eps * pivots.max()))
+
+
+def stacked(blocks):
+    """The kernel outcomes of the blocks [(B, M), ...] in one stacked call."""
+    return oracle_solver._subspace_vectors(
+        np.stack([B for B, _ in blocks]), np.stack([M for _, M in blocks])
+    )
+
+
+def test_a_stacked_kernel_call_keeps_the_bits_of_one_block_calls(monkeypatch):
+    # a lockstep round stacks its members' blocks into one call: each
+    # member's outcome must be that of its block alone, on blocks that take
+    # every branch of the kernel: plain inverse iteration, the SVD of a
+    # near pair, a floored pivot (the Dirichlet ball at its eigenvalue,
+    # n = 2 at 8 modes: 34 x 17 blocks) and a zero column
+    real, ball = oracle_solver._subspace_vectors, []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            oracle_solver, "_subspace_vectors", lambda B, M: ball.extend(zip(B, M)) or real(B, M)
+        )
+        solve_perturbed_eigen(perturbed_domain(pfield(2, 1.0, COS2T), 0.0), None, 8, DIRICHLET_EIGEN)
+    ball = next(block for block in ball if floored(*block))
+    rng = np.random.default_rng(3700)
+    k = 17
+    hollow = rng.normal(size=(2 * k, k)), rng.normal(size=(2 * k, k))
+    for part in hollow:
+        part[:, 5] = 0.0
+    blocks = [
+        (rng.normal(size=(2 * k, k)), rng.normal(size=(2 * k, k))),
+        cs_block(rng, 2 * k, [*rng.uniform(0.7, 0.99, k - 2), 0.3001, 0.3]),
+        ball,
+        hollow,
+        (rng.normal(size=(2 * k, k)), rng.normal(size=(2 * k, k))),
+    ]
+    assert all(B.shape == M.shape == (2 * k, k) for B, M in blocks)
+    alone = [subspace_vector(B, M) for B, M in blocks]
+    svds = counted_svd(monkeypatch)
+    qrs, real_qr = [], np.linalg.qr
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a, mode="reduced": qrs.append((a.shape, mode)) or real_qr(a, mode)
+    )
+    together = stacked(blocks)
+    for one, many in zip(alone, together):
+        assert np.array_equal(kernel_bits(one), kernel_bits(many))
+    assert (k, k) in svds
+    # the block with a zero column stacks apart from the others, without it
+    assert qrs == [
+        ((4, 4 * k, k), "reduced"), ((4, 2 * k, k), "r"),
+        ((1, 4 * k, k - 1), "reduced"), ((1, 2 * k, k - 1), "r"),
+    ]
+    assert together[3][1][5] == 0.0
+
+
+def test_a_member_whose_kernel_raises_leaves_the_others_their_bits():
+    # a stacked inverse, solve or SVD raises for the whole stack when one
+    # member's block is singular or not finite (here an infinite entry,
+    # whose scaled column is inf / inf = NaN), so the stack is redone one
+    # member at a time: that member gets the LinAlgError of its own call,
+    # and every other member the bits of its own
+    rng = np.random.default_rng(3701)
+    k = 17
+    blocks = [cs_block(rng, 2 * k, rng.uniform(0.2, 0.99, k)) for _ in range(4)]
+    blocks[2][0][3, 4] = np.inf
+    with np.errstate(invalid="ignore"):
+        outcomes = stacked(blocks)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            subspace_vector(*blocks[2])
+    assert isinstance(outcomes[2], np.linalg.LinAlgError)
+    assert str(outcomes[2]) == "SVD did not converge"
+    for g in (0, 1, 3):
+        assert np.array_equal(kernel_bits(outcomes[g]), kernel_bits(subspace_vector(*blocks[g])))
+
+
+def test_a_kernel_error_ends_only_its_own_member_of_a_family(monkeypatch):
+    # `_lockstep` throws a member's kernel error into its solve, which
+    # raises it as its outcome; the other members solve as they would alone
+    domains = [perturbed_domain(pfield(2, 1.0, COS2T), t) for t in (0.0, 0.01, -0.01)]
+    rule = oracle_solver.OVERSAMPLE
+
+    def lam(outcome):
+        return float(outcome.lam).hex()
+
+    alone = [lam(oracle_solver._lockstep([d], 1.0, 8, ROBIN_EIGEN, rule)[0]) for d in domains]
+    real = oracle_solver._subspace_vectors
+    failure = np.linalg.LinAlgError("SVD did not converge")
+
+    def failing(B, M):
+        out = real(B, M)
+        if len(out) == 3:  # the first kernel round: the member of t = 0.01
+            out[1] = failure
+        return out
+
+    monkeypatch.setattr(oracle_solver, "_subspace_vectors", failing)
+    outcomes = oracle_solver._lockstep(domains, 1.0, 8, ROBIN_EIGEN, rule)
+    assert outcomes[1] is failure
+    assert [lam(outcomes[0]), lam(outcomes[2])] == [alone[0], alone[2]]
 
 # ---------------------------------------------------------------------------
 # lam search: secant steps on the slope of sigma^2
@@ -893,16 +1014,16 @@ def test_slope_root_does_not_stop_on_a_short_step_from_a_far_point(curve, offset
 
 
 def recorded_sigmas(monkeypatch):
-    """The list that the sigma of every `_subspace_vector` call is appended
-    to."""
-    real_vector, sigmas = oracle_solver._subspace_vector, []
+    """The list that the sigma of every member of every `_subspace_vectors`
+    call is appended to, in stack order."""
+    real_vectors, sigmas = oracle_solver._subspace_vectors, []
 
-    def vector(B, M):
-        out = real_vector(B, M)
-        sigmas.append(out[0])
+    def vectors(B, M):
+        out = real_vectors(B, M)
+        sigmas.extend(outcome[0] for outcome in out)
         return out
 
-    monkeypatch.setattr(oracle_solver, "_subspace_vector", vector)
+    monkeypatch.setattr(oracle_solver, "_subspace_vectors", vectors)
     return sigmas
 
 
@@ -910,8 +1031,8 @@ def member_slope(monkeypatch, d, alpha, modes, kind):
     """(slope, lam0) of one solve's search.  `_slope_root` is patched to ask
     for the lam given to slope(lam) (lam0 for None) and to record the slope
     it is sent; slope(lam) runs the member generator to that request and
-    sends it a radial table of its own, as `_solve_family` does for a family
-    of one."""
+    sends it a radial table of its own, then the kernel of the rows it asks
+    for, as `_solve_family` does for a family of one."""
     lam0s, asked, slopes = [], [], []
 
     def search(lam0):
@@ -924,8 +1045,9 @@ def member_slope(monkeypatch, d, alpha, modes, kind):
     def slope(lam):
         asked.append(lam)
         solve = oracle_solver._eigen_solve(d, alpha, modes, kind, oracle_solver.OVERSAMPLE)
-        rho, at = next(solve)
-        solve.send(_radial_wave(d.n, modes, at, rho))
+        _, rho, at = next(solve)
+        _, B, M = solve.send(_radial_wave(d.n, modes, at, rho))
+        solve.send(oracle_solver._subspace_vectors(B[None], M[None])[0])
         solve.close()
         return slopes[-1]
 
@@ -1092,15 +1214,16 @@ def test_refine_agrees_with_golden_section_at_few_modes(monkeypatch, t, n, N, al
 
 def test_flat_slope_raises_after_two_evaluations(monkeypatch):
     # |Bc| = 0 at every lam: sigma^2 is flat, so is its slope
-    real = oracle_solver._subspace_vector
+    real = oracle_solver._subspace_vectors
     calls = []
 
     def flat(B, M):
-        sigma, c, condition, Bc, Mc = real(B, M)
-        calls.append(B.shape)
-        return sigma, c, condition, 0.0 * Bc, Mc
+        calls.extend(block.shape for block in B)
+        return [
+            (sigma, c, condition, 0.0 * Bc, Mc) for sigma, c, condition, Bc, Mc in real(B, M)
+        ]
 
-    monkeypatch.setattr(oracle_solver, "_subspace_vector", flat)
+    monkeypatch.setattr(oracle_solver, "_subspace_vectors", flat)
     with pytest.raises(ArithmeticError, match="root isolation failed"):
         solve_perturbed_eigen(readme_eigen_domain(0.01), 1.0, modes=8)
     # two at each rule: the solve at OVERSAMPLE raises, and so does the
@@ -1411,19 +1534,22 @@ def test_a_family_builds_one_radial_table_per_round(monkeypatch, n, N, alpha, ki
 def test_a_waiting_member_holds_no_table_of_an_earlier_round(n, N, alpha, kind):
     # a family keeps every member suspended between rounds, so a member that
     # kept its last table, or the arrays of its slope, would hold one more
-    # order-sized table per member at the family's peak
+    # order-sized table per member at the family's peak; it lets go of the
+    # table already while it waits on the kernel of the rows it built
     d = perturbed_domain(pfield(n, 1.0, N), 0.01)
     solve = oracle_solver._eigen_solve(d, alpha, 12, kind, oracle_solver.OVERSAMPLE)
     request, rounds = next(solve), 0
     while request is not None:
-        f, df = _radial_wave(n, 12, request[1], request[0])
+        _, rho, lam = request
+        f, df = _radial_wave(n, 12, lam, rho)
         held = [weakref.ref(f.base), weakref.ref(df)]
-        try:
-            request = solve.send((f, df))
-        except StopIteration as stop:
-            request, sol = None, stop.value
+        _, B, M = solve.send((f, df))
         del f, df
         assert [ref() for ref in held] == [None, None]
+        try:
+            request = solve.send(oracle_solver._subspace_vectors(B[None], M[None])[0])
+        except StopIteration as stop:
+            request, sol = None, stop.value
         rounds += 1
     assert rounds == sol.sigma_evals + 1
 
