@@ -556,11 +556,11 @@ def _torsion_solve(d: StarDomain, alpha: float, modes: int, per_element: int):
     return sol
 
 
-def _subspace_vectors(B: np.ndarray, M: np.ndarray) -> list:
-    """For each member g of the stacked (boundary; interior) samples B[g],
-    M[g], shaped (G, rows, k) and (G, interior, k): (sigma, coefficients c,
-    condition estimate, Bc, Mc), or the LinAlgError that its own call
-    (G = 1) raises.
+def _subspace_vectors(B, M) -> list:
+    """For each member g of G blocks of (boundary; interior) samples B[g],
+    M[g], shaped (rows, k) and (interior, k) (two sequences or stacks):
+    (sigma, coefficients c, condition estimate, Bc, Mc), or the LinAlgError
+    that its own call (G = 1) raises.
 
     Columns are rescaled to unit norm before the QR, so tiny natural scales
     cost nothing; only underflowed (exactly zero) columns are dropped.  sigma
@@ -584,24 +584,26 @@ def _subspace_vectors(B: np.ndarray, M: np.ndarray) -> list:
     stacked inverse, solve or hand-off SVD raises for the whole stack when
     one member is singular or not finite, so such a stack is redone member
     by member."""
-    G, rows, k = B.shape
+    G, (rows, k) = len(B), B[0].shape
     # each member column by column, as `_eigen_solve`'s rows are laid out:
     # a column norm then sums along memory, and its bits follow the layout
-    S = np.empty((G, k, rows + M.shape[1])).transpose(0, 2, 1)
-    S[:, :rows] = B
-    S[:, rows:] = M
+    S = np.empty((G, k, rows + M[0].shape[0])).transpose(0, 2, 1)
+    for g in range(G):
+        S[g, :rows] = B[g]
+        S[g, rows:] = M[g]
     norms = np.linalg.norm(S, axis=1)
     keep = norms > 0.0
     if not keep.all():
         return _without_zero_columns(B, M, keep)
+    S /= norms[:, None, :]
     try:
-        Q, R = np.linalg.qr(S / norms[:, None, :])
+        Q, R = np.linalg.qr(S)
         x = _smallest_right_vectors(np.linalg.qr(Q[:, :rows], mode="r"))
         y = np.linalg.solve(R, x)[:, :, 0]
     except np.linalg.LinAlgError as error:
         if G == 1:
             return [error]
-        return [_subspace_vectors(B[g : g + 1], M[g : g + 1])[0] for g in range(G)]
+        return [_subspace_vectors([B[g]], [M[g]])[0] for g in range(G)]
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
     condition = diag.max(axis=1) / np.maximum(diag.min(axis=1), 1e-300)
     coeffs = y / norms
@@ -614,7 +616,7 @@ def _subspace_vectors(B: np.ndarray, M: np.ndarray) -> list:
     ]
 
 
-def _without_zero_columns(B: np.ndarray, M: np.ndarray, keep: np.ndarray) -> list:
+def _without_zero_columns(B, M, keep: np.ndarray) -> list:
     """`_subspace_vectors` of members with exactly zero columns (`keep` is
     False there): the members with the same zero columns stack together
     without them, and their c is 0 on those columns."""
@@ -624,7 +626,9 @@ def _without_zero_columns(B: np.ndarray, M: np.ndarray, keep: np.ndarray) -> lis
         stacks.setdefault(mask.tobytes(), []).append(g)
     for members in stacks.values():
         mask = keep[members[0]]
-        part = _subspace_vectors(B[members][:, :, mask], M[members][:, :, mask])
+        part = _subspace_vectors(
+            [B[g][:, mask] for g in members], [M[g][:, mask] for g in members]
+        )
         for g, outcome in zip(members, part):
             if not isinstance(outcome, Exception):
                 c = np.zeros(mask.size)
@@ -952,8 +956,8 @@ def _serve(n: int, modes: int, requests: dict) -> dict:
         if what == "kernel":
             stacks.setdefault((B.shape, M.shape), []).append(i)
     for members in stacks.values():
-        B = np.stack([requests[i][1] for i in members])
-        M = np.stack([requests[i][2] for i in members])
+        B = [requests[i][1] for i in members]
+        M = [requests[i][2] for i in members]
         sent.update(zip(members, _subspace_vectors(B, M)))
     return sent
 

@@ -18,13 +18,17 @@ Its radial tables are the oracle's former ones too (`basis_row_harmonic`,
 `basis_row_wave`): one row per basis element, so cos and sin rows of one
 degree are computed or copied twice.  The oracle now keeps one row per
 degree and gathers the rows it multiplies into one reused buffer.
+
+`one_block_subspace_vector` is the sigma kernel as it was before a family's
+blocks were stacked into one `oracle_solver._subspace_vectors` call: one
+block, one member, with the inverse iteration as a loop of its own.
 """
 
 import math
 
 import numpy as np
 
-from rsv.oracle_solver import _angular_parts, _bessel_table, _boundary, _interior
+from rsv.oracle_solver import _SETTLED_STEP, _angular_parts, _bessel_table, _boundary, _interior
 from rsv.radial_solutions import TORSION
 from rsv.special_functions import polar_rule
 
@@ -137,3 +141,43 @@ def torsion_gauss_integrals(sol, n_theta: int, n_rho: int):
     int_u = float(np.sum(w * u))
     int_grad_sq = float(np.sum(w * (u_rho * u_rho + u_ang * u_ang)))
     return int_u, int_grad_sq, float(bd.dS @ (u_bd * u_bd))
+
+
+def one_block_subspace_vector(B, M):
+    """(sigma, c, condition estimate, Bc, Mc) of one (boundary; interior)
+    block, computed alone; the stacked samples are laid out column by
+    column, as the eigen solve's rows are."""
+    S = np.asfortranarray(np.vstack([B, M]))
+    norms = np.linalg.norm(S, axis=0)
+    keep = norms > 0.0
+    Q, R = np.linalg.qr(S[:, keep] / norms[keep])
+    rows = B.shape[0]
+    R_B = np.linalg.qr(Q[:rows], mode="r")
+    pivots = np.abs(np.diagonal(R_B))
+    floor = np.finfo(float).eps * pivots.max()
+    low = pivots < floor
+    if low.any():
+        R_B = R_B.copy()
+        R_B[low, low] = np.copysign(floor, np.diagonal(R_B)[low])
+    inverse = np.linalg.inv(R_B)
+    P = inverse @ inverse.T
+    x = np.full(R_B.shape[0], 1.0 / math.sqrt(R_B.shape[0]))
+    last = math.inf
+    while True:
+        y = P @ x
+        y /= np.linalg.norm(y)
+        step = float(np.max(np.abs(y - x)))
+        if step <= _SETTLED_STEP:
+            x = y
+            break
+        if not step <= last / 4.0:
+            x = np.linalg.svd(R_B)[2][-1]
+            break
+        x, last = y, step
+    diag = np.abs(np.diagonal(R))
+    condition = float(diag.max() / max(diag.min(), 1e-300))
+    coeffs = np.zeros(norms.shape[0])
+    coeffs[keep] = np.linalg.solve(R, x) / norms[keep]
+    Sc = Q @ x
+    Bc = Sc[:rows]
+    return float(np.linalg.norm(Bc)), coeffs, condition, Bc, Sc[rows:]

@@ -17,6 +17,7 @@ from oracle_reference import (
     fields,
     node_by_node_fields,
     node_by_node_integrals,
+    one_block_subspace_vector,
     torsion_gauss_integrals,
 )
 from scipy.optimize import brentq
@@ -803,10 +804,11 @@ def stacked(blocks):
 
 def test_a_stacked_kernel_call_keeps_the_bits_of_one_block_calls(monkeypatch):
     # a lockstep round stacks its members' blocks into one call: each
-    # member's outcome must be that of its block alone, on blocks that take
-    # every branch of the kernel: plain inverse iteration, the SVD of a
-    # near pair, a floored pivot (the Dirichlet ball at its eigenvalue,
-    # n = 2 at 8 modes: 34 x 17 blocks) and a zero column
+    # member's outcome must be that of its block alone, and that of the
+    # former one-block kernel, on blocks that take every branch of the
+    # kernel: plain inverse iteration, the SVD of a near pair, a floored
+    # pivot (the Dirichlet ball at its eigenvalue, n = 2 at 8 modes: 34 x 17
+    # blocks) and a zero column
     real, ball = oracle_solver._subspace_vectors, []
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -828,6 +830,8 @@ def test_a_stacked_kernel_call_keeps_the_bits_of_one_block_calls(monkeypatch):
     ]
     assert all(B.shape == M.shape == (2 * k, k) for B, M in blocks)
     alone = [subspace_vector(B, M) for B, M in blocks]
+    for one, (B, M) in zip(alone, blocks):
+        assert np.array_equal(kernel_bits(one), kernel_bits(one_block_subspace_vector(B, M)))
     svds = counted_svd(monkeypatch)
     qrs, real_qr = [], np.linalg.qr
     monkeypatch.setattr(
