@@ -560,7 +560,7 @@ def _subspace_vectors(B, M) -> list:
     """For each member g of G blocks of (boundary; interior) samples B[g],
     M[g], shaped (rows, k) and (interior, k) (two sequences or stacks):
     (sigma, coefficients c, condition estimate, Bc, Mc), or the LinAlgError
-    that its own call (G = 1) raises.
+    that its block meets alone (G = 1).
 
     Columns are rescaled to unit norm before the QR, so tiny natural scales
     cost nothing; only underflowed (exactly zero) columns are dropped.  sigma
@@ -937,11 +937,11 @@ def _lockstep(domains: list[StarDomain], alpha, modes: int, kind: str, per_eleme
 
 
 def _serve(n: int, modes: int, requests: dict) -> dict:
-    """member -> its reply to `requests`, member -> ("table", rho, lam) or
-    ("kernel", B, M).  The tables are one radial table over all their
-    points, lam per point, each member sent its views of it; the kernels
-    of blocks of one shape are one `_subspace_vectors` call, each member
-    sent its outcome."""
+    """What each member is sent for its request in `requests`,
+    ("table", rho, lam) or ("kernel", B, M): the table requests share one
+    radial table over all their points, lam per point, and each member is
+    sent its views of it; the kernel requests of one block shape are one
+    `_subspace_vectors` call, and each member is sent its outcome."""
     sent = {}
     tables = {i: request[1:] for i, request in requests.items() if request[0] == "table"}
     if tables:
