@@ -721,6 +721,15 @@ def test_subspace_vector_resolves_a_close_second_singular_value(monkeypatch, pai
     assert (k, k) in calls
 
 
+def has_floored_pivot(B, M):
+    """Whether the triangular factor of the block's orthonormalized
+    boundary rows has a pivot below eps times its largest."""
+    S = np.vstack([B, M])
+    Q = np.linalg.qr(S / np.linalg.norm(S, axis=0))[0]
+    pivots = np.abs(np.diagonal(np.linalg.qr(Q[: B.shape[0]], mode="r")))
+    return bool(np.any(pivots < np.finfo(float).eps * pivots.max()))
+
+
 def test_subspace_vector_matches_the_svd_on_the_dirichlet_ball_at_its_eigenvalue(monkeypatch):
     # at t = 0 the boundary rows at lam* have an exactly singular triangular
     # factor; without the pivot floor its inverse does not exist, and the
@@ -734,10 +743,7 @@ def test_subspace_vector_matches_the_svd_on_the_dirichlet_ball_at_its_eigenvalue
     monkeypatch.undo()
     floored = 0
     for B, M in blocks:
-        S = np.vstack([B, M])
-        Q = np.linalg.qr(S / np.linalg.norm(S, axis=0))[0]
-        pivots = np.abs(np.diagonal(np.linalg.qr(Q[: B.shape[0]], mode="r")))
-        floored += bool(np.any(pivots < np.finfo(float).eps * pivots.max()))
+        floored += has_floored_pivot(B, M)
         assert_matches_the_svd(B, M)
     assert floored > 0
 
@@ -786,15 +792,6 @@ def kernel_bits(outcome):
     return np.concatenate([[sigma, condition], c, Bc, Mc]).view(np.uint64)
 
 
-def floored(B, M):
-    """Whether the triangular factor of the block's orthonormalized
-    boundary rows has a pivot below eps times its largest."""
-    S = np.vstack([B, M])
-    Q = np.linalg.qr(S / np.linalg.norm(S, axis=0))[0]
-    pivots = np.abs(np.diagonal(np.linalg.qr(Q[: B.shape[0]], mode="r")))
-    return bool(np.any(pivots < np.finfo(float).eps * pivots.max()))
-
-
 def stacked(blocks):
     """The kernel outcomes of the blocks [(B, M), ...] in one stacked call."""
     return oracle_solver._subspace_vectors(
@@ -815,7 +812,7 @@ def test_a_stacked_kernel_call_keeps_the_bits_of_one_block_calls(monkeypatch):
             oracle_solver, "_subspace_vectors", lambda B, M: ball.extend(zip(B, M)) or real(B, M)
         )
         solve_perturbed_eigen(perturbed_domain(pfield(2, 1.0, COS2T), 0.0), None, 8, DIRICHLET_EIGEN)
-    ball = next(block for block in ball if floored(*block))
+    ball = next(block for block in ball if has_floored_pivot(*block))
     rng = np.random.default_rng(3700)
     k = 17
     hollow = rng.normal(size=(2 * k, k)), rng.normal(size=(2 * k, k))
