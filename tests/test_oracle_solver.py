@@ -784,7 +784,6 @@ def test_the_second_mode_of_a_perturbed_disk_takes_the_svd_and_ends_as_before(mo
     ), str(error.value)
 
 
-
 def kernel_bits(outcome):
     """sigma, the condition estimate, c, Bc and Mc of a kernel outcome, as
     one uint64 array."""
@@ -794,9 +793,7 @@ def kernel_bits(outcome):
 
 def stacked(blocks):
     """The kernel outcomes of the blocks [(B, M), ...] in one stacked call."""
-    return oracle_solver._subspace_vectors(
-        np.stack([B for B, _ in blocks]), np.stack([M for _, M in blocks])
-    )
+    return oracle_solver._subspace_vectors([B for B, _ in blocks], [M for _, M in blocks])
 
 
 def test_a_stacked_kernel_call_keeps_the_bits_of_one_block_calls(monkeypatch):
